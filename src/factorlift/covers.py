@@ -8,6 +8,16 @@ W-children cover the closure of their parent, and every level carries an
 exact rational Lebesgue number.  Branch words therefore name points: the
 closures of the cells along an infinite branch intersect to a single
 point, which is what the locate/project operations manipulate.
+
+Verification walks cell classes, not branch words.  Everything checked in
+the subtree below a word s depends only on its class key: the cell V_s and
+the tamper entries strictly below s, keyed by their suffix after s.  The
+6^k words of the interval and circle at level k fall into about 2^(k+3)
+classes.  Each class carries its lexicographically least word and its
+multiplicity, so failure counts and witnesses still speak of branch words:
+a count is a sum of multiplicities, and a witness is the least failing
+word, which is the first one met when classes are walked in order of
+their least words.
 """
 
 from __future__ import annotations
@@ -66,12 +76,16 @@ class CoverSystem:
     def selection(self, s: Word) -> list[Cell]:
         """The padded W-cells for the children of word s."""
         if s not in self._sel_memo:
-            sel = self.space.select_children(self.v_cell(s), len(s) + 1)
-            sel = [
-                self.tamper.get(s + (j,), cell) for j, cell in enumerate(sel)
-            ]
-            self._sel_memo[s] = sel
+            self._sel_memo[s] = self._select(
+                self.v_cell(s), len(s), _rebase(self.tamper, s)
+            )
         return self._sel_memo[s]
+
+    def _select(self, v: Cell, k: int, below: dict) -> list[Cell]:
+        """The padded W-cells below a level-k cell v, given the tamper
+        entries below it keyed by suffix."""
+        sel = self.space.select_children(v, k + 1)
+        return [below.get((j,), cell) for j, cell in enumerate(sel)]
 
     def w_cell(self, s: Sequence[int]) -> Cell:
         s = self.validate_word(s)
@@ -99,6 +113,12 @@ class CoverSystem:
             arity = self.child_arity(level)
             words = [s + (j,) for s in words for j in range(arity)]
         return words
+
+
+def _rebase(tamper: dict, s: Word) -> dict:
+    """The tamper entries strictly below word s, keyed by suffix after s."""
+    n = len(s)
+    return {t[n:]: cell for t, cell in tamper.items() if len(t) > n and t[:n] == s}
 
 
 def interval_system() -> CoverSystem:
@@ -146,48 +166,64 @@ def corrupt_system(cs: CoverSystem, word: Word = (0,)) -> CoverSystem:
 
 
 def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
-    """Check every structural condition at all levels up to depth."""
+    """Check every structural condition at all levels up to depth.
+
+    The walk visits one representative per cell class (see the module
+    docstring): the key is the V cell with the tamper entries below the
+    word, the representative is the class's least word, and the class
+    counts its words.  Reports read as a word-by-word walk would: the
+    header counts words, failure counts sum multiplicities, and each
+    witness is the lexicographically first failing branch word."""
     cert = CertNode(f"cover system '{cs.name}' to depth {depth}")
     space = cs.space
-    level_cells: dict[int, list[Cell]] = {k: [] for k in range(1, depth + 1)}
+    whole = space.whole()
+    # (least word, multiplicity, V cell or None if empty, tamper below)
+    classes = [((), 1, whole, _rebase(cs.tamper, ()))]
+    words = 1
+    level_cells: list[list[Cell]] = []
 
-    words = [()]
     for k in range(depth):
         bound = F(1, 2 ** (k + 1))
         eps = cs.epsilon(k)
-        diam_bad = []
-        cover_bad = []
-        lebesgue_bad = []
-        glue_bad = []
-        for s in words:
-            parent = cs.v_cell(s)
-            children = cs.selection(s)
-            for j, w in enumerate(children):
+        glue_bad, diam_bad, cover_bad, lebesgue_bad = (_Failures() for _ in range(4))
+        children: dict = {}
+        cells: dict = {}
+        for s, mult, parent, below in classes:
+            if parent is None:
+                raise CertificationError(f"{cs.name}: empty cell at branch {s}")
+            sel = cs._select(parent, k, below)
+            for j, w in enumerate(sel):
                 sj = s + (j,)
                 v = space.intersect(parent, w)
-                if v is None or v != cs.v_cell(sj):
-                    glue_bad.append(sj)
+                sub = _rebase(below, (j,))
+                key = (v, frozenset(sub.items()))
+                if key in children:
+                    children[key][1] += mult
+                else:
+                    children[key] = [sj, mult, v, sub]
+                if v is None:
+                    glue_bad.add(sj, mult, v)
                     continue
-                level_cells[k + 1].append(v)
+                cells[v] = None
                 if not (space.diam(v) < bound and space.diam(w) < bound):
-                    diam_bad.append(sj)
+                    diam_bad.add(sj, mult, v)
                 if not space.closed_subset(v, parent):
-                    glue_bad.append(sj)
-            if not space.open_cover_of_closure(parent, children):
-                cover_bad.append(s)
-            if not space.eroded_cover_of_closure(parent, children, eps):
-                lebesgue_bad.append(s)
+                    glue_bad.add(sj, mult, v)
+            if not space.open_cover_of_closure(parent, sel):
+                cover_bad.add(s, mult, parent)
+            if not space.eroded_cover_of_closure(parent, sel, eps):
+                lebesgue_bad.add(s, mult, parent)
 
-        node = cert.section(f"level {k} -> {k + 1} ({len(words)} cells)")
+        node = cert.section(f"level {k} -> {k + 1} ({words} cells)")
         _report(node, "child cells glue exactly (V = parent ∩ W, nested)", glue_bad, cs)
         _report(node, f"diameters below {bound}", diam_bad, cs)
         _report(node, "children cover parent closure", cover_bad, cs)
         _report(node, f"Lebesgue number {eps} certified by erosion", lebesgue_bad, cs)
-        words = [s + (j,) for s in words for j in range(cs.child_arity(k + 1))]
+        classes = list(children.values())
+        words *= cs.child_arity(k + 1)
+        level_cells.append(list(cells))
 
-    whole = space.whole()
-    for k in range(1, depth + 1):
-        distinct = list(dict.fromkeys(level_cells[k]))
+    for k, distinct in enumerate(level_cells, 1):
         ok = space.open_cover_of_closure(whole, distinct)
         cert.check(
             f"level {k} covers the whole space",
@@ -198,16 +234,33 @@ def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
     return cert
 
 
-def _report(node: CertNode, title: str, bad: list, cs: CoverSystem):
-    if not bad:
+@dataclass
+class _Failures:
+    """The branch words failing one check: how many, and the first."""
+
+    count: int = 0
+    witness: Word = ()
+    cell: Optional[Cell] = None
+
+    def add(self, word: Word, multiplicity: int, cell: Optional[Cell]) -> None:
+        # classes arrive in order of their least words, so the first
+        # failing class holds the least failing word
+        if not self.count:
+            self.witness, self.cell = word, cell
+        self.count += multiplicity
+
+
+def _report(node: CertNode, title: str, bad: _Failures, cs: CoverSystem):
+    if not bad.count:
         node.check(title, True)
+    elif bad.cell is None:
+        raise CertificationError(f"{cs.name}: empty cell at branch {bad.witness}")
     else:
-        witness = bad[0]
         node.check(
             title,
             False,
-            f"{len(bad)} failures, first at branch {witness}: "
-            f"{cs.space.describe(cs.v_cell(witness) if witness else cs.space.whole())}",
+            f"{bad.count} failures, first at branch {bad.witness}: "
+            f"{cs.space.describe(bad.cell)}",
         )
 
 

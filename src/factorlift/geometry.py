@@ -30,42 +30,53 @@ Point = Any
 
 
 def _open_chain_cover(a: Fraction, b: Fraction, intervals) -> bool:
-    """Closed [a, b] inside a union of open line intervals, by chaining."""
+    """Closed [a, b] inside a union of open line intervals, by chaining.
+
+    One sweep in order of left end: `best` is the largest right end among
+    the intervals starting left of `reach`, and `reach` jumps to it while
+    it exceeds `reach`; an interval starting at or past `reach` can only
+    help once `reach` has moved beyond its start."""
     if a > b:
         return True
-    reach = a
-    for _ in range(len(intervals) + 2):
-        best = None
-        for u, v in intervals:
-            if u < reach < v and (best is None or v > best):
-                best = v
-        if best is None:
-            return False
-        if best > b:
-            return True
-        reach = best
-    return False
+    reach, best = a, None
+    for u, v in sorted(intervals):
+        while u >= reach:
+            if best is None or best <= reach:
+                return False
+            if best > b:
+                return True
+            reach = best
+        best = v if best is None else max(best, v)
+    return best is not None and best > reach and best > b
 
 
 def _closed_chain_cover(a: Fraction, b: Fraction, intervals) -> bool:
-    """Closed [a, b] inside a union of closed line intervals."""
+    """Closed [a, b] inside a union of closed line intervals; the same
+    sweep as `_open_chain_cover` with closed endpoints."""
     if a > b:
         return True
-    reach = a
-    started = any(p <= a <= q for p, q in intervals)
-    if not started:
+    if not any(p <= a <= q for p, q in intervals):
         return False
-    for _ in range(len(intervals) + 2):
-        if reach >= b:
-            return True
-        best = None
-        for p, q in intervals:
-            if p <= reach and (best is None or q > best):
-                best = q
-        if best is None or best <= reach:
-            return False
-        reach = best
-    return reach >= b
+    reach, best = a, None
+    # an interval holding a sorts before any with p > a, so best is set
+    # before the first jump
+    for p, q in sorted(intervals):
+        while p > reach:
+            if reach >= b:
+                return True
+            if best <= reach:
+                return False
+            reach = best
+        best = q if best is None else max(best, q)
+    return max(reach, best) >= b
+
+
+def dyadic_level(radius: Fraction) -> int:
+    """The count of levels i >= 0 with 2^(-(i+1)) >= radius: the symbols
+    an open stream ball of this radius pins down."""
+    if radius <= 0:
+        raise CertificationError("dyadic level needs a positive radius")
+    return max(0, (radius.denominator // radius.numerator).bit_length() - 1)
 
 
 class Space:
@@ -73,7 +84,7 @@ class Space:
 
     kind = "abstract"
 
-    #每 subclass provides: whole, mesh, child_arity, meets_closure,
+    # Each subclass provides: whole, mesh, child_arity, meets_closure,
     # intersect, diam, contains, closed_subset, closure_in_open,
     # eroded_contains, open_cover_of_closure, eroded_cover_of_closure,
     # level_epsilon, point_cell, sample_point, shrink_cell, describe.
@@ -363,17 +374,6 @@ class CircleSpace(Space):
 # === binary streams ===
 
 
-def stream_ball_depth(radius: Fraction) -> int:
-    """Symbols pinned down by an open ball: the count of levels i with
-    2^(-(i+1)) >= radius."""
-    if radius <= 0:
-        raise CertificationError("ball depth needs a positive radius")
-    m = 0
-    while F(1, 2 ** (m + 1)) >= radius:
-        m += 1
-    return m
-
-
 def _stream_distance(x, y) -> Fraction:
     # eventually periodic streams agreeing past both preambles for a full
     # common period agree everywhere
@@ -405,8 +405,12 @@ class CantorSpace(Space):
         return cells
 
     def select_children(self, base: Cell, k: int) -> list[Cell]:
-        pool = [c for c in self.mesh(k) if self._compatible(c, base)]
-        return self._pad(pool, 2)
+        gap = k - len(base)
+        if gap <= 0:
+            return self._pad([base[:k]], 2)
+        if gap > 1:  # 2^gap cylinders; refuse before building them
+            raise CertificationError(f"{self.kind}: pool of {2 ** gap} exceeds arity 2")
+        return [base + (0,), base + (1,)]
 
     @staticmethod
     def _compatible(a: Cell, b: Cell) -> bool:
@@ -436,31 +440,35 @@ class CantorSpace(Space):
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
         if not self.closed_subset(region, outer):
             return False
-        return radius == 0 or stream_ball_depth(radius) >= len(outer)
+        return radius == 0 or dyadic_level(radius) >= len(outer)
 
     def _brute_cover(self, base: Cell, cells) -> bool:
-        words = [w for w in cells if self._compatible(w, base)]
-        depth = max([len(base)] + [len(w) for w in words])
-        if depth - len(base) > 14:
-            raise CertificationError("cylinder cover check too deep")
-        frontier = [base]
-        for _ in range(depth - len(base)):
-            frontier = [c + (b,) for c in frontier for b in (0, 1)]
-        return all(any(e[: len(w)] == w for w in words) for e in frontier)
+        """Cylinder base inside the union of the cylinder cells: walk the
+        trie of the compatible words below base; a node that is a word is
+        covered, one that no word passes through is a gap."""
+        words = {w for w in cells if self._compatible(w, base)}
+        if any(len(w) <= len(base) for w in words):
+            return True
+        inner = {w[:i] for w in words for i in range(len(base), len(w))}
+        stack = [base]
+        while stack:
+            node = stack.pop()
+            if node in words:
+                continue
+            if node not in inner:
+                return False
+            stack += (node + (0,), node + (1,))
+        return True
 
     def open_cover_of_closure(self, base: Cell, cells) -> bool:
         return self._brute_cover(base, cells)
 
     def eroded_cover_of_closure(self, base: Cell, cells, eps: Fraction) -> bool:
-        m = stream_ball_depth(eps)
+        m = dyadic_level(eps)
         return self._brute_cover(base, [w for w in cells if m >= len(w)])
 
     def point_cell(self, x: Point, bound=None) -> Cell:
-        bound = bound if bound is not None else F(1, 2 ** 33)
-        m = 0
-        while F(1, 2 ** (m + 1)) >= bound:
-            m += 1
-        return x.prefix(m)
+        return x.prefix(dyadic_level(bound if bound is not None else F(1, 2 ** 33)))
 
     def distance(self, x: Point, y: Point) -> Fraction:
         return _stream_distance(x, y)
@@ -511,14 +519,10 @@ class BaireStreamSpace:
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
         if not self.closed_subset(region, outer):
             return False
-        return radius == 0 or stream_ball_depth(radius) >= len(outer)
+        return radius == 0 or dyadic_level(radius) >= len(outer)
 
     def point_cell(self, x: Point, bound=None) -> Cell:
-        bound = bound if bound is not None else F(1, 2 ** 33)
-        m = 0
-        while F(1, 2 ** (m + 1)) >= bound:
-            m += 1
-        return x.prefix(m)
+        return x.prefix(dyadic_level(bound if bound is not None else F(1, 2 ** 33)))
 
     def distance(self, x: Point, y: Point) -> Fraction:
         return _stream_distance(x, y)

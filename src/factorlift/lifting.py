@@ -36,7 +36,7 @@ from .geometry import (
     BaireStreamSpace,
     IntervalSpace,
     PointApprox,
-    stream_ball_depth,
+    dyadic_level,
 )
 from .pairing import pair, unpair
 from .pointmaps import (
@@ -293,7 +293,7 @@ class CylinderPresentation:
         region = tuple(region)
         if len(region) <= len(t) or region[: len(t)] != t:
             return None
-        if stream_ball_depth(slack) < len(t) + 1:
+        if dyadic_level(slack) < len(t) + 1:
             return None
         return region[len(t)]
 

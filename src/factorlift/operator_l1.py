@@ -249,12 +249,12 @@ def dense_orbit_enumeration(
         raise NormBoundViolated(f"rho must be positive, got {format_fraction(rho)}")
     try:
         exact = model.operator_norm(matrix)
-        if rho < exact:
-            raise NormBoundViolated(
-                f"rho = {format_fraction(rho)} < exact norm {format_fraction(exact)}"
-            )
     except CertificationError:
-        pass  # L2: bound is caller-certified, membership is still re-checked below
+        exact = None  # L2: bound is caller-certified, membership is still re-checked below
+    if exact is not None and rho < exact:
+        raise NormBoundViolated(
+            f"rho = {format_fraction(rho)} < exact norm {format_fraction(exact)}"
+        )
     points = list(unit_ball_grid(model, base_count))
     index: dict[Vector, int] = {v: e for e, v in enumerate(points)}
     enum = OrbitEnumeration(

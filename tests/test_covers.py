@@ -1,8 +1,12 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from factorlift.certificates import CertNode
 from factorlift.covers import (
     CoverSystem,
     branch_point,
@@ -26,6 +30,9 @@ from factorlift.geometry import (
     IntervalSpace,
     PointApprox,
     ProductSpace,
+    _closed_chain_cover,
+    _open_chain_cover,
+    dyadic_level,
 )
 from factorlift.transducers import Stream
 
@@ -87,6 +94,78 @@ def test_finite_space_validation():
                 (F(5), F(1), F(0)),
             )
         )
+
+
+def test_dyadic_level_rejects_nonpositive_radius():
+    for r in (F(0), F(-1, 4)):
+        with pytest.raises(CertificationError):
+            dyadic_level(r)
+
+
+@given(st.fractions(min_value=0, max_value=4, max_denominator=2 ** 40).filter(lambda r: r > 0))
+def test_dyadic_level_matches_halving_loop(r):
+    m = 0
+    while F(1, 2 ** (m + 1)) >= r:
+        m += 1
+    assert dyadic_level(r) == m
+
+
+LINE = st.fractions(min_value=-1, max_value=2, max_denominator=8)
+LINE_INTERVALS = st.lists(st.tuples(LINE, LINE), max_size=8)
+
+
+def _critical_points(a, b, intervals):
+    """a, b and every endpoint in between, with the midpoints of
+    consecutive ones: a union of intervals covers [a, b] iff it covers
+    these points."""
+    pts = sorted({a, b} | {e for iv in intervals for e in iv if a <= e <= b})
+    return pts + [(x + y) / 2 for x, y in zip(pts, pts[1:])]
+
+
+@given(LINE, LINE, LINE_INTERVALS)
+def test_open_chain_cover_matches_pointwise(a, b, intervals):
+    want = a > b or all(
+        any(u < x < v for u, v in intervals) for x in _critical_points(a, b, intervals)
+    )
+    assert _open_chain_cover(a, b, intervals) == want
+
+
+@given(LINE, LINE, LINE_INTERVALS)
+def test_closed_chain_cover_matches_pointwise(a, b, intervals):
+    want = a > b or all(
+        any(p <= x <= q for p, q in intervals) for x in _critical_points(a, b, intervals)
+    )
+    assert _closed_chain_cover(a, b, intervals) == want
+
+
+BITS = st.lists(st.integers(0, 1), max_size=7).map(tuple)
+
+
+@given(BITS.filter(lambda w: len(w) <= 4), st.lists(BITS, max_size=8))
+def test_cantor_cover_matches_enumeration(base, cells):
+    sp = CantorSpace()
+    words = [w for w in cells if sp._compatible(w, base)]
+    depth = max([len(base)] + [len(w) for w in words])
+    frontier = [base + t for t in itertools.product((0, 1), repeat=depth - len(base))]
+    want = all(any(e[: len(w)] == w for w in words) for e in frontier)
+    assert sp._brute_cover(base, cells) == want
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CertificationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(BITS.filter(lambda w: len(w) <= 6), st.integers(0, 7))
+def test_cantor_select_children_matches_mesh_filter(base, k):
+    sp = CantorSpace()
+
+    def filtered():
+        return sp._pad([c for c in sp.mesh(k) if sp._compatible(c, base)], 2)
+
+    assert _outcome(sp.select_children, base, k) == _outcome(filtered)
 
 
 def test_point_approx_validation():
@@ -151,8 +230,11 @@ def test_validate_word():
     ],
 )
 def test_verify_passes(make, depth):
-    cert = verify_cover_system(make(), depth)
+    cs = make()
+    cert = verify_cover_system(cs, depth)
     assert cert.ok, cert.render()
+    # the walk keeps no per-word state
+    assert not cs._v_memo and not cs._sel_memo
 
 
 def test_verify_interval_circle_product():
@@ -169,6 +251,23 @@ def test_corrupted_system_fails_with_witness(make):
     failure = cert.first_failure()
     assert failure is not None
     assert "cover" in failure.title or "covers" in failure.title
+
+
+def test_verify_cantor_depth_15():
+    assert verify_cover_system(cantor_system(), 15).ok
+
+
+def test_verify_interval_depth_7():
+    assert verify_cover_system(interval_system(), 7).ok
+
+
+@pytest.mark.parametrize("word", [(0,) * 12, (1, 0) * 6, (1, 1, 0) * 4])
+def test_corrupted_cantor_deep_names_parent(word):
+    cert = verify_cover_system(corrupt_system(cantor_system(), word), 12)
+    assert not cert.ok
+    failure = cert.first_failure()
+    assert failure.title == "children cover parent closure"
+    assert failure.detail.startswith(f"1 failures, first at branch {word[:-1]}:")
 
 
 def test_verify_deterministic():
@@ -309,3 +408,126 @@ def test_branch_point_nested_cells():
     pa = branch_point(cs, (0, 1, 2, 3))
     assert len(pa.cells) == 4
     assert cs.space.diam(pa.enclosure()) < F(1, 16)
+
+
+# --- render equivalence with the word-by-word walk ---
+
+
+def _word_walk(cs: CoverSystem, depth: int) -> CertNode:
+    """Reference verifier: every branch word checked on its own, as the
+    original implementation did.  The class walk must render the same."""
+    cert = CertNode(f"cover system '{cs.name}' to depth {depth}")
+    space = cs.space
+    level_cells = {k: [] for k in range(1, depth + 1)}
+    words = [()]
+    for k in range(depth):
+        bound = F(1, 2 ** (k + 1))
+        eps = cs.epsilon(k)
+        diam_bad, cover_bad, lebesgue_bad, glue_bad = [], [], [], []
+        for s in words:
+            parent = cs.v_cell(s)
+            children = cs.selection(s)
+            for j, w in enumerate(children):
+                sj = s + (j,)
+                v = space.intersect(parent, w)
+                if v is None or v != cs.v_cell(sj):
+                    glue_bad.append(sj)
+                    continue
+                level_cells[k + 1].append(v)
+                if not (space.diam(v) < bound and space.diam(w) < bound):
+                    diam_bad.append(sj)
+                if not space.closed_subset(v, parent):
+                    glue_bad.append(sj)
+            if not space.open_cover_of_closure(parent, children):
+                cover_bad.append(s)
+            if not space.eroded_cover_of_closure(parent, children, eps):
+                lebesgue_bad.append(s)
+        node = cert.section(f"level {k} -> {k + 1} ({len(words)} cells)")
+        for title, bad in (
+            ("child cells glue exactly (V = parent ∩ W, nested)", glue_bad),
+            (f"diameters below {bound}", diam_bad),
+            ("children cover parent closure", cover_bad),
+            (f"Lebesgue number {eps} certified by erosion", lebesgue_bad),
+        ):
+            if not bad:
+                node.check(title, True)
+            else:
+                cell = cs.v_cell(bad[0]) if bad[0] else space.whole()
+                node.check(
+                    title,
+                    False,
+                    f"{len(bad)} failures, first at branch {bad[0]}: {space.describe(cell)}",
+                )
+        words = [s + (j,) for s in words for j in range(cs.child_arity(k + 1))]
+    for k in range(1, depth + 1):
+        distinct = list(dict.fromkeys(level_cells[k]))
+        ok = space.open_cover_of_closure(space.whole(), distinct)
+        cert.check(f"level {k} covers the whole space", ok, f"{len(distinct)} distinct cells")
+    cert.note("root cell is the whole space; decay enforced from level 1")
+    return cert
+
+
+SYSTEMS = {
+    "interval": (interval_system, 4),
+    "circle": (circle_system, 4),
+    "finite": (finite_system, 4),
+    "cantor": (cantor_system, 7),
+    "cantor-product": (lambda: product_system(CantorSpace(), CantorSpace()), 4),
+}
+
+
+def _same_verdict(cs: CoverSystem, depth: int) -> None:
+    def walk(verify):
+        fresh = CoverSystem(cs.space, cs.name, tamper=dict(cs.tamper))
+        return _outcome(lambda: verify(fresh, depth).render())
+
+    assert walk(verify_cover_system) == walk(_word_walk)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_shipped_renders_match_word_walk(name):
+    make, depth = SYSTEMS[name]
+    _same_verdict(make(), depth)
+
+
+def test_failure_count_sums_class_multiplicity():
+    # (1, 4) and (1, 5) are a padded duplicate pair; tampering both the
+    # same way keeps them one class of two words, and both words fail
+    base = interval_system()
+    bad = base.space.shrink_cell(base.w_cell((1, 4, 1)))
+    cs = CoverSystem(base.space, "twin", tamper={(1, 4, 1): bad, (1, 5, 1): bad})
+    cert = verify_cover_system(cs, 3)
+    failure = cert.first_failure()
+    assert failure.title == "children cover parent closure"
+    assert failure.detail.startswith("2 failures, first at branch (1, 4):")
+    _same_verdict(cs, 3)
+
+
+@st.composite
+def tampered_systems(draw, name):
+    """One or two W cells replaced: shrunk, or swapped for a mesh cell of
+    the same or a coarser level."""
+    make, max_depth = SYSTEMS[name]
+    base = make()
+    depth = draw(st.integers(1, max_depth))
+    tamper = {}
+    for _ in range(draw(st.integers(1, 2))):
+        length = draw(st.integers(1, depth))
+        word = tuple(
+            draw(st.integers(0, base.child_arity(i + 1) - 1)) for i in range(length)
+        )
+        how = draw(st.sampled_from(["shrink", "mesh", "coarse"]))
+        if how == "shrink":
+            tamper[word] = base.space.shrink_cell(base.w_cell(word))
+        else:
+            level = length if how == "mesh" else max(1, length - 2)
+            tamper[word] = draw(st.sampled_from(base.space.mesh(level)))
+    return CoverSystem(base.space, f"{name}-tampered", tamper=tamper), depth
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tampered_renders_match_word_walk(name, data):
+    cs, depth = data.draw(tampered_systems(name))
+    _same_verdict(cs, depth)

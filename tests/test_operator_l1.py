@@ -141,6 +141,14 @@ def test_rho_below_norm_is_rejected():
         dense_orbit_enumeration(model, model.matrix([[0, 3], [0, 0]]), 2)
 
 
+@pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+def test_rho_below_norm_names_the_exact_norm(kind):
+    # refuted by the exact norm itself, before any orbit is walked
+    model = BanachModel(2, kind)
+    with pytest.raises(NormBoundViolated, match=r"^rho = 2 < exact norm 3$"):
+        dense_orbit_enumeration(model, model.matrix([[0, 3], [0, 0]]), 2)
+
+
 def test_rho_zero_rejected():
     model = BanachModel(1, NormKind.L1)
     with pytest.raises(NormBoundViolated):
