@@ -267,10 +267,11 @@ def _check_cycle_offsets(members, oracle, n) -> None:
     # Offsets of a declared cycle only need to be consistent up to rotation.
     if not oracle:
         return
-    anchor_member, anchor = next(iter(sorted(oracle.items())))
-    base = members.index(anchor_member)
+    position = {m: k for k, m in enumerate(members)}
+    anchor_member, anchor = min(oracle.items())
+    base = position[anchor_member]
     for m, entry in oracle.items():
-        steps = (members.index(m) - base) % n
+        steps = (position[m] - base) % n
         if (entry.offset - anchor.offset) % n != steps:
             raise CertificationError(
                 f"cycle offsets inconsistent at {m}: "
@@ -279,14 +280,15 @@ def _check_cycle_offsets(members, oracle, n) -> None:
 
 
 def _propagate_offsets(members, oracle) -> list[int]:
-    anchor_member, anchor = next(iter(sorted(oracle.items())))
-    base = members.index(anchor_member)
+    position = {m: k for k, m in enumerate(members)}
+    anchor_member, anchor = min(oracle.items())
+    base = position[anchor_member]
     offsets = [anchor.offset + (i - base) for i in range(len(members))]
     for m, entry in oracle.items():
-        if offsets[members.index(m)] != entry.offset:
+        if offsets[position[m]] != entry.offset:
             raise CertificationError(
                 f"path offsets inconsistent at {m}: declared {entry.offset}, "
-                f"walk gives {offsets[members.index(m)]}"
+                f"walk gives {offsets[position[m]]}"
             )
     return offsets
 

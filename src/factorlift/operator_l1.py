@@ -12,6 +12,8 @@ arithmetic is exact.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -62,12 +64,6 @@ class SparseL1Vector:
         a = Fraction(a)
         return SparseL1Vector({i: a * c for i, c in self.coeffs.items()})
 
-    def add(self, other: "SparseL1Vector") -> "SparseL1Vector":
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return SparseL1Vector(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseL1Vector) and self.coeffs == other.coeffs
 
@@ -112,12 +108,6 @@ class BanachModel:
     dim: int
     kind: NormKind = NormKind.L1
 
-    def vector(self, entries: Iterable) -> Vector:
-        v = tuple(Fraction(e) for e in entries)
-        if len(v) != self.dim:
-            raise CertificationError(f"expected dim {self.dim}, got {len(v)}")
-        return v
-
     def in_unit_ball(self, v: Vector) -> bool:
         if self.kind is NormKind.L1:
             return sum(abs(c) for c in v) <= 1
@@ -131,10 +121,9 @@ class BanachModel:
             return sum((abs(c) for c in v), Fraction(0))
         if self.kind is NormKind.LINF:
             return max((abs(c) for c in v), default=Fraction(0))
-        raise CertificationError("L2 norms are certified via norm_squared")
-
-    def norm_squared(self, v: Vector) -> Fraction:
-        return sum((c * c for c in v), Fraction(0))
+        raise CertificationError(
+            "L2 norms are not rational; unit-ball membership is decided on squares"
+        )
 
     def matrix(self, rows: Iterable[Iterable]) -> Matrix:
         m = tuple(tuple(Fraction(e) for e in row) for row in rows)
@@ -143,8 +132,16 @@ class BanachModel:
         return m
 
     def apply(self, mat: Matrix, v: Vector) -> Vector:
+        """T v, exactly: integer numerators over one common denominator."""
+        den = math.lcm(*(c.denominator for row in mat for c in row),
+                       *(c.denominator for c in v))
+        nums = [c.numerator * (den // c.denominator) for c in v]
         return tuple(
-            sum((r[j] * v[j] for j in range(self.dim)), Fraction(0)) for r in mat
+            Fraction(
+                sum(c.numerator * (den // c.denominator) * x for c, x in zip(row, nums)),
+                den * den,
+            )
+            for row in mat
         )
 
     def mat_mul(self, a: Matrix, b: Matrix) -> Matrix:
@@ -155,12 +152,6 @@ class BanachModel:
                 for j in range(n)
             )
             for i in range(n)
-        )
-
-    def identity(self) -> Matrix:
-        return tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(self.dim))
-            for i in range(self.dim)
         )
 
     def operator_norm(self, mat: Matrix) -> Fraction:
@@ -240,9 +231,10 @@ def dense_orbit_enumeration(
     """Build the enumeration and its index dynamics.
 
     The point list is the deterministic ball grid extended with forward
-    orbits of (1/rho)T to `orbit_depth`.  sigma maps pair(e, r) to a strictly
-    later, previously unused repetition of the image point's index; images
-    falling outside the point list (orbit frontier) are omitted and recorded.
+    orbits of (1/rho)T to `orbit_depth`.  sigma maps pair(e, r) to the least
+    strictly later, previously unused repetition of the image point's index;
+    images falling outside the point list (orbit frontier) are omitted and
+    recorded.  (1/rho)T is applied once per point.
     """
     rho = Fraction(rho)
     if rho <= 0:
@@ -260,10 +252,12 @@ def dense_orbit_enumeration(
     enum = OrbitEnumeration(
         model, matrix, rho, points, PartialInjection({}), [], [], repetitions
     )
-    depth = {e: 0 for e in range(len(points))}
-    queue = list(range(len(points)))
+    # image[e]: index of the point (1/rho)T points[e], None past the frontier
+    image: dict[int, int | None] = {}
+    depth = [0] * len(points)
+    queue = deque(range(len(points)))
     while queue:
-        e = queue.pop(0)
+        e = queue.popleft()
         if depth[e] >= orbit_depth:
             continue
         y = enum.scaled_image(points[e])
@@ -274,26 +268,30 @@ def dense_orbit_enumeration(
         if y not in index:
             index[y] = len(points)
             points.append(y)
-            depth[index[y]] = depth[e] + 1
+            depth.append(depth[e] + 1)
             queue.append(index[y])
+        image[e] = index[y]
+    for e, y in enumerate(points):
+        if e not in image:  # never expanded: at orbit_depth
+            image[e] = index.get(enum.scaled_image(y))
     covered = sorted(
         pair(e, r) for e in range(len(points)) for r in range(repetitions)
     )
     entries: dict[int, int] = {}
-    used: dict[int, set[int]] = {}
+    last: dict[int, int] = {}  # target point -> repetition it handed out last
     frontier: list[int] = []
     for i in covered:
-        e, _ = unpair(i)
-        y = enum.scaled_image(points[e])
-        target = index.get(y)
+        e, r = unpair(i)
+        target = image[e]
         if target is None:
             frontier.append(i)
             continue
-        r2 = 0
-        taken = used.setdefault(target, set())
-        while pair(target, r2) <= i or r2 in taken:
-            r2 += 1
-        taken.add(r2)
+        # Least r2 with pair(target, r2) > i = pair(e, r): on the diagonal
+        # e + r if target < e, else on the next one.  That bound grows with i
+        # and target's repetitions from it up to the last one handed out are
+        # all taken, so the least free one is the larger of the two.
+        r2 = max(e + r + (target >= e) - target, 0, last.get(target, -1) + 1)
+        last[target] = r2
         entries[i] = pair(target, r2)
     enum.sigma = PartialInjection(entries)
     enum.covered = covered
@@ -308,11 +306,15 @@ def enumeration_certificate(enum: OrbitEnumeration) -> CertNode:
         "sigma is injective on its domain",
         len(set(enum.sigma.entries.values())) == len(enum.sigma.entries),
     )
-    bad = [
-        i
-        for i, j in enum.sigma.entries.items()
-        if enum.scaled_image(enum.value(i)) != enum.value(j)
-    ]
+    images: dict[int, Vector] = {}  # point e -> its scaled image
+
+    def image(i: int) -> Vector:
+        e = unpair(i)[0]
+        if e not in images:
+            images[e] = enum.scaled_image(enum.value(i))
+        return images[e]
+
+    bad = [i for i, j in enum.sigma.entries.items() if image(i) != enum.value(j)]
     cert.check(
         "scaled image matches the enumeration on every covered index",
         not bad,
@@ -395,12 +397,24 @@ def commutation_certificate(
     """
     enum, model = fmap.enum, fmap.enum.model
     cert = CertNode("factor map commutation")
+    # Both sides depend on a layout index only through the point pi reads
+    # there, so each is computed once per point, keyed via enum_of.
+    lhs_of: dict[int | None, Vector] = {}
+    rhs_of: dict[int | None, Vector] = {}
+
+    def side(memo, layout_index: int, f) -> Vector:
+        n = fmap.enum_of.get(layout_index)
+        key = None if n is None else unpair(n)[0]
+        if key not in memo:
+            memo[key] = f(fmap.basis_image(layout_index))
+        return memo[key]
+
     bad = []
     checked = 0
-    for n, n_next in enum.sigma.entries.items():
+    for n in enum.sigma.entries:
         i = fmap.layout_of[n]
-        lhs = model.apply(enum.matrix, fmap.basis_image(i))
-        rhs = tuple(enum.rho * c for c in fmap.basis_image(successor(i)))
+        lhs = side(lhs_of, i, lambda v: model.apply(enum.matrix, v))
+        rhs = side(rhs_of, successor(i), lambda v: tuple(enum.rho * c for c in v))
         if lhs != rhs:
             bad.append(i)
         checked += 1

@@ -180,6 +180,14 @@ def test_oracle_cycle_on_open_path_rejected():
         classify_components(sigma)
 
 
+def declared_path(members, kind, offsets, closed=False) -> PartialInjection:
+    entries = dict(zip(members, members[1:]))
+    if closed:
+        entries[members[-1]] = members[0]
+    oracle = {m: OracleEntry(m, kind, off) for m, off in zip(members, offsets)}
+    return PartialInjection(entries, oracle)
+
+
 def test_oracle_offset_conflict_rejected():
     sigma = PartialInjection(
         {1: 2, 2: 3},
@@ -188,8 +196,42 @@ def test_oracle_offset_conflict_rejected():
             3: OracleEntry(1, ComponentType.BI_INFINITE_LINE, 7),
         },
     )
-    with pytest.raises(CertificationError):
+    with pytest.raises(
+        CertificationError, match=r"^path offsets inconsistent at 3: declared 7, walk gives 2$"
+    ):
         classify_components(sigma)
+    # the same messages for a conflict deep in a long line and a long cycle
+    members = random.Random(5).sample(range(10**6), 5000)
+    offsets = list(range(-1200, 3800))
+    offsets[4321] += 1
+    line = declared_path(members, ComponentType.BI_INFINITE_LINE, offsets)
+    with pytest.raises(
+        CertificationError,
+        match=rf"^path offsets inconsistent at {members[4321]}: declared 3122, walk gives 3121$",
+    ):
+        classify_components(line)
+    offsets = [(k + 17) % 5000 for k in range(5000)]
+    offsets[4321] = 3
+    cycle = declared_path(members, ComponentType.CYCLE, offsets, closed=True)
+    anchor = min(members)
+    a = members.index(anchor)
+    with pytest.raises(
+        CertificationError,
+        match=rf"^cycle offsets inconsistent at {members[4321]}: declared 3, "
+        rf"expected {(a + 17) % 5000}\+{(4321 - a) % 5000} mod 5000$",
+    ):
+        classify_components(cycle)
+
+
+def test_long_declared_line_embeds():
+    members = random.Random(8).sample(range(10**6), 20_000)
+    offsets = range(-7000, 13_000)
+    sigma = declared_path(members, ComponentType.BI_INFINITE_LINE, offsets)
+    cert = embed_injection(sigma)
+    (comp,) = cert.components
+    assert comp.kind is ComponentType.BI_INFINITE_LINE
+    assert comp.members == tuple(members) and comp.positions == tuple(offsets)
+    assert cert.checked_edges == len(sigma.entries) == 19_999
 
 
 # === embedding ===

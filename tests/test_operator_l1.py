@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from factorlift.certificates import CertNode
 from factorlift.errors import CertificationError, NormBoundViolated
-from factorlift.injections import successor
+from factorlift.injections import PartialInjection, successor
 from factorlift.operator_l1 import (
     BanachModel,
     NormKind,
+    OrbitEnumeration,
     SparseL1Vector,
     apply_universal,
     commutation_certificate,
@@ -93,6 +97,37 @@ def test_l2_membership_is_decided_on_squares():
     model = BanachModel(2, NormKind.L2SQ)
     assert model.in_unit_ball((F(3, 5), F(4, 5)))
     assert not model.in_unit_ball((F(3, 5), F(4, 5) + F(1, 10**9)))
+
+
+def _fraction_apply(mat, v):
+    """T v as the plain sum of Fraction products."""
+    return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in mat)
+
+
+rational_entries = st.one_of(
+    st.integers(-9, 9).map(F),
+    st.fractions(min_value=-9, max_value=9, max_denominator=60),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_apply_matches_the_plain_fraction_sum(data):
+    dim = data.draw(st.integers(1, 4))
+    zero_rows = data.draw(st.sets(st.integers(0, dim - 1)))
+    mat = tuple(
+        tuple(F(0) if i in zero_rows else data.draw(rational_entries) for _ in range(dim))
+        for i in range(dim)
+    )
+    v = tuple(data.draw(rational_entries) for _ in range(dim))
+    got = BanachModel(dim).apply(mat, v)
+    assert got == _fraction_apply(mat, v)
+    assert all(type(c) is F for c in got)
+
+
+def test_l2_norm_is_refused_with_the_squares_reason():
+    with pytest.raises(CertificationError, match="decided on squares"):
+        BanachModel(2, NormKind.L2SQ).norm((F(3, 5), F(4, 5)))
 
 
 def test_operator_norm_is_max_column_sum_for_l1():
@@ -238,3 +273,273 @@ def test_reference_sequence_length_validated():
     model = BanachModel(1, NormKind.L1)
     with pytest.raises(CertificationError):
         norm_growth_certificate(model, model.matrix([[2]]), 5, [F(1)] * 3)
+
+
+# === per-point construction against the per-index original ===
+
+
+def _per_index_scaled_image(enum, v):
+    return tuple(c / enum.rho for c in _fraction_apply(enum.matrix, v))
+
+
+def _per_index_enumeration(model, matrix, rho, base_count, orbit_depth, repetitions):
+    """Reference construction: every covered index computes its own image
+    and scans for a free repetition, as the original implementation did."""
+    rho = F(rho)
+    points = list(unit_ball_grid(model, base_count))
+    index = {v: e for e, v in enumerate(points)}
+    enum = OrbitEnumeration(
+        model, matrix, rho, points, PartialInjection({}), [], [], repetitions
+    )
+    depth = {e: 0 for e in range(len(points))}
+    queue = list(range(len(points)))
+    while queue:
+        e = queue.pop(0)
+        if depth[e] >= orbit_depth:
+            continue
+        y = _per_index_scaled_image(enum, points[e])
+        if not model.in_unit_ball(y):
+            raise NormBoundViolated(
+                f"(1/rho)T leaves the unit ball at point {e}: rho too small"
+            )
+        if y not in index:
+            index[y] = len(points)
+            points.append(y)
+            depth[index[y]] = depth[e] + 1
+            queue.append(index[y])
+    covered = sorted(
+        pair(e, r) for e in range(len(points)) for r in range(repetitions)
+    )
+    entries, used, frontier = {}, {}, []
+    for i in covered:
+        e, _ = unpair(i)
+        target = index.get(_per_index_scaled_image(enum, points[e]))
+        if target is None:
+            frontier.append(i)
+            continue
+        r2 = 0
+        taken = used.setdefault(target, set())
+        while pair(target, r2) <= i or r2 in taken:
+            r2 += 1
+        taken.add(r2)
+        entries[i] = pair(target, r2)
+    enum.sigma = PartialInjection(entries)
+    enum.covered = covered
+    enum.frontier = frontier
+    return enum
+
+
+def _per_index_enumeration_certificate(enum):
+    """Reference certificate: one image per covered index."""
+    cert = CertNode("dense orbit enumeration")
+    cert.check(
+        "sigma is injective on its domain",
+        len(set(enum.sigma.entries.values())) == len(enum.sigma.entries),
+    )
+    bad = [
+        i
+        for i, j in enum.sigma.entries.items()
+        if _per_index_scaled_image(enum, enum.value(i)) != enum.value(j)
+    ]
+    cert.check(
+        "scaled image matches the enumeration on every covered index",
+        not bad,
+        f"first witness index {bad[0]}" if bad else f"{len(enum.sigma.entries)} indices",
+    )
+    cert.check(
+        "every point appears at infinitely many indices (spot check)",
+        all(
+            enum.value(pair(e, r)) == enum.points[e]
+            for e in range(min(4, len(enum.points)))
+            for r in (0, 5, 100)
+        ),
+    )
+    cert.note(
+        "frontier",
+        f"{len(enum.frontier)} covered indices omitted (image past orbit depth)",
+    )
+    return cert
+
+
+def _per_index_commutation_certificate(fmap, outside_samples=64, rng=None):
+    """Reference certificate: both sides recomputed at every layout index."""
+    enum, model = fmap.enum, fmap.enum.model
+    cert = CertNode("factor map commutation")
+    bad = []
+    checked = 0
+    for n in enum.sigma.entries:
+        i = fmap.layout_of[n]
+        lhs = _fraction_apply(enum.matrix, fmap.basis_image(i))
+        rhs = tuple(enum.rho * c for c in fmap.basis_image(successor(i)))
+        if lhs != rhs:
+            bad.append(i)
+        checked += 1
+    cert.check(
+        "exact commutation on every covered basis index",
+        not bad,
+        f"first witness layout index {bad[0]}" if bad else f"{checked} indices",
+    )
+    zero = tuple(F(0) for _ in range(model.dim))
+    support = set(fmap.enum_of)
+    sampled = skipped = attempts = 0
+    witness = None
+    if rng is not None:
+        while sampled < outside_samples and attempts < 50 * outside_samples:
+            attempts += 1
+            i = rng.randrange(10**6)
+            try:
+                s = successor(i)
+            except CertificationError:
+                continue
+            if i in support:
+                continue
+            if s in support:
+                skipped += 1
+                continue
+            lhs = _fraction_apply(enum.matrix, fmap.basis_image(i))
+            rhs = tuple(enum.rho * c for c in fmap.basis_image(s))
+            if lhs != zero or rhs != zero:
+                witness = i
+                break
+            sampled += 1
+        cert.check(
+            "both sides vanish off the embedded support (sampled)",
+            witness is None,
+            f"witness {witness}" if witness is not None else
+            f"{sampled} sampled, {skipped} frontier-adjacent skipped",
+        )
+    surj = all(
+        fmap.basis_image(fmap.layout_of[pair(e, 0)]) == enum.points[e]
+        for e in range(len(enum.points))
+    )
+    cert.check("every enumeration point is attained by a basis vector", surj,
+               f"{len(enum.points)} points")
+    return cert
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except CertificationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+small_entries = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def orbit_problems(draw):
+    """A small matrix with a norm bound; L2 bounds may be too small."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(list(NormKind)))
+    model = BanachModel(dim, kind)
+    mat = model.matrix(
+        [[draw(small_entries) for _ in range(dim)] for _ in range(dim)]
+    )
+    if kind is NormKind.L2SQ:
+        rho = draw(st.builds(F, st.integers(1, 12), st.integers(1, 4)))
+    else:
+        rho = model.operator_norm(mat) + draw(st.sampled_from([0, F(1, 2), 1]))
+        rho = rho or F(1)
+    return model, mat, rho, (
+        draw(st.integers(1, 24)), draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=orbit_problems(), data=st.data())
+def test_enumeration_and_certificates_match_per_index_original(problem, data):
+    model, mat, rho, sizes = problem
+    got = _outcome(lambda: dense_orbit_enumeration(model, mat, rho, *sizes))
+    want = _outcome(lambda: _per_index_enumeration(model, mat, rho, *sizes))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.points == want.points
+    assert got.sigma.entries == want.sigma.entries
+    assert got.frontier == want.frontier and got.covered == want.covered
+    enum = got
+    domain = sorted(enum.sigma.entries)
+    fmap = synthesize_factor_map(enum)
+    how = data.draw(st.sampled_from(["none", "sigma", "enum_of"]))
+    if domain and how == "sigma":
+        i = data.draw(st.sampled_from(domain))
+        e = data.draw(st.integers(0, len(enum.points) - 1))
+        enum.sigma.entries[i] = pair(e, data.draw(st.integers(0, 40)))
+    elif domain and how == "enum_of":
+        victim = data.draw(st.sampled_from(domain))
+        other = data.draw(st.sampled_from(enum.covered))
+        fmap.enum_of[fmap.layout_of[victim]] = other
+    assert enumeration_certificate(enum).render() == (
+        _per_index_enumeration_certificate(enum).render()
+    )
+    seed = data.draw(st.integers(0, 99))
+    assert commutation_certificate(fmap, 8, random.Random(seed)).render() == (
+        _per_index_commutation_certificate(fmap, 8, random.Random(seed)).render()
+    )
+
+
+def _late_repetition(order, candidates):
+    """The last candidate whose point already sat at an earlier index of
+    `order`: a memo keyed by the wrong index would answer it from that
+    earlier, correct repetition."""
+    seen, late = set(), None
+    for i in order:
+        e = unpair(i)[0]
+        if e in seen and i in candidates:
+            late = i
+        seen.add(e)
+    assert late is not None
+    return late
+
+
+def _control_enumeration():
+    model = BanachModel(2, NormKind.L1)
+    return dense_orbit_enumeration(
+        model, model.matrix([["1/2", "1/4"], [0, "1/3"]]), 1, base_count=10
+    )
+
+
+def test_enumeration_certificate_names_a_redirected_index():
+    enum = _control_enumeration()
+    victim = _late_repetition(enum.sigma.entries, enum.sigma.entries)
+    right = unpair(enum.sigma.entries[victim])[0]
+    wrong = next(e for e in range(len(enum.points)) if e != right)
+    free = 1 + max(unpair(j)[1] for j in enum.sigma.entries.values())
+    enum.sigma.entries[victim] = pair(wrong, free)
+    failure = enumeration_certificate(enum).first_failure()
+    assert failure.title == "scaled image matches the enumeration on every covered index"
+    assert failure.detail == f"first witness index {victim}"
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_commutation_certificate_names_a_repointed_slot(side):
+    # The repointed slot is read on one side of one edge only: as T(pi(e_i))
+    # of its own edge (domain, not range of sigma), or as pi(rho U e_i) of
+    # its predecessor's edge (range, not domain), so exactly that edge fails.
+    enum = _control_enumeration()
+    fmap = synthesize_factor_map(enum)
+    entries = enum.sigma.entries
+    if side == "lhs":
+        victim = _late_repetition(entries, set(entries) - set(entries.values()))
+        edge = victim
+    else:
+        victim = _late_repetition(entries.values(), set(entries.values()) - set(entries))
+        edge = enum.sigma.inverse()[victim]
+    other = next(i for i in sorted(entries) if enum.value(i) != enum.value(victim))
+    fmap.enum_of[fmap.layout_of[victim]] = other
+    failure = commutation_certificate(fmap).first_failure()
+    assert failure.title == "exact commutation on every covered basis index"
+    assert failure.detail == f"first witness layout index {fmap.layout_of[edge]}"
+
+
+def test_operator_applied_once_per_point_in_each_stage(monkeypatch):
+    calls = []
+    apply = BanachModel.apply
+    monkeypatch.setattr(
+        BanachModel, "apply", lambda self, m, v: calls.append(v) or apply(self, m, v)
+    )
+    enum = _control_enumeration()
+    enumeration_certificate(enum)
+    commutation_certificate(synthesize_factor_map(enum))
+    assert len(calls) <= 3 * len(enum.points)
