@@ -70,13 +70,13 @@ class CertNode:
 
     # --- rendering ---
 
-    def render(self, style: str = "tree") -> str:
+    def render(self) -> str:
         lines: list[str] = []
-        self._render_into(lines, 0, style)
+        self._render_into(lines, 0)
         return "\n".join(lines) + "\n"
 
-    def _render_into(self, lines: list[str], depth: int, style: str) -> None:
-        pad = "  " * depth if style == "tree" else ""
+    def _render_into(self, lines: list[str], depth: int) -> None:
+        pad = "  " * depth
         mark = self.status if (self.status != INFO or not self.children) else (
             PASS if self.ok else FAIL
         )
@@ -85,7 +85,7 @@ class CertNode:
             head += f" :: {self.detail}"
         lines.append(head)
         for c in self.children:
-            c._render_into(lines, depth + 1, style)
+            c._render_into(lines, depth + 1)
 
 
 def summary_line(node: CertNode) -> str:

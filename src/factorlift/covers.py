@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .certificates import CertNode, FAIL, PASS
+from .certificates import CertNode
 from .errors import CertificationError, InvalidBranch, NoCell
 from .geometry import (
     CantorSpace,

@@ -49,29 +49,5 @@ class NetTooCoarse(CertificationError):
     """A point set is not an epsilon-net at the requested scale."""
 
 
-class InsufficientResolution(CertificationError):
-    """An approximation is too coarse to run the requested step."""
-
-
-class UnknownMember(CertificationError):
-    """A map is not a member of the family under consideration."""
-
-
-class ResolutionMismatch(CertificationError):
-    """Two tables or approximations are pinned at incompatible resolutions."""
-
-
-class ModulusTooCoarse(CertificationError):
-    """A continuity modulus cannot deliver the requested output precision."""
-
-
-class NotInvariant(CertificationError):
-    """A point set is not forward invariant under the given map."""
-
-
 class EmptyFamily(CertificationError):
     """An operation that needs at least one member received none."""
-
-
-class ScenarioError(CertificationError):
-    """A scenario file cannot be parsed."""

@@ -16,9 +16,8 @@ it, rotations being the standard refutation.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
@@ -164,11 +163,12 @@ def family_lift(fam: MapFamily) -> LiftedFamily:
 # === stage two: the universal map on function tuples ===
 
 
-def _sample_word(space, length: int, rng, unbounded: int = 6) -> Word:
+def _sample_word(space, length: int, rng) -> Word:
+    """Random symbols fitting each position; unbounded levels draw from 0..5."""
     out = []
     for p in range(length):
         a = space.arity(p)
-        out.append(rng.randrange(a) if a is not None else rng.randrange(unbounded))
+        out.append(rng.randrange(a if a is not None else 6))
     return tuple(out)
 
 
@@ -625,9 +625,9 @@ def controlled_powers_check(
 # === the compact tabulated model for contraction families ===
 
 
-def _net_level(cs: CoverSystem, net, eps: Fraction, max_level: int = 5):
-    """Least tree level certifying that every cell sits within eps of the
-    net: representative distance plus cell diameter."""
+def _net_level(cs: CoverSystem, net, eps: Fraction):
+    """Least tree level up to 5 certifying that every cell sits within eps
+    of the net: representative distance plus cell diameter."""
     space = cs.space
     net = list(net)
     if not net:
@@ -636,7 +636,7 @@ def _net_level(cs: CoverSystem, net, eps: Fraction, max_level: int = 5):
         if not space.contains(space.whole(), a, closed=True):
             raise CertificationError(f"net point {a} lies outside the space")
     worst = None
-    for k in range(1, max_level + 1):
+    for k in range(1, 6):
         level_worst = F(0)
         offender = None
         for s in cs.words_at(k):
@@ -677,29 +677,6 @@ class ContractiveModel:
         """The universal action on a tabulated map: each member eats its
         own evaluation."""
         return tuple(pm.point(v) for pm, v in zip(self.members, values))
-
-    def apply_key(self, key: tuple) -> tuple:
-        if key[0] == "alpha":
-            return ("alpha",)
-        _, i, a = key
-        return ("orbit", i + 1, a) if i < self.depth else ("alpha",)
-
-    def row(self, key: tuple) -> tuple:
-        if key[0] == "alpha":
-            return self.alpha
-        return self.rows[key[1]][key[2]]
-
-    def keys(self) -> list:
-        out = [
-            ("orbit", i, a)
-            for i in range(self.depth + 1)
-            for a in range(len(self.net))
-        ]
-        out.append(("alpha",))
-        return out
-
-    def model_maps(self) -> list:
-        return [self.row(key) for key in self.keys()]
 
 
 def contractive_common_extension(

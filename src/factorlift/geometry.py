@@ -79,15 +79,32 @@ def dyadic_level(radius: Fraction) -> int:
     return max(0, (radius.denominator // radius.numerator).bit_length() - 1)
 
 
+def least_dyadic_level(width: Fraction) -> int:
+    """The least m >= 0 with 2^-m <= width: for width p/q that is the
+    least m with 2^m >= ceil(q/p)."""
+    width = F(width)
+    if width <= 0:
+        raise CertificationError("dyadic level needs a positive width")
+    return (-(-width.denominator // width.numerator) - 1).bit_length()
+
+
+def dyadic_mesh(k: int) -> tuple[Fraction, Fraction]:
+    """Spacing h and radius r of the level-k dyadic mesh, whose cells
+    (j*h - r, j*h + r) overlap their neighbours."""
+    h = F(1, 2 ** (k + 1))
+    return h, F(7, 8) * h
+
+
 class Space:
     """Shared selection and product plumbing; geometry lives in subclasses."""
 
     kind = "abstract"
 
-    # Each subclass provides: whole, mesh, child_arity, meets_closure,
-    # intersect, diam, contains, closed_subset, closure_in_open,
-    # eroded_contains, open_cover_of_closure, eroded_cover_of_closure,
-    # level_epsilon, point_cell, sample_point, shrink_cell, describe.
+    # Each subclass provides: whole, mesh, child_arity, level_epsilon,
+    # meets_closure, intersect, diam, contains, closed_subset,
+    # closure_in_open, eroded_contains, open_cover_of_closure,
+    # eroded_cover_of_closure, point_cell, distance, witness_point,
+    # sample_point, shrink_cell, describe.
 
     def select_children(self, base: Cell, k: int) -> list[Cell]:
         """Level-k mesh cells meeting the closure of base, padded to the
@@ -105,11 +122,18 @@ class Space:
         return pool + [pool[-1]] * (arity - len(pool))
 
 
+class _DyadicSpace(Space):
+    """The interval and the circle: dyadic meshes with one Lebesgue schedule."""
+
+    def level_epsilon(self, k: int) -> Fraction:
+        return F(3, 2 ** (k + 5))
+
+
 # === unit interval ===
 
 
 @dataclass(frozen=True)
-class IntervalSpace(Space):
+class IntervalSpace(_DyadicSpace):
     kind = "interval"
 
     def whole(self) -> Cell:
@@ -118,20 +142,13 @@ class IntervalSpace(Space):
     def child_arity(self, k: int) -> int:
         return 5 if k == 1 else 6
 
-    def level_epsilon(self, k: int) -> Fraction:
-        return F(3, 2 ** (k + 5))
-
-    def _mesh_params(self, k: int):
-        h = F(1, 2 ** (k + 1))
-        return h, F(7, 8) * h
-
     def mesh(self, k: int) -> list[Cell]:
-        h, r = self._mesh_params(k)
+        h, r = dyadic_mesh(k)
         return [(j * h - r, j * h + r) for j in range(2 ** (k + 1) + 1)]
 
     def select_children(self, base: Cell, k: int) -> list[Cell]:
         a, b = self.hull(base)
-        h, r = self._mesh_params(k)
+        h, r = dyadic_mesh(k)
         pool = []
         for j in range(max(0, math.floor((a - r) / h)), min(2 ** (k + 1), math.ceil((b + r) / h)) + 1):
             cell = (j * h - r, j * h + r)
@@ -229,7 +246,7 @@ def _norm_arc(start: Fraction, length: Fraction) -> Cell:
 
 
 @dataclass(frozen=True)
-class CircleSpace(Space):
+class CircleSpace(_DyadicSpace):
     kind = "circle"
 
     def whole(self) -> Cell:
@@ -238,20 +255,13 @@ class CircleSpace(Space):
     def child_arity(self, k: int) -> int:
         return 4 if k == 1 else 6
 
-    def level_epsilon(self, k: int) -> Fraction:
-        return F(3, 2 ** (k + 5))
-
-    def _mesh_params(self, k: int):
-        h = F(1, 2 ** (k + 1))
-        return h, F(7, 8) * h
-
     def mesh(self, k: int) -> list[Cell]:
-        h, r = self._mesh_params(k)
+        h, r = dyadic_mesh(k)
         return [_norm_arc(j * h - r, 2 * r) for j in range(2 ** (k + 1))]
 
     def select_children(self, base: Cell, k: int) -> list[Cell]:
         bs, bl = base
-        h, r = self._mesh_params(k)
+        h, r = dyadic_mesh(k)
         n = 2 ** (k + 1)
         seen = []
         for j in range(math.floor((bs - r) / h), math.ceil((bs + bl + r) / h) + 1):
@@ -386,31 +396,15 @@ def _stream_distance(x, y) -> Fraction:
 
 
 @dataclass(frozen=True)
-class CantorSpace(Space):
-    kind = "cantor"
+class BaireStreamSpace:
+    """Streams over all of N with the first-difference metric.  Not compact,
+    so it carries no mesh or cover system; its cylinder geometry is shared
+    by the binary streams, a closed subspace with the same metric."""
+
+    kind = "baire"
 
     def whole(self) -> Cell:
         return ()
-
-    def child_arity(self, k: int) -> int:
-        return 2
-
-    def level_epsilon(self, k: int) -> Fraction:
-        return F(1, 2 ** (k + 2))
-
-    def mesh(self, k: int) -> list[Cell]:
-        cells = [()]
-        for _ in range(k):
-            cells = [c + (b,) for c in cells for b in (0, 1)]
-        return cells
-
-    def select_children(self, base: Cell, k: int) -> list[Cell]:
-        gap = k - len(base)
-        if gap <= 0:
-            return self._pad([base[:k]], 2)
-        if gap > 1:  # 2^gap cylinders; refuse before building them
-            raise CertificationError(f"{self.kind}: pool of {2 ** gap} exceeds arity 2")
-        return [base + (0,), base + (1,)]
 
     @staticmethod
     def _compatible(a: Cell, b: Cell) -> bool:
@@ -442,6 +436,50 @@ class CantorSpace(Space):
             return False
         return radius == 0 or dyadic_level(radius) >= len(outer)
 
+    def point_cell(self, x: Point, bound=None) -> Cell:
+        return x.prefix(dyadic_level(bound if bound is not None else F(1, 2 ** 33)))
+
+    def distance(self, x: Point, y: Point) -> Fraction:
+        return _stream_distance(x, y)
+
+    def witness_point(self, cell: Cell) -> Point:
+        return Stream(cell, (0,))
+
+    def sample_point(self, rng) -> Point:
+        pre = tuple(rng.randrange(5) for _ in range(24))
+        return Stream(pre, (rng.randrange(5),))
+
+    def describe(self, cell: Cell) -> str:
+        return "cyl[" + ",".join(map(str, cell)) + "]"
+
+
+@dataclass(frozen=True)
+class CantorSpace(BaireStreamSpace, Space):
+    """Binary streams: the Baire cylinders over a two-symbol alphabet, with
+    a mesh of all level-k cylinders and a cover check over them."""
+
+    kind = "cantor"
+
+    def child_arity(self, k: int) -> int:
+        return 2
+
+    def level_epsilon(self, k: int) -> Fraction:
+        return F(1, 2 ** (k + 2))
+
+    def mesh(self, k: int) -> list[Cell]:
+        cells = [()]
+        for _ in range(k):
+            cells = [c + (b,) for c in cells for b in (0, 1)]
+        return cells
+
+    def select_children(self, base: Cell, k: int) -> list[Cell]:
+        gap = k - len(base)
+        if gap <= 0:
+            return self._pad([base[:k]], 2)
+        if gap > 1:  # 2^gap cylinders; refuse before building them
+            raise CertificationError(f"{self.kind}: pool of {2 ** gap} exceeds arity 2")
+        return [base + (0,), base + (1,)]
+
     def _brute_cover(self, base: Cell, cells) -> bool:
         """Cylinder base inside the union of the cylinder cells: walk the
         trie of the compatible words below base; a node that is a word is
@@ -467,15 +505,6 @@ class CantorSpace(Space):
         m = dyadic_level(eps)
         return self._brute_cover(base, [w for w in cells if m >= len(w)])
 
-    def point_cell(self, x: Point, bound=None) -> Cell:
-        return x.prefix(dyadic_level(bound if bound is not None else F(1, 2 ** 33)))
-
-    def distance(self, x: Point, y: Point) -> Fraction:
-        return _stream_distance(x, y)
-
-    def witness_point(self, cell: Cell) -> Point:
-        return Stream(cell, (0,))
-
     def sample_point(self, rng) -> Point:
         pre = tuple(rng.randrange(2) for _ in range(24))
         return Stream(pre, (rng.randrange(2),))
@@ -485,57 +514,6 @@ class CantorSpace(Space):
 
     def describe(self, cell: Cell) -> str:
         return "cyl[" + "".join(map(str, cell)) + "]"
-
-
-@dataclass(frozen=True)
-class BaireStreamSpace:
-    """Streams over all of N with the first-difference metric.  Not compact,
-    so it carries no mesh or cover system; cylinders still behave exactly
-    like their binary cousins for containment and erosion."""
-
-    kind = "baire"
-
-    def whole(self) -> Cell:
-        return ()
-
-    def diam(self, cell: Cell) -> Fraction:
-        return F(1, 2 ** (len(cell) + 1))
-
-    def contains(self, cell: Cell, x: Point, closed: bool = True) -> bool:
-        return x.prefix(len(cell)) == cell
-
-    def closed_subset(self, inner: Cell, outer: Cell) -> bool:
-        return inner[: len(outer)] == outer
-
-    def closure_in_open(self, inner: Cell, outer: Cell) -> bool:
-        return self.closed_subset(inner, outer)
-
-    def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
-        n = min(len(a), len(b))
-        if a[:n] != b[:n]:
-            return None
-        return a if len(a) >= len(b) else b
-
-    def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
-        if not self.closed_subset(region, outer):
-            return False
-        return radius == 0 or dyadic_level(radius) >= len(outer)
-
-    def point_cell(self, x: Point, bound=None) -> Cell:
-        return x.prefix(dyadic_level(bound if bound is not None else F(1, 2 ** 33)))
-
-    def distance(self, x: Point, y: Point) -> Fraction:
-        return _stream_distance(x, y)
-
-    def witness_point(self, cell: Cell) -> Point:
-        return Stream(cell, (0,))
-
-    def sample_point(self, rng) -> Point:
-        pre = tuple(rng.randrange(5) for _ in range(24))
-        return Stream(pre, (rng.randrange(5),))
-
-    def describe(self, cell: Cell) -> str:
-        return "cyl[" + ",".join(map(str, cell)) + "]"
 
 
 # === finite metric spaces ===

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from .errors import CertificationError, InvalidIndex, NotInjective
 from .pairing import pair, unpair
@@ -377,12 +376,9 @@ def _verify_embedding(sigma: PartialInjection, cert: EmbeddingCertificate) -> No
 def dump_injection(sigma: PartialInjection) -> str:
     """Text form: one `i -> j` line per entry, `# component` lines for oracle."""
     lines = []
-    declared: set[tuple[int, str, int]] = set()
     for m in sorted(sigma.component_oracle):
         e = sigma.component_oracle[m]
-        key = (e.component, e.kind.value, 0)
         lines.append(f"# component {m}: {e.kind.value} @ {e.offset}")
-        declared.add(key)
     for i in sorted(sigma.entries):
         lines.append(f"{i} -> {sigma.entries[i]}")
     return "\n".join(lines) + "\n"

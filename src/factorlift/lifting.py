@@ -37,6 +37,7 @@ from .geometry import (
     IntervalSpace,
     PointApprox,
     dyadic_level,
+    dyadic_mesh,
 )
 from .pairing import pair, unpair
 from .pointmaps import (
@@ -45,11 +46,16 @@ from .pointmaps import (
     PolishPointMap,
     family_from_map,
 )
-from .transducers import BAIRE, PrefixTransducer, SymbolicSpace
+from .transducers import PrefixTransducer
 
 F = Fraction
 
 Word = tuple[int, ...]
+
+# Sampled branch symbols range over 0..SYMBOL_BOUND.
+SYMBOL_BOUND = 9
+# Deeper mesh levels a presentation searches for a child cell.
+SEARCH_LEVELS = 80
 
 
 def slack_schedule(cs: CoverSystem, k: int) -> Fraction:
@@ -307,9 +313,8 @@ class DyadicIntervalPresentation:
 
     name = "interval-over-streams"
 
-    def __init__(self, search_levels: int = 80):
+    def __init__(self):
         self.target = IntervalSpace()
-        self.search_levels = search_levels
         self._memo: dict = {}
 
     def slack(self, k: int) -> Fraction:
@@ -319,8 +324,7 @@ class DyadicIntervalPresentation:
         return F(1, 2 ** (4 * k + 2))
 
     def _mesh_cell(self, level: int, j: int) -> tuple:
-        h = F(1, 2 ** (level + 1))
-        r = F(7, 8) * h
+        h, r = dyadic_mesh(level)
         return (j * h - r, j * h + r)
 
     def _child_range(self, parent, level: int) -> Optional[tuple]:
@@ -329,8 +333,7 @@ class DyadicIntervalPresentation:
         each side, so the range is exactly an index interval:
         left needs j*h - r > u (unless the parent pokes past 0) and right
         needs j*h + r < v (unless it pokes past 1)."""
-        h = F(1, 2 ** (level + 1))
-        r = F(7, 8) * h
+        h, r = dyadic_mesh(level)
         j_top = 2 ** (level + 1)
         u, v = parent
         lo = 0 if u < 0 else math.floor((u + r) / h) + 1
@@ -368,11 +371,11 @@ class DyadicIntervalPresentation:
     def locate_child(self, t: Word, region, slack: Fraction) -> Optional[int]:
         level, parent = self.resolve(t)
         p, q = self.target.hull(region)
-        for child_level in range(level + 1, level + 1 + self.search_levels):
+        for child_level in range(level + 1, level + 1 + SEARCH_LEVELS):
             bounds = self._child_range(parent, child_level)
             if bounds is None:
                 continue
-            h = F(1, 2 ** (child_level + 1))
+            h = dyadic_mesh(child_level)[0]
             lo = max(bounds[0], math.floor((p - slack) / h) - 2)
             hi = min(bounds[1], math.ceil((q + slack) / h) + 2)
             for j in range(lo, hi + 1):
@@ -382,9 +385,7 @@ class DyadicIntervalPresentation:
         return None
 
 
-def presentation_certificate(
-    presentation, depth: int, samples: int, rng, symbol_bound: int = 9
-) -> CertNode:
+def presentation_certificate(presentation, depth: int, samples: int, rng) -> CertNode:
     """Spot-check the presentation laws on randomly drawn branch words:
     diameters decay geometrically and closures nest strictly."""
     cert = CertNode(f"{presentation.name}: presentation laws to depth {depth}")
@@ -394,7 +395,7 @@ def presentation_certificate(
     for _ in range(samples):
         word: Word = ()
         for _ in range(depth):
-            word = word + (rng.randrange(symbol_bound + 1),)
+            word = word + (rng.randrange(SYMBOL_BOUND + 1),)
             cell = presentation.v_cell(word)
             if not target.diam(cell) < F(1, 2 ** len(word)):
                 diam_bad.append(word)
@@ -431,9 +432,6 @@ class BaireLift:
     name: str = "adaptive-lift"
     _memo: dict = field(default_factory=dict, repr=False)
     _antichains: dict = field(default_factory=dict, repr=False)
-
-    def domain_space(self) -> SymbolicSpace:
-        return BAIRE
 
     def _minimal_prefix(self, w: Word, k: int) -> Word:
         bound = self.presentation.slack(k) / 2
@@ -508,9 +506,7 @@ class BaireLift:
         """Minimal prefixes read so far at resolution k."""
         return sorted(self._antichains.get(k, ()))
 
-    def certificate(
-        self, resolution: int, samples: int, rng, symbol_bound: int = 9
-    ) -> CertNode:
+    def certificate(self, resolution: int, samples: int, rng) -> CertNode:
         cert = CertNode(
             f"{self.name}: projection matches {self.point_map.name} "
             f"to depth {resolution}"
@@ -521,7 +517,7 @@ class BaireLift:
         length = 8
         for _ in range(samples):
             while True:
-                w = tuple(rng.randrange(symbol_bound + 1) for _ in range(length))
+                w = tuple(rng.randrange(SYMBOL_BOUND + 1) for _ in range(length))
                 try:
                     t = self.output(w, resolution)
                     break

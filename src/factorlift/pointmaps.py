@@ -31,6 +31,7 @@ from .geometry import (
     ProductSpace,
     Space,
     _norm_arc,
+    least_dyadic_level,
 )
 from .transducers import CANTOR, PrefixTransducer
 
@@ -76,9 +77,7 @@ class PointMap:
                 raise CertificationError(
                     f"{self.name} has neither a modulus rule nor a Lipschitz bound"
                 )
-            m = 0
-            while self.lipschitz * F(1, 2 ** m) > width:
-                m += 1
+            m = least_dyadic_level(width / self.lipschitz) if self.lipschitz > 0 else 0
         if m < 0:
             raise CertificationError(f"negative modulus for {self.name}")
         return m
@@ -172,10 +171,8 @@ def stream_map(
         return tuple(machine.step(tuple(cell)))
 
     def modulus(width: Fraction) -> int:
-        n = 0
-        while F(1, 2 ** (n + 1)) > width:
-            n += 1
-        return machine.modulus(n)
+        # level-n cylinders have diameter 2^-(n+1)
+        return machine.modulus(max(0, least_dyadic_level(width) - 1))
 
     return PointMap(space, region, machine.name, point_fn=point_fn, modulus_fn=modulus)
 
@@ -271,10 +268,7 @@ def branch_family(cover_system) -> ParameterizedFamily:
         return cover_system.v_cell(s)
 
     def moduli(width: Fraction) -> tuple:
-        m = 0
-        while F(1, 2 ** m) > width:
-            m += 1
-        return 0, m
+        return 0, least_dyadic_level(width)
 
     return ParameterizedFamily(cover_system.space, region, moduli, "branch-projection")
 
@@ -293,13 +287,8 @@ def rotation_family(cover_system) -> ParameterizedFamily:
         return _norm_arc(start + angle, length + width)
 
     def moduli(width: Fraction) -> tuple:
-        l = 0
-        while F(1, 2 ** (l + 1)) > width / 2:
-            l += 1
-        m = 0
-        while F(1, 2 ** m) > width / 2:
-            m += 1
-        return l, m
+        m = least_dyadic_level(width / 2)
+        return max(0, m - 1), m
 
     return ParameterizedFamily(space, region, moduli, "rotation-family")
 

@@ -1,46 +1,10 @@
-"""Text forms for exact rationals, vectors, and matrices (`p/q` notation)."""
+"""Text form for exact rationals (`p/q` notation)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ScenarioError
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"bad rational {text!r}") from exc
-
 
 def format_fraction(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}" if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_vector(text: str) -> tuple[Fraction, ...]:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ScenarioError("empty vector")
-    return tuple(parse_fraction(p) for p in parts)
-
-
-def format_vector(v) -> str:
-    return " ".join(format_fraction(x) for x in v)
-
-
-def parse_matrix(text: str) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows separated by `;`, entries by whitespace: `0 1; 0 0`."""
-    rows = [r for r in text.split(";") if r.strip()]
-    if not rows:
-        raise ScenarioError("empty matrix")
-    mat = tuple(parse_vector(r) for r in rows)
-    width = len(mat[0])
-    if any(len(r) != width for r in mat):
-        raise ScenarioError("ragged matrix")
-    return mat
-
-
-def format_matrix(mat) -> str:
-    return " ; ".join(format_vector(r) for r in mat)

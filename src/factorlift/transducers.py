@@ -53,22 +53,18 @@ class InterleavedSpace:
     components: tuple = ()
     tail_component: Union[SymbolicSpace, "InterleavedSpace"] = None  # type: ignore
 
+    def component(self, n: int) -> Space:
+        return self.components[n] if n < len(self.components) else self.tail_component
+
     def arity(self, p: int) -> Optional[int]:
         n, i = unpair(p)
-        space = (
-            self.components[n] if n < len(self.components) else self.tail_component
-        )
-        return space.arity(i)
+        return self.component(n).arity(i)
 
 
 Space = Union[SymbolicSpace, InterleavedSpace]
 
 CANTOR = SymbolicSpace((), 2)
 BAIRE = SymbolicSpace((), None)
-
-
-def full_product(arities: Sequence[Optional[int]], tail: Optional[int]) -> SymbolicSpace:
-    return SymbolicSpace(tuple(arities), tail)
 
 
 def validate_word(space: Space, w: Sequence[int]) -> Word:
@@ -336,17 +332,10 @@ class ProductLift:
     def projection(self, n: int) -> PrefixTransducer:
         return PrefixTransducer(
             self.packed_space,
-            self.component_space(n),
+            self.packed_space.component(n),
             lambda w: extract_stream(w, n),
             lambda k: pair(n, k - 1) + 1 if k > 0 else 0,
             f"proj[{n}]",
-        )
-
-    def component_space(self, n: int) -> Space:
-        return (
-            self.packed_space.components[n]
-            if n < len(self.packed_space.components)
-            else self.packed_space.tail_component
         )
 
     def projection_preimage(self, n: int, u: Sequence[int], default: int = 0) -> Word:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlift.certificates import CertNode
+from factorlift.certificates import CertNode, summary_line
 from factorlift.covers import (
     CoverSystem,
     branch_point,
@@ -24,6 +24,7 @@ from factorlift.covers import (
 )
 from factorlift.errors import CertificationError, InvalidBranch, NoCell
 from factorlift.geometry import (
+    BaireStreamSpace,
     CantorSpace,
     CircleSpace,
     FiniteMetricSpace,
@@ -40,6 +41,21 @@ ONE = F(1)
 
 
 # --- raw geometry ---
+
+
+def test_cantor_cylinders_are_baire_cylinders():
+    cantor, baire = CantorSpace(), BaireStreamSpace()
+    words = [w for k in range(4) for w in itertools.product((0, 1), repeat=k)]
+    for a, b in itertools.product(words, repeat=2):
+        assert cantor.intersect(a, b) == baire.intersect(a, b)
+        assert cantor.closed_subset(a, b) == baire.closed_subset(a, b)
+        for r in (F(0), F(1, 4), F(1, 16)):
+            assert cantor.eroded_contains(a, b, r) == baire.eroded_contains(a, b, r)
+    x = Stream((0, 1, 1), (0,))
+    assert cantor.point_cell(x, F(1, 16)) == baire.point_cell(x, F(1, 16)) == (0, 1, 1, 0)
+    assert (cantor.kind, baire.kind) == ("cantor", "baire")
+    assert cantor != baire
+    assert (cantor.describe((0, 1)), baire.describe((0, 1))) == ("cyl[01]", "cyl[0,1]")
 
 
 def test_interval_mesh_shape():
@@ -274,6 +290,25 @@ def test_verify_deterministic():
     a = verify_cover_system(interval_system(), 3).render()
     b = verify_cover_system(interval_system(), 3).render()
     assert a == b
+
+
+def test_summary_line_and_counts_on_shipped_and_corrupted_renders():
+    good = verify_cover_system(interval_system(), 3)
+    assert good.counts() == (15, 0)
+    assert summary_line(good) == (
+        "PASS: 15 checks passed, 0 failed (cover system 'unit-interval' to depth 3)"
+    )
+    bad = verify_cover_system(corrupt_system(cantor_system(), (0, 1, 1)), 4)
+    assert bad.counts() == (16, 4)
+    assert summary_line(bad) == (
+        "FAIL: 16 checks passed, 4 failed "
+        "(cover system 'binary-streams-corrupted' to depth 4)"
+    )
+    # the counts are the PASS and FAIL leaves of the render
+    lines = bad.render().splitlines()
+    depth = [len(line) - len(line.lstrip()) for line in lines] + [0]
+    leaves = [line.strip()[:6] for i, line in enumerate(lines) if depth[i + 1] <= depth[i]]
+    assert (leaves.count("[PASS]"), leaves.count("[FAIL]")) == (16, 4)
 
 
 # --- projection ---

@@ -1,0 +1,295 @@
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from factorlift.covers import circle_system, interval_system
+from factorlift.errors import (
+    CertificationError,
+    EmptyFamily,
+    LipschitzRefuted,
+    NetTooCoarse,
+    NoCell,
+    SpaceMismatch,
+)
+from factorlift.families import (
+    LiftedFamily,
+    MapFamily,
+    PowersCertificate,
+    common_extension_baire,
+    contraction_fixed_point,
+    contractive_common_extension,
+    controlled_powers_check,
+    family_lift,
+    finite_map_family,
+    invariant_witness_check,
+    rotation_map_family,
+    universal_on_functions,
+)
+from factorlift.geometry import IntervalSpace, PointApprox
+from factorlift.lifting import lift_self_map
+from factorlift.pointmaps import (
+    PointMap,
+    affine_map,
+    rotation_family,
+    rotation_map,
+    tent_map,
+    weakened_family,
+)
+from factorlift.transducers import (
+    CANTOR,
+    identity_transducer,
+    odometer_transducer,
+    shift_transducer,
+)
+
+NET = [F(i, 8) for i in range(9)]
+
+
+def contractions():
+    return [affine_map(F(1, 4), F(1, 2)), affine_map(F(1, 3), F(1, 3))]
+
+
+def liar():
+    """Declares 1/4 but contracts by 1/2."""
+    return PointMap(
+        IntervalSpace(), lambda cell: cell, "liar", lipschitz=F(1, 4),
+        point_fn=lambda x: F(1, 4) + x / 2,
+    )
+
+
+def pipeline_pieces():
+    return [
+        finite_map_family(interval_system(), contractions(), "interval-maps"),
+        finite_map_family(circle_system(), [rotation_map(F(1, 3))], "rotations"),
+    ]
+
+
+# --- map families ---
+
+
+def test_finite_family_takes_the_largest_member_bound():
+    fam = finite_map_family(interval_system(), contractions(), "c")
+    assert fam.finite
+    assert fam.lipschitz == F(1, 2)
+
+
+def test_map_family_rejects_bad_shapes():
+    ci, cc = interval_system(), circle_system()
+    with pytest.raises(EmptyFamily, match="family has no members"):
+        MapFamily(ci)
+    with pytest.raises(SpaceMismatch, match=r"rot\(1/3\) lives on circle"):
+        finite_map_family(ci, [rotation_map(F(1, 3))])
+    with pytest.raises(CertificationError, match="finite or parameterized, not both"):
+        MapFamily(cc, members=(rotation_map(F(1, 3)),), family=rotation_family(cc))
+
+
+def test_rotation_map_family_evaluates_parameter_words():
+    fam = rotation_map_family(circle_system())
+    assert not fam.finite
+    assert fam.lipschitz == 1
+    # angle 1/4 + 1/8
+    assert fam.map_at((1, 1)).point(F(0)) == F(3, 8)
+
+
+# --- stage one: family lifts ---
+
+
+def test_family_lift_certifies_every_finite_member():
+    lf = family_lift(finite_map_family(interval_system(), contractions(), "c"))
+    assert len(lf.transducers()) == 2
+    cert = lf.certificate(3, 4, random.Random(5), exact_samples=2)
+    assert cert.ok, cert.render()
+
+
+def test_family_lift_of_a_parameterized_family():
+    lf = family_lift(rotation_map_family(circle_system()))
+    assert not lf.members
+    cert = lf.certificate(2, 3, random.Random(6))
+    assert cert.ok, cert.render()
+
+
+def test_family_lift_of_a_weakened_family_names_the_wide_region():
+    cs = circle_system()
+    lf = family_lift(MapFamily(cs, family=weakened_family(rotation_family(cs), 8)))
+    with pytest.raises(NoCell, match=r"region at \(\(.*\)\) is wider than"):
+        lf.certificate(2, 3, random.Random(7))
+
+
+# --- stage two: the universal map on function tuples ---
+
+
+def test_universal_on_functions_intertwines_every_coordinate():
+    uni = universal_on_functions([odometer_transducer(), shift_transducer(CANTOR)])
+    cert = uni.certificate(4, 4, random.Random(3))
+    assert cert.ok, cert.render()
+    z = uni.constant_tuple((1, 0, 1, 1))
+    assert [uni.projection(n).step(z) for n in range(2)] == [(1, 0, 1, 1)] * 2
+
+
+def test_universal_on_functions_flags_a_tampered_member():
+    uni = universal_on_functions([odometer_transducer(), shift_transducer(CANTOR)])
+    # the packed machine runs the identity where the shift is claimed
+    uni.product.maps[1] = identity_transducer(CANTOR)
+    failure = uni.certificate(4, 4, random.Random(3)).first_failure()
+    assert failure.title == "coordinate 1 [shift] agrees symbol-for-symbol to depth 4"
+    assert failure.detail == "4 disagreeing samples"
+
+
+def test_universal_on_functions_needs_a_member():
+    with pytest.raises(EmptyFamily):
+        universal_on_functions([])
+
+
+# --- stage three: common extensions ---
+
+
+def test_common_extension_passes_at_small_depth():
+    ext = common_extension_baire(pipeline_pieces())
+    cert = ext.certificate(2, 4, random.Random(4))
+    assert cert.ok, cert.render()
+    factors = ext.member_factors()
+    assert [(mf.piece_index, mf.member_index) for mf in factors] == [(0, 0), (0, 1), (1, 0)]
+    assert ext.factor(1, 0).lifted.point_map.name == "rot(1/3)"
+
+
+def test_common_extension_flags_a_tampered_member_at_projection_level():
+    pieces = pipeline_pieces()
+    ext = common_extension_baire(pieces)
+    wrong = lift_self_map(pieces[0].cover, affine_map(F(1, 2), F(1, 4)))
+    ext.lifted = (
+        LiftedFamily(pieces[0], (ext.lifted[0].members[0], wrong)),
+        ext.lifted[1],
+    )
+    cert = ext.certificate(2, 4, random.Random(4))
+    failure = cert.first_failure()
+    assert failure.title == (
+        "piece 0 member 1 [affine(1/2+1/4x)]: projection of the packed step "
+        "equals the lifted step to depth 2"
+    )
+    assert failure.detail.endswith(" disagreeing samples")
+
+
+def test_empty_pipeline_is_the_identity():
+    ext = common_extension_baire([])
+    assert ext.certificate(2, 1, random.Random(0)).ok
+    assert ext.machine.step((3, 1, 4)) == (3, 1, 4)
+
+
+def test_pipeline_pieces_must_be_finite():
+    with pytest.raises(CertificationError, match="rotations: pipeline pieces must be finite"):
+        common_extension_baire([rotation_map_family(circle_system())])
+
+
+# --- contractions: fixed points and controlled powers ---
+
+
+def test_contraction_fixed_point_meets_the_banach_bound():
+    start = PointApprox.exact_point(IntervalSpace(), F(1))
+    fp = contraction_fixed_point(contractions()[0], F(1, 2), start, F(1, 1024))
+    assert fp.error_bound <= F(1, 1024)
+    assert abs(fp.value - F(1, 2)) <= fp.error_bound  # 1/4 + x/2 fixes 1/2
+
+
+def test_contraction_fixed_point_refutes_an_understated_constant():
+    with pytest.raises(LipschitzRefuted, match=r"exceeds 1/4 \* d\(x, y\) = .* at x = .*, y = "):
+        contraction_fixed_point(contractions()[0], F(1, 4), F(0), F(1, 8))
+    with pytest.raises(CertificationError, match="strictly between 0 and 1"):
+        contraction_fixed_point(contractions()[0], 1, F(0), F(1, 8))
+
+
+def test_controlled_powers_falsifies_rotations_with_a_drift_witness():
+    cs = circle_system()
+    fam = rotation_map_family(cs)
+    pc = controlled_powers_check(fam, 8, 16, random.Random(2))
+    assert pc.falsified and not pc.certified
+    q0, q1, steps, x, gap = pc.witness
+    assert q0[:-1] == q1[:-1] and q0 != q1
+    y0, y1 = x, x
+    for _ in range(steps):
+        y0, y1 = fam.map_at(q0).point(y0), fam.map_at(q1).point(y1)
+    assert cs.space.distance(y0, y1) == gap >= F(1, 4)
+
+
+def test_controlled_powers_certifies_contractions_with_a_schedule():
+    fam = finite_map_family(interval_system(), contractions(), "c")
+    pc = controlled_powers_check(fam, 4, 4, random.Random(2))
+    assert pc.certified
+    assert pc.schedule == tuple(F(1, 2 ** i) for i in range(5))
+    assert pc.report.ok, pc.report.render()
+
+
+def test_controlled_powers_without_a_constant():
+    single = finite_map_family(interval_system(), [tent_map()], "tent")
+    pc = controlled_powers_check(single, 4, 4, random.Random(2))
+    assert pc.certified and pc.schedule == ()
+    cs = circle_system()
+    blind = MapFamily(cs, family=rotation_family(cs), name="blind")
+    assert controlled_powers_check(blind, 4, 4, random.Random(2)).status == "inconclusive"
+
+
+def test_powers_certificate_rejects_bad_data():
+    with pytest.raises(CertificationError, match="unknown powers status 'maybe'"):
+        PowersCertificate("maybe")
+    with pytest.raises(CertificationError, match="nonincreasing"):
+        PowersCertificate("certified", (F(1, 2), F(1)))
+
+
+# --- the tabulated model for contraction families ---
+
+
+def test_contractive_model_passes_with_its_exact_defect():
+    model = contractive_common_extension(
+        interval_system(), contractions(), 3, NET, F(1, 4), random.Random(1)
+    )
+    assert model.report.ok, model.report.render()
+    assert model.defect == F(1, 32)
+    assert model.alpha_defect == 0
+    assert model.value_map(model.rows[0][8]) == model.rows[1][8]
+
+
+def test_contractive_model_refutes_an_understated_lipschitz_constant():
+    with pytest.raises(LipschitzRefuted, match=r"liar: d\(S\(x\), S\(y\)\) = .* at x = "):
+        contractive_common_extension(interval_system(), [liar()], 3, NET, F(1, 4), random.Random(1))
+
+
+def test_contractive_model_refutes_a_coarse_net():
+    with pytest.raises(
+        NetTooCoarse,
+        match=r"net misses the space at scale 1/64: best certified bound .* near interval\(",
+    ):
+        contractive_common_extension(
+            interval_system(), contractions(), 3, [F(0), F(1)], F(1, 64), random.Random(1)
+        )
+
+
+def test_contractive_model_needs_contracting_members():
+    with pytest.raises(EmptyFamily):
+        contractive_common_extension(interval_system(), [], 3, NET, F(1, 4))
+    with pytest.raises(CertificationError, match="contraction constant below 1"):
+        contractive_common_extension(interval_system(), [tent_map()], 3, NET, F(1, 4))
+
+
+def test_invariant_witness_check_passes_on_a_tabulated_model():
+    ci = interval_system()
+    model = contractive_common_extension(ci, contractions(), 3, NET, F(1, 4), random.Random(1))
+    rows = [values for row in model.rows for values in row] + [model.alpha]
+    fam = finite_map_family(ci, contractions(), "c")
+    cert = invariant_witness_check(fam, rows, model.defect, net_eps=F(1, 4), cs=ci)
+    assert cert.ok, cert.render()
+
+
+def test_invariant_witness_check_names_the_displaced_row():
+    cert = invariant_witness_check(contractions(), [(F(1), F(1))], F(1, 8))
+    assert not cert.ok
+    moved = cert.first_failure()
+    assert moved.title == "universal action stays within 1/8 of the model"
+    assert moved.detail == "worst displacement 1/3 at row (Fraction(1, 1), Fraction(1, 1))"
+    onto = [c for c in cert.children[-1].children if not c.ok]
+    assert [c.detail.split(":")[0] for c in onto] == ["net misses the space at scale 1/8"] * 2
+
+
+def test_invariant_witness_check_rejects_malformed_models():
+    assert not invariant_witness_check(contractions(), [], F(1, 8)).ok
+    with pytest.raises(CertificationError, match="one value per member"):
+        invariant_witness_check(contractions(), [(F(1),)], F(1, 8))

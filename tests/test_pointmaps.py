@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from factorlift.covers import (
     cantor_system,
@@ -10,8 +12,9 @@ from factorlift.covers import (
     interval_system,
 )
 from factorlift.errors import CertificationError, SpaceMismatch
-from factorlift.geometry import CantorSpace, IntervalSpace
+from factorlift.geometry import CantorSpace, IntervalSpace, least_dyadic_level
 from factorlift.pointmaps import (
+    PointMap,
     affine_map,
     baire_identity_map,
     branch_family,
@@ -28,7 +31,12 @@ from factorlift.pointmaps import (
     tent_map,
     weakened_family,
 )
-from factorlift.transducers import CANTOR, odometer_transducer, shift_transducer
+from factorlift.transducers import (
+    CANTOR,
+    identity_transducer,
+    odometer_transducer,
+    shift_transducer,
+)
 
 
 def rand_branch(cs, length, rng):
@@ -278,3 +286,78 @@ def test_constant_interval_map_is_degenerate():
     assert m.target.diam(m.region(())) == 0
     with pytest.raises(CertificationError):
         constant_interval_map(F(3, 2))
+
+
+# --- the least dyadic level against the hand-rolled loops it replaced ---
+
+
+def _loop_lipschitz(lipschitz, width):
+    m = 0
+    while lipschitz * F(1, 2 ** m) > width:
+        m += 1
+    return m
+
+
+def _loop_cylinder(width):
+    n = 0
+    while F(1, 2 ** (n + 1)) > width:
+        n += 1
+    return n
+
+
+def _loop_branch(width):
+    m = 0
+    while F(1, 2 ** m) > width:
+        m += 1
+    return m
+
+
+def _loop_rotation_parameter(width):
+    l = 0
+    while F(1, 2 ** (l + 1)) > width / 2:
+        l += 1
+    return l
+
+
+def _loop_rotation_branch(width):
+    m = 0
+    while F(1, 2 ** m) > width / 2:
+        m += 1
+    return m
+
+
+WIDTHS = st.one_of(
+    st.fractions(min_value=0, max_value=64, max_denominator=2 ** 40).filter(lambda w: w > 0),
+    st.integers(-40, 8).map(lambda e: F(2) ** e),
+)
+LIPSCHITZ = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=0, max_value=16, max_denominator=2 ** 20),
+    st.integers(-20, 4).map(lambda e: F(2) ** e),
+)
+
+
+@given(WIDTHS, LIPSCHITZ)
+def test_least_dyadic_level_matches_the_five_loops(width, lipschitz):
+    assert least_dyadic_level(width) == _loop_branch(width)
+    pm = PointMap(IntervalSpace(), lambda cell: cell, "probe", lipschitz=lipschitz)
+    assert pm.modulus(width) == _loop_lipschitz(lipschitz, width)
+    # the identity machine reads exactly the cylinder level
+    assert stream_map(identity_transducer(CANTOR)).modulus(width) == _loop_cylinder(width)
+    assert branch_family(interval_system()).moduli(width) == (0, _loop_branch(width))
+    assert rotation_family(circle_system()).moduli(width) == (
+        _loop_rotation_parameter(width),
+        _loop_rotation_branch(width),
+    )
+
+
+def test_least_dyadic_level_at_powers_of_two_and_zero_lipschitz():
+    for e in range(12):
+        assert least_dyadic_level(F(1, 2 ** e)) == e
+        assert least_dyadic_level(F(3, 2 ** (e + 2))) == e + 1
+        assert least_dyadic_level(F(2 ** e)) == 0
+    flat = PointMap(IntervalSpace(), lambda cell: cell, "flat", lipschitz=F(0))
+    assert flat.modulus(F(1, 2 ** 30)) == 0
+    for w in (F(0), F(-1, 2)):
+        with pytest.raises(CertificationError):
+            least_dyadic_level(w)
