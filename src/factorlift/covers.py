@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .certificates import CertNode
 from .errors import CertificationError, InvalidBranch, NoCell
@@ -107,13 +107,6 @@ class CoverSystem:
                 self._v_memo[s] = cell
         return self._v_memo[s]
 
-    def words_at(self, k: int):
-        words = [()]
-        for level in range(1, k + 1):
-            arity = self.child_arity(level)
-            words = [s + (j,) for s in words for j in range(arity)]
-        return words
-
 
 def _rebase(tamper: dict, s: Word) -> dict:
     """The tamper entries strictly below word s, keyed by suffix after s."""
@@ -165,6 +158,37 @@ def corrupt_system(cs: CoverSystem, word: Word = (0,)) -> CoverSystem:
     return CoverSystem(cs.space, cs.name + "-corrupted", tamper={word: bad})
 
 
+def _class_levels(cs: CoverSystem, depth: int) -> Iterator[tuple[list, list]]:
+    """Walk the cell classes level by level (see the module docstring).
+
+    A class is [least word, multiplicity, V cell or None if empty, tamper
+    entries below keyed by suffix].  For k = 0 .. depth - 1 this yields the
+    level-k classes expanded, as (class, W cells, child V cells) triples,
+    and the level-(k + 1) classes, both in order of least word.  A level is
+    expanded only when the caller asks for it, and expanding a class with
+    an empty cell raises."""
+    space = cs.space
+    classes = [[(), 1, space.whole(), _rebase(cs.tamper, ())]]
+    for k in range(depth):
+        expanded, children = [], {}
+        for c in classes:
+            s, mult, parent, below = c
+            if parent is None:
+                raise CertificationError(f"{cs.name}: empty cell at branch {s}")
+            sel = cs._select(parent, k, below)
+            kids = [space.intersect(parent, w) for w in sel]
+            expanded.append((c, sel, kids))
+            for j, v in enumerate(kids):
+                sub = _rebase(below, (j,))
+                key = (v, frozenset(sub.items()))
+                if key in children:
+                    children[key][1] += mult
+                else:
+                    children[key] = [s + (j,), mult, v, sub]
+        classes = list(children.values())
+        yield expanded, classes
+
+
 def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
     """Check every structural condition at all levels up to depth.
 
@@ -176,35 +200,19 @@ def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
     witness is the lexicographically first failing branch word."""
     cert = CertNode(f"cover system '{cs.name}' to depth {depth}")
     space = cs.space
-    whole = space.whole()
-    # (least word, multiplicity, V cell or None if empty, tamper below)
-    classes = [((), 1, whole, _rebase(cs.tamper, ()))]
     words = 1
     level_cells: list[list[Cell]] = []
 
-    for k in range(depth):
+    for k, (expanded, children) in enumerate(_class_levels(cs, depth)):
         bound = F(1, 2 ** (k + 1))
         eps = cs.epsilon(k)
         glue_bad, diam_bad, cover_bad, lebesgue_bad = (_Failures() for _ in range(4))
-        children: dict = {}
-        cells: dict = {}
-        for s, mult, parent, below in classes:
-            if parent is None:
-                raise CertificationError(f"{cs.name}: empty cell at branch {s}")
-            sel = cs._select(parent, k, below)
-            for j, w in enumerate(sel):
+        for (s, mult, parent, _), sel, kids in expanded:
+            for j, (w, v) in enumerate(zip(sel, kids)):
                 sj = s + (j,)
-                v = space.intersect(parent, w)
-                sub = _rebase(below, (j,))
-                key = (v, frozenset(sub.items()))
-                if key in children:
-                    children[key][1] += mult
-                else:
-                    children[key] = [sj, mult, v, sub]
                 if v is None:
                     glue_bad.add(sj, mult, v)
                     continue
-                cells[v] = None
                 if not (space.diam(v) < bound and space.diam(w) < bound):
                     diam_bad.add(sj, mult, v)
                 if not space.closed_subset(v, parent):
@@ -219,12 +227,11 @@ def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
         _report(node, f"diameters below {bound}", diam_bad, cs)
         _report(node, "children cover parent closure", cover_bad, cs)
         _report(node, f"Lebesgue number {eps} certified by erosion", lebesgue_bad, cs)
-        classes = list(children.values())
         words *= cs.child_arity(k + 1)
-        level_cells.append(list(cells))
+        level_cells.append(list(dict.fromkeys(v for _, _, v, _ in children if v is not None)))
 
     for k, distinct in enumerate(level_cells, 1):
-        ok = space.open_cover_of_closure(whole, distinct)
+        ok = space.open_cover_of_closure(space.whole(), distinct)
         cert.check(
             f"level {k} covers the whole space",
             ok,

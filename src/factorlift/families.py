@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from .certificates import CertNode
-from .covers import CoverSystem
+from .covers import CoverSystem, _class_levels
 from .errors import (
     CertificationError,
     EmptyFamily,
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .geometry import PointApprox
 from .lifting import LiftedSelfMap, StrongLift, lift_self_map, strong_extension_map
-from .pairing import pair
 from .pointmaps import ParameterizedFamily, PointMap, rotation_family, rotation_map
 from .transducers import (
     BAIRE,
@@ -203,7 +202,7 @@ class FunctionSpaceUniversal:
             f"to depth {resolution}"
         )
         m = len(self.members)
-        out_len = pair(m - 1, resolution - 1) + 1
+        out_len = max(self.projection(n).modulus(resolution) for n in range(m))
         in_len = self.machine.modulus(out_len)
         node.note(
             "packed sizes",
@@ -320,10 +319,7 @@ class CommonExtension:
             for fam, lf in zip(self.pieces, self.lifted)
         )
         node.note("pieces", shape)
-        inner_out = [
-            pair(len(u.members) - 1, resolution - 1) + 1 for u in self.universals
-        ]
-        out_len = max(pair(i, io - 1) + 1 for i, io in enumerate(inner_out))
+        out_len = max(mf.projection.modulus(resolution) for mf in self.member_factors())
         in_len = self.machine.modulus(out_len)
         node.note(
             "packed sizes",
@@ -627,7 +623,8 @@ def controlled_powers_check(
 
 def _net_level(cs: CoverSystem, net, eps: Fraction):
     """Least tree level up to 5 certifying that every cell sits within eps
-    of the net: representative distance plus cell diameter."""
+    of the net: representative distance plus cell diameter, read once per
+    cell class; the offender is the first worst cell in branch-word order."""
     space = cs.space
     net = list(net)
     if not net:
@@ -636,11 +633,12 @@ def _net_level(cs: CoverSystem, net, eps: Fraction):
         if not space.contains(space.whole(), a, closed=True):
             raise CertificationError(f"net point {a} lies outside the space")
     worst = None
-    for k in range(1, 6):
+    for k, (_, classes) in enumerate(_class_levels(cs, 5), 1):
         level_worst = F(0)
         offender = None
-        for s in cs.words_at(k):
-            cell = cs.v_cell(s)
+        for s, _, cell, _ in classes:
+            if cell is None:
+                raise CertificationError(f"{cs.name}: empty cell at branch {s}")
             rep = space.witness_point(cell)
             bound = min(space.distance(rep, a) for a in net) + space.diam(cell)
             if bound > level_worst:
@@ -838,7 +836,7 @@ def invariant_witness_check(
         f"universal action stays within {tol} of the model",
         worst[0] <= tol,
         f"worst displacement {worst[0]}"
-        + ("" if worst[0] <= tol else f" at row {worst[1]}"),
+        + ("" if worst[0] <= tol else f" at row ({', '.join(map(str, worst[1]))})"),
     )
     ambient = cs if cs is not None else CoverSystem(space, f"{space.kind} ambient")
     sec = node.section(f"evaluation maps cover the space at scale {scale}")

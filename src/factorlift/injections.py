@@ -146,24 +146,20 @@ class Component:
     resolved: bool
 
 
-def classify_components(
-    sigma: PartialInjection, depth: int | None = None
-) -> list[Component]:
+def classify_components(sigma: PartialInjection) -> list[Component]:
     """Split the functional digraph of `sigma` into typed components.
 
     A closed walk certifies a cycle on its own.  Paths become FORWARD_RAY or
     BI_INFINITE_LINE only when the oracle declares them; otherwise they stay
-    UNRESOLVED (a finite path embeds into a line regardless).  `depth` caps
-    the number of members explored per component.
+    UNRESOLVED (a finite path embeds into a line regardless).
     """
     inv = sigma.inverse()
-    cap = depth if depth is not None else len(sigma.nodes()) + 1
     out: list[Component] = []
     visited: set[int] = set()
     for start in sorted(sigma.nodes()):
         if start in visited:
             continue
-        comp = _walk_component(start, sigma.entries, inv, cap)
+        comp = _walk_component(start, sigma.entries, inv)
         visited.update(comp.members)
         out.append(_type_component(comp, sigma))
     return out
@@ -175,21 +171,16 @@ class _RawComponent:
     is_cycle: bool
 
 
-def _walk_component(start, entries, inv, cap) -> _RawComponent:
+def _walk_component(start, entries, inv) -> _RawComponent:
     # Backward first: in an injective graph every node has at most one
-    # predecessor, so this finds the unique back end or closes a cycle.
+    # predecessor, so this finds the unique back end or returns to start.
     chain = [start]
-    seen = {start}
     node = start
     while node in inv:
         node = inv[node]
-        if node in seen:
+        if node == start:
             break  # came around a cycle
         chain.append(node)
-        if len(chain) > cap:
-            raise CertificationError(
-                f"component through {start} exceeds exploration depth {cap}"
-            )
     chain.reverse()  # back end first
     # Forward from the back end.
     members = [chain[0]]
@@ -207,10 +198,6 @@ def _walk_component(start, entries, inv, cap) -> _RawComponent:
         members.append(nxt)
         pos[nxt] = len(members) - 1
         node = nxt
-        if len(members) > cap:
-            raise CertificationError(
-                f"component through {start} exceeds exploration depth {cap}"
-            )
     return _RawComponent(members, False)
 
 
@@ -313,16 +300,14 @@ class EmbeddingCertificate:
         return set(self.relabel.values())
 
 
-def embed_injection(
-    sigma: PartialInjection, depth: int | None = None
-) -> EmbeddingCertificate:
+def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
     """Embed a finite injection into the layout, one fresh copy per component.
 
     Components are allocated in order of their smallest member, so the result
     is deterministic.  Unresolved finite paths are placed on bi-infinite
     lines, which is always sound for an injection.
     """
-    components = classify_components(sigma, depth)
+    components = classify_components(sigma)
     components.sort(key=lambda c: min(c.members))
     relabel: dict[int, int] = {}
     copies = {"line": 0, "ray": 0}

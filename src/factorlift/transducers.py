@@ -5,6 +5,11 @@ level, or unbounded).  A prefix transducer is a monotone, productive map on
 finite words with an explicit modulus: inputs of length modulus(k) determine
 at least k output symbols.  These are the finite, checkable avatars of
 continuous maps between the corresponding infinite-product spaces.
+
+This module owns the packed layout: it alone knows that position pair(n, i)
+of a packed word holds symbol i of component n.  Everything else reads
+components through `extract_stream`, `pack_streams` and the projections of
+a `ProductLift`, and asks a projection's modulus for packed sizes.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ class InterleavedSpace:
     pair(n, i) carries symbol i of component n; components beyond the
     explicit list follow the tail component."""
 
-    components: tuple = ()
-    tail_component: Union[SymbolicSpace, "InterleavedSpace"] = None  # type: ignore
+    components: tuple
+    tail_component: Union[SymbolicSpace, "InterleavedSpace"]
 
     def component(self, n: int) -> Space:
         return self.components[n] if n < len(self.components) else self.tail_component
@@ -242,6 +247,12 @@ def block_transducer(
 # === interleaving ===
 
 
+def _packed_length(n: int, k: int) -> int:
+    """Length of the shortest packed word holding symbols 0..k-1 of
+    component n."""
+    return pair(n, k - 1) + 1 if k > 0 else 0
+
+
 def extract_stream(packed: Sequence[int], n: int) -> Word:
     """Contiguous determined prefix of component n inside a packed word."""
     out = []
@@ -308,25 +319,24 @@ class ProductLift:
         return self.maps[n] if n < len(self.maps) else self.tail_map
 
     def _step(self, w: Word) -> Word:
-        outs: dict[int, Word] = {}
-        result: list[int] = []
-        p = 0
-        while True:
-            n, i = unpair(p)
-            if n not in outs:
-                outs[n] = self.component_map(n).step_fn(extract_stream(w, n))
-            if i >= len(outs[n]):
-                return tuple(result)
-            result.append(outs[n][i])
-            p += 1
+        # The output ends at the first position a component leaves open.
+        # First slots pair(n, 0) grow with n, so a component whose first
+        # slot lies at or past the end found so far can neither add a
+        # position nor end the output sooner.
+        outs: list[Word] = []
+        end = None
+        while end is None or pair(len(outs), 0) < end:
+            n = len(outs)
+            outs.append(self.component_map(n).step_fn(extract_stream(w, n)))
+            open_at = pair(n, len(outs[n]))
+            end = open_at if end is None else min(end, open_at)
+        return pack_streams(outs, length=end)
 
     def _modulus(self, k: int) -> int:
         need = k
         for p in range(k):
             n, i = unpair(p)
-            m = self.component_map(n).modulus(i + 1)
-            if m > 0:
-                need = max(need, pair(n, m - 1) + 1)
+            need = max(need, _packed_length(n, self.component_map(n).modulus(i + 1)))
         return need
 
     def projection(self, n: int) -> PrefixTransducer:
@@ -334,15 +344,14 @@ class ProductLift:
             self.packed_space,
             self.packed_space.component(n),
             lambda w: extract_stream(w, n),
-            lambda k: pair(n, k - 1) + 1 if k > 0 else 0,
+            lambda k: _packed_length(n, k),
             f"proj[{n}]",
         )
 
     def projection_preimage(self, n: int, u: Sequence[int], default: int = 0) -> Word:
         """A packed word whose component n reads exactly u: surjectivity witness."""
-        length = pair(n, len(u) - 1) + 1 if u else 0
         out = []
-        for p in range(length):
+        for p in range(_packed_length(n, len(u))):
             pn, pi = unpair(p)
             out.append(u[pi] if pn == n and pi < len(u) else default)
         return tuple(out)

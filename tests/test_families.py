@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorlift.covers import circle_system, interval_system
+from factorlift.covers import CoverSystem, circle_system, corrupt_system, interval_system
 from factorlift.errors import (
     CertificationError,
     EmptyFamily,
@@ -16,6 +18,7 @@ from factorlift.families import (
     LiftedFamily,
     MapFamily,
     PowersCertificate,
+    _net_level,
     common_extension_baire,
     contraction_fixed_point,
     contractive_common_extension,
@@ -28,6 +31,7 @@ from factorlift.families import (
 )
 from factorlift.geometry import IntervalSpace, PointApprox
 from factorlift.lifting import lift_self_map
+from factorlift.pairing import pair
 from factorlift.pointmaps import (
     PointMap,
     affine_map,
@@ -41,6 +45,7 @@ from factorlift.transducers import (
     identity_transducer,
     odometer_transducer,
     shift_transducer,
+    substitution_transducer,
 )
 
 NET = [F(i, 8) for i in range(9)]
@@ -284,7 +289,7 @@ def test_invariant_witness_check_names_the_displaced_row():
     assert not cert.ok
     moved = cert.first_failure()
     assert moved.title == "universal action stays within 1/8 of the model"
-    assert moved.detail == "worst displacement 1/3 at row (Fraction(1, 1), Fraction(1, 1))"
+    assert moved.detail == "worst displacement 1/3 at row (1, 1)"
     onto = [c for c in cert.children[-1].children if not c.ok]
     assert [c.detail.split(":")[0] for c in onto] == ["net misses the space at scale 1/8"] * 2
 
@@ -293,3 +298,112 @@ def test_invariant_witness_check_rejects_malformed_models():
     assert not invariant_witness_check(contractions(), [], F(1, 8)).ok
     with pytest.raises(CertificationError, match="one value per member"):
         invariant_witness_check(contractions(), [(F(1),)], F(1, 8))
+
+
+# --- packed sizes: the certificates ask the projections ---
+
+
+def _packed_sizes(cert):
+    (note,) = [c for c in cert.children if c.title == "packed sizes"]
+    out_len, _, _, _, in_len, _, _ = note.detail.split()
+    return int(out_len), int(in_len)
+
+
+def test_certificates_take_packed_sizes_from_the_projections():
+    # the sizes the certificates wrote with inline Cantor pairing
+    uni = universal_on_functions(
+        [odometer_transducer(), shift_transducer(CANTOR), substitution_transducer({0: (1,), 1: (0, 0)})]
+    )
+    ext = common_extension_baire(pipeline_pieces())
+    for r in range(1, 21):
+        out_len, in_len = _packed_sizes(uni.certificate(r, 0, random.Random(0)))
+        assert out_len == pair(len(uni.members) - 1, r - 1) + 1
+        assert in_len == uni.machine.modulus(out_len)
+        inner = [pair(len(u.members) - 1, r - 1) + 1 for u in ext.universals]
+        out_len, in_len = _packed_sizes(ext.certificate(r, 0, random.Random(0)))
+        assert out_len == max(pair(i, io - 1) + 1 for i, io in enumerate(inner))
+        assert in_len == ext.machine.modulus(out_len)
+
+
+# --- the net level against the word-by-word walk ---
+
+
+def _word_walk_net_level(cs, net, eps):
+    """Reference net level: every branch word of levels 1..5 checked on its
+    own through `v_cell`, as the original implementation did.  The class
+    walk must return the same level or raise the same error."""
+    space = cs.space
+    net = list(net)
+    if not net:
+        raise NetTooCoarse("an empty net covers nothing")
+    for a in net:
+        if not space.contains(space.whole(), a, closed=True):
+            raise CertificationError(f"net point {a} lies outside the space")
+    worst = None
+    words = [()]
+    for k in range(1, 6):
+        words = [s + (j,) for s in words for j in range(cs.child_arity(k))]
+        level_worst = F(0)
+        offender = None
+        for s in words:
+            cell = cs.v_cell(s)
+            rep = space.witness_point(cell)
+            bound = min(space.distance(rep, a) for a in net) + space.diam(cell)
+            if bound > level_worst:
+                level_worst, offender = bound, cell
+        if level_worst <= eps:
+            return k
+        worst = (level_worst, offender)
+    raise NetTooCoarse(
+        f"net misses the space at scale {eps}: best certified bound "
+        f"{worst[0]} near {space.describe(worst[1])}"
+    )
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except CertificationError as err:
+        return type(err).__name__, str(err)
+
+
+@st.composite
+def _net_cases(draw, make, tampered):
+    cs = make()
+    if tampered:
+        length = draw(st.integers(1, 3))
+        word = tuple(draw(st.integers(0, cs.child_arity(i + 1) - 1)) for i in range(length))
+        cs = corrupt_system(cs, word)
+    net = draw(st.lists(st.fractions(0, 1, max_denominator=16), min_size=1, max_size=6))
+    eps = F(1, 2 ** draw(st.integers(0, 6)))
+    return cs, net, eps
+
+
+@pytest.mark.parametrize("make", [interval_system, circle_system])
+@pytest.mark.parametrize("tampered", [False, True])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_net_level_matches_word_walk(make, tampered, data):
+    cs, net, eps = data.draw(_net_cases(make, tampered))
+
+    def walk(net_level):
+        fresh = CoverSystem(cs.space, cs.name, tamper=dict(cs.tamper))
+        return _outcome(lambda: net_level(fresh, net, eps))
+
+    assert walk(_net_level) == walk(_word_walk_net_level)
+
+
+@pytest.mark.parametrize(
+    "make, net, near",
+    [
+        (interval_system, [F(1, 2)], "interval(1/512, 7/256)"),
+        (circle_system, [F(0), F(1, 2)], "arc(start=121/512, length=7/256)"),
+    ],
+)
+def test_net_level_names_the_first_of_tied_worst_cells(make, net, near):
+    # a mirror-image cell is just as far from the net; the one met first in
+    # branch-word order is named
+    outcomes = {_outcome(lambda: walk(make(), net, F(1, 64))) for walk in (_net_level, _word_walk_net_level)}
+    assert len(outcomes) == 1
+    ((kind, message),) = outcomes
+    assert kind == "NetTooCoarse" and message.endswith(f"near {near}")

@@ -1,6 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorlift.errors import (
     CertificationError,
@@ -9,7 +13,7 @@ from factorlift.errors import (
     InvalidBranch,
     SpaceMismatch,
 )
-from factorlift.pairing import pair
+from factorlift.pairing import pair, unpair
 from factorlift.transducers import (
     BAIRE,
     CANTOR,
@@ -354,3 +358,99 @@ def test_lift_deterministic():
     w = tuple(i % 2 for i in range(40))
     assert a.lift.step(w) == b.lift.step(w)
     assert a.lift.modulus(25) == b.lift.modulus(25)
+
+
+# --- the packed step against the positionwise walk ---
+
+
+def _positionwise_step(lifted, w):
+    """Reference product step: walk packed positions in order, running each
+    component's map the first time one of its positions comes up, and stop
+    at the first position its output leaves open.  The packed step must
+    give the same word."""
+    outs = {}
+    result = []
+    p = 0
+    while True:
+        n, i = unpair(p)
+        if n not in outs:
+            outs[n] = lifted.component_map(n).step_fn(extract_stream(w, n))
+        if i >= len(outs[n]):
+            return tuple(result)
+        result.append(outs[n][i])
+        p += 1
+
+
+def _prepend(space):
+    """Emits two symbols before reading any, so it speaks on empty input."""
+    return PrefixTransducer(
+        space, space, lambda w: (1, 0) + tuple(w), lambda k: max(k - 2, 0), "prepend"
+    )
+
+
+BASE_MAPS = [
+    identity_transducer(CANTOR),
+    shift_transducer(CANTOR),
+    odometer_transducer(),
+    substitution_transducer({0: (1,), 1: (0, 0)}),
+    _prepend(CANTOR),
+    identity_transducer(BAIRE),
+    shift_transducer(BAIRE),
+    _prepend(BAIRE),
+]
+
+
+def _lifts(maps):
+    return st.builds(
+        lambda explicit, tail: product_lift(explicit, tail, require_same_space=False),
+        st.lists(maps, max_size=4),
+        st.none() | maps,
+    )
+
+
+SELF_MAPS = st.recursive(
+    st.sampled_from(BASE_MAPS), lambda maps: _lifts(maps).map(lambda pl: pl.lift), max_leaves=6
+)
+
+
+@st.composite
+def _packed_words(draw, space, max_size=60):
+    out = []
+    for p in range(draw(st.integers(0, max_size))):
+        a = space.arity(p)
+        out.append(draw(st.integers(0, (a if a is not None else 6) - 1)))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_packed_step_matches_positionwise_walk(data):
+    lifted = data.draw(_lifts(SELF_MAPS))
+    w = data.draw(_packed_words(lifted.packed_space))
+    assert lifted.lift.step(w) == _positionwise_step(lifted, w)
+
+
+def test_packed_step_reads_tail_components_past_the_input():
+    # every component past the empty input emits (1, 0), so the output runs
+    # through components that read nothing
+    lifted = product_lift([], tail=_prepend(CANTOR))
+    out = lifted.lift.step(())
+    assert out == _positionwise_step(lifted, ())
+    assert len(out) == pair(0, 2)
+    assert [extract_stream(out, n) for n in range(4)] == [(1, 0), (1, 0), (1,), ()]
+
+
+# --- one module owns the packed layout ---
+
+
+@pytest.mark.parametrize("module", ["families.py", "covers.py"])
+def test_module_leaves_the_packing_to_transducers(module):
+    path = Path(__file__).resolve().parents[1] / "src" / "factorlift" / module
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[-1]]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            continue
+        assert "pairing" not in names, f"{module} imports the pairing at line {node.lineno}"
