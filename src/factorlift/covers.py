@@ -165,8 +165,8 @@ def _class_levels(cs: CoverSystem, depth: int) -> Iterator[tuple[list, list]]:
     entries below keyed by suffix].  For k = 0 .. depth - 1 this yields the
     level-k classes expanded, as (class, W cells, child V cells) triples,
     and the level-(k + 1) classes, both in order of least word.  A level is
-    expanded only when the caller asks for it, and expanding a class with
-    an empty cell raises."""
+    expanded only when the caller asks for it; a class with an empty cell
+    has no children and is not expanded."""
     space = cs.space
     classes = [[(), 1, space.whole(), _rebase(cs.tamper, ())]]
     for k in range(depth):
@@ -174,7 +174,7 @@ def _class_levels(cs: CoverSystem, depth: int) -> Iterator[tuple[list, list]]:
         for c in classes:
             s, mult, parent, below = c
             if parent is None:
-                raise CertificationError(f"{cs.name}: empty cell at branch {s}")
+                continue
             sel = cs._select(parent, k, below)
             kids = [space.intersect(parent, w) for w in sel]
             expanded.append((c, sel, kids))
@@ -260,14 +260,12 @@ class _Failures:
 def _report(node: CertNode, title: str, bad: _Failures, cs: CoverSystem):
     if not bad.count:
         node.check(title, True)
-    elif bad.cell is None:
-        raise CertificationError(f"{cs.name}: empty cell at branch {bad.witness}")
     else:
+        cell = "empty cell" if bad.cell is None else cs.space.describe(bad.cell)
         node.check(
             title,
             False,
-            f"{bad.count} failures, first at branch {bad.witness}: "
-            f"{cs.space.describe(bad.cell)}",
+            f"{bad.count} failures, first at branch {bad.witness}: {cell}",
         )
 
 

@@ -164,11 +164,7 @@ def family_lift(fam: MapFamily) -> LiftedFamily:
 
 def _sample_word(space, length: int, rng) -> Word:
     """Random symbols fitting each position; unbounded levels draw from 0..5."""
-    out = []
-    for p in range(length):
-        a = space.arity(p)
-        out.append(rng.randrange(a if a is not None else 6))
-    return tuple(out)
+    return tuple(rng.randrange(a if a is not None else 6) for a in space.arities(length))
 
 
 @dataclass
@@ -258,6 +254,9 @@ def universal_on_functions(members: Sequence[PrefixTransducer]) -> FunctionSpace
     members = tuple(members)
     if not members:
         raise EmptyFamily("the function-space construction needs at least one map")
+    # the constant-tuple witness draws every coordinate from one space
+    if any(f.domain != members[0].domain for f in members):
+        raise SpaceMismatch("all lifted maps must live on one space")
     return FunctionSpaceUniversal(members, product_lift(list(members)))
 
 
@@ -413,11 +412,7 @@ def common_extension_baire(pieces: Sequence[MapFamily]) -> CommonExtension:
                 f"{fam.name}: pipeline pieces must be finite families"
             )
     universals = tuple(universal_on_functions(lf.transducers()) for lf in lifted)
-    prod = product_lift(
-        [u.machine for u in universals],
-        tail_space=BAIRE,
-        require_same_space=False,
-    )
+    prod = product_lift([u.machine for u in universals], tail_space=BAIRE)
     return CommonExtension(pieces, lifted, universals, prod, prod.lift)
 
 

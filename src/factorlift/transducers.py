@@ -6,16 +6,19 @@ finite words with an explicit modulus: inputs of length modulus(k) determine
 at least k output symbols.  These are the finite, checkable avatars of
 continuous maps between the corresponding infinite-product spaces.
 
-This module owns the packed layout: it alone knows that position pair(n, i)
-of a packed word holds symbol i of component n.  Everything else reads
-components through `extract_stream`, `pack_streams` and the projections of
-a `ProductLift`, and asks a projection's modulus for packed sizes.
+This module owns the packed layout: position pair(n, i) of a packed word
+holds symbol i of component n.  The slot walker `_slots` is the one place
+that walks that rule: every pass over a packed word goes through it, one
+component at a time.  Everything else reads components through
+`extract_stream`, `pack_streams` and the projections of a `ProductLift`,
+and asks a projection's modulus for packed sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from itertools import count
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     CertificationError,
@@ -24,7 +27,7 @@ from .errors import (
     InvalidBranch,
     SpaceMismatch,
 )
-from .pairing import pair, unpair
+from .pairing import pair
 
 Word = tuple[int, ...]
 
@@ -45,8 +48,9 @@ class SymbolicSpace:
             if a is not None and a < 2:
                 raise CertificationError(f"alphabet size {a} < 2")
 
-    def arity(self, i: int) -> Optional[int]:
-        return self.head[i] if i < len(self.head) else self.tail
+    def arities(self, length: int) -> list[Optional[int]]:
+        """Alphabet sizes of levels 0 .. length - 1."""
+        return list(self.head[:length]) + [self.tail] * (length - len(self.head))
 
 
 @dataclass(frozen=True)
@@ -61,9 +65,15 @@ class InterleavedSpace:
     def component(self, n: int) -> Space:
         return self.components[n] if n < len(self.components) else self.tail_component
 
-    def arity(self, p: int) -> Optional[int]:
-        n, i = unpair(p)
-        return self.component(n).arity(i)
+    def arities(self, length: int) -> list[Optional[int]]:
+        """Alphabet sizes of packed positions 0 .. length - 1."""
+        out: list[Optional[int]] = [None] * length
+        for n in count():
+            slots = list(_slots(n, length))
+            if not slots:
+                return out
+            for p, a in zip(slots, self.component(n).arities(len(slots))):
+                out[p] = a
 
 
 Space = Union[SymbolicSpace, InterleavedSpace]
@@ -73,8 +83,7 @@ BAIRE = SymbolicSpace((), None)
 
 
 def validate_word(space: Space, w: Sequence[int]) -> Word:
-    for i, s in enumerate(w):
-        a = space.arity(i)
+    for i, (s, a) in enumerate(zip(w, space.arities(len(w)))):
         if s < 0 or (a is not None and s >= a):
             raise InvalidBranch(f"symbol {s} at level {i} leaves alphabet of size {a}")
     return tuple(w)
@@ -247,6 +256,16 @@ def block_transducer(
 # === interleaving ===
 
 
+def _slots(n: int, length: int) -> Iterator[int]:
+    """Packed positions of component n below length, in order: symbol i sits
+    at pair(n, i), and pair(n, i + 1) - pair(n, i) = n + i + 2."""
+    p, step = pair(n, 0), n + 2
+    while p < length:
+        yield p
+        p += step
+        step += 1
+
+
 def _packed_length(n: int, k: int) -> int:
     """Length of the shortest packed word holding symbols 0..k-1 of
     component n."""
@@ -255,14 +274,7 @@ def _packed_length(n: int, k: int) -> int:
 
 def extract_stream(packed: Sequence[int], n: int) -> Word:
     """Contiguous determined prefix of component n inside a packed word."""
-    out = []
-    i = 0
-    while True:
-        p = pair(n, i)
-        if p >= len(packed):
-            return tuple(out)
-        out.append(packed[p])
-        i += 1
+    return tuple(packed[p] for p in _slots(n, len(packed)))
 
 
 def pack_streams(
@@ -275,21 +287,20 @@ def pack_streams(
     Without an explicit length the result is the maximal packed prefix all of
     whose positions are determined by the given streams.
     """
-    if length is None:
-        if not streams:
-            raise CertificationError("packing no streams needs an explicit length")
-        length = min(pair(n, len(s)) for n, s in enumerate(streams))
-    out = []
-    for p in range(length):
-        n, i = unpair(p)
-        if n < len(streams):
-            if i >= len(streams[n]):
-                raise InsufficientInput(
-                    f"position {p} needs symbol {i} of stream {n}"
-                )
-            out.append(streams[n][i])
-        else:
-            out.append(default)
+    if streams:
+        gap, n = min((pair(n, len(s)), n) for n, s in enumerate(streams))
+        if length is None:
+            length = gap
+        elif length > gap:
+            raise InsufficientInput(
+                f"position {gap} needs symbol {len(streams[n])} of stream {n}"
+            )
+    elif length is None:
+        raise CertificationError("packing no streams needs an explicit length")
+    out = [default] * length
+    for n, s in enumerate(streams):
+        for p, sym in zip(_slots(n, length), s):
+            out[p] = sym
     return tuple(out)
 
 
@@ -333,11 +344,14 @@ class ProductLift:
         return pack_streams(outs, length=end)
 
     def _modulus(self, k: int) -> int:
+        # moduli need not be monotone, so every symbol's modulus is asked
         need = k
-        for p in range(k):
-            n, i = unpair(p)
-            need = max(need, _packed_length(n, self.component_map(n).modulus(i + 1)))
-        return need
+        for n in count():
+            f = self.component_map(n)
+            moduli = [f.modulus(i) for i, _ in enumerate(_slots(n, k), 1)]
+            if not moduli:
+                return need
+            need = max(need, _packed_length(n, max(moduli)))
 
     def projection(self, n: int) -> PrefixTransducer:
         return PrefixTransducer(
@@ -350,10 +364,9 @@ class ProductLift:
 
     def projection_preimage(self, n: int, u: Sequence[int], default: int = 0) -> Word:
         """A packed word whose component n reads exactly u: surjectivity witness."""
-        out = []
-        for p in range(_packed_length(n, len(u))):
-            pn, pi = unpair(p)
-            out.append(u[pi] if pn == n and pi < len(u) else default)
+        out = [default] * _packed_length(n, len(u))
+        for p, sym in zip(_slots(n, len(out)), u):
+            out[p] = sym
         return tuple(out)
 
 
@@ -361,22 +374,15 @@ def product_lift(
     maps: Sequence[PrefixTransducer],
     tail: Optional[PrefixTransducer] = None,
     tail_space: Optional[Space] = None,
-    require_same_space: bool = True,
 ) -> ProductLift:
     """Lift countably many self-maps to one self-map of the packed space.
 
-    `maps` is the explicit finite list; components beyond it follow `tail`
-    (identity on `tail_space` by default).  The classical construction holds
-    all maps on one space; pass require_same_space=False for the
-    heterogeneous variant used by multi-space pipelines.
+    `maps` is the explicit finite list, each on its own space; components
+    beyond it follow `tail` (identity on `tail_space` by default).
     """
     for f in maps:
         if f.domain != f.codomain:
             raise SpaceMismatch(f"{f.name} is not a self-transducer")
-    if require_same_space and maps:
-        base = maps[0].domain
-        if any(f.domain != base for f in maps):
-            raise SpaceMismatch("all lifted maps must live on one space")
     if tail is None:
         space = tail_space
         if space is None:

@@ -205,7 +205,7 @@ def test_arities_and_branch_spaces():
     prod = product_system(CantorSpace(), CantorSpace())
     assert prod.child_arity(1) == 4
     lam = interval_system().branch_space()
-    assert lam.arity(0) == 5 and lam.arity(1) == 6 and lam.arity(9) == 6
+    assert lam.arities(10) == [5] + [6] * 9
 
 
 def test_cells_glue_by_intersection():
@@ -450,11 +450,13 @@ def test_branch_point_nested_cells():
 
 def _word_walk(cs: CoverSystem, depth: int) -> CertNode:
     """Reference verifier: every branch word checked on its own, as the
-    original implementation did.  The class walk must render the same."""
+    original implementation did.  The class walk must render the same.  An
+    empty child cell counts as a glue failure, and the words below it are
+    not walked (the header still counts them)."""
     cert = CertNode(f"cover system '{cs.name}' to depth {depth}")
     space = cs.space
     level_cells = {k: [] for k in range(1, depth + 1)}
-    words = [()]
+    words, n_words, empty = [()], 1, set()
     for k in range(depth):
         bound = F(1, 2 ** (k + 1))
         eps = cs.epsilon(k)
@@ -465,7 +467,11 @@ def _word_walk(cs: CoverSystem, depth: int) -> CertNode:
             for j, w in enumerate(children):
                 sj = s + (j,)
                 v = space.intersect(parent, w)
-                if v is None or v != cs.v_cell(sj):
+                if v is None:
+                    empty.add(sj)
+                    glue_bad.append(sj)
+                    continue
+                if v != cs.v_cell(sj):
                     glue_bad.append(sj)
                     continue
                 level_cells[k + 1].append(v)
@@ -477,7 +483,7 @@ def _word_walk(cs: CoverSystem, depth: int) -> CertNode:
                 cover_bad.append(s)
             if not space.eroded_cover_of_closure(parent, children, eps):
                 lebesgue_bad.append(s)
-        node = cert.section(f"level {k} -> {k + 1} ({len(words)} cells)")
+        node = cert.section(f"level {k} -> {k + 1} ({n_words} cells)")
         for title, bad in (
             ("child cells glue exactly (V = parent ∩ W, nested)", glue_bad),
             (f"diameters below {bound}", diam_bad),
@@ -487,13 +493,20 @@ def _word_walk(cs: CoverSystem, depth: int) -> CertNode:
             if not bad:
                 node.check(title, True)
             else:
-                cell = cs.v_cell(bad[0]) if bad[0] else space.whole()
+                if bad[0] in empty:
+                    cell = "empty cell"
+                else:
+                    cell = space.describe(cs.v_cell(bad[0]) if bad[0] else space.whole())
                 node.check(
-                    title,
-                    False,
-                    f"{len(bad)} failures, first at branch {bad[0]}: {space.describe(cell)}",
+                    title, False, f"{len(bad)} failures, first at branch {bad[0]}: {cell}"
                 )
-        words = [s + (j,) for s in words for j in range(cs.child_arity(k + 1))]
+        words = [
+            s + (j,)
+            for s in words
+            for j in range(cs.child_arity(k + 1))
+            if s + (j,) not in empty
+        ]
+        n_words *= cs.child_arity(k + 1)
     for k in range(1, depth + 1):
         distinct = list(dict.fromkeys(level_cells[k]))
         ok = space.open_cover_of_closure(space.whole(), distinct)
@@ -535,6 +548,19 @@ def test_failure_count_sums_class_multiplicity():
     failure = cert.first_failure()
     assert failure.title == "children cover parent closure"
     assert failure.detail.startswith("2 failures, first at branch (1, 4):")
+    _same_verdict(cs, 3)
+
+
+def test_empty_child_cell_fails_the_glue_check():
+    # W cell (0, 1) swapped for a mesh cell at the far end misses V_(0)
+    base = interval_system()
+    far = base.space.mesh(2)[-1]
+    assert base.space.intersect(base.v_cell((0,)), far) is None
+    cs = CoverSystem(base.space, "far", tamper={(0, 1): far})
+    cert = verify_cover_system(cs, 3)
+    failure = cert.first_failure()
+    assert failure.title == "child cells glue exactly (V = parent ∩ W, nested)"
+    assert failure.detail == "1 failures, first at branch (0, 1): empty cell"
     _same_verdict(cs, 3)
 
 

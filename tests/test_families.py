@@ -41,6 +41,7 @@ from factorlift.pointmaps import (
     weakened_family,
 )
 from factorlift.transducers import (
+    BAIRE,
     CANTOR,
     identity_transducer,
     odometer_transducer,
@@ -144,6 +145,12 @@ def test_universal_on_functions_flags_a_tampered_member():
 def test_universal_on_functions_needs_a_member():
     with pytest.raises(EmptyFamily):
         universal_on_functions([])
+
+
+def test_universal_on_functions_rejects_mixed_spaces():
+    # constant tuples draw every coordinate from the first member's space
+    with pytest.raises(SpaceMismatch, match="all lifted maps must live on one space"):
+        universal_on_functions([identity_transducer(CANTOR), identity_transducer(BAIRE)])
 
 
 # --- stage three: common extensions ---

@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factorlift.errors import (
@@ -15,6 +15,7 @@ from factorlift.errors import (
 )
 from factorlift.pairing import pair, unpair
 from factorlift.transducers import (
+    _slots,
     BAIRE,
     CANTOR,
     InterleavedSpace,
@@ -41,13 +42,12 @@ from factorlift.transducers import (
 
 def test_space_arities():
     s = SymbolicSpace((3, None, 4), 2)
-    assert s.arity(0) == 3
-    assert s.arity(1) is None
-    assert s.arity(2) == 4
-    assert s.arity(3) == 2
-    assert s.arity(100) == 2
-    assert CANTOR.arity(7) == 2
-    assert BAIRE.arity(7) is None
+    assert s.arities(4) == [3, None, 4, 2]
+    assert s.arities(101)[100] == 2
+    assert s.arities(2) == [3, None]
+    assert s.arities(0) == []
+    assert CANTOR.arities(8)[7] == 2
+    assert BAIRE.arities(8)[7] is None
 
 
 def test_space_rejects_tiny_alphabet():
@@ -68,10 +68,49 @@ def test_validate_word():
 
 def test_interleaved_arity_follows_pairing():
     packed = InterleavedSpace((BAIRE,), CANTOR)
+    arities = packed.arities(pair(7, 4) + 1)
     for i in range(5):
-        assert packed.arity(pair(0, i)) is None
-        assert packed.arity(pair(1, i)) == 2
-        assert packed.arity(pair(7, i)) == 2
+        assert arities[pair(0, i)] is None
+        assert arities[pair(1, i)] == 2
+        assert arities[pair(7, i)] == 2
+
+
+def _arity_at(space, p):
+    """Reference arity of one packed position: unpair it and ask the
+    component, recursing through nested packings."""
+    if isinstance(space, SymbolicSpace):
+        return space.head[p] if p < len(space.head) else space.tail
+    n, i = unpair(p)
+    return _arity_at(space.component(n), i)
+
+
+SYMBOLIC = st.builds(
+    SymbolicSpace,
+    st.lists(st.none() | st.integers(2, 5), max_size=3).map(tuple),
+    st.none() | st.integers(2, 5),
+)
+SPACES = st.recursive(
+    SYMBOLIC,
+    lambda inner: st.builds(
+        InterleavedSpace, st.lists(inner, max_size=3).map(tuple), inner
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), length=st.integers(0, 1200))
+def test_slots_are_the_pairing_positions(n, length):
+    want = []
+    while pair(n, len(want)) < length:
+        want.append(pair(n, len(want)))
+    assert list(_slots(n, length)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=SPACES, length=st.integers(0, 300))
+def test_arities_profile_matches_positionwise_rule(space, length):
+    assert space.arities(length) == [_arity_at(space, p) for p in range(length)]
 
 
 def test_stream_prefix():
@@ -252,6 +291,54 @@ def test_pack_rejects_overlong_length():
         pack_streams([(1,)], length=pair(0, 1) + 1)
 
 
+def _positionwise_pack(streams, default, length):
+    """Reference packing: every position unpaired on its own; the first one
+    a stream leaves open raises."""
+    out = []
+    for p in range(length):
+        n, i = unpair(p)
+        if n < len(streams):
+            if i >= len(streams[n]):
+                raise InsufficientInput(f"position {p} needs symbol {i} of stream {n}")
+            out.append(streams[n][i])
+        else:
+            out.append(default)
+    return tuple(out)
+
+
+STREAMS = st.lists(st.lists(st.integers(0, 9), max_size=12).map(tuple), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams=STREAMS, default=st.integers(0, 3), length=st.none() | st.integers(0, 200))
+def test_pack_matches_positionwise_packing(streams, default, length):
+    assume(streams or length is not None)
+    full = min(pair(n, len(s)) for n, s in enumerate(streams)) if length is None else length
+    try:
+        want = _positionwise_pack(streams, default, full)
+    except InsufficientInput as exc:
+        with pytest.raises(InsufficientInput) as got:
+            pack_streams(streams, default, length)
+        assert str(got.value) == str(exc)
+    else:
+        assert pack_streams(streams, default, length) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams=STREAMS.filter(bool), length=st.integers(0, 200))
+def test_pack_and_extract_are_inverse(streams, length):
+    # extracting from a full packing gives back every stream's packed prefix
+    packed = pack_streams(streams)
+    for n, s in enumerate(streams):
+        got = extract_stream(packed, n)
+        assert got == s[: len(got)]
+    # packing the extracted components rebuilds any packed word
+    w = tuple(p % 7 for p in range(length))
+    n_comp = next(n for n in range(length + 1) if pair(n, 0) >= length)
+    comps = [extract_stream(w, n) for n in range(n_comp)]
+    assert pack_streams(comps, length=length) == w
+
+
 # --- product lift ---
 
 
@@ -261,8 +348,7 @@ def lift_cantor_pair():
 
 def test_lift_packed_space():
     lifted = lift_cantor_pair()
-    for p in range(20):
-        assert lifted.packed_space.arity(p) == 2
+    assert lifted.packed_space.arities(20) == [2] * 20
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
@@ -322,19 +408,14 @@ def test_lift_custom_tail():
     assert evaluate_transducer(left, w, 3)[:3] == evaluate_transducer(right, w, 3)[:3]
 
 
-def test_lift_rejects_mixed_spaces_by_default():
-    with pytest.raises(SpaceMismatch):
-        product_lift([identity_transducer(CANTOR), identity_transducer(BAIRE)])
-
-
 def test_lift_heterogeneous_variant():
     lifted = product_lift(
         [odometer_transducer(), shift_transducer(BAIRE)],
-        require_same_space=False,
         tail_space=CANTOR,
     )
-    assert lifted.packed_space.arity(pair(0, 2)) == 2
-    assert lifted.packed_space.arity(pair(1, 2)) is None
+    arities = lifted.packed_space.arities(pair(1, 2) + 1)
+    assert arities[pair(0, 2)] == 2
+    assert arities[pair(1, 2)] is None
     proj = lifted.projection(1)
     left = compose_transducers(proj, lifted.lift)
     right = compose_transducers(shift_transducer(BAIRE), proj)
@@ -388,6 +469,12 @@ def _prepend(space):
     )
 
 
+def _bumpy(space):
+    """The identity with a modulus that is not monotone: odd resolutions
+    ask for three extra symbols."""
+    return PrefixTransducer(space, space, lambda w: w, lambda k: k + 3 * (k % 2), "bumpy")
+
+
 BASE_MAPS = [
     identity_transducer(CANTOR),
     shift_transducer(CANTOR),
@@ -397,12 +484,13 @@ BASE_MAPS = [
     identity_transducer(BAIRE),
     shift_transducer(BAIRE),
     _prepend(BAIRE),
+    _bumpy(CANTOR),
 ]
 
 
 def _lifts(maps):
     return st.builds(
-        lambda explicit, tail: product_lift(explicit, tail, require_same_space=False),
+        product_lift,
         st.lists(maps, max_size=4),
         st.none() | maps,
     )
@@ -415,11 +503,8 @@ SELF_MAPS = st.recursive(
 
 @st.composite
 def _packed_words(draw, space, max_size=60):
-    out = []
-    for p in range(draw(st.integers(0, max_size))):
-        a = space.arity(p)
-        out.append(draw(st.integers(0, (a if a is not None else 6) - 1)))
-    return tuple(out)
+    arities = space.arities(draw(st.integers(0, max_size)))
+    return tuple(draw(st.integers(0, (a if a is not None else 6) - 1)) for a in arities)
 
 
 @settings(max_examples=300, deadline=None)
@@ -428,6 +513,24 @@ def test_packed_step_matches_positionwise_walk(data):
     lifted = data.draw(_lifts(SELF_MAPS))
     w = data.draw(_packed_words(lifted.packed_space))
     assert lifted.lift.step(w) == _positionwise_step(lifted, w)
+
+
+def _positionwise_modulus(lifted, k):
+    """Reference lift modulus: every output position unpaired on its own."""
+    need = k
+    for p in range(k):
+        n, i = unpair(p)
+        m = lifted.component_map(n).modulus(i + 1)
+        need = max(need, pair(n, m - 1) + 1 if m else 0)
+    return need
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lift_modulus_matches_positionwise_rule(data):
+    lifted = data.draw(_lifts(SELF_MAPS))
+    k = data.draw(st.integers(0, 80))
+    assert lifted.lift.modulus(k) == _positionwise_modulus(lifted, k)
 
 
 def test_packed_step_reads_tail_components_past_the_input():
