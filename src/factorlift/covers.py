@@ -9,6 +9,11 @@ exact rational Lebesgue number.  Branch words therefore name points: the
 closures of the cells along an infinite branch intersect to a single
 point, which is what the locate/project operations manipulate.
 
+Descent is one level at a time: `CoverSystem.locate_child(t, region,
+slack)` is the least child of t whose cell keeps the slack-ball around the
+region, the same step the presentations of Polish spaces in `lifting`
+expose, so both lifts trace a map down their coding through one protocol.
+
 Verification walks cell classes, not branch words.  Everything checked in
 the subtree below a word s depends only on its class key: the cell V_s and
 the tamper entries strictly below s, keyed by their suffix after s.  The
@@ -34,7 +39,6 @@ from .geometry import (
     CircleSpace,
     FiniteMetricSpace,
     IntervalSpace,
-    PointApprox,
     ProductSpace,
     Space,
 )
@@ -106,6 +110,14 @@ class CoverSystem:
                     )
                 self._v_memo[s] = cell
         return self._v_memo[s]
+
+    def locate_child(self, t: Word, region: Cell, slack: Fraction) -> Optional[int]:
+        """The least child j of word t whose open cell keeps the open
+        slack-ball around every point of the closed region, or None."""
+        for j in range(self.child_arity(len(t) + 1)):
+            if self.space.eroded_contains(self.v_cell(t + (j,)), region, slack):
+                return j
+        return None
 
 
 def _rebase(tamper: dict, s: Word) -> dict:
@@ -196,8 +208,9 @@ def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
     docstring): the key is the V cell with the tamper entries below the
     word, the representative is the class's least word, and the class
     counts its words.  Reports read as a word-by-word walk would: the
-    header counts words, failure counts sum multiplicities, and each
-    witness is the lexicographically first failing branch word."""
+    header counts the words that carry a cell, failure counts sum
+    multiplicities, and each witness is the lexicographically first
+    failing branch word."""
     cert = CertNode(f"cover system '{cs.name}' to depth {depth}")
     space = cs.space
     words = 1
@@ -227,7 +240,7 @@ def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
         _report(node, f"diameters below {bound}", diam_bad, cs)
         _report(node, "children cover parent closure", cover_bad, cs)
         _report(node, f"Lebesgue number {eps} certified by erosion", lebesgue_bad, cs)
-        words *= cs.child_arity(k + 1)
+        words = sum(mult for _, mult, v, _ in children if v is not None)
         level_cells.append(list(dict.fromkeys(v for _, _, v, _ in children if v is not None)))
 
     for k, distinct in enumerate(level_cells, 1):
@@ -277,13 +290,6 @@ def project_symbol_to_point(cs: CoverSystem, prefix: Sequence[int], k: int) -> C
     return cs.v_cell(prefix[:k])
 
 
-def branch_point(cs: CoverSystem, prefix: Sequence[int]) -> PointApprox:
-    """The point named by a branch prefix, as its chain of closed cells."""
-    prefix = cs.validate_word(prefix)
-    cells = [cs.v_cell(prefix[:i]) for i in range(1, len(prefix) + 1)]
-    return PointApprox.from_cells(cs.space, cells or [cs.space.whole()])
-
-
 def lebesgue_number(cs: CoverSystem, s: Sequence[int]) -> Fraction:
     """Every ball of this radius centered in the closure of V_s lies in
     one of the selected child W cells."""
@@ -294,37 +300,19 @@ def lebesgue_number(cs: CoverSystem, s: Sequence[int]) -> Fraction:
     return eps
 
 
-def locate_ball(
-    cs: CoverSystem,
-    center: PointApprox,
-    radius: Fraction,
-    k: int,
-    constraint: Sequence[int] = (),
-) -> Word:
-    """Lexicographically least branch word of length k, extending the
-    constraint, whose open cell contains the ball around the center."""
+def locate_ball(cs: CoverSystem, region: Cell, radius: Fraction, k: int) -> Word:
+    """The branch word of length k found by descending from the root
+    through `locate_child`: each cell keeps the radius-ball around every
+    point of the closed region."""
     if radius < 0:
         raise CertificationError("negative radius")
-    t = cs.validate_word(constraint)
-    if k < len(t):
-        raise NoCell(f"depth {k} below constraint length {len(t)}")
-    bound = F(1, 2 ** (k + 2))
-    if 0 < radius < bound:
-        bound = radius
-    enclosure = center.enclosure(bound)
-    if k == len(t):
-        if not cs.space.eroded_contains(cs.v_cell(t), enclosure, radius):
-            raise NoCell(f"ball escapes constrained cell at {t}")
-        return t
+    t: Word = ()
     while len(t) < k:
-        arity = cs.child_arity(len(t) + 1)
-        for j in range(arity):
-            if cs.space.eroded_contains(cs.v_cell(t + (j,)), enclosure, radius):
-                t = t + (j,)
-                break
-        else:
+        j = cs.locate_child(t, region, radius)
+        if j is None:
             raise NoCell(
                 f"no level-{len(t) + 1} cell holds the ball of radius {radius} "
                 f"below branch {t}; moduli too coarse"
             )
+        t = t + (j,)
     return t

@@ -30,7 +30,6 @@ from .errors import (
     NetTooCoarse,
     SpaceMismatch,
 )
-from .geometry import PointApprox
 from .lifting import LiftedSelfMap, StrongLift, lift_self_map, strong_extension_map
 from .pointmaps import ParameterizedFamily, PointMap, rotation_family, rotation_map
 from .transducers import (
@@ -450,9 +449,9 @@ def contraction_fixed_point(
     rng=None,
     samples: int = 32,
 ) -> FixedPointResult:
-    """Iterate a declared c-contraction until the Banach bound
-    c^i * diam(X) / (1 - c) drops below tol.  The declaration is
-    spot-checked on sampled pairs first."""
+    """Iterate a declared c-contraction from the point start until the
+    Banach bound c^i * diam(X) / (1 - c) drops below tol.  The
+    declaration is spot-checked on sampled pairs first."""
     c, tol = F(c), F(tol)
     if not 0 < c < 1:
         raise CertificationError(
@@ -463,12 +462,6 @@ def contraction_fixed_point(
     space = point_map.space
     rng = rng if rng is not None else random.Random(175)
     _refute_lipschitz(point_map, c, rng, samples)
-    if isinstance(start, PointApprox):
-        start = (
-            start.exact
-            if start.exact is not None
-            else space.witness_point(start.enclosure())
-        )
     x = start
     bound = space.diam(space.whole()) / (1 - c)
     iterations = 0
@@ -805,6 +798,8 @@ def invariant_witness_check(
     every member covers the space at the surjectivity scale (net_eps, or
     tol when omitted).  Failures carry witnesses."""
     members = tuple(members.members if isinstance(members, MapFamily) else members)
+    if not members:
+        raise EmptyFamily("an invariant model needs at least one member")
     tol = F(tol)
     scale = F(net_eps) if net_eps is not None else tol
     node = CertNode(

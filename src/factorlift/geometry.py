@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from .errors import CertificationError
 from .transducers import Stream
@@ -101,10 +101,13 @@ class Space:
     kind = "abstract"
 
     # Each subclass provides: whole, mesh, child_arity, level_epsilon,
-    # meets_closure, intersect, diam, contains, closed_subset,
-    # closure_in_open, eroded_contains, open_cover_of_closure,
-    # eroded_cover_of_closure, point_cell, distance, witness_point,
-    # sample_point, shrink_cell, describe.
+    # intersect, diam, contains, closed_subset, eroded_contains,
+    # open_cover_of_closure, eroded_cover_of_closure, point_cell, distance,
+    # witness_point, sample_point, shrink_cell, describe; and meets_closure
+    # where select_children reads it.
+    # eroded_contains(outer, region, r) holds when every point of the closed
+    # region keeps its open r-ball inside the open outer cell; at r = 0 it
+    # reads "the closure of region lies inside the open cell outer".
 
     def select_children(self, base: Cell, k: int) -> list[Cell]:
         """Level-k mesh cells meeting the closure of base, padded to the
@@ -184,11 +187,6 @@ class IntervalSpace(_DyadicSpace):
         a, b = self.hull(inner)
         c, d = self.hull(outer)
         return c <= a and b <= d
-
-    def closure_in_open(self, inner: Cell, outer: Cell) -> bool:
-        a, b = self.hull(inner)
-        u, v = outer
-        return (u < 0 or u < a) and (v > 1 or b < v)
 
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
         """Every point of the closed region keeps its open radius-ball
@@ -318,14 +316,6 @@ class CircleSpace(_DyadicSpace):
             return False
         return (si - so) % 1 + li <= lo
 
-    def closure_in_open(self, inner: Cell, outer: Cell) -> bool:
-        si, li = inner
-        so, lo = outer
-        if lo >= 1:
-            return True
-        d = (si - so) % 1
-        return 0 < d and d + li < lo
-
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
         s, l = outer
         if l >= 1:
@@ -333,7 +323,8 @@ class CircleSpace(_DyadicSpace):
         if l - 2 * radius < 0:
             return False
         if radius == 0:
-            return self.closure_in_open(region, outer)
+            d = (region[0] - s) % 1
+            return 0 < d and d + region[1] < l
         return self.closed_subset(region, ((s + radius) % 1, l - 2 * radius))
 
     def _unroll(self, base_start: Fraction, arcs):
@@ -411,9 +402,6 @@ class BaireStreamSpace:
         n = min(len(a), len(b))
         return a[:n] == b[:n]
 
-    def meets_closure(self, open_cell: Cell, base: Cell) -> bool:
-        return self._compatible(open_cell, base)
-
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
         if not self._compatible(a, b):
             return None
@@ -427,9 +415,6 @@ class BaireStreamSpace:
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
         return inner[: len(outer)] == outer
-
-    def closure_in_open(self, inner: Cell, outer: Cell) -> bool:
-        return self.closed_subset(inner, outer)
 
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
         if not self.closed_subset(region, outer):
@@ -578,9 +563,6 @@ class FiniteMetricSpace(Space):
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
         return set(inner) <= set(outer)
 
-    def closure_in_open(self, inner: Cell, outer: Cell) -> bool:
-        return self.closed_subset(inner, outer)
-
     def _ball(self, x: int, radius: Fraction) -> set:
         return {y for y in range(self.size) if self.distances[x][y] < radius}
 
@@ -645,11 +627,6 @@ class ProductSpace(Space):
         sel_b = self.right.select_children(base[1], k)
         return [(a, b) for a in sel_a for b in sel_b]
 
-    def meets_closure(self, open_cell: Cell, base: Cell) -> bool:
-        return self.left.meets_closure(open_cell[0], base[0]) and self.right.meets_closure(
-            open_cell[1], base[1]
-        )
-
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
         ia = self.left.intersect(a[0], b[0])
         ib = self.right.intersect(a[1], b[1])
@@ -667,11 +644,6 @@ class ProductSpace(Space):
         return self.left.closed_subset(inner[0], outer[0]) and self.right.closed_subset(
             inner[1], outer[1]
         )
-
-    def closure_in_open(self, inner: Cell, outer: Cell) -> bool:
-        return self.left.closure_in_open(
-            inner[0], outer[0]
-        ) and self.right.closure_in_open(inner[1], outer[1])
 
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
         return self.left.eroded_contains(
@@ -719,40 +691,3 @@ class ProductSpace(Space):
 
     def describe(self, cell: Cell) -> str:
         return f"({self.left.describe(cell[0])}) x ({self.right.describe(cell[1])})"
-
-
-# === point approximations ===
-
-
-@dataclass
-class PointApprox:
-    """A point known either exactly or through a nested chain of closed
-    cells, finest last."""
-
-    space: Space
-    exact: Any = None
-    cells: tuple = ()
-
-    def __post_init__(self):
-        if self.exact is None and not self.cells:
-            raise CertificationError("point approximation carries no information")
-        self.cells = tuple(self.cells)
-        for fine, coarse in zip(self.cells[1:], self.cells):
-            if not self.space.closed_subset(fine, coarse):
-                raise CertificationError(
-                    f"approximation cells not nested: "
-                    f"{self.space.describe(fine)} vs {self.space.describe(coarse)}"
-                )
-
-    @classmethod
-    def exact_point(cls, space: Space, x: Point) -> "PointApprox":
-        return cls(space, exact=x)
-
-    @classmethod
-    def from_cells(cls, space: Space, cells: Sequence[Cell]) -> "PointApprox":
-        return cls(space, cells=tuple(cells))
-
-    def enclosure(self, bound: Optional[Fraction] = None) -> Cell:
-        if self.exact is not None:
-            return self.space.point_cell(self.exact, bound)
-        return self.cells[-1]

@@ -32,13 +32,7 @@ from .errors import (
     NotAntichain,
     SpaceMismatch,
 )
-from .geometry import (
-    BaireStreamSpace,
-    IntervalSpace,
-    PointApprox,
-    dyadic_level,
-    dyadic_mesh,
-)
+from .geometry import BaireStreamSpace, IntervalSpace, dyadic_level, dyadic_mesh
 from .pairing import pair, unpair
 from .pointmaps import (
     ParameterizedFamily,
@@ -146,13 +140,13 @@ class StrongLift:
                         f"{self.name}: region at ({q[:l]}, {s[:m]}) is wider "
                         f"than {r}/2; moduli too coarse for resolution {kk}"
                     )
-                hit = locate_ball(
-                    self.cs,
-                    PointApprox.from_cells(self.cs.space, [region]),
-                    r,
-                    kk,
-                    constraint=t,
-                )
+                child = self.cs.locate_child(t, region, r)
+                if child is None:
+                    raise NoCell(
+                        f"{self.name}: no level-{kk} cell below {t} holds the "
+                        f"image of ({q[:l]}, {s[:m]})"
+                    )
+                hit = t + (child,)
                 self._memo[key] = hit
             t = hit
         return t
@@ -238,13 +232,11 @@ class LiftedSelfMap:
         if exact_samples and self.point_map.point_fn is not None:
             space = self.cs.space
             depth = max(self.lift.moduli(resolution)[1], resolution)
+            radius = self.cs.epsilon(depth) / 4
             bad = []
             for _ in range(exact_samples):
                 x = space.sample_point(rng)
-                center = PointApprox.exact_point(space, x)
-                branch = locate_ball(
-                    self.cs, center, self.cs.epsilon(depth) / 4, depth
-                )
+                branch = locate_ball(self.cs, space.point_cell(x, radius), radius, depth)
                 t = self.transducer.step(branch)
                 y = self.point_map.point(x)
                 for k in range(1, resolution + 1):
@@ -399,7 +391,7 @@ def presentation_certificate(presentation, depth: int, samples: int, rng) -> Cer
             cell = presentation.v_cell(word)
             if not target.diam(cell) < F(1, 2 ** len(word)):
                 diam_bad.append(word)
-            if not target.closure_in_open(cell, presentation.v_cell(word[:-1])):
+            if not target.eroded_contains(presentation.v_cell(word[:-1]), cell, 0):
                 nest_bad.append(word)
     cert.check(
         f"cell diameters stay below 2^-depth on {samples} sampled words",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from factorlift.certificates import CertNode, summary_line
 from factorlift.covers import (
     CoverSystem,
-    branch_point,
     cantor_system,
     circle_system,
     corrupt_system,
@@ -29,7 +28,6 @@ from factorlift.geometry import (
     CircleSpace,
     FiniteMetricSpace,
     IntervalSpace,
-    PointApprox,
     ProductSpace,
     _closed_chain_cover,
     _open_chain_cover,
@@ -184,14 +182,52 @@ def test_cantor_select_children_matches_mesh_filter(base, k):
     assert _outcome(sp.select_children, base, k) == _outcome(filtered)
 
 
-def test_point_approx_validation():
-    sp = IntervalSpace()
-    with pytest.raises(CertificationError):
-        PointApprox(sp)
-    with pytest.raises(CertificationError):
-        PointApprox.from_cells(sp, [(F(0), F(1, 4)), (F(1, 2), F(3, 4))])
-    pa = PointApprox.exact_point(sp, F(1, 3))
-    assert pa.enclosure() == (F(1, 3), F(1, 3))
+def _closure_in_open(space, inner, outer) -> bool:
+    """Reference: the closure of inner inside the open cell outer, as each
+    space kind once spelled it out on its own."""
+    if space.kind == "interval":
+        a, b = space.hull(inner)
+        u, v = outer
+        return (u < 0 or u < a) and (v > 1 or b < v)
+    if space.kind == "circle":
+        (si, li), (so, lo) = inner, outer
+        if lo >= 1:
+            return True
+        d = (si - so) % 1
+        return 0 < d and d + li < lo
+    if space.kind == "product":
+        return _closure_in_open(space.left, inner[0], outer[0]) and _closure_in_open(
+            space.right, inner[1], outer[1]
+        )
+    # cylinders and finite point sets are clopen
+    return space.closed_subset(inner, outer)
+
+
+NEAR_UNIT = st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=16)
+INTERVAL_CELLS = st.tuples(NEAR_UNIT, NEAR_UNIT).map(lambda c: tuple(sorted(c)))
+ARCS = st.tuples(
+    st.fractions(min_value=0, max_value=1, max_denominator=16).filter(lambda s: s < 1),
+    st.fractions(min_value=0, max_value=1, max_denominator=16),
+).map(lambda a: (F(0), F(1)) if a[1] >= 1 else a)
+CELL_KINDS = {
+    "interval": (IntervalSpace(), INTERVAL_CELLS),
+    "circle": (CircleSpace(), ARCS),
+    "cantor": (CantorSpace(), BITS),
+    "baire": (BaireStreamSpace(), st.lists(st.integers(0, 3), max_size=5).map(tuple)),
+    "finite": (
+        finite_system().space,
+        st.sets(st.integers(0, 2), min_size=1).map(lambda s: tuple(sorted(s))),
+    ),
+    "product": (ProductSpace(IntervalSpace(), CircleSpace()), st.tuples(INTERVAL_CELLS, ARCS)),
+}
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@given(data=st.data())
+def test_erosion_at_radius_zero_is_closure_inside_open(kind, data):
+    space, cells = CELL_KINDS[kind]
+    inner, outer = data.draw(cells), data.draw(cells)
+    assert space.eroded_contains(outer, inner, F(0)) == _closure_in_open(space, inner, outer)
 
 
 # --- cover-system structure ---
@@ -327,7 +363,6 @@ def test_project_nested():
     cells = [project_symbol_to_point(cs, prefix, k) for k in range(1, 7)]
     for fine, coarse in zip(cells[1:], cells):
         assert cs.space.closed_subset(fine, coarse)
-    PointApprox.from_cells(cs.space, cells)
 
 
 def test_project_cantor_prefix():
@@ -371,10 +406,9 @@ def test_lebesgue_below_level_scale():
 
 def test_locate_ball_interval_center():
     cs = interval_system()
-    center = PointApprox.exact_point(cs.space, F(1, 2))
-    t = locate_ball(cs, center, F(1, 64), 3)
+    enc = cs.space.point_cell(F(1, 2))
+    t = locate_ball(cs, enc, F(1, 64), 3)
     assert len(t) == 3
-    enc = center.enclosure()
     assert cs.space.eroded_contains(cs.v_cell(t), enc, F(1, 64))
     assert t == (2, 2, 2)
     # any answer for a radius stays an answer for smaller radii
@@ -383,32 +417,29 @@ def test_locate_ball_interval_center():
 
 def test_locate_ball_cantor():
     cs = cantor_system()
-    center = PointApprox.exact_point(cs.space, Stream((), (0, 1)))
+    center = cs.space.point_cell(Stream((), (0, 1)), F(1, 64))
+    assert center == (0, 1, 0, 1, 0, 1)
     assert locate_ball(cs, center, F(1, 64), 4) == (0, 1, 0, 1)
 
 
 def test_locate_ball_radius_too_large():
     cs = interval_system()
-    center = PointApprox.exact_point(cs.space, F(1, 2))
     with pytest.raises(NoCell):
-        locate_ball(cs, center, F(1, 2), 3)
+        locate_ball(cs, cs.space.point_cell(F(1, 2)), F(1, 2), 3)
 
 
-def test_locate_ball_respects_constraint():
+def test_locate_ball_deeper_word_extends_shallower():
     cs = interval_system()
-    center = PointApprox.exact_point(cs.space, F(1, 2))
+    center = cs.space.point_cell(F(1, 2))
     t3 = locate_ball(cs, center, F(1, 4096), 3)
-    t5 = locate_ball(cs, center, F(1, 4096), 5, constraint=t3)
-    assert t5[:3] == t3
-    with pytest.raises(NoCell):
-        locate_ball(cs, center, F(1, 4096), 2, constraint=t3)
+    assert locate_ball(cs, center, F(1, 4096), 5)[:3] == t3
+    assert locate_ball(cs, center, F(1, 4096), 0) == ()
 
 
 def test_locate_ball_coarse_center_fails():
     cs = interval_system()
-    coarse = PointApprox.from_cells(cs.space, [cs.space.whole()])
     with pytest.raises(NoCell):
-        locate_ball(cs, coarse, F(1, 64), 3)
+        locate_ball(cs, cs.space.whole(), F(1, 64), 3)
 
 
 def test_locate_ball_random_centers_certified():
@@ -416,12 +447,12 @@ def test_locate_ball_random_centers_certified():
     for name, cs in shipped_systems().items():
         for _ in range(20):
             x = cs.space.sample_point(rng)
-            center = PointApprox.exact_point(cs.space, x)
             radius = cs.epsilon(4) / 2
+            center = cs.space.point_cell(x, radius)
             t = locate_ball(cs, center, radius, 4)
             cell = cs.v_cell(t)
             assert cs.space.contains(cell, x, closed=False), name
-            assert cs.space.eroded_contains(cell, center.enclosure(radius), radius)
+            assert cs.space.eroded_contains(cell, center, radius)
 
 
 def test_locate_project_coherence():
@@ -432,17 +463,10 @@ def test_locate_project_coherence():
         prefix = tuple(
             rng.randrange(cs.child_arity(k + 1)) for k in range(8)
         )
-        center = branch_point(cs, prefix)
+        center = project_symbol_to_point(cs, prefix, len(prefix))
         radius = cs.epsilon(8) / 4
         t = locate_ball(cs, center, radius, 4)
         assert cs.space.intersect(cs.v_cell(t), cs.v_cell(prefix[:4])) is not None
-
-
-def test_branch_point_nested_cells():
-    cs = circle_system()
-    pa = branch_point(cs, (0, 1, 2, 3))
-    assert len(pa.cells) == 4
-    assert cs.space.diam(pa.enclosure()) < F(1, 16)
 
 
 # --- render equivalence with the word-by-word walk ---
@@ -452,11 +476,11 @@ def _word_walk(cs: CoverSystem, depth: int) -> CertNode:
     """Reference verifier: every branch word checked on its own, as the
     original implementation did.  The class walk must render the same.  An
     empty child cell counts as a glue failure, and the words below it are
-    not walked (the header still counts them)."""
+    not walked; the header counts only the words that carry a cell."""
     cert = CertNode(f"cover system '{cs.name}' to depth {depth}")
     space = cs.space
     level_cells = {k: [] for k in range(1, depth + 1)}
-    words, n_words, empty = [()], 1, set()
+    words, empty = [()], set()
     for k in range(depth):
         bound = F(1, 2 ** (k + 1))
         eps = cs.epsilon(k)
@@ -483,7 +507,7 @@ def _word_walk(cs: CoverSystem, depth: int) -> CertNode:
                 cover_bad.append(s)
             if not space.eroded_cover_of_closure(parent, children, eps):
                 lebesgue_bad.append(s)
-        node = cert.section(f"level {k} -> {k + 1} ({n_words} cells)")
+        node = cert.section(f"level {k} -> {k + 1} ({len(words)} cells)")
         for title, bad in (
             ("child cells glue exactly (V = parent ∩ W, nested)", glue_bad),
             (f"diameters below {bound}", diam_bad),
@@ -506,7 +530,6 @@ def _word_walk(cs: CoverSystem, depth: int) -> CertNode:
             for j in range(cs.child_arity(k + 1))
             if s + (j,) not in empty
         ]
-        n_words *= cs.child_arity(k + 1)
     for k in range(1, depth + 1):
         distinct = list(dict.fromkeys(level_cells[k]))
         ok = space.open_cover_of_closure(space.whole(), distinct)
@@ -561,6 +584,9 @@ def test_empty_child_cell_fails_the_glue_check():
     failure = cert.first_failure()
     assert failure.title == "child cells glue exactly (V = parent ∩ W, nested)"
     assert failure.detail == "1 failures, first at branch (0, 1): empty cell"
+    # (0, 1) carries no cell, so 29 of the 30 level-2 words are counted
+    headers = [c.title for c in cert.children if c.title.startswith("level ")]
+    assert headers[2] == "level 2 -> 3 (29 cells)"
     _same_verdict(cs, 3)
 
 

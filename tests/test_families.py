@@ -29,7 +29,7 @@ from factorlift.families import (
     rotation_map_family,
     universal_on_functions,
 )
-from factorlift.geometry import IntervalSpace, PointApprox
+from factorlift.geometry import IntervalSpace
 from factorlift.lifting import lift_self_map
 from factorlift.pairing import pair
 from factorlift.pointmaps import (
@@ -197,8 +197,7 @@ def test_pipeline_pieces_must_be_finite():
 
 
 def test_contraction_fixed_point_meets_the_banach_bound():
-    start = PointApprox.exact_point(IntervalSpace(), F(1))
-    fp = contraction_fixed_point(contractions()[0], F(1, 2), start, F(1, 1024))
+    fp = contraction_fixed_point(contractions()[0], F(1, 2), F(1), F(1, 1024))
     assert fp.error_bound <= F(1, 1024)
     assert abs(fp.value - F(1, 2)) <= fp.error_bound  # 1/4 + x/2 fixes 1/2
 
@@ -305,6 +304,13 @@ def test_invariant_witness_check_rejects_malformed_models():
     assert not invariant_witness_check(contractions(), [], F(1, 8)).ok
     with pytest.raises(CertificationError, match="one value per member"):
         invariant_witness_check(contractions(), [(F(1),)], F(1, 8))
+
+
+def test_invariant_witness_check_needs_a_member():
+    # a row of no values used to reach members[0] and raise IndexError
+    for rows in ([()], []):
+        with pytest.raises(EmptyFamily, match="at least one member"):
+            invariant_witness_check([], rows, F(1, 8))
 
 
 # --- packed sizes: the certificates ask the projections ---

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorlift.covers import (
     cantor_system,
@@ -18,8 +20,9 @@ from factorlift.errors import (
     NotAntichain,
     SpaceMismatch,
 )
-from factorlift.geometry import CantorSpace, PointApprox
+from factorlift.geometry import CantorSpace, least_dyadic_level
 from factorlift.lifting import (
+    SYMBOL_BOUND,
     CylinderPresentation,
     DyadicIntervalPresentation,
     baire_extension_map,
@@ -29,6 +32,7 @@ from factorlift.lifting import (
     strong_extension_map,
 )
 from factorlift.pointmaps import (
+    ParameterizedFamily,
     baire_identity_map,
     branch_family,
     constant_interval_map,
@@ -164,12 +168,7 @@ def test_squaring_lift_tracks_exact_points():
     cs = interval_system()
     lifted = lift_self_map(cs, squaring_map())
     depth = lifted.lift.moduli(6)[1]
-    branch = locate_ball(
-        cs,
-        PointApprox.exact_point(cs.space, F(1, 3)),
-        cs.epsilon(depth) / 4,
-        depth,
-    )
+    branch = locate_ball(cs, cs.space.point_cell(F(1, 3)), cs.epsilon(depth) / 4, depth)
     t = lifted.transducer.step(branch)
     for k in range(1, 7):
         assert cs.space.contains(cs.v_cell(t[:k]), F(1, 9), closed=True)
@@ -222,6 +221,46 @@ def test_lift_outputs_are_coherent_under_extension():
         assert long[: len(short)] == short
 
 
+# --- lift coherence: a longer input extends the output ---
+
+SELF_MAPS = {
+    "square": (interval_system, squaring_map),
+    "tent": (interval_system, tent_map),
+    "rot(2/7)": (circle_system, lambda: rotation_map(F(2, 7))),
+    "odometer": (cantor_system, lambda: stream_map(odometer_transducer())),
+}
+
+
+def branches(cs, length):
+    return st.tuples(*(st.integers(0, cs.child_arity(i + 1) - 1) for i in range(length)))
+
+
+@pytest.mark.parametrize("name", SELF_MAPS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_self_map_lift_output_extends_under_longer_input(name, data):
+    make_cs, make_map = SELF_MAPS[name]
+    cs = make_cs()
+    lifted = lift_self_map(cs, make_map())
+    w = data.draw(branches(cs, 16))
+    cut = data.draw(st.integers(0, len(w)))
+    short = lifted.transducer.step(w[:cut])
+    assert lifted.transducer.step(w)[: len(short)] == short
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_family_lift_output_extends_when_both_inputs_extend(data):
+    cs = circle_system()
+    lift = strong_extension_map(cs, rotation_family(cs))
+    k = data.draw(st.integers(1, 5))
+    (l, m), (lk, mk) = lift.moduli(6), lift.moduli(k)
+    assert l > lk and m > mk
+    q = data.draw(st.tuples(*[st.integers(0, 1)] * l))
+    s = data.draw(branches(cs, m))
+    assert lift.prefix(q, s, 6)[:k] == lift.prefix(q[:lk], s[:mk], k)
+
+
 # --- parameterized families ---
 
 
@@ -270,6 +309,25 @@ def test_weakened_moduli_fail_loudly():
         lift.prefix(q, s, 2)
 
 
+def test_region_leaving_its_cell_names_the_missing_child():
+    cs = interval_system()
+    # the region leaps between the ends of [0, 1] as the branch prefix grows
+    jumping = ParameterizedFamily(
+        cs.space,
+        lambda q, s: cs.space.point_cell(F(len(s) % 2)),
+        lambda width: (0, least_dyadic_level(width)),
+        "jumping",
+    )
+    lift = strong_extension_map(cs, jumping)
+    assert lift.moduli(2) == (0, 8)
+    with pytest.raises(
+        NoCell,
+        match=r"^lift\[jumping\]: no level-2 cell below \(4,\) holds the image of "
+        r"\(\(\), \(0, 0, 0, 0, 0, 0, 0, 0\)\)$",
+    ):
+        lift.prefix((), (0,) * 8, 2)
+
+
 # --- presentations over unbounded branching ---
 
 
@@ -289,7 +347,7 @@ def test_dyadic_presentation_reindexes_out_of_range_symbols():
     ps = DyadicIntervalPresentation()
     cell = ps.v_cell((10 ** 6,))
     assert ps.v_cell((10 ** 6,)) == cell
-    assert ps.target.closure_in_open(cell, ps.target.whole())
+    assert ps.target.eroded_contains(ps.target.whole(), cell, 0)
     level, _ = ps.resolve((10 ** 6,))
     assert ps.target.diam(cell) < F(1, 2)
 
@@ -334,6 +392,16 @@ def test_baire_outputs_extend():
     bl = baire_extension_map(DyadicIntervalPresentation(), parity_expansion_map())
     w = tuple(random.Random(31).randrange(10) for _ in range(40))
     assert bl.output(w, 5)[:3] == bl.output(w, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, SYMBOL_BOUND), min_size=1, max_size=30).map(tuple), st.data())
+def test_baire_lift_output_extends_under_longer_input(w, data):
+    bl = baire_extension_map(DyadicIntervalPresentation(), parity_expansion_map())
+    cut = data.draw(st.integers(0, len(w)))
+    top, k = bl.max_resolution(w, limit=8), bl.max_resolution(w[:cut], limit=8)
+    assert k <= top
+    assert bl.output(w, top)[:k] == bl.output(w[:cut], k)
 
 
 def test_discovered_prefixes_are_minimal_antichains():
