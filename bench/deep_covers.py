@@ -4,9 +4,10 @@
     python3 bench/deep_covers.py [--src DIR] [--repeats N] [ROW ...]
 
 A row is `system:depth` with a system named by `covers.shipped_systems()`
-(default rows: interval:7 circle:7 cantor:14 cantor:15 cantor:16).  The
-program is imported from DIR (default: `src/` of this repository), so the
-same script times another checkout by pointing `--src` at its `src/`.
+(default rows: interval:7 interval:8 circle:7 circle:8 cantor:14 cantor:15
+cantor:16).  The program is imported from DIR (default: `src/` of this
+repository), so the same script times another checkout by pointing `--src`
+at its `src/`.
 Each row builds a fresh system per run and prints one JSON line: system,
 depth, the median wall-clock seconds over the runs, and the verdict
 (PASS, FAIL, or the type and message of the error raised).
@@ -21,7 +22,10 @@ import sys
 import time
 from pathlib import Path
 
-DEFAULT_ROWS = ("interval:7", "circle:7", "cantor:14", "cantor:15", "cantor:16")
+DEFAULT_ROWS = (
+    "interval:7", "interval:8", "circle:7", "circle:8",
+    "cantor:14", "cantor:15", "cantor:16",
+)
 
 
 def time_row(covers, errors, name: str, depth: int, repeats: int) -> dict:

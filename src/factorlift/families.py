@@ -161,9 +161,10 @@ def family_lift(fam: MapFamily) -> LiftedFamily:
 # === stage two: the universal map on function tuples ===
 
 
-def _sample_word(space, length: int, rng) -> Word:
-    """Random symbols fitting each position; unbounded levels draw from 0..5."""
-    return tuple(rng.randrange(a if a is not None else 6) for a in space.arities(length))
+def _sample_word(profile: Sequence[Optional[int]], rng) -> Word:
+    """Random symbols fitting an arity profile (`arities(length)` of the
+    space); unbounded levels draw from 0..5."""
+    return tuple(rng.randrange(a if a is not None else 6) for a in profile)
 
 
 @dataclass
@@ -204,8 +205,9 @@ class FunctionSpaceUniversal:
             f"{out_len} output positions need {in_len} input positions",
         )
         short, bad = [], {n: [] for n in range(m)}
+        profile = self.product.packed_space.arities(in_len)
         for _ in range(samples):
-            z = _sample_word(self.product.packed_space, in_len, rng)
+            z = _sample_word(profile, rng)
             out = self.machine.step(z)
             if len(out) < out_len:
                 short.append(len(out))
@@ -234,8 +236,9 @@ class FunctionSpaceUniversal:
             )
         surj = node.section("projections are onto: constant tuples")
         misses = 0
+        profile = self.members[0].domain.arities(resolution + m + 2)
         for _ in range(samples):
-            u = _sample_word(self.members[0].domain, resolution + m + 2, rng)
+            u = _sample_word(profile, rng)
             z = self.constant_tuple(u)
             for n in range(m):
                 if extract_stream(z, n)[:resolution] != u[:resolution]:
@@ -326,8 +329,9 @@ class CommonExtension:
         short = 0
         bad = {}
         last = None
+        profile = self.product.packed_space.arities(in_len)
         for _ in range(samples):
-            z = _sample_word(self.product.packed_space, in_len, rng)
+            z = _sample_word(profile, rng)
             out = self.machine.step(z)
             if len(out) < out_len:
                 short += 1

@@ -11,6 +11,14 @@ are arcs (start, length) with start normalized into [0, 1), stream cells
 are cylinder words, finite cells are sorted index tuples, product cells
 are pairs.  The same cell doubles as its own closure; predicates take an
 open or closed reading as documented per method.
+
+The interval and the circle share one dyadic mesh.  Its level-k cell j is
+the open interval ((8j - 7)/D, (8j + 7)/D) with D = 2^(k+4): centre j/2^(k+1),
+radius 7/8 of the spacing, so neighbours overlap.  Which cells meet a closed
+[a, b] is therefore integer floor division on the numerators and
+denominators of a and b (`_mesh_span`), with no rational arithmetic per
+candidate cell; the circle takes the same indices on the line and reduces
+them mod 2^(k+1).
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .errors import CertificationError
 from .transducers import Stream
 
 F = Fraction
+_ZERO, _ONE = F(0), F(1)
 
 Cell = Any
 Point = Any
@@ -88,11 +97,30 @@ def least_dyadic_level(width: Fraction) -> int:
     return (-(-width.denominator // width.numerator) - 1).bit_length()
 
 
-def dyadic_mesh(k: int) -> tuple[Fraction, Fraction]:
-    """Spacing h and radius r of the level-k dyadic mesh, whose cells
-    (j*h - r, j*h + r) overlap their neighbours."""
-    h = F(1, 2 ** (k + 1))
-    return h, F(7, 8) * h
+def _mesh_span(a: Fraction, b: Fraction, k: int, reach: int = 7) -> tuple[int, int]:
+    """The inclusive range lo..hi of the level-k mesh indices j with
+    (8j - reach)/D < b and (8j + reach)/D > a, D = 2^(k+4); empty when
+    lo > hi.  At reach 7 these are the cells meeting the closed [a, b]; at
+    reach -7 those whose closure lies inside the open (a, b)."""
+    d = 1 << (k + 4)
+    p, q = a.numerator, a.denominator
+    lo = (p * d - reach * q) // (8 * q) + 1
+    p, q = b.numerator, b.denominator
+    hi = -(-(p * d + reach * q) // (8 * q)) - 1
+    return lo, hi
+
+
+def _mesh_cell(k: int, j: int) -> tuple[Fraction, Fraction]:
+    """Level-k mesh cell j as an interval of the line."""
+    d = 1 << (k + 4)
+    return F(8 * j - 7, d), F(8 * j + 7, d)
+
+
+def _mesh_arc(k: int, j: int) -> tuple[Fraction, Fraction]:
+    """Level-k mesh cell j, 0 <= j < 2^(k+1), as an arc of the circle with
+    its start in [0, 1)."""
+    d = 1 << (k + 4)
+    return F((8 * j - 7) % d, d), F(14, d)
 
 
 class Space:
@@ -103,8 +131,9 @@ class Space:
     # Each subclass provides: whole, mesh, child_arity, level_epsilon,
     # intersect, diam, contains, closed_subset, eroded_contains,
     # open_cover_of_closure, eroded_cover_of_closure, point_cell, distance,
-    # witness_point, sample_point, shrink_cell, describe; and meets_closure
-    # where select_children reads it.
+    # witness_point, sample_point, shrink_cell, describe.  A subclass that
+    # keeps the base select_children (the finite space) also provides the
+    # meets_closure(open_cell, base) it reads.
     # eroded_contains(outer, region, r) holds when every point of the closed
     # region keeps its open r-ball inside the open outer cell; at r = 0 it
     # reads "the closure of region lies inside the open cell outer".
@@ -115,14 +144,17 @@ class Space:
         pool = [c for c in self.mesh(k) if self.meets_closure(c, base)]
         return self._pad(pool, self.child_arity(k))
 
-    def _pad(self, pool: list[Cell], arity: int) -> list[Cell]:
+    def _pad(self, pool, arity: int, cell=None) -> list[Cell]:
+        """The pool padded to the arity by repeating its last member.  A
+        pool of mesh indices is sized before `cell` builds any of them."""
         if not pool:
             raise CertificationError(f"{self.kind}: empty child pool")
         if len(pool) > arity:
             raise CertificationError(
                 f"{self.kind}: pool of {len(pool)} exceeds arity {arity}"
             )
-        return pool + [pool[-1]] * (arity - len(pool))
+        cells = list(pool) if cell is None else [cell(j) for j in pool]
+        return cells + [cells[-1]] * (arity - len(cells))
 
 
 class _DyadicSpace(Space):
@@ -146,27 +178,17 @@ class IntervalSpace(_DyadicSpace):
         return 5 if k == 1 else 6
 
     def mesh(self, k: int) -> list[Cell]:
-        h, r = dyadic_mesh(k)
-        return [(j * h - r, j * h + r) for j in range(2 ** (k + 1) + 1)]
+        return [_mesh_cell(k, j) for j in range(2 ** (k + 1) + 1)]
 
     def select_children(self, base: Cell, k: int) -> list[Cell]:
-        a, b = self.hull(base)
-        h, r = dyadic_mesh(k)
-        pool = []
-        for j in range(max(0, math.floor((a - r) / h)), min(2 ** (k + 1), math.ceil((b + r) / h)) + 1):
-            cell = (j * h - r, j * h + r)
-            if self.meets_closure(cell, base):
-                pool.append(cell)
-        return self._pad(pool, self.child_arity(k))
+        """Level-k mesh cells meeting the closure of base, in index order."""
+        lo, hi = _mesh_span(*self.hull(base), k)
+        span = range(max(lo, 0), min(hi, 2 ** (k + 1)) + 1)
+        return self._pad(span, self.child_arity(k), lambda j: _mesh_cell(k, j))
 
     def hull(self, cell: Cell):
         u, v = cell
-        return max(u, F(0)), min(v, F(1))
-
-    def meets_closure(self, open_cell: Cell, base: Cell) -> bool:
-        u, v = open_cell
-        a, b = self.hull(base)
-        return u < b and v > a
+        return (u if u >= 0 else _ZERO), (v if v <= 1 else _ONE)
 
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
         lo, hi = max(a[0], b[0]), min(a[1], b[1])
@@ -254,32 +276,19 @@ class CircleSpace(_DyadicSpace):
         return 4 if k == 1 else 6
 
     def mesh(self, k: int) -> list[Cell]:
-        h, r = dyadic_mesh(k)
-        return [_norm_arc(j * h - r, 2 * r) for j in range(2 ** (k + 1))]
+        return [_mesh_arc(k, j) for j in range(2 ** (k + 1))]
 
     def select_children(self, base: Cell, k: int) -> list[Cell]:
+        """Level-k mesh arcs meeting the closure of base, in index order:
+        the line cells meeting [start, start + length], indices mod 2^(k+1)."""
         bs, bl = base
-        h, r = dyadic_mesh(k)
         n = 2 ** (k + 1)
-        seen = []
-        for j in range(math.floor((bs - r) / h), math.ceil((bs + bl + r) / h) + 1):
-            jn = j % n
-            cell = _norm_arc(jn * h - r, 2 * r)
-            if jn not in seen and self.meets_closure(cell, base):
-                seen.append(jn)
-        pool = [_norm_arc(jn * h - r, 2 * r) for jn in sorted(seen)]
-        return self._pad(pool, self.child_arity(k))
-
-    def meets_closure(self, open_cell: Cell, base: Cell) -> bool:
-        u, l1 = open_cell
-        s, l2 = base
-        if l1 >= 1 or l2 >= 1:
-            return True
-        d = (s - u) % 1
-        for d2 in (d, d - 1):
-            if d2 < l1 and d2 + l2 > 0:
-                return True
-        return False
+        lo, hi = _mesh_span(bs, bs + bl, k)
+        if hi - lo + 1 >= n:
+            pool = range(n)
+        else:
+            pool = sorted(j % n for j in range(lo, hi + 1))
+        return self._pad(pool, self.child_arity(k), lambda j: _mesh_arc(k, j))
 
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
         sa, la = a

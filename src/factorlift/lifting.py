@@ -17,7 +17,6 @@ antichain discovered lazily, branch by branch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,7 +31,13 @@ from .errors import (
     NotAntichain,
     SpaceMismatch,
 )
-from .geometry import BaireStreamSpace, IntervalSpace, dyadic_level, dyadic_mesh
+from .geometry import (
+    BaireStreamSpace,
+    IntervalSpace,
+    _mesh_cell,
+    _mesh_span,
+    dyadic_level,
+)
 from .pairing import pair, unpair
 from .pointmaps import (
     ParameterizedFamily,
@@ -82,6 +87,7 @@ class StrongLift:
     name: str = "strong-lift"
     _memo: dict = field(default_factory=dict, repr=False)
     _moduli: list = field(default_factory=list, repr=False)
+    _slacks: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.family.space != self.cs.space:
@@ -91,7 +97,15 @@ class StrongLift:
             )
 
     def slack(self, k: int) -> Fraction:
-        return slack_schedule(self.cs, k)
+        """`slack_schedule(cs, k)`, its recurrence run once per resolution."""
+        if k < 1:
+            raise CertificationError("resolution starts at 1")
+        slacks = self._slacks
+        if not slacks:
+            slacks.append(self.cs.epsilon(0) / 4)
+        while len(slacks) < k:
+            slacks.append(min(slacks[-1] / 2, self.cs.epsilon(len(slacks)) / 4))
+        return slacks[k - 1]
 
     def moduli(self, k: int) -> tuple:
         """Prefix lengths (parameter, branch) consumed at resolution k;
@@ -315,22 +329,17 @@ class DyadicIntervalPresentation:
         # closure strictly inside the previous cell
         return F(1, 2 ** (4 * k + 2))
 
-    def _mesh_cell(self, level: int, j: int) -> tuple:
-        h, r = dyadic_mesh(level)
-        return (j * h - r, j * h + r)
-
     def _child_range(self, parent, level: int) -> Optional[tuple]:
         """Inclusive mesh-index range at the level whose cells' closures
         sit strictly inside the parent cell.  Qualification is monotone on
-        each side, so the range is exactly an index interval:
-        left needs j*h - r > u (unless the parent pokes past 0) and right
-        needs j*h + r < v (unless it pokes past 1)."""
-        h, r = dyadic_mesh(level)
+        each side, so the range is exactly an index interval: the left end
+        is free when the parent pokes past 0, the right end when it pokes
+        past 1."""
         j_top = 2 ** (level + 1)
         u, v = parent
-        lo = 0 if u < 0 else math.floor((u + r) / h) + 1
-        hi = j_top if v > 1 else math.ceil((v - r) / h) - 1
-        lo, hi = max(lo, 0), min(hi, j_top)
+        lo, hi = _mesh_span(u, v, level, reach=-7)
+        lo = 0 if u < 0 else max(lo, 0)
+        hi = j_top if v > 1 else min(hi, j_top)
         if lo > hi:
             return None
         return lo, hi
@@ -354,7 +363,7 @@ class DyadicIntervalPresentation:
                     )
                 if not bounds[0] <= j <= bounds[1]:
                     j = bounds[0]
-                self._memo[t] = (child_level, self._mesh_cell(child_level, j))
+                self._memo[t] = (child_level, _mesh_cell(child_level, j))
         return self._memo[t]
 
     def v_cell(self, t: Sequence[int]) -> tuple:
@@ -363,15 +372,17 @@ class DyadicIntervalPresentation:
     def locate_child(self, t: Word, region, slack: Fraction) -> Optional[int]:
         level, parent = self.resolve(t)
         p, q = self.target.hull(region)
+        # at child level L the candidates run from floor(x 2^(L+1)) - 2 to
+        # ceil(y 2^(L+1)) + 2, read off the numerators and denominators
+        x, y = p - slack, q + slack
         for child_level in range(level + 1, level + 1 + SEARCH_LEVELS):
             bounds = self._child_range(parent, child_level)
             if bounds is None:
                 continue
-            h = dyadic_mesh(child_level)[0]
-            lo = max(bounds[0], math.floor((p - slack) / h) - 2)
-            hi = min(bounds[1], math.ceil((q + slack) / h) + 2)
+            lo = max(bounds[0], (x.numerator << (child_level + 1)) // x.denominator - 2)
+            hi = min(bounds[1], -((-y.numerator << (child_level + 1)) // y.denominator) + 2)
             for j in range(lo, hi + 1):
-                cell = self._mesh_cell(child_level, j)
+                cell = _mesh_cell(child_level, j)
                 if self.target.eroded_contains(cell, region, slack):
                     return pair(child_level - level - 1, j)
         return None

@@ -340,8 +340,10 @@ def parity_expansion_map() -> PolishPointMap:
     space = IntervalSpace()
 
     def region(w: Word) -> Cell:
-        low = sum(F(b % 2, 2 ** (i + 1)) for i, b in enumerate(w))
-        return (low, low + F(1, 2 ** len(w)))
+        low = 0
+        for b in w:
+            low = 2 * low + b % 2
+        return (F(low, 2 ** len(w)), F(low + 1, 2 ** len(w)))
 
     return PolishPointMap(space, region, "parity-expansion")
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -180,6 +181,113 @@ def test_cantor_select_children_matches_mesh_filter(base, k):
         return sp._pad([c for c in sp.mesh(k) if sp._compatible(c, base)], 2)
 
     assert _outcome(sp.select_children, base, k) == _outcome(filtered)
+
+
+# Reference kernels: the Fraction loops that selected the interval and circle
+# children before the integer mesh indices replaced them, with the open-meets-
+# closed predicate each space spelled out on its own.
+
+
+def _ref_mesh(k):
+    h = F(1, 2 ** (k + 1))
+    return h, F(7, 8) * h
+
+
+def _ref_interval_children(sp, base, k):
+    a, b = max(base[0], F(0)), min(base[1], F(1))
+    h, r = _ref_mesh(k)
+    pool = []
+    for j in range(max(0, math.floor((a - r) / h)), min(2 ** (k + 1), math.ceil((b + r) / h)) + 1):
+        u, v = j * h - r, j * h + r
+        if u < b and v > a:
+            pool.append((u, v))
+    return sp._pad(pool, sp.child_arity(k))
+
+
+def _ref_arc(start, length):
+    return (F(0), F(1)) if length >= 1 else (start % 1, length)
+
+
+def _ref_arc_meets(open_cell, base):
+    u, l1 = open_cell
+    s, l2 = base
+    if l1 >= 1 or l2 >= 1:
+        return True
+    d = (s - u) % 1
+    return any(d2 < l1 and d2 + l2 > 0 for d2 in (d, d - 1))
+
+
+def _ref_circle_children(sp, base, k):
+    bs, bl = base
+    h, r = _ref_mesh(k)
+    n = 2 ** (k + 1)
+    seen = []
+    for j in range(math.floor((bs - r) / h), math.ceil((bs + bl + r) / h) + 1):
+        jn = j % n
+        if jn not in seen and _ref_arc_meets(_ref_arc(jn * h - r, 2 * r), base):
+            seen.append(jn)
+    pool = [_ref_arc(jn * h - r, 2 * r) for jn in sorted(seen)]
+    return sp._pad(pool, sp.child_arity(k))
+
+
+@st.composite
+def _level_and_span(draw, low, high):
+    """A level k in 1..24 and a closed span [a, a + w] whose ends are any
+    rationals near the level-k mesh scale, from `low` to `high` in units of
+    the unit interval, at most about ten mesh spacings wide."""
+    k = draw(st.integers(1, 24))
+    scale = 2 ** (k + 4)
+    grid = draw(st.integers(int(low * scale), int(high * scale)))
+    nudge = draw(st.fractions(min_value=-1, max_value=1, max_denominator=97))
+    a = (grid + nudge) / scale
+    w = draw(st.fractions(min_value=0, max_value=80, max_denominator=97)) / scale
+    return k, a, w
+
+
+@settings(max_examples=400)
+@given(_level_and_span(-F(1, 8), F(9, 8)))
+def test_interval_select_children_matches_fraction_loop(case):
+    # cells poke past 0 and 1; pools overflow the arity in the wide draws
+    k, a, w = case
+    sp = IntervalSpace()
+    base = (a, a + w)
+    assert _outcome(sp.select_children, base, k) == _outcome(
+        _ref_interval_children, sp, base, k
+    )
+
+
+@settings(max_examples=400)
+@given(_level_and_span(-1, 2))
+def test_circle_select_children_matches_fraction_loop(case):
+    # starts off [0, 1) and arcs across 0 are read modulo 1
+    k, s, l = case
+    sp = CircleSpace()
+    for base in ((s, l), (s % 1, l), (1 - l / 2, l)):
+        assert _outcome(sp.select_children, base, k) == _outcome(
+            _ref_circle_children, sp, base, k
+        )
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_whole_cells_select_children_match_fraction_loop(k):
+    interval, circle = IntervalSpace(), CircleSpace()
+    for base in (interval.whole(), (F(-1, 3), F(4, 3)), (F(0), F(1))):
+        assert _outcome(interval.select_children, base, k) == _outcome(
+            _ref_interval_children, interval, base, k
+        )
+    for base in (circle.whole(), (F(1, 3), F(1)), (F(5, 7), F(3, 2))):
+        assert _outcome(circle.select_children, base, k) == _outcome(
+            _ref_circle_children, circle, base, k
+        )
+
+
+def test_overflowing_pools_are_refused_before_their_cells_are_built():
+    assert _outcome(IntervalSpace().select_children, (F(0), F(1)), 24) == (
+        f"CertificationError: interval: pool of {2 ** 25 + 1} exceeds arity 6"
+    )
+    assert _outcome(CircleSpace().select_children, (F(0), F(1)), 24) == (
+        f"CertificationError: circle: pool of {2 ** 25} exceeds arity 6"
+    )
 
 
 def _closure_in_open(space, inner, outer) -> bool:

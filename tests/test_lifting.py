@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factorlift.covers import (
@@ -12,6 +13,7 @@ from factorlift.covers import (
     interval_system,
     locate_ball,
     product_system,
+    shipped_systems,
 )
 from factorlift.errors import (
     CertificationError,
@@ -31,6 +33,7 @@ from factorlift.lifting import (
     slack_schedule,
     strong_extension_map,
 )
+from factorlift.pairing import pair
 from factorlift.pointmaps import (
     ParameterizedFamily,
     baire_identity_map,
@@ -89,6 +92,21 @@ def test_slack_schedule_halves_and_respects_lebesgue():
             previous = r
     with pytest.raises(CertificationError):
         slack_schedule(interval_system(), 0)
+
+
+@pytest.mark.parametrize("name", sorted(shipped_systems()))
+def test_lift_slack_table_matches_the_schedule(name):
+    cs = shipped_systems()[name]
+    deep_first = lift_self_map(cs, identity_map(cs.space)).lift
+    in_order = lift_self_map(cs, identity_map(cs.space)).lift
+    assert deep_first.slack(130) == slack_schedule(cs, 130)
+    for k in range(1, 131):
+        assert deep_first.slack(k) == in_order.slack(k) == slack_schedule(cs, k)
+    fresh = lift_self_map(cs, identity_map(cs.space)).lift
+    for lift in (fresh, deep_first):
+        for k in (0, -1):
+            with pytest.raises(CertificationError, match="resolution starts at 1"):
+                lift.slack(k)
 
 
 # --- exact lifts on binary streams ---
@@ -341,6 +359,70 @@ def test_dyadic_interval_presentation_laws():
     rng = random.Random(20260822)
     cert = presentation_certificate(DyadicIntervalPresentation(), 5, 12, rng)
     assert cert.ok, cert.render()
+
+
+def _ref_child_range(parent, level):
+    """Reference: the presentation's child range in Fraction floor and
+    ceiling division, before the integer mesh indices."""
+    h = F(1, 2 ** (level + 1))
+    r = F(7, 8) * h
+    j_top = 2 ** (level + 1)
+    u, v = parent
+    lo = 0 if u < 0 else math.floor((u + r) / h) + 1
+    hi = j_top if v > 1 else math.ceil((v - r) / h) - 1
+    lo, hi = max(lo, 0), min(hi, j_top)
+    return None if lo > hi else (lo, hi)
+
+
+def _ref_locate_child(ps, t, region, slack):
+    """Reference: the presentation's descent step with its candidate window
+    read off Fraction floor and ceiling division."""
+    level, parent = ps.resolve(t)
+    p, q = ps.target.hull(region)
+    for child_level in range(level + 1, level + 1 + 80):
+        bounds = _ref_child_range(parent, child_level)
+        if bounds is None:
+            continue
+        h = F(1, 2 ** (child_level + 1))
+        lo = max(bounds[0], math.floor((p - slack) / h) - 2)
+        hi = min(bounds[1], math.ceil((q + slack) / h) + 2)
+        for j in range(lo, hi + 1):
+            cell = (j * h - F(7, 8) * h, j * h + F(7, 8) * h)
+            if ps.target.eroded_contains(cell, region, slack):
+                return pair(child_level - level - 1, j)
+    return None
+
+
+PARENT_ENDS = st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=2 ** 30)
+
+
+@settings(max_examples=400)
+@given(PARENT_ENDS, PARENT_ENDS, st.integers(1, 90))
+def test_presentation_child_range_matches_fraction_division(u, v, level):
+    # parents that poke past 0 or 1 free that end of the range
+    ps = DyadicIntervalPresentation()
+    parent = (min(u, v), max(u, v))
+    assert ps._child_range(parent, level) == _ref_child_range(parent, level)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 14), max_size=4).map(tuple),
+    st.fractions(min_value=0, max_value=1, max_denominator=2 ** 20),
+    st.fractions(min_value=0, max_value=F(1, 2), max_denominator=2 ** 10),
+    st.integers(1, 3),
+)
+def test_presentation_locate_child_matches_fraction_window(t, at, share, extra):
+    # regions as a lift meets them: at most half the slack wide, inside the
+    # parent cell with the previous resolution's slack to spare
+    ps = DyadicIntervalPresentation()
+    parent = ps.v_cell(t)
+    a, b = ps.target.hull(parent)
+    slack = ps.slack(len(t) + extra)
+    x = a + at * (b - a)
+    region = (x, x + share * slack)
+    assume(ps.target.eroded_contains(parent, region, ps.slack(len(t))))
+    assert ps.locate_child(t, region, slack) == _ref_locate_child(ps, t, region, slack)
 
 
 def test_dyadic_presentation_reindexes_out_of_range_symbols():

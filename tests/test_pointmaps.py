@@ -280,6 +280,13 @@ def test_parity_expansion_region():
     assert m.target.closed_subset(nested, m.region((3, 2, 7)))
 
 
+@given(st.lists(st.integers(0, 10 ** 6), max_size=60))
+def test_parity_expansion_region_matches_fraction_sum(w):
+    # reference: the binary expansion summed one Fraction per symbol
+    low = sum(F(b % 2, 2 ** (i + 1)) for i, b in enumerate(w))
+    assert parity_expansion_map().region(w) == (low, low + F(1, 2 ** len(w)))
+
+
 def test_constant_interval_map_is_degenerate():
     m = constant_interval_map(F(1, 3))
     assert m.region((9, 9, 9)) == (F(1, 3), F(1, 3))
