@@ -9,6 +9,10 @@ exact rational Lebesgue number.  Branch words therefore name points: the
 closures of the cells along an infinite branch intersect to a single
 point, which is what the locate/project operations manipulate.
 
+Each branch symbol is checked once, when its word first enters: `w_cell`
+checks its last symbol and `v_cell` recurses to the parent first, so the
+memo keys are checked words and an error names the lowest bad level.
+
 Descent is one level at a time: `CoverSystem.locate_child(t, region,
 slack)` is the least child of t whose cell keeps the slack-ball around the
 region, the same step the presentations of Polish spaces in `lifting`
@@ -42,7 +46,7 @@ from .geometry import (
     ProductSpace,
     Space,
 )
-from .transducers import SymbolicSpace
+from .transducers import SymbolicSpace, validate_word
 
 F = Fraction
 
@@ -67,16 +71,6 @@ class CoverSystem:
     def epsilon(self, k: int) -> Fraction:
         return self.space.level_epsilon(k)
 
-    def validate_word(self, s: Sequence[int]) -> Word:
-        s = tuple(s)
-        for i, j in enumerate(s):
-            if not 0 <= j < self.child_arity(i + 1):
-                raise InvalidBranch(
-                    f"symbol {j} at level {i + 1} exceeds arity "
-                    f"{self.child_arity(i + 1)}"
-                )
-        return s
-
     def selection(self, s: Word) -> list[Cell]:
         """The padded W-cells for the children of word s."""
         if s not in self._sel_memo:
@@ -92,13 +86,16 @@ class CoverSystem:
         return [below.get((j,), cell) for j, cell in enumerate(sel)]
 
     def w_cell(self, s: Sequence[int]) -> Cell:
-        s = self.validate_word(s)
+        s = tuple(s)
         if not s:
             return self.space.whole()
-        return self.selection(s[:-1])[s[-1]]
+        sel, j = self.selection(s[:-1]), s[-1]  # padded to child_arity(len(s))
+        if not 0 <= j < len(sel):  # a negative j would wrap
+            raise InvalidBranch(f"symbol {j} at level {len(s)} exceeds arity {len(sel)}")
+        return sel[j]
 
     def v_cell(self, s: Sequence[int]) -> Cell:
-        s = self.validate_word(s)
+        s = tuple(s)
         if s not in self._v_memo:
             if not s:
                 self._v_memo[s] = self.space.whole()
@@ -163,7 +160,7 @@ def shipped_systems() -> dict[str, CoverSystem]:
 
 def corrupt_system(cs: CoverSystem, word: Word = (0,)) -> CoverSystem:
     """Shrink one W cell so child coverage fails; negative control."""
-    word = cs.validate_word(word)
+    word = tuple(word)
     if not word:
         raise CertificationError("corruption needs a nonempty branch word")
     bad = cs.space.shrink_cell(cs.w_cell(word))
@@ -284,7 +281,7 @@ def _report(node: CertNode, title: str, bad: _Failures, cs: CoverSystem):
 
 def project_symbol_to_point(cs: CoverSystem, prefix: Sequence[int], k: int) -> Cell:
     """The closed level-k cell a branch prefix pins down."""
-    prefix = cs.validate_word(prefix)
+    prefix = validate_word(cs.branch_space(), prefix)
     if len(prefix) < k:
         raise InvalidBranch(f"prefix of length {len(prefix)} cannot reach level {k}")
     return cs.v_cell(prefix[:k])
@@ -293,7 +290,7 @@ def project_symbol_to_point(cs: CoverSystem, prefix: Sequence[int], k: int) -> C
 def lebesgue_number(cs: CoverSystem, s: Sequence[int]) -> Fraction:
     """Every ball of this radius centered in the closure of V_s lies in
     one of the selected child W cells."""
-    s = cs.validate_word(s)
+    s = tuple(s)
     eps = cs.epsilon(len(s))
     if not cs.space.eroded_cover_of_closure(cs.v_cell(s), cs.selection(s), eps):
         raise CertificationError(f"Lebesgue number {eps} failed at branch {s}")

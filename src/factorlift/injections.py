@@ -69,31 +69,39 @@ class DecodedIndex:
     cycle_length: int | None = None
 
 
-def decode_index(index: int) -> DecodedIndex:
+def _split(index: int) -> tuple[int, int, int, int]:
+    """(pair(shape, copy), shape, copy, position code) of a layout index."""
     if index < 0:
         raise InvalidIndex(f"layout indices are nonnegative, got {index}")
-    inner, q = unpair(index)
-    shape, copy = unpair(inner)
+    component, q = unpair(index)
+    shape, copy = unpair(component)
+    if shape > RAY_SHAPE and q >= shape - 1:
+        raise InvalidIndex(
+            f"index {index} claims position {q} on a cycle of length {shape - 1}"
+        )
+    return component, shape, copy, q
+
+
+def decode_index(index: int) -> DecodedIndex:
+    _, shape, copy, q = _split(index)
     if shape == LINE_SHAPE:
         return DecodedIndex(ComponentType.BI_INFINITE_LINE, copy, unzigzag(q))
     if shape == RAY_SHAPE:
         return DecodedIndex(ComponentType.FORWARD_RAY, copy, q)
-    length = shape - 1
-    if q >= length:
-        raise InvalidIndex(
-            f"index {index} claims position {q} on a cycle of length {length}"
-        )
-    return DecodedIndex(ComponentType.CYCLE, copy, q, cycle_length=length)
+    return DecodedIndex(ComponentType.CYCLE, copy, q, cycle_length=shape - 1)
 
 
 def successor(index: int) -> int:
-    """One forward step inside the component of `index`.  Injective on N."""
-    d = decode_index(index)
-    if d.kind is ComponentType.BI_INFINITE_LINE:
-        return encode_line(d.copy, d.position + 1)
-    if d.kind is ComponentType.FORWARD_RAY:
-        return encode_ray(d.copy, d.position + 1)
-    return encode_cycle(d.cycle_length, d.copy, d.position + 1)
+    """One forward step inside the component of `index`.  Injective on N.
+    Only the position code q moves: to zigzag(unzigzag(q) + 1) on a line."""
+    component, shape, _, q = _split(index)
+    if shape == LINE_SHAPE:
+        q = q + 2 if q % 2 == 0 else max(q - 2, 0)
+    elif shape == RAY_SHAPE:
+        q += 1
+    else:
+        q = (q + 1) % (shape - 1)
+    return pair(component, q)
 
 
 # === finite injections ===

@@ -53,8 +53,6 @@ Word = tuple[int, ...]
 
 # Sampled branch symbols range over 0..SYMBOL_BOUND.
 SYMBOL_BOUND = 9
-# Deeper mesh levels a presentation searches for a child cell.
-SEARCH_LEVELS = 80
 
 
 def slack_schedule(cs: CoverSystem, k: int) -> Fraction:
@@ -315,7 +313,13 @@ class DyadicIntervalPresentation:
     cell are the deeper mesh cells whose closure sits strictly inside it,
     enumerated by (level offset, mesh index) pairs.  Out-of-range pairs
     fall back to the leftmost qualifying cell of their level, so every
-    branch word names a point and unions stay exact."""
+    branch word names a point and unions stay exact.
+
+    `locate_child` searches level by level with two exits: at once when
+    the parent cell does not keep the slack-ball around the region (no
+    child, whose closure lies inside it, can), and at the first level whose
+    cells, 7/2^(L+3) wide, are narrower than the region's hull plus the
+    slack.  A region of zero width there is a point inside the parent."""
 
     name = "interval-over-streams"
 
@@ -340,9 +344,7 @@ class DyadicIntervalPresentation:
         lo, hi = _mesh_span(u, v, level, reach=-7)
         lo = 0 if u < 0 else max(lo, 0)
         hi = j_top if v > 1 else min(hi, j_top)
-        if lo > hi:
-            return None
-        return lo, hi
+        return (lo, hi) if lo <= hi else None
 
     def resolve(self, t: Sequence[int]) -> tuple:
         """(mesh level, cell) along a branch word."""
@@ -371,20 +373,21 @@ class DyadicIntervalPresentation:
 
     def locate_child(self, t: Word, region, slack: Fraction) -> Optional[int]:
         level, parent = self.resolve(t)
+        if not self.target.eroded_contains(parent, region, slack):
+            return None
         p, q = self.target.hull(region)
-        # at child level L the candidates run from floor(x 2^(L+1)) - 2 to
-        # ceil(y 2^(L+1)) + 2, read off the numerators and denominators
-        x, y = p - slack, q + slack
-        for child_level in range(level + 1, level + 1 + SEARCH_LEVELS):
+        need = q - p + slack
+        child_level = level + 1
+        while 7 * need.denominator >= need.numerator << (child_level + 3):
             bounds = self._child_range(parent, child_level)
-            if bounds is None:
-                continue
-            lo = max(bounds[0], (x.numerator << (child_level + 1)) // x.denominator - 2)
-            hi = min(bounds[1], -((-y.numerator << (child_level + 1)) // y.denominator) + 2)
-            for j in range(lo, hi + 1):
-                cell = _mesh_cell(child_level, j)
-                if self.target.eroded_contains(cell, region, slack):
-                    return pair(child_level - level - 1, j)
+            if bounds is not None:
+                # a cell that holds the region meets its slack-fattened hull
+                lo, hi = _mesh_span(p - slack, q + slack, child_level)
+                for j in range(max(lo, bounds[0]), min(hi, bounds[1]) + 1):
+                    cell = _mesh_cell(child_level, j)
+                    if self.target.eroded_contains(cell, region, slack):
+                        return pair(child_level - level - 1, j)
+            child_level += 1
         return None
 
 
@@ -433,7 +436,6 @@ class BaireLift:
     point_map: PolishPointMap
     supplied: Optional[dict] = None
     name: str = "adaptive-lift"
-    _memo: dict = field(default_factory=dict, repr=False)
     _antichains: dict = field(default_factory=dict, repr=False)
 
     def _minimal_prefix(self, w: Word, k: int) -> Word:
@@ -470,26 +472,17 @@ class BaireLift:
         """The length-k presentation branch naming the image point."""
         w = tuple(w)
         t: Word = ()
-        chain: Word = ()
         for kk in range(1, k + 1):
             s = self._minimal_prefix(w, kk)
-            chain = chain + (s,)
-            key = (kk, chain)
-            hit = self._memo.get(key)
-            if hit is None:
-                region = self.point_map.region(s)
-                child = self.presentation.locate_child(
-                    t, region, self.presentation.slack(kk)
+            region = self.point_map.region(s)
+            child = self.presentation.locate_child(t, region, self.presentation.slack(kk))
+            if child is None:
+                raise NoCell(
+                    f"{self.name}: no cell below {t} holds the image of "
+                    f"{s} at resolution {kk}"
                 )
-                if child is None:
-                    raise NoCell(
-                        f"{self.name}: no cell below {t} holds the image of "
-                        f"{s} at resolution {kk}"
-                    )
-                hit = t + (child,)
-                self._memo[key] = hit
-                self._antichains.setdefault(kk, set()).add(s)
-            t = hit
+            self._antichains.setdefault(kk, set()).add(s)
+            t = t + (child,)
         return t
 
     def max_resolution(self, w: Sequence[int], limit: int = 64) -> int:

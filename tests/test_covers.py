@@ -34,7 +34,7 @@ from factorlift.geometry import (
     _open_chain_cover,
     dyadic_level,
 )
-from factorlift.transducers import Stream
+from factorlift.transducers import Stream, validate_word
 
 ONE = F(1)
 
@@ -374,6 +374,46 @@ def test_validate_word():
     with pytest.raises(InvalidBranch):
         cs.v_cell((0, 6))
     cs.v_cell((4, 5, 5))
+
+
+def _ref_word_error(cs, s):
+    """Reference: the whole-word check the cell lookups once ran on every
+    call; the message for the first bad symbol, or None."""
+    for i, j in enumerate(s):
+        if not 0 <= j < cs.child_arity(i + 1):
+            return f"symbol {j} at level {i + 1} exceeds arity {cs.child_arity(i + 1)}"
+    return None
+
+
+def _invalid_branch(fn, *args):
+    """The message of the InvalidBranch the call raises, or None."""
+    try:
+        fn(*args)
+    except InvalidBranch as err:
+        return str(err)
+    return None
+
+
+WARM_SYSTEMS = shipped_systems()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(WARM_SYSTEMS)), st.data())
+def test_cell_lookups_check_each_symbol_like_the_whole_word_check(name, data):
+    warm = WARM_SYSTEMS[name]
+    n = data.draw(st.integers(0, 8))
+    s = tuple(data.draw(st.integers(-2, warm.child_arity(i + 1) + 1)) for i in range(n))
+    expected = _ref_word_error(warm, s)
+    assert (_invalid_branch(validate_word, warm.branch_space(), s) is None) == (expected is None)
+    # memo-warm: the shared system caches the longest valid prefix first
+    good = s
+    while _ref_word_error(warm, good):
+        good = good[:-1]
+    warm.v_cell(good)
+    for lookup in ("v_cell", "w_cell"):
+        # memo-cold: a fresh system for each lookup
+        assert _invalid_branch(getattr(shipped_systems()[name], lookup), s) == expected
+        assert _invalid_branch(getattr(warm, lookup), s) == expected
 
 
 # --- verification ---

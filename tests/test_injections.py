@@ -4,6 +4,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from factorlift.errors import CertificationError, InvalidIndex, NotInjective
 from factorlift.injections import (
@@ -122,6 +124,60 @@ def test_decode_rejects_bad_cycle_position():
     bad = pair(pair(2, 0), 1)
     with pytest.raises(InvalidIndex):
         decode_index(bad)
+
+
+def _ref_successor(index):
+    """Reference: one step by decoding the index and encoding the next
+    position, as `successor` did before it moved only the position code."""
+    d = decode_index(index)
+    if d.kind is ComponentType.BI_INFINITE_LINE:
+        return encode_line(d.copy, d.position + 1)
+    if d.kind is ComponentType.FORWARD_RAY:
+        return encode_ray(d.copy, d.position + 1)
+    return encode_cycle(d.cycle_length, d.copy, d.position + 1)
+
+
+def _outcome(fn, index):
+    try:
+        return fn(index)
+    except InvalidIndex as err:
+        return ("InvalidIndex", str(err))
+
+
+INDICES = st.integers(-(2 ** 70), 2 ** 70)
+
+
+def _valid_index(n):
+    """A layout index near n: the position code folded onto its cycle."""
+    component, q = unpair(abs(n))
+    shape, _ = unpair(component)
+    return pair(component, q % (shape - 1) if shape > 1 else q)
+
+
+VALID = INDICES.map(_valid_index)
+
+
+@settings(max_examples=400)
+@given(INDICES)
+def test_successor_matches_decode_then_encode(index):
+    assert _outcome(successor, index) == _outcome(_ref_successor, index)
+
+
+@settings(max_examples=400)
+@given(VALID, VALID)
+def test_successor_is_injective_on_random_pairs(i, j):
+    assume(i != j)
+    assert successor(i) != successor(j)
+
+
+@settings(max_examples=400)
+@given(VALID, st.integers(0, 2 ** 70))
+def test_successor_is_injective_within_a_component(i, q):
+    # two positions of one component: the hard case for injectivity
+    component, _ = unpair(i)
+    j = _valid_index(pair(component, q))
+    assume(i != j)
+    assert successor(i) != successor(j)
 
 
 # === classification ===

@@ -1,5 +1,7 @@
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +24,7 @@ from factorlift.errors import (
     NotAntichain,
     SpaceMismatch,
 )
-from factorlift.geometry import CantorSpace, least_dyadic_level
+from factorlift.geometry import CantorSpace, IntervalSpace, least_dyadic_level
 from factorlift.lifting import (
     SYMBOL_BOUND,
     CylinderPresentation,
@@ -36,6 +38,7 @@ from factorlift.lifting import (
 from factorlift.pairing import pair
 from factorlift.pointmaps import (
     ParameterizedFamily,
+    PolishPointMap,
     baire_identity_map,
     branch_family,
     constant_interval_map,
@@ -423,6 +426,60 @@ def test_presentation_locate_child_matches_fraction_window(t, at, share, extra):
     region = (x, x + share * slack)
     assume(ps.target.eroded_contains(parent, region, ps.slack(len(t))))
     assert ps.locate_child(t, region, slack) == _ref_locate_child(ps, t, region, slack)
+
+
+@contextmanager
+def _within_one_second():
+    def expire(signum, frame):
+        raise TimeoutError("the call ran past 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "region, slack",
+    [
+        # the slack-ball pokes past the parent's left end
+        ((F(529233, 1048576), F(531361, 1048576)), F(1, 64)),
+        # the slack-ball reaches the parent's left end exactly, where no
+        # child's closure can
+        ((F(34, 64), F(35, 64)), F(1, 64)),
+        # a point on the parent's edge at zero slack: no level is too
+        # narrow for it, so only the parent check ends the search
+        ((F(33, 64), F(33, 64)), F(0)),
+    ],
+)
+def test_presentation_locate_child_refuses_regions_no_child_holds(region, slack):
+    ps = DyadicIntervalPresentation()
+    assert ps.v_cell((26,)) == (F(33, 64), F(47, 64))
+    with _within_one_second():
+        assert ps.locate_child((26,), region, slack) is None
+
+
+def test_baire_lift_refuses_a_region_that_leaves_its_cell():
+    # resolution 2 reads a region straddling the right end of the cell
+    # resolution 1 located, so no child of that cell can hold it
+    ps = DyadicIntervalPresentation()
+    edge = {}
+
+    def region(w):
+        if not w:
+            return F(0), F(1)
+        if len(w) == 1:
+            return F(1, 4), F(1, 4) + F(1, 2 ** 10)
+        width = F(1, 2 ** (4 * len(w) + 6))
+        return edge["v"] - width, edge["v"] + width
+
+    bl = baire_extension_map(ps, PolishPointMap(IntervalSpace(), region, "leaves-cell"))
+    edge["v"] = ps.v_cell(bl.output((0,), 1))[1]
+    with _within_one_second(), pytest.raises(NoCell, match="resolution 2"):
+        bl.output((0, 0), 2)
 
 
 def test_dyadic_presentation_reindexes_out_of_range_symbols():
