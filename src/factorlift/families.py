@@ -167,6 +167,37 @@ def _sample_word(profile: Sequence[Optional[int]], rng) -> Word:
     return tuple(rng.randrange(a if a is not None else 6) for a in profile)
 
 
+def _sample_diagrams(machine, in_len, out_len, resolution, samples, rng, coords):
+    """Step a packed machine on `samples` drawn words of length `in_len`
+    and compare each coordinate's diagram to depth `resolution`.
+
+    A coordinate is (path, member): its path of component indices, (n,) or
+    (i, j), leads from the packed word to the member's stream.  Returns the
+    lengths of the runs shorter than `out_len`, the count of disagreeing
+    samples per path, and the last full (z, out) or None.  Each z is drawn
+    from `machine.domain.arities(in_len)`, so it fits the machine's alphabet
+    by construction and goes straight to `step_fn`: `step` would only
+    rebuild that profile to check z again.
+    """
+    profile = machine.domain.arities(in_len)
+    short, bad, last = [], {path: 0 for path, _ in coords}, None
+    for _ in range(samples):
+        z = _sample_word(profile, rng)
+        out = machine.step_fn(z)
+        if len(out) < out_len:
+            short.append(len(out))
+            continue
+        last = (z, out)
+        for path, member in coords:
+            arg, lhs = z, out
+            for n in path:
+                arg, lhs = extract_stream(arg, n), extract_stream(lhs, n)
+            rhs = member.step(arg)
+            if min(len(lhs), len(rhs)) < resolution or lhs[:resolution] != rhs[:resolution]:
+                bad[path] += 1
+    return short, bad, last
+
+
 @dataclass
 class FunctionSpaceUniversal:
     """z -> (S(z(S)))_S on packed tuples of streams.
@@ -204,23 +235,10 @@ class FunctionSpaceUniversal:
             "packed sizes",
             f"{out_len} output positions need {in_len} input positions",
         )
-        short, bad = [], {n: [] for n in range(m)}
-        profile = self.product.packed_space.arities(in_len)
-        for _ in range(samples):
-            z = _sample_word(profile, rng)
-            out = self.machine.step(z)
-            if len(out) < out_len:
-                short.append(len(out))
-                continue
-            for n, member in enumerate(self.members):
-                lhs = extract_stream(out, n)
-                rhs = member.step(extract_stream(z, n))
-                if (
-                    len(lhs) < resolution
-                    or len(rhs) < resolution
-                    or lhs[:resolution] != rhs[:resolution]
-                ):
-                    bad[n].append(z)
+        coords = [((n,), member) for n, member in enumerate(self.members)]
+        short, bad, _ = _sample_diagrams(
+            self.machine, in_len, out_len, resolution, samples, rng, coords
+        )
         node.check(
             f"packed step determines {out_len} positions on {samples} samples",
             not short,
@@ -231,8 +249,8 @@ class FunctionSpaceUniversal:
             sec.check(
                 f"coordinate {n} [{member.name}] agrees symbol-for-symbol "
                 f"to depth {resolution}",
-                not bad[n],
-                f"{len(bad[n])} disagreeing samples" if bad[n] else "",
+                not bad[(n,)],
+                f"{bad[(n,)]} disagreeing samples" if bad[(n,)] else "",
             )
         surj = node.section("projections are onto: constant tuples")
         misses = 0
@@ -326,34 +344,19 @@ class CommonExtension:
             "packed sizes",
             f"{out_len} output positions need {in_len} input positions",
         )
-        short = 0
-        bad = {}
-        last = None
-        profile = self.product.packed_space.arities(in_len)
-        for _ in range(samples):
-            z = _sample_word(profile, rng)
-            out = self.machine.step(z)
-            if len(out) < out_len:
-                short += 1
-                continue
-            last = (z, out)
-            for i, lf in enumerate(self.lifted):
-                zi, oi = extract_stream(z, i), extract_stream(out, i)
-                for j, member in enumerate(lf.members):
-                    zij, oij = extract_stream(zi, j), extract_stream(oi, j)
-                    want = member.transducer.step(zij)
-                    if (
-                        len(oij) < resolution
-                        or len(want) < resolution
-                        or oij[:resolution] != want[:resolution]
-                    ):
-                        bad.setdefault((i, j), 0)
-                        bad[(i, j)] += 1
+        coords = [
+            ((i, j), member.transducer)
+            for i, lf in enumerate(self.lifted)
+            for j, member in enumerate(lf.members)
+        ]
+        short, bad, last = _sample_diagrams(
+            self.machine, in_len, out_len, resolution, samples, rng, coords
+        )
         node.check(
             f"packed evaluation determines {out_len} positions on "
             f"{samples} samples",
-            short == 0,
-            f"{short} short runs" if short else "",
+            not short,
+            f"{len(short)} short runs" if short else "",
         )
         sec = node.section("member diagrams, projection level: exact")
         for i, lf in enumerate(self.lifted):
@@ -362,8 +365,8 @@ class CommonExtension:
                     f"piece {i} member {j} [{member.point_map.name}]: "
                     f"projection of the packed step equals the lifted step "
                     f"to depth {resolution}",
-                    (i, j) not in bad,
-                    f"{bad.get((i, j), 0)} disagreeing samples" if (i, j) in bad else "",
+                    not bad[(i, j)],
+                    f"{bad[(i, j)]} disagreeing samples" if bad[(i, j)] else "",
                 )
         if last is not None:
             z, out = last
@@ -373,7 +376,7 @@ class CommonExtension:
                 comp.check(
                     f"piece {mf.piece_index} member {mf.member_index}: "
                     f"composed projection reproduces the coordinate",
-                    mf.projection.step(z) == direct,
+                    mf.projection.step_fn(z) == direct,
                 )
             ana = node.section(
                 "member diagrams, point level: image regions land in the "
@@ -622,7 +625,7 @@ def _net_level(cs: CoverSystem, net, eps: Fraction):
     if not net:
         raise NetTooCoarse("an empty net covers nothing")
     for a in net:
-        if not space.contains(space.whole(), a, closed=True):
+        if not space.contains(space.whole(), a):
             raise CertificationError(f"net point {a} lies outside the space")
     worst = None
     for k, (_, classes) in enumerate(_class_levels(cs, 5), 1):

@@ -124,25 +124,21 @@ def _mesh_arc(k: int, j: int) -> tuple[Fraction, Fraction]:
 
 
 class Space:
-    """Shared selection and product plumbing; geometry lives in subclasses."""
+    """Shared child padding; geometry lives in subclasses."""
 
     kind = "abstract"
 
-    # Each subclass provides: whole, mesh, child_arity, level_epsilon,
-    # intersect, diam, contains, closed_subset, eroded_contains,
-    # open_cover_of_closure, eroded_cover_of_closure, point_cell, distance,
-    # witness_point, sample_point, shrink_cell, describe.  A subclass that
-    # keeps the base select_children (the finite space) also provides the
-    # meets_closure(open_cell, base) it reads.
+    # Each subclass provides: whole, mesh, child_arity, select_children,
+    # level_epsilon, intersect, diam, contains, closed_subset,
+    # eroded_contains, open_cover_of_closure, eroded_cover_of_closure,
+    # point_cell, distance, witness_point, sample_point, shrink_cell,
+    # describe.  select_children(base, k) is the level-k mesh cells meeting
+    # the closure of base, padded to child_arity(k) through _pad.
     # eroded_contains(outer, region, r) holds when every point of the closed
     # region keeps its open r-ball inside the open outer cell; at r = 0 it
     # reads "the closure of region lies inside the open cell outer".
-
-    def select_children(self, base: Cell, k: int) -> list[Cell]:
-        """Level-k mesh cells meeting the closure of base, padded to the
-        fixed arity by repeating the last member."""
-        pool = [c for c in self.mesh(k) if self.meets_closure(c, base)]
-        return self._pad(pool, self.child_arity(k))
+    # contains(cell, x) is the closed reading, x in the closure of cell; the
+    # open reading is eroded_contains(cell, point_cell(x), 0).
 
     def _pad(self, pool, arity: int, cell=None) -> list[Cell]:
         """The pool padded to the arity by repeating its last member.  A
@@ -198,12 +194,9 @@ class IntervalSpace(_DyadicSpace):
         a, b = self.hull(cell)
         return max(b - a, F(0))
 
-    def contains(self, cell: Cell, x: Point, closed: bool = True) -> bool:
-        u, v = cell
-        if closed:
-            a, b = self.hull(cell)
-            return a <= x <= b
-        return u < x < v
+    def contains(self, cell: Cell, x: Point) -> bool:
+        a, b = self.hull(cell)
+        return a <= x <= b
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
         a, b = self.hull(inner)
@@ -309,12 +302,9 @@ class CircleSpace(_DyadicSpace):
     def diam(self, cell: Cell) -> Fraction:
         return min(cell[1], F(1, 2))
 
-    def contains(self, cell: Cell, x: Point, closed: bool = True) -> bool:
+    def contains(self, cell: Cell, x: Point) -> bool:
         s, l = cell
-        if l >= 1:
-            return True
-        t = (x - s) % 1
-        return t <= l if closed else 0 < t < l
+        return l >= 1 or (x - s) % 1 <= l
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
         si, li = inner
@@ -419,7 +409,7 @@ class BaireStreamSpace:
     def diam(self, cell: Cell) -> Fraction:
         return F(1, 2 ** (len(cell) + 1))
 
-    def contains(self, cell: Cell, x: Point, closed: bool = True) -> bool:
+    def contains(self, cell: Cell, x: Point) -> bool:
         return x.prefix(len(cell)) == cell
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
@@ -554,8 +544,9 @@ class FiniteMetricSpace(Space):
     def mesh(self, k: int) -> list[Cell]:
         return [(i,) for i in range(self.size)]
 
-    def meets_closure(self, open_cell: Cell, base: Cell) -> bool:
-        return bool(set(open_cell) & set(base))
+    def select_children(self, base: Cell, k: int) -> list[Cell]:
+        """The singletons of base's points, in index order."""
+        return self._pad(sorted(set(base)), self.child_arity(k), lambda i: (i,))
 
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
         common = tuple(sorted(set(a) & set(b)))
@@ -566,7 +557,7 @@ class FiniteMetricSpace(Space):
             (self.distances[i][j] for i in cell for j in cell), default=F(0)
         )
 
-    def contains(self, cell: Cell, x: Point, closed: bool = True) -> bool:
+    def contains(self, cell: Cell, x: Point) -> bool:
         return x in cell
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
@@ -644,10 +635,8 @@ class ProductSpace(Space):
     def diam(self, cell: Cell) -> Fraction:
         return max(self.left.diam(cell[0]), self.right.diam(cell[1]))
 
-    def contains(self, cell: Cell, x: Point, closed: bool = True) -> bool:
-        return self.left.contains(cell[0], x[0], closed) and self.right.contains(
-            cell[1], x[1], closed
-        )
+    def contains(self, cell: Cell, x: Point) -> bool:
+        return self.left.contains(cell[0], x[0]) and self.right.contains(cell[1], x[1])
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
         return self.left.closed_subset(inner[0], outer[0]) and self.right.closed_subset(

@@ -159,7 +159,9 @@ def classify_components(sigma: PartialInjection) -> list[Component]:
 
     A closed walk certifies a cycle on its own.  Paths become FORWARD_RAY or
     BI_INFINITE_LINE only when the oracle declares them; otherwise they stay
-    UNRESOLVED (a finite path embeds into a line regardless).
+    UNRESOLVED (a finite path embeds into a line regardless).  Components
+    come in order of their smallest member: each walk starts at the least
+    node not yet visited, the minimum of its own component.
     """
     inv = sigma.inverse()
     out: list[Component] = []
@@ -316,7 +318,6 @@ def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
     lines, which is always sound for an injection.
     """
     components = classify_components(sigma)
-    components.sort(key=lambda c: min(c.members))
     relabel: dict[int, int] = {}
     copies = {"line": 0, "ray": 0}
     cycle_copies: dict[int, int] = {}

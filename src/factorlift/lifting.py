@@ -55,21 +55,6 @@ Word = tuple[int, ...]
 SYMBOL_BOUND = 9
 
 
-def slack_schedule(cs: CoverSystem, k: int) -> Fraction:
-    """Radius allowance at output resolution k.
-
-    Small enough that a ball of twice this radius descends one level by
-    the certified Lebesgue numbers, and at most half the previous
-    allowance, so regions located now still fit where the previous
-    resolution parked them."""
-    if k < 1:
-        raise CertificationError("resolution starts at 1")
-    r = cs.epsilon(0) / 4
-    for level in range(2, k + 1):
-        r = min(r / 2, cs.epsilon(level - 1) / 4)
-    return r
-
-
 @dataclass
 class StrongLift:
     """A parameterized family traced through a cover system.
@@ -95,7 +80,12 @@ class StrongLift:
             )
 
     def slack(self, k: int) -> Fraction:
-        """`slack_schedule(cs, k)`, its recurrence run once per resolution."""
+        """Radius allowance at output resolution k: a quarter of the root's
+        Lebesgue number at k = 1, then the least of half the previous
+        allowance and a quarter of the level-(k - 1) Lebesgue number, run
+        once per resolution into a table.  So a ball of twice the allowance
+        descends one level by the certified Lebesgue numbers, and regions
+        located now still fit where the previous resolution parked them."""
         if k < 1:
             raise CertificationError("resolution starts at 1")
         slacks = self._slacks
@@ -252,7 +242,7 @@ class LiftedSelfMap:
                 t = self.transducer.step(branch)
                 y = self.point_map.point(x)
                 for k in range(1, resolution + 1):
-                    if not space.contains(self.cs.v_cell(t[:k]), y, closed=True):
+                    if not space.contains(self.cs.v_cell(t[:k]), y):
                         bad.append((x, k))
             cert.check(
                 f"exact evaluation lands in every located cell on "

@@ -85,7 +85,7 @@ BAIRE = SymbolicSpace((), None)
 def validate_word(space: Space, w: Sequence[int]) -> Word:
     for i, (s, a) in enumerate(zip(w, space.arities(len(w)))):
         if s < 0 or (a is not None and s >= a):
-            raise InvalidBranch(f"symbol {s} at level {i} leaves alphabet of size {a}")
+            raise InvalidBranch(f"symbol {s} at position {i} leaves alphabet of size {a}")
     return tuple(w)
 
 
@@ -362,9 +362,9 @@ class ProductLift:
             f"proj[{n}]",
         )
 
-    def projection_preimage(self, n: int, u: Sequence[int], default: int = 0) -> Word:
+    def projection_preimage(self, n: int, u: Sequence[int]) -> Word:
         """A packed word whose component n reads exactly u: surjectivity witness."""
-        out = [default] * _packed_length(n, len(u))
+        out = [0] * _packed_length(n, len(u))
         for p, sym in zip(_slots(n, len(out)), u):
             out[p] = sym
         return tuple(out)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -80,9 +81,12 @@ def test_arc_arithmetic_wraps():
     a = (F(7, 8), F(1, 4))
     b = (F(0), F(1, 8))
     assert sp.intersect(a, b) == (F(0), F(1, 8))
-    assert sp.contains(a, F(0), closed=True)
-    assert sp.contains(a, F(0), closed=False)
-    assert not sp.contains(a, F(1, 4), closed=True)
+    assert sp.contains(a, F(0))
+    assert sp.eroded_contains(a, sp.point_cell(F(0)), 0)
+    # the closed reading keeps the ends, the open one does not
+    assert sp.contains(a, F(1, 8)) and sp.contains(a, F(7, 8))
+    assert not sp.eroded_contains(a, sp.point_cell(F(1, 8)), 0)
+    assert not sp.contains(a, F(1, 4))
     assert sp.closed_subset((F(15, 16), F(1, 8)), a)
     assert not sp.closed_subset(b, (F(15, 16), F(1, 32)))
 
@@ -93,6 +97,9 @@ def test_interval_relative_topology_at_edges():
     assert sp.eroded_contains((F(-1, 8), F(1, 4)), (F(0), F(0)), F(0))
     assert not sp.eroded_contains((F(0), F(1, 4)), (F(0), F(0)), F(0))
     assert sp.eroded_contains((F(-1, 8), F(1, 4)), (F(0), F(1, 64)), F(1, 16))
+    # the closed reading keeps both ends of the clamped cell
+    assert sp.contains((F(-1, 8), F(1, 4)), F(0)) and sp.contains((F(-1, 8), F(1, 4)), F(1, 4))
+    assert not sp.contains((F(-1, 8), F(1, 4)), F(1, 3))
 
 
 def test_finite_space_validation():
@@ -416,6 +423,94 @@ def test_cell_lookups_check_each_symbol_like_the_whole_word_check(name, data):
         assert _invalid_branch(getattr(warm, lookup), s) == expected
 
 
+CELL_ERROR = re.compile(r"symbol (-?\d+) at level (\d+) exceeds arity (\d+)")
+WORD_ERROR = re.compile(r"symbol (-?\d+) at position (\d+) leaves alphabet of size (\d+)")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(WARM_SYSTEMS)), st.data())
+def test_both_invalid_branch_messages_name_the_same_symbol(name, data):
+    # the cell lookups count levels from 1, a packed word counts positions
+    # from 0: symbol i of a branch word sits at level i + 1
+    cs = shipped_systems()[name]
+    n = data.draw(st.integers(0, 6))
+    good = tuple(data.draw(st.integers(0, cs.child_arity(i + 1) - 1)) for i in range(n))
+    arity = cs.child_arity(n + 1)
+    bad = data.draw(st.one_of(st.integers(-3, -1), st.integers(arity, arity + 3)))
+    word = good + (bad,) + tuple(data.draw(st.lists(st.integers(0, 1), max_size=3)))
+    cell = CELL_ERROR.fullmatch(_invalid_branch(cs.v_cell, word))
+    proj = WORD_ERROR.fullmatch(
+        _invalid_branch(project_symbol_to_point, cs, word, len(word))
+    )
+    assert cell and proj
+    assert cell[1] == proj[1] == str(bad)
+    assert int(cell[2]) == int(proj[2]) + 1 == n + 1
+    assert cell[3] == proj[3] == str(arity)
+
+
+def _ref_open_contains(space, cell, x) -> bool:
+    """Reference: the open reading `contains(cell, x, closed=False)` each
+    space kind once carried beside its closed one."""
+    if space.kind == "interval":
+        u, v = cell
+        return u < x < v
+    if space.kind == "circle":
+        s, l = cell
+        return l >= 1 or 0 < (x - s) % 1 < l
+    if space.kind == "product":
+        return _ref_open_contains(space.left, cell[0], x[0]) and _ref_open_contains(
+            space.right, cell[1], x[1]
+        )
+    return space.contains(cell, x)  # cylinders and point sets read alike
+
+
+def _edge_points(space, cell):
+    """Points on and next to the ends of an interval cell or circle arc."""
+    if space.kind == "interval":
+        ends = space.hull(cell)
+    elif space.kind == "circle":
+        ends = (cell[0], (cell[0] + cell[1]) % 1)
+    else:
+        return []
+    return [e + d for e in ends for d in (0, F(1, 2**30), -F(1, 2**30)) if 0 <= e + d <= 1]
+
+
+@pytest.mark.parametrize("name", sorted(shipped_systems()))
+def test_open_reading_is_eroded_contains_at_radius_zero(name):
+    cs = shipped_systems()[name]
+    sp = cs.space
+    rng = random.Random(31)
+    for _ in range(40):
+        word = tuple(rng.randrange(cs.child_arity(i + 1)) for i in range(rng.randrange(5)))
+        cell = cs.v_cell(word)
+        points = [sp.sample_point(rng) for _ in range(4)] + [sp.witness_point(cell)]
+        for x in points + _edge_points(sp, cell):
+            assert sp.eroded_contains(cell, sp.point_cell(x), 0) == _ref_open_contains(
+                sp, cell, x
+            ), (word, x)
+            if sp.eroded_contains(cell, sp.point_cell(x), 0):
+                assert sp.contains(cell, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+        st.integers(1, 4),
+    )
+))
+def test_finite_select_children_matches_mesh_filter(case):
+    n, base, k = case
+    sp = FiniteMetricSpace(tuple(tuple(F(int(i != j)) for j in range(n)) for i in range(n)))
+    base = tuple(base)
+
+    def filtered():
+        return sp._pad([c for c in sp.mesh(k) if set(c) & set(base)], sp.child_arity(k))
+
+    assert _outcome(sp.select_children, base, k) == _outcome(filtered)
+
+
 # --- verification ---
 
 
@@ -501,7 +596,7 @@ def test_summary_line_and_counts_on_shipped_and_corrupted_renders():
 def test_project_leftmost_interval_branch():
     cs = interval_system()
     cell = project_symbol_to_point(cs, (0,) * 6, 5)
-    assert cs.space.contains(cell, F(0), closed=True)
+    assert cs.space.contains(cell, F(0))
     assert cs.space.diam(cell) <= F(1, 32)
 
 
@@ -599,7 +694,7 @@ def test_locate_ball_random_centers_certified():
             center = cs.space.point_cell(x, radius)
             t = locate_ball(cs, center, radius, 4)
             cell = cs.v_cell(t)
-            assert cs.space.contains(cell, x, closed=False), name
+            assert cs.space.eroded_contains(cell, cs.space.point_cell(x), 0), name
             assert cs.space.eroded_contains(cell, center, radius)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorlift.certificates import CertNode
 from factorlift.covers import CoverSystem, circle_system, corrupt_system, interval_system
 from factorlift.errors import (
     CertificationError,
@@ -43,10 +44,13 @@ from factorlift.pointmaps import (
 from factorlift.transducers import (
     BAIRE,
     CANTOR,
+    PrefixTransducer,
+    extract_stream,
     identity_transducer,
     odometer_transducer,
     shift_transducer,
     substitution_transducer,
+    validate_word,
 )
 
 NET = [F(i, 8) for i in range(9)]
@@ -350,7 +354,7 @@ def _word_walk_net_level(cs, net, eps):
     if not net:
         raise NetTooCoarse("an empty net covers nothing")
     for a in net:
-        if not space.contains(space.whole(), a, closed=True):
+        if not space.contains(space.whole(), a):
             raise CertificationError(f"net point {a} lies outside the space")
     worst = None
     words = [()]
@@ -420,3 +424,274 @@ def test_net_level_names_the_first_of_tied_worst_cells(make, net, near):
     assert len(outcomes) == 1
     ((kind, message),) = outcomes
     assert kind == "NetTooCoarse" and message.endswith(f"near {near}")
+
+
+# --- the shared sampled-diagram walk against the two loops it replaced ---
+
+
+def _ref_sample_word(profile, rng):
+    return tuple(rng.randrange(a if a is not None else 6) for a in profile)
+
+
+def _ref_universal_certificate(uni, resolution, samples, rng):
+    """Reference: `FunctionSpaceUniversal.certificate` with its own sampling
+    loop, stepping the machine through the validating `step`."""
+    node = CertNode(
+        f"function-space universal over {len(uni.members)} maps "
+        f"to depth {resolution}"
+    )
+    m = len(uni.members)
+    out_len = max(uni.projection(n).modulus(resolution) for n in range(m))
+    in_len = uni.machine.modulus(out_len)
+    node.note(
+        "packed sizes",
+        f"{out_len} output positions need {in_len} input positions",
+    )
+    short, bad = [], {n: [] for n in range(m)}
+    profile = uni.product.packed_space.arities(in_len)
+    for _ in range(samples):
+        z = _ref_sample_word(profile, rng)
+        out = uni.machine.step(z)
+        if len(out) < out_len:
+            short.append(len(out))
+            continue
+        for n, member in enumerate(uni.members):
+            lhs = extract_stream(out, n)
+            rhs = member.step(extract_stream(z, n))
+            if (
+                len(lhs) < resolution
+                or len(rhs) < resolution
+                or lhs[:resolution] != rhs[:resolution]
+            ):
+                bad[n].append(z)
+    node.check(
+        f"packed step determines {out_len} positions on {samples} samples",
+        not short,
+        f"shortest run {min(short)}" if short else "",
+    )
+    sec = node.section("evaluation projections intertwine exactly")
+    for n, member in enumerate(uni.members):
+        sec.check(
+            f"coordinate {n} [{member.name}] agrees symbol-for-symbol "
+            f"to depth {resolution}",
+            not bad[n],
+            f"{len(bad[n])} disagreeing samples" if bad[n] else "",
+        )
+    surj = node.section("projections are onto: constant tuples")
+    misses = 0
+    profile = uni.members[0].domain.arities(resolution + m + 2)
+    for _ in range(samples):
+        u = _ref_sample_word(profile, rng)
+        z = uni.constant_tuple(u)
+        for n in range(m):
+            if extract_stream(z, n)[:resolution] != u[:resolution]:
+                misses += 1
+    surj.check(
+        f"every coordinate of a constant tuple reads back its value "
+        f"to depth {resolution}",
+        misses == 0,
+        f"{misses} misses" if misses else "",
+    )
+    return node
+
+
+def _ref_extension_certificate(ext, resolution, samples, rng):
+    """Reference: `CommonExtension.certificate` with its own sampling loop,
+    stepping the machine and the composed projections through `step`."""
+    node = CertNode(f"common extension pipeline to depth {resolution}")
+    shape = ", ".join(
+        f"{fam.name}({len(lf.members)})" for fam, lf in zip(ext.pieces, ext.lifted)
+    )
+    node.note("pieces", shape)
+    out_len = max(mf.projection.modulus(resolution) for mf in ext.member_factors())
+    in_len = ext.machine.modulus(out_len)
+    node.note(
+        "packed sizes",
+        f"{out_len} output positions need {in_len} input positions",
+    )
+    short = 0
+    bad = {}
+    last = None
+    profile = ext.product.packed_space.arities(in_len)
+    for _ in range(samples):
+        z = _ref_sample_word(profile, rng)
+        out = ext.machine.step(z)
+        if len(out) < out_len:
+            short += 1
+            continue
+        last = (z, out)
+        for i, lf in enumerate(ext.lifted):
+            zi, oi = extract_stream(z, i), extract_stream(out, i)
+            for j, member in enumerate(lf.members):
+                zij, oij = extract_stream(zi, j), extract_stream(oi, j)
+                want = member.transducer.step(zij)
+                if (
+                    len(oij) < resolution
+                    or len(want) < resolution
+                    or oij[:resolution] != want[:resolution]
+                ):
+                    bad.setdefault((i, j), 0)
+                    bad[(i, j)] += 1
+    node.check(
+        f"packed evaluation determines {out_len} positions on "
+        f"{samples} samples",
+        short == 0,
+        f"{short} short runs" if short else "",
+    )
+    sec = node.section("member diagrams, projection level: exact")
+    for i, lf in enumerate(ext.lifted):
+        for j, member in enumerate(lf.members):
+            sec.check(
+                f"piece {i} member {j} [{member.point_map.name}]: "
+                f"projection of the packed step equals the lifted step "
+                f"to depth {resolution}",
+                (i, j) not in bad,
+                f"{bad.get((i, j), 0)} disagreeing samples" if (i, j) in bad else "",
+            )
+    if last is not None:
+        z, out = last
+        comp = node.section("composed factor maps agree with staged extraction")
+        for mf in ext.member_factors():
+            direct = extract_stream(extract_stream(z, mf.piece_index), mf.member_index)
+            comp.check(
+                f"piece {mf.piece_index} member {mf.member_index}: "
+                f"composed projection reproduces the coordinate",
+                mf.projection.step(z) == direct,
+            )
+        ana = node.section(
+            "member diagrams, point level: image regions land in the "
+            "projected cells"
+        )
+        for i, lf in enumerate(ext.lifted):
+            cs = ext.pieces[i].cover
+            zi, oi = extract_stream(z, i), extract_stream(out, i)
+            for j, member in enumerate(lf.members):
+                zij, oij = extract_stream(zi, j), extract_stream(oi, j)
+                ok = len(zij) >= member.lift.moduli(resolution)[1]
+                for kk in range(1, resolution + 1):
+                    if not ok:
+                        break
+                    mk = member.lift.moduli(kk)[1]
+                    region = member.point_map.image_region(cs.v_cell(zij[:mk]))
+                    ok = cs.space.eroded_contains(
+                        cs.v_cell(oij[:kk]), region, member.lift.slack(kk)
+                    )
+                ana.check(
+                    f"piece {i} member {j} [{member.point_map.name}]: "
+                    f"slack-padded image region inside every located cell",
+                    ok,
+                )
+    return node
+
+
+def _under_read(f, cut):
+    """f claiming `cut` fewer input symbols than its modulus asks for."""
+    return PrefixTransducer(
+        f.domain, f.codomain, f.step_fn, lambda k: max(0, f.modulus(k) - cut), f.name
+    )
+
+
+def _ragged(f, cut):
+    """f keeping only `cut` output symbols on inputs that start with 0, so
+    some sampled runs may come up short and others not."""
+
+    def step(w):
+        out = f.step_fn(w)
+        return out[:cut] if w and w[0] == 0 else out
+
+    return PrefixTransducer(f.domain, f.codomain, step, f.modulus_fn, f.name)
+
+
+def _recording(machine):
+    """Record every word the machine's step function is handed."""
+    seen, step_fn = [], machine.step_fn
+
+    def step(z):
+        seen.append(z)
+        return step_fn(z)
+
+    machine.step_fn = step
+    return seen
+
+
+def _universal_case(case, cut):
+    uni = universal_on_functions([odometer_transducer(), shift_transducer(CANTOR)])
+    if case == "swapped":
+        # the packed machine runs the identity where the shift is claimed
+        uni.product.maps[1] = identity_transducer(CANTOR)
+    elif case == "short":
+        uni.product.maps[1] = _under_read(uni.product.maps[1], cut)
+    elif case == "ragged":
+        uni.product.maps[1] = _ragged(uni.product.maps[1], cut)
+    return uni
+
+
+def _extension_case(case, cut, pieces_cut):
+    ext = common_extension_baire(pipeline_pieces())
+    if case == "swapped":
+        maps = ext.universals[0].product.maps
+        maps[0], maps[1] = maps[1], maps[0]
+    elif case == "short":
+        for i in pieces_cut:
+            ext.product.maps[i] = _under_read(ext.product.maps[i], cut)
+    elif case == "ragged":
+        for i in pieces_cut:
+            ext.product.maps[i] = _ragged(ext.product.maps[i], cut)
+    return ext
+
+
+CASES = st.sampled_from(["plain", "swapped", "short", "ragged"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(CASES, st.integers(1, 8), st.integers(1, 4), st.integers(0, 5), st.integers(0, 2**32))
+def test_universal_certificate_matches_its_own_loop(case, cut, resolution, samples, seed):
+    want = _ref_universal_certificate(
+        _universal_case(case, cut), resolution, samples, random.Random(seed)
+    ).render()
+    uni = _universal_case(case, cut)
+    drawn = _recording(uni.machine)
+    assert uni.certificate(resolution, samples, random.Random(seed)).render() == want
+    assert len(drawn) == samples
+    for z in drawn:
+        assert validate_word(uni.machine.domain, z) == z
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    CASES,
+    st.sampled_from([1, 2, 3, 8, 400]),
+    st.sampled_from([(0,), (1,), (0, 1)]),
+    st.integers(1, 2),
+    st.integers(0, 4),
+    st.integers(0, 2**32),
+)
+def test_extension_certificate_matches_its_own_loop(
+    case, cut, pieces_cut, resolution, samples, seed
+):
+    want = _ref_extension_certificate(
+        _extension_case(case, cut, pieces_cut), resolution, samples, random.Random(seed)
+    ).render()
+    ext = _extension_case(case, cut, pieces_cut)
+    drawn = _recording(ext.machine)
+    assert ext.certificate(resolution, samples, random.Random(seed)).render() == want
+    assert len(drawn) == samples
+    for z in drawn:
+        assert validate_word(ext.machine.domain, z) == z
+
+
+def test_universal_certificate_names_the_shortest_run():
+    uni = _universal_case("short", 1)
+    failure = uni.certificate(3, 4, random.Random(3)).first_failure()
+    assert failure.title == "packed step determines 9 positions on 4 samples"
+    assert failure.detail == "shortest run 8"
+
+
+def test_extension_certificate_counts_the_short_runs():
+    ext = _extension_case("short", 10**6, (0, 1))
+    cert = ext.certificate(2, 4, random.Random(4))
+    failure = cert.first_failure()
+    assert failure.title == "packed evaluation determines 15 positions on 4 samples"
+    assert failure.detail == "4 short runs"
+    # no full run, so nothing is left to check at the point level
+    assert [c.title for c in cert.children][-1] == "member diagrams, projection level: exact"

@@ -351,6 +351,30 @@ def test_embed_random_partial_injections():
             assert successor(cert.relabel[i]) == cert.relabel[j]
 
 
+@st.composite
+def _partial_injections(draw):
+    """Random partial injections: part of a permutation of 0..n-1, plus
+    lone nodes known only to the oracle."""
+    n = draw(st.integers(0, 30))
+    image = draw(st.permutations(range(n)))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lone = draw(st.sets(st.integers(n, n + 40), max_size=4))
+    oracle = {m: OracleEntry(m, ComponentType.UNRESOLVED) for m in lone}
+    entries = {i: image[i] for i in range(n) if keep[i]}
+    return PartialInjection(entries, oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_partial_injections())
+def test_components_come_in_order_of_their_least_member(sigma):
+    comps = classify_components(sigma)
+    least = [min(c.members) for c in comps]
+    assert least == sorted(least) and len(set(least)) == len(least)
+    assert sorted(m for c in comps for m in c.members) == sorted(sigma.nodes())
+    # the embedding allocates copies in that same order
+    assert embed_injection(sigma).components == comps
+
+
 def test_embedding_is_deterministic():
     rng = random.Random(5)
     sigma = _random_partial_injection(rng, 80)

@@ -32,12 +32,12 @@ from factorlift.lifting import (
     baire_extension_map,
     lift_self_map,
     presentation_certificate,
-    slack_schedule,
     strong_extension_map,
 )
 from factorlift.pairing import pair
 from factorlift.pointmaps import (
     ParameterizedFamily,
+    PointMap,
     PolishPointMap,
     baire_identity_map,
     branch_family,
@@ -69,15 +69,30 @@ def rand_branch(cs, length, rng):
 # --- slack schedule ---
 
 
+def _slack_schedule(cs, k):
+    """Reference: the slack recurrence run from the root on every call, as
+    the free function the lifts' per-resolution table replaced did."""
+    if k < 1:
+        raise CertificationError("resolution starts at 1")
+    r = cs.epsilon(0) / 4
+    for level in range(2, k + 1):
+        r = min(r / 2, cs.epsilon(level - 1) / 4)
+    return r
+
+
+def _slack_of(cs):
+    return lift_self_map(cs, identity_map(cs.space)).lift.slack
+
+
 def test_slack_schedule_frozen_values():
-    cs = interval_system()
-    assert [slack_schedule(cs, k) for k in (1, 2, 3)] == [
+    slack = _slack_of(interval_system())
+    assert [slack(k) for k in (1, 2, 3)] == [
         F(3, 128),
         F(3, 256),
         F(3, 512),
     ]
-    cb = cantor_system()
-    assert [slack_schedule(cb, k) for k in (1, 2, 3)] == [
+    slack = _slack_of(cantor_system())
+    assert [slack(k) for k in (1, 2, 3)] == [
         F(1, 16),
         F(1, 32),
         F(1, 64),
@@ -86,15 +101,16 @@ def test_slack_schedule_frozen_values():
 
 def test_slack_schedule_halves_and_respects_lebesgue():
     for cs in (interval_system(), circle_system(), finite_system()):
+        slack = _slack_of(cs)
         previous = None
         for k in range(1, 8):
-            r = slack_schedule(cs, k)
+            r = slack(k)
             assert 4 * r <= cs.epsilon(k - 1)
             if previous is not None:
                 assert r <= previous / 2
             previous = r
     with pytest.raises(CertificationError):
-        slack_schedule(interval_system(), 0)
+        _slack_of(interval_system())(0)
 
 
 @pytest.mark.parametrize("name", sorted(shipped_systems()))
@@ -102,9 +118,9 @@ def test_lift_slack_table_matches_the_schedule(name):
     cs = shipped_systems()[name]
     deep_first = lift_self_map(cs, identity_map(cs.space)).lift
     in_order = lift_self_map(cs, identity_map(cs.space)).lift
-    assert deep_first.slack(130) == slack_schedule(cs, 130)
+    assert deep_first.slack(130) == _slack_schedule(cs, 130)
     for k in range(1, 131):
-        assert deep_first.slack(k) == in_order.slack(k) == slack_schedule(cs, k)
+        assert deep_first.slack(k) == in_order.slack(k) == _slack_schedule(cs, k)
     fresh = lift_self_map(cs, identity_map(cs.space)).lift
     for lift in (fresh, deep_first):
         for k in (0, -1):
@@ -192,7 +208,7 @@ def test_squaring_lift_tracks_exact_points():
     branch = locate_ball(cs, cs.space.point_cell(F(1, 3)), cs.epsilon(depth) / 4, depth)
     t = lifted.transducer.step(branch)
     for k in range(1, 7):
-        assert cs.space.contains(cs.v_cell(t[:k]), F(1, 9), closed=True)
+        assert cs.space.contains(cs.v_cell(t[:k]), F(1, 9))
 
 
 def test_identity_lift_names_the_same_point():
@@ -507,7 +523,7 @@ def test_constant_lift_ignores_the_branch():
     a = bl.output((0, 5, 2), 6)
     b = bl.output((9, 9, 9, 9), 6)
     assert a == b
-    assert bl.point_map.target.contains(bl.presentation.v_cell(a), F(1, 3), closed=True)
+    assert bl.point_map.target.contains(bl.presentation.v_cell(a), F(1, 3))
     assert bl.max_resolution((0,), limit=10) == 10
 
 
@@ -524,7 +540,7 @@ def test_parity_expansion_lift_tracks_a_known_point():
     t = bl.output(w, 5)
     for k in range(1, 6):
         cell = bl.presentation.v_cell(t[:k])
-        assert bl.point_map.target.contains(cell, F(1, 2), closed=True)
+        assert bl.point_map.target.contains(cell, F(1, 2))
 
 
 def test_baire_outputs_extend():
@@ -589,3 +605,176 @@ def test_supplied_families_merge_with_adaptive_resolutions():
 def test_baire_lift_checks_target_space():
     with pytest.raises(SpaceMismatch):
         baire_extension_map(CylinderPresentation(), parity_expansion_map())
+
+
+# --- negative controls: every lift check flips to FAIL and names its witness ---
+
+
+def _named(detail, prefix):
+    """The witness a failing check names after `prefix`."""
+    assert detail.startswith(prefix), detail
+    return eval(detail[len(prefix) :], {"__builtins__": {}, "Fraction": F})
+
+
+def _statuses(cert):
+    return [c.status for c in cert.children]
+
+
+def _first_strong_sample(lift, resolution, seed):
+    """The (q, s) that `StrongLift.certificate` draws first."""
+    rng = random.Random(seed)
+    l, m = lift.moduli(resolution)
+    q = tuple(rng.randrange(2) for _ in range(l))
+    return q, tuple(rng.randrange(lift.cs.child_arity(i + 1)) for i in range(m))
+
+
+def test_strong_lift_certificate_names_a_misplaced_branch():
+    cs = interval_system()
+    lift = lift_self_map(cs, tent_map()).lift
+    assert lift.certificate(3, 6, random.Random(12)).ok
+    # Move the first symbol of every cached branch to a level-1 child that
+    # cannot hold its region: the located child is the least that can, so
+    # no lower one can, and the top cell lies far from the bottom one.
+    top = cs.child_arity(1) - 1
+    for key, t in lift._memo.items():
+        lift._memo[key] = (top if t[0] == 0 else 0,) + t[1:]
+    cert = lift.certificate(3, 6, random.Random(12))
+    assert _statuses(cert) == ["INFO", "FAIL", "PASS", "INFO"]
+    failure = cert.first_failure()
+    assert failure.title == (
+        "slack-fattened image regions sit inside the located cells at every resolution"
+    )
+    q, s = _first_strong_sample(lift, 3, 12)
+    assert _named(failure.detail, "first failure at (q, s, k) = ") == (q, s, 1)
+
+
+def test_strong_lift_certificate_names_a_region_that_grows():
+    cs = interval_system()
+    # a point that drifts by 2^-(40 + m) as the branch prefix grows to m:
+    # every region sits deep inside its cell, but none inside the last one
+    drifting = ParameterizedFamily(
+        cs.space,
+        lambda q, s: cs.space.point_cell(F(1, 3) + F(1, 2 ** (40 + len(s)))),
+        lambda width: (0, least_dyadic_level(width)),
+        "drifting",
+    )
+    lift = strong_extension_map(cs, drifting)
+    cert = lift.certificate(3, 4, random.Random(13))
+    assert _statuses(cert) == ["INFO", "PASS", "FAIL", "INFO"]
+    failure = cert.first_failure()
+    assert failure.title == "image regions shrink as prefixes extend"
+    q, s = _first_strong_sample(lift, 3, 13)
+    assert _named(failure.detail, "first failure at (q, s, k) = ") == (q, s, 2)
+
+
+def test_lifted_self_map_certificate_names_a_point_rule_that_disagrees():
+    cs = interval_system()
+    # the regions are the identity's, the exact point rule the mirror's
+    liar = PointMap(
+        cs.space, lambda cell: cell, "mirror-liar", lipschitz=F(1), point_fn=lambda x: 1 - x
+    )
+    lifted = lift_self_map(cs, liar)
+    cert = lifted.certificate(3, 4, random.Random(14), exact_samples=3)
+    failure = cert.first_failure()
+    assert failure.title == "exact evaluation lands in every located cell on 3 rational points"
+    rng = random.Random(14)
+    assert lifted.lift.certificate(3, 4, rng).ok  # the region samples come first
+    x = cs.space.sample_point(rng)
+    assert _named(failure.detail, "first failure at (x, k) = ") == (x, 1)
+
+
+class _WidePresentation:
+    """Interval cells around 1/2 that halve level by level from full width:
+    nested, but each twice as wide as the diameter law allows."""
+
+    name = "wide"
+    target = IntervalSpace()
+
+    def v_cell(self, word):
+        w = F(1, 2 ** len(word))
+        return (F(1, 2) - w, F(1, 2) + w)
+
+
+class _HoppingPresentation:
+    """Narrow interval cells hopping between 1/4 and 3/4 level by level, so
+    no cell below the first sits inside its parent."""
+
+    name = "hopping"
+    target = IntervalSpace()
+
+    def v_cell(self, word):
+        if not word:
+            return self.target.whole()
+        c = F(1, 4) if len(word) % 2 else F(3, 4)
+        w = F(1, 2 ** (len(word) + 3))
+        return (c - w, c + w)
+
+
+def test_presentation_certificate_names_a_cell_too_wide():
+    cert = presentation_certificate(_WidePresentation(), 3, 4, random.Random(15))
+    assert _statuses(cert) == ["FAIL", "PASS", "INFO"]
+    first = (random.Random(15).randrange(SYMBOL_BOUND + 1),)
+    assert cert.first_failure().detail == f"first failure at {first}"
+
+
+def test_presentation_certificate_names_a_cell_outside_its_parent():
+    cert = presentation_certificate(_HoppingPresentation(), 3, 4, random.Random(16))
+    assert _statuses(cert) == ["PASS", "FAIL", "INFO"]
+    rng = random.Random(16)
+    first = (rng.randrange(SYMBOL_BOUND + 1), rng.randrange(SYMBOL_BOUND + 1))
+    assert cert.first_failure().detail == f"first failure at {first}"
+
+
+class _ShiftedCylinders(CylinderPresentation):
+    """Locates the cylinder one symbol past the right one."""
+
+    def locate_child(self, t, region, slack):
+        child = super().locate_child(t, region, slack)
+        return None if child is None else child + 1
+
+
+class _CoarseCylinders(CylinderPresentation):
+    """Names each branch by the cylinder one level up."""
+
+    def v_cell(self, t):
+        return tuple(t)[:-1]
+
+
+def _first_baire_sample(seed):
+    """The branch `BaireLift.certificate` draws first."""
+    rng = random.Random(seed)
+    return tuple(rng.randrange(SYMBOL_BOUND + 1) for _ in range(8))
+
+
+def test_baire_lift_certificate_names_a_misplaced_cell():
+    bl = baire_extension_map(_ShiftedCylinders(), baire_identity_map())
+    cert = bl.certificate(1, 3, random.Random(17))
+    assert _statuses(cert) == ["FAIL", "PASS", "PASS", "INFO"]
+    assert _named(cert.first_failure().detail, "first failure at (w, k) = ") == (
+        _first_baire_sample(17),
+        1,
+    )
+
+
+def test_baire_lift_certificate_names_a_cell_too_wide():
+    bl = baire_extension_map(_CoarseCylinders(), baire_identity_map())
+    cert = bl.certificate(2, 3, random.Random(18))
+    assert _statuses(cert) == ["PASS", "FAIL", "PASS", "INFO"]
+    assert _named(cert.first_failure().detail, "first failure at (w, k) = ") == (
+        _first_baire_sample(18),
+        1,
+    )
+
+
+def test_baire_lift_certificate_names_comparable_prefixes():
+    # a supplied family that reads one symbol past the minimal prefix,
+    # then adaptive reading at the same resolution
+    bl = baire_extension_map(
+        CylinderPresentation(), baire_identity_map(), supplied_antichains={1: [(0, 0, 0, 0)]}
+    )
+    bl.output((0,) * 8, 1)
+    bl.supplied = None
+    bl.output((0,) * 8, 1)
+    cert = bl.certificate(1, 3, random.Random(19))
+    assert _statuses(cert) == ["PASS", "PASS", "FAIL", "INFO"]
+    assert cert.first_failure().detail == "first comparable pair (1, (0, 0, 0), (0, 0, 0, 0))"

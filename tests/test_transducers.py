@@ -60,7 +60,7 @@ def test_space_rejects_tiny_alphabet():
 def test_validate_word():
     assert validate_word(CANTOR, [0, 1, 1]) == (0, 1, 1)
     assert validate_word(BAIRE, [0, 999, 5]) == (0, 999, 5)
-    with pytest.raises(InvalidBranch):
+    with pytest.raises(InvalidBranch, match=r"^symbol 2 at position 1 leaves alphabet of size 2$"):
         validate_word(CANTOR, [0, 2])
     with pytest.raises(InvalidBranch):
         validate_word(BAIRE, [0, -1])
@@ -396,6 +396,12 @@ def test_projection_preimage_is_section():
         w = lifted.projection_preimage(n, u)
         assert extract_stream(w, n) == u
         assert validate_word(lifted.packed_space, w)
+        # the shortest such word, zero off component n
+        assert len(w) == pair(n, len(u) - 1) + 1
+        own = {pair(n, i) for i in range(len(u))}
+        assert all(w[p] == 0 for p in range(len(w)) if p not in own)
+    with pytest.raises(TypeError):
+        lifted.projection_preimage(0, (1,), default=1)
 
 
 def test_lift_custom_tail():
