@@ -159,8 +159,9 @@ def classify_components(sigma: PartialInjection) -> list[Component]:
 
     A closed walk certifies a cycle on its own.  Paths become FORWARD_RAY or
     BI_INFINITE_LINE only when the oracle declares them; otherwise they stay
-    UNRESOLVED (a finite path embeds into a line regardless).  Components
-    come in order of their smallest member: each walk starts at the least
+    UNRESOLVED (a finite path embeds into a line regardless); an oracle entry
+    of kind UNRESOLVED declares nothing, on any shape.  Components come in
+    order of their smallest member: each walk starts at the least
     node not yet visited, the minimum of its own component.
     """
     inv = sigma.inverse()
@@ -213,7 +214,12 @@ def _walk_component(start, entries, inv) -> _RawComponent:
 
 def _type_component(raw: _RawComponent, sigma: PartialInjection) -> Component:
     members = raw.members
-    oracle = {m: sigma.component_oracle[m] for m in members if m in sigma.component_oracle}
+    # An UNRESOLVED entry declares nothing, whatever the component's shape.
+    declared = sigma.component_oracle
+    oracle = {
+        m: declared[m] for m in members
+        if m in declared and declared[m].kind is not ComponentType.UNRESOLVED
+    }
     if raw.is_cycle:
         n = len(members)
         for m, entry in oracle.items():
@@ -232,7 +238,7 @@ def _type_component(raw: _RawComponent, sigma: PartialInjection) -> Component:
             resolved=True,
         )
     kinds = {e.kind for e in oracle.values()}
-    if not kinds or kinds == {ComponentType.UNRESOLVED}:
+    if not kinds:
         # Finite path of unknown type: smallest explored member sits at 0.
         anchor = min(members)
         base = members.index(anchor)

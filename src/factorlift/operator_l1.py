@@ -5,8 +5,16 @@ successor map is injective, U is a linear isometry of l1.  Any matrix
 operator T on a finite-dimensional space factors through a scalar multiple
 of U: enumerate a countable dense subset of the unit ball that is closed
 under (1/rho)T, realize the index dynamics as a finite injection, embed that
-injection into the layout, and read the factor map off the embedding.  All
-arithmetic is exact.
+injection into the layout, and read the factor map off the embedding.
+
+All arithmetic is exact.  The orbit stages (the ball grid, the enumeration
+and both certificates) work on integers: a rational vector v is keyed by
+(den, *nums), where den is the least common denominator of its entries and
+nums = den*v, and the matrix is one integer matrix over the least common
+denominator of its entries.  Two vectors are equal exactly when their keys
+are, so integers do the hashing, comparing and stepping.  Fractions appear
+only at the public boundary: the enumeration's points, `value`, the factor
+map and `BanachModel`.
 """
 
 from __future__ import annotations
@@ -170,24 +178,72 @@ class BanachModel:
         )
 
 
+# === exact orbit arithmetic on integer keys ===
+#
+# Key = (den, *nums) with den > 0 least such that den*v is integral, so
+# gcd(den, *nums) == 1.
+
+
+def _key(v: Vector) -> tuple[int, ...]:
+    den = math.lcm(*(c.denominator for c in v))
+    return (den, *(c.numerator * (den // c.denominator) for c in v))
+
+
+def _reduce(den: int, nums: Sequence[int]) -> tuple[int, ...]:
+    """The key of the vector nums/den, for den > 0."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return (den, *nums)
+    return (den // g, *(n // g for n in nums))
+
+
+def _integer_matrix(matrix: Matrix) -> tuple[int, list[list[int]]]:
+    """(d, M) with matrix = M/d, d the least common denominator of the entries."""
+    d = math.lcm(*(c.denominator for row in matrix for c in row))
+    return d, [[c.numerator * (d // c.denominator) for c in row] for row in matrix]
+
+
+def _times(mat: list[list[int]], key: tuple[int, ...]) -> list[int]:
+    """The integer matrix times the numerators of `key`: the orbit stages'
+    only application of the operator."""
+    nums = key[1:]
+    return [sum(m * x for m, x in zip(row, nums)) for row in mat]
+
+
+def _in_ball(kind: NormKind, key: tuple[int, ...]) -> bool:
+    """`BanachModel.in_unit_ball` of the vector nums/den."""
+    den, nums = key[0], key[1:]
+    if kind is NormKind.L1:
+        return sum(map(abs, nums)) <= den
+    if kind is NormKind.LINF:
+        return max(map(abs, nums), default=0) <= den
+    return sum(n * n for n in nums) <= den * den
+
+
+def _scaled_step(matrix: Matrix, rho: Fraction):
+    """The key map of (1/rho)T: with rho = a/b and T = M/d, the key
+    (den, *nums) goes to the key of b*M*nums / (a*d*den)."""
+    d, mat = _integer_matrix(matrix)
+    bmat = [[rho.denominator * m for m in row] for row in mat]
+    ad = rho.numerator * d
+    return lambda key: _reduce(ad * key[0], _times(bmat, key))
+
+
 def unit_ball_grid(model: BanachModel, count: int) -> list[Vector]:
     """First `count` rational unit-ball points, by denominator then lex order.
 
     Deterministic: denominator q = 1, 2, ... and numerator tuples in
-    lexicographic order; points already produced with a smaller denominator
-    are skipped.
+    lexicographic order.  A tuple whose gcd with q exceeds 1 names a point
+    already produced at a smaller denominator, so it is skipped.
     """
     out: list[Vector] = []
-    seen: set[Vector] = set()
     for q in itertools.count(1):
         if len(out) >= count:
             break
         for nums in itertools.product(range(-q, q + 1), repeat=model.dim):
-            v = tuple(Fraction(p, q) for p in nums)
-            if v in seen or not model.in_unit_ball(v):
+            if math.gcd(q, *nums) != 1 or not _in_ball(model.kind, (q, *nums)):
                 continue
-            seen.add(v)
-            out.append(v)
+            out.append(tuple(Fraction(p, q) for p in nums))
             if len(out) >= count:
                 break
     return out
@@ -211,13 +267,14 @@ class OrbitEnumeration:
     repetitions: int
 
     def value(self, index: int) -> Vector:
+        return self.points[self._point(index)]
+
+    def _point(self, index: int) -> int:
+        """The point e that `index` = pair(e, r) names."""
         e, _ = unpair(index)
         if e >= len(self.points):
             raise CertificationError(f"index {index} beyond the enumeration")
-        return self.points[e]
-
-    def scaled_image(self, v: Vector) -> Vector:
-        return tuple(c / self.rho for c in self.model.apply(self.matrix, v))
+        return e
 
 
 def dense_orbit_enumeration(
@@ -247,8 +304,10 @@ def dense_orbit_enumeration(
         raise NormBoundViolated(
             f"rho = {format_fraction(rho)} < exact norm {format_fraction(exact)}"
         )
-    points = list(unit_ball_grid(model, base_count))
-    index: dict[Vector, int] = {v: e for e, v in enumerate(points)}
+    points = unit_ball_grid(model, base_count)
+    keys = [_key(v) for v in points]
+    index = {k: e for e, k in enumerate(keys)}
+    step = _scaled_step(matrix, rho)
     enum = OrbitEnumeration(
         model, matrix, rho, points, PartialInjection({}), [], [], repetitions
     )
@@ -260,20 +319,22 @@ def dense_orbit_enumeration(
         e = queue.popleft()
         if depth[e] >= orbit_depth:
             continue
-        y = enum.scaled_image(points[e])
-        if not model.in_unit_ball(y):
+        y = step(keys[e])
+        if not _in_ball(model.kind, y):
             raise NormBoundViolated(
                 f"(1/rho)T leaves the unit ball at point {e}: rho too small"
             )
-        if y not in index:
-            index[y] = len(points)
-            points.append(y)
+        target = index.get(y)
+        if target is None:
+            target = index[y] = len(points)
+            keys.append(y)
+            points.append(tuple(Fraction(n, y[0]) for n in y[1:]))
             depth.append(depth[e] + 1)
-            queue.append(index[y])
-        image[e] = index[y]
-    for e, y in enumerate(points):
+            queue.append(target)
+        image[e] = target
+    for e, y in enumerate(keys):
         if e not in image:  # never expanded: at orbit_depth
-            image[e] = index.get(enum.scaled_image(y))
+            image[e] = index.get(step(y))
     covered = sorted(
         pair(e, r) for e in range(len(points)) for r in range(repetitions)
     )
@@ -306,15 +367,19 @@ def enumeration_certificate(enum: OrbitEnumeration) -> CertNode:
         "sigma is injective on its domain",
         len(set(enum.sigma.entries.values())) == len(enum.sigma.entries),
     )
-    images: dict[int, Vector] = {}  # point e -> its scaled image
+    keys = [_key(v) for v in enum.points]
+    step = _scaled_step(enum.matrix, enum.rho)
+    images: dict[int, tuple[int, ...]] = {}  # point e -> key of its scaled image
 
-    def image(i: int) -> Vector:
-        e = unpair(i)[0]
+    def image(i: int) -> tuple[int, ...]:
+        e = enum._point(i)
         if e not in images:
-            images[e] = enum.scaled_image(enum.value(i))
+            images[e] = step(keys[e])
         return images[e]
 
-    bad = [i for i, j in enum.sigma.entries.items() if image(i) != enum.value(j)]
+    bad = [
+        i for i, j in enum.sigma.entries.items() if image(i) != keys[enum._point(j)]
+    ]
     cert.check(
         "scaled image matches the enumeration on every covered index",
         not bad,
@@ -397,25 +462,39 @@ def commutation_certificate(
     """
     enum, model = fmap.enum, fmap.enum.model
     cert = CertNode("factor map commutation")
-    # Both sides depend on a layout index only through the point pi reads
-    # there, so each is computed once per point, keyed via enum_of.
-    lhs_of: dict[int | None, Vector] = {}
-    rhs_of: dict[int | None, Vector] = {}
+    d, mat = _integer_matrix(enum.matrix)
+    a, b = enum.rho.numerator, enum.rho.denominator
+    zero = (1,) + (0,) * model.dim
+    # key_of[e]: key of points[e]; key_of[None]: pi reads zero off the support
+    key_of: dict[int | None, tuple[int, ...]] = dict(enumerate(map(_key, enum.points)))
+    key_of[None] = zero
 
-    def side(memo, layout_index: int, f) -> Vector:
+    def point(layout_index: int) -> int | None:
         n = fmap.enum_of.get(layout_index)
-        key = None if n is None else unpair(n)[0]
-        if key not in memo:
-            memo[key] = f(fmap.basis_image(layout_index))
-        return memo[key]
+        return None if n is None else enum._point(n)
+
+    # Both sides depend on a layout index only through the point pi reads
+    # there, so each is computed once per point.
+    lhs_of: dict[int | None, tuple[int, ...]] = {}
+    rhs_of: dict[int | None, tuple[int, ...]] = {}
+
+    def side(memo, layout_index: int, f) -> tuple[int, ...]:
+        e = point(layout_index)
+        if e not in memo:
+            memo[e] = f(key_of[e])
+        return memo[e]
+
+    def t_times(k):  # T v = M*nums / (d*den)
+        return _reduce(d * k[0], _times(mat, k))
+
+    def rho_times(k):  # rho v = a*nums / (b*den)
+        return _reduce(b * k[0], [a * x for x in k[1:]])
 
     bad = []
     checked = 0
     for n in enum.sigma.entries:
         i = fmap.layout_of[n]
-        lhs = side(lhs_of, i, lambda v: model.apply(enum.matrix, v))
-        rhs = side(rhs_of, successor(i), lambda v: tuple(enum.rho * c for c in v))
-        if lhs != rhs:
+        if side(lhs_of, i, t_times) != side(rhs_of, successor(i), rho_times):
             bad.append(i)
         checked += 1
     cert.check(
@@ -423,7 +502,6 @@ def commutation_certificate(
         not bad,
         f"first witness layout index {bad[0]}" if bad else f"{checked} indices",
     )
-    zero = tuple(Fraction(0) for _ in range(model.dim))
     support = set(fmap.enum_of)
     sampled = skipped = attempts = 0
     witness = None
@@ -440,9 +518,7 @@ def commutation_certificate(
             if s in support:
                 skipped += 1  # left frontier of a line copy: no claim made
                 continue
-            lhs = model.apply(enum.matrix, fmap.basis_image(i))
-            rhs = tuple(enum.rho * c for c in fmap.basis_image(s))
-            if lhs != zero or rhs != zero:
+            if side(lhs_of, i, t_times) != zero or side(rhs_of, s, rho_times) != zero:
                 witness = i
                 break
             sampled += 1
@@ -453,7 +529,7 @@ def commutation_certificate(
             f"{sampled} sampled, {skipped} frontier-adjacent skipped",
         )
     surj = all(
-        fmap.basis_image(fmap.layout_of[pair(e, 0)]) == enum.points[e]
+        key_of[point(fmap.layout_of[pair(e, 0)])] == key_of[e]
         for e in range(len(enum.points))
     )
     cert.check("every enumeration point is attained by a basis vector", surj,

@@ -37,14 +37,11 @@ def test_pair_frozen_values(a, b, n):
     assert unpair(n) == (a, b)
 
 
-def test_pair_roundtrip_bulk():
-    rng = random.Random(7)
-    for _ in range(2000):
-        a, b = rng.randrange(10**6), rng.randrange(10**6)
-        assert unpair(pair(a, b)) == (a, b)
-    for n in range(5000):
-        a, b = unpair(n)
-        assert pair(a, b) == n
+@settings(max_examples=500, deadline=None)
+@given(a=st.integers(0, 10**12), b=st.integers(0, 10**12), n=st.integers(0, 10**24))
+def test_pair_roundtrip_bulk(a, b, n):
+    assert unpair(pair(a, b)) == (a, b)
+    assert pair(*unpair(n)) == n
 
 
 def test_zigzag_is_a_bijection_on_window():
@@ -206,6 +203,24 @@ def test_path_without_oracle_is_unresolved():
     # path order 5 -> 0 -> 7 with smallest member 0 at position 0
     assert c.members == (5, 0, 7)
     assert c.positions == (-1, 0, 1)
+
+
+@pytest.mark.parametrize("entries", [{0: 1}, {0: 0}, {0: 1, 1: 0}],
+                         ids=["path", "fixed point", "2-cycle"])
+def test_unresolved_oracle_entry_declares_nothing(entries):
+    plain = classify_components(PartialInjection(entries))
+    declared = PartialInjection(entries, {0: OracleEntry(0, ComponentType.UNRESOLVED)})
+    assert classify_components(declared) == plain
+    assert embed_injection(declared).relabel == embed_injection(PartialInjection(entries)).relabel
+
+
+def test_unresolved_entry_beside_a_ray_entry_leaves_the_ray():
+    ray = {4: OracleEntry(4, ComponentType.FORWARD_RAY, 1)}
+    both = {**ray, 9: OracleEntry(9, ComponentType.UNRESOLVED, 7)}
+    comps = classify_components(PartialInjection({4: 9, 9: 11}, both))
+    assert comps == classify_components(PartialInjection({4: 9, 9: 11}, ray))
+    assert comps[0].kind is ComponentType.FORWARD_RAY
+    assert comps[0].positions == (1, 2, 3)
 
 
 def test_declared_ray_uses_offsets():
@@ -395,6 +410,40 @@ def test_dump_load_roundtrip():
     assert back.entries == sigma.entries
     assert back.component_oracle[5].kind is ComponentType.FORWARD_RAY
     assert back.component_oracle[5].offset == 2
+
+
+@st.composite
+def _declared_injections(draw):
+    """Partial injections whose components the oracle may declare: a cycle
+    at any rotation, a path as a ray (back end at a drawn offset in N) or a
+    line (any offset), or as unresolved."""
+    sigma = draw(_partial_injections())
+    oracle = dict(sigma.component_oracle)
+    for comp in classify_components(sigma):
+        members = comp.members
+        if comp.kind is ComponentType.CYCLE:
+            kinds = [ComponentType.CYCLE]
+        else:
+            kinds = [ComponentType.FORWARD_RAY, ComponentType.BI_INFINITE_LINE]
+        kind = draw(st.sampled_from([None, ComponentType.UNRESOLVED, *kinds]))
+        if kind is None:
+            continue
+        base = draw(st.integers(0 if kind is ComponentType.FORWARD_RAY else -20, 20))
+        for k in draw(st.sets(st.integers(0, len(members) - 1), min_size=1)):
+            offset = (base + k) % len(members) if kind is ComponentType.CYCLE else base + k
+            oracle[members[k]] = OracleEntry(members[k], kind, offset)
+    return PartialInjection(sigma.entries, oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_declared_injections())
+def test_embedding_is_conjugate_across_a_dump_load_round_trip(sigma):
+    back = load_injection(dump_injection(sigma))
+    cert, again = embed_injection(sigma), embed_injection(back)
+    assert again.relabel == cert.relabel
+    assert again.checked_edges == cert.checked_edges == len(sigma.entries)
+    for i, j in back.entries.items():
+        assert successor(again.relabel[i]) == again.relabel[j]
 
 
 def test_load_rejects_garbage():

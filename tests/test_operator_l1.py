@@ -1,5 +1,7 @@
 """Shift-operator isometry, orbit enumerations, and factor-map commutation."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorlift import operator_l1
 from factorlift.certificates import CertNode
 from factorlift.errors import CertificationError, NormBoundViolated
 from factorlift.injections import PartialInjection, successor
@@ -534,12 +537,97 @@ def test_commutation_certificate_names_a_repointed_slot(side):
 
 
 def test_operator_applied_once_per_point_in_each_stage(monkeypatch):
+    # Counts the integer kernel's operator applications (M times the
+    # numerators of a key), stage by stage.
     calls = []
-    apply = BanachModel.apply
+    times = operator_l1._times
     monkeypatch.setattr(
-        BanachModel, "apply", lambda self, m, v: calls.append(v) or apply(self, m, v)
+        operator_l1, "_times", lambda mat, key: calls.append(key) or times(mat, key)
     )
     enum = _control_enumeration()
+    per_stage = [len(calls)]
     enumeration_certificate(enum)
+    per_stage.append(len(calls) - sum(per_stage))
     commutation_certificate(synthesize_factor_map(enum))
-    assert len(calls) <= 3 * len(enum.points)
+    per_stage.append(len(calls) - sum(per_stage))
+    assert all(0 < n <= len(enum.points) for n in per_stage), per_stage
+
+
+# === the integer kernel: keys, ball test, step, grid ===
+
+
+def _from_key(key):
+    return tuple(F(n, key[0]) for n in key[1:])
+
+
+vectors = st.integers(1, 4).flatmap(lambda dim: st.tuples(*[rational_entries] * dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=vectors, data=st.data())
+def test_keys_are_canonical_and_round_trip(v, data):
+    key = operator_l1._key(v)
+    assert key[0] > 0 and math.gcd(*key) == 1
+    assert _from_key(key) == v
+    # w shares v's length; half the time it is v with one entry moved
+    w = data.draw(st.one_of(
+        st.tuples(*[rational_entries] * len(v)),
+        st.integers(0, len(v) - 1).flatmap(
+            lambda k: rational_entries.map(lambda c: v[:k] + (c,) + v[k + 1:])
+        ),
+    ))
+    assert (operator_l1._key(w) == key) == (w == v)
+    assert operator_l1._reduce(7 * key[0], [7 * n for n in key[1:]]) == key
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_integer_ball_test_agrees_on_the_l2_near_miss(kind):
+    for v in [(F(3, 5), F(4, 5)), (F(3, 5), F(4, 5) + F(1, 10**9))]:
+        model = BanachModel(2, kind)
+        assert operator_l1._in_ball(kind, operator_l1._key(v)) == model.in_unit_ball(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=vectors, kind=st.sampled_from(list(NormKind)))
+def test_integer_ball_test_agrees_with_the_model(v, kind):
+    model = BanachModel(len(v), kind)
+    assert operator_l1._in_ball(kind, operator_l1._key(v)) == model.in_unit_ball(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_key_step_is_the_scaled_image(data):
+    dim = data.draw(st.integers(1, 4))
+    model = BanachModel(dim)
+    mat = model.matrix([[data.draw(rational_entries) for _ in range(dim)] for _ in range(dim)])
+    rho = data.draw(st.builds(F, st.integers(1, 60), st.integers(1, 40)))
+    v = tuple(data.draw(rational_entries) for _ in range(dim))
+    step = operator_l1._scaled_step(mat, rho)
+    assert step(operator_l1._key(v)) == operator_l1._key(
+        tuple(c / rho for c in model.apply(mat, v))
+    )
+
+
+def _seen_set_grid(model, count):
+    """The grid as first written: every numerator tuple over q, skipping
+    points already produced at a smaller denominator by a seen-set."""
+    out, seen = [], set()
+    for q in itertools.count(1):
+        if len(out) >= count:
+            break
+        for nums in itertools.product(range(-q, q + 1), repeat=model.dim):
+            v = tuple(F(p, q) for p in nums)
+            if v in seen or not model.in_unit_ball(v):
+                continue
+            seen.add(v)
+            out.append(v)
+            if len(out) >= count:
+                break
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), kind=st.sampled_from(list(NormKind)), count=st.integers(0, 200))
+def test_gcd_grid_matches_the_seen_set_grid(dim, kind, count):
+    model = BanachModel(dim, kind)
+    assert unit_ball_grid(model, count) == _seen_set_grid(model, count)
