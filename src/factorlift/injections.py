@@ -214,7 +214,6 @@ def _walk_component(start, entries, inv) -> _RawComponent:
 
 def _type_component(raw: _RawComponent, sigma: PartialInjection) -> Component:
     members = raw.members
-    # An UNRESOLVED entry declares nothing, whatever the component's shape.
     declared = sigma.component_oracle
     oracle = {
         m: declared[m] for m in members
