@@ -13,10 +13,14 @@ Each branch symbol is checked once, when its word first enters: `w_cell`
 checks its last symbol and `v_cell` recurses to the parent first, so the
 memo keys are checked words and an error names the lowest bad level.
 
-Descent is one level at a time: `CoverSystem.locate_child(t, region,
-slack)` is the least child of t whose cell keeps the slack-ball around the
-region, the same step the presentations of Polish spaces in `lifting`
-expose, so both lifts trace a map down their coding through one protocol.
+Descent is one level at a time, through one presentation protocol of
+four members: `space`, the presented space; `slack(k)`, the radius
+allowance at resolution k; `v_cell(t)`, the cell a branch word names; and
+`locate_child(t, region, slack)`, the least child of t whose cell keeps
+the slack-ball around the region, or None.  `CoverSystem` implements it
+here, and `CylinderPresentation` and `DyadicIntervalPresentation` in
+`lifting` implement it over unbounded branching, so both lifts there trace
+a map down their coding through one descent step.
 
 Verification walks cell classes, not branch words.  Everything checked in
 the subtree below a word s depends only on its class key: the cell V_s and
@@ -60,6 +64,7 @@ class CoverSystem:
     tamper: dict = field(default_factory=dict)
     _v_memo: dict = field(default_factory=dict, repr=False)
     _sel_memo: dict = field(default_factory=dict, repr=False)
+    _slacks: list = field(default_factory=list, repr=False)
 
     def child_arity(self, k: int) -> int:
         return self.space.child_arity(k)
@@ -70,6 +75,22 @@ class CoverSystem:
 
     def epsilon(self, k: int) -> Fraction:
         return self.space.level_epsilon(k)
+
+    def slack(self, k: int) -> Fraction:
+        """Radius allowance at output resolution k: a quarter of the root's
+        Lebesgue number at k = 1, then the least of half the previous
+        allowance and a quarter of the level-(k - 1) Lebesgue number, run
+        once per resolution into a table.  So a ball of twice the allowance
+        descends one level by the certified Lebesgue numbers, and regions
+        located now still fit where the previous resolution parked them."""
+        if k < 1:
+            raise CertificationError("resolution starts at 1")
+        slacks = self._slacks
+        if not slacks:
+            slacks.append(self.epsilon(0) / 4)
+        while len(slacks) < k:
+            slacks.append(min(slacks[-1] / 2, self.epsilon(len(slacks)) / 4))
+        return slacks[k - 1]
 
     def selection(self, s: Word) -> list[Cell]:
         """The padded W-cells for the children of word s."""

@@ -4,10 +4,10 @@ A cover system's branch words name points, so a uniformly continuous map
 into the space can be traced at the symbolic level: at each output
 resolution, read enough input to pin the image region below the slack
 allowance, then descend one more level of the cover tree around that
-region.  The slack schedule halves at least once per resolution, which is
-what guarantees the next region (a subset of the current one, suitably
-fattened) still fits inside the cell the previous resolution chose; the
-located branch therefore extends forever and names the image point.
+region.  The presentation owns the slack schedule, halving at least once
+per resolution, which guarantees the next region (a subset of the current
+one, suitably fattened) still fits inside the cell the previous resolution
+chose; so the located branch extends forever and names the image point.
 
 The same search works for maps out of a Polish branch space, where no
 uniform modulus exists: the branch itself reveals how much of it must be
@@ -70,7 +70,6 @@ class StrongLift:
     name: str = "strong-lift"
     _memo: dict = field(default_factory=dict, repr=False)
     _moduli: list = field(default_factory=list, repr=False)
-    _slacks: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.family.space != self.cs.space:
@@ -79,28 +78,12 @@ class StrongLift:
                 f"{self.cs.name} space"
             )
 
-    def slack(self, k: int) -> Fraction:
-        """Radius allowance at output resolution k: a quarter of the root's
-        Lebesgue number at k = 1, then the least of half the previous
-        allowance and a quarter of the level-(k - 1) Lebesgue number, run
-        once per resolution into a table.  So a ball of twice the allowance
-        descends one level by the certified Lebesgue numbers, and regions
-        located now still fit where the previous resolution parked them."""
-        if k < 1:
-            raise CertificationError("resolution starts at 1")
-        slacks = self._slacks
-        if not slacks:
-            slacks.append(self.cs.epsilon(0) / 4)
-        while len(slacks) < k:
-            slacks.append(min(slacks[-1] / 2, self.cs.epsilon(len(slacks)) / 4))
-        return slacks[k - 1]
-
     def moduli(self, k: int) -> tuple:
         """Prefix lengths (parameter, branch) consumed at resolution k;
         running maxima keep them monotone in k."""
         while len(self._moduli) < k:
             kk = len(self._moduli) + 1
-            l, m = self.family.moduli(self.slack(kk) / 2)
+            l, m = self.family.moduli(self.cs.slack(kk) / 2)
             if self._moduli:
                 l, m = max(l, self._moduli[-1][0]), max(m, self._moduli[-1][1])
             self._moduli.append((l, m))
@@ -135,20 +118,8 @@ class StrongLift:
             key = (kk, q[:l], s[:m])
             hit = self._memo.get(key)
             if hit is None:
-                r = self.slack(kk)
                 region = self.family.region(q[:l], s[:m])
-                if self.cs.space.diam(region) > r / 2:
-                    raise NoCell(
-                        f"{self.name}: region at ({q[:l]}, {s[:m]}) is wider "
-                        f"than {r}/2; moduli too coarse for resolution {kk}"
-                    )
-                child = self.cs.locate_child(t, region, r)
-                if child is None:
-                    raise NoCell(
-                        f"{self.name}: no level-{kk} cell below {t} holds the "
-                        f"image of ({q[:l]}, {s[:m]})"
-                    )
-                hit = t + (child,)
+                hit = _descend(self.cs, self.name, t, kk, region, (q[:l], s[:m]))
                 self._memo[key] = hit
             t = hit
         return t
@@ -179,7 +150,7 @@ class StrongLift:
                 l, m = self.moduli(k)
                 region = self.family.region(q[:l], s[:m])
                 if not space.eroded_contains(
-                    self.cs.v_cell(t[:k]), region, self.slack(k)
+                    self.cs.v_cell(t[:k]), region, self.cs.slack(k)
                 ):
                     enclosure_bad.append((q, s, k))
                 if previous is not None and not space.closed_subset(region, previous):
@@ -201,6 +172,22 @@ class StrongLift:
             f"below 2^-{resolution}, so they agree to that width"
         )
         return cert
+
+
+def _descend(presentation, name: str, t: Word, kk: int, region, label) -> Word:
+    """One resolution down a presentation: the region, read at `label`,
+    must be at most half the level-kk slack wide, and the located child of
+    t keeps the slack-ball around it."""
+    r = presentation.slack(kk)
+    if presentation.space.diam(region) > r / 2:
+        raise NoCell(
+            f"{name}: region at {label} is wider than {r}/2; moduli too "
+            f"coarse for resolution {kk}"
+        )
+    child = presentation.locate_child(t, region, r)
+    if child is None:
+        raise NoCell(f"{name}: no level-{kk} cell below {t} holds the image of {label}")
+    return t + (child,)
 
 
 def strong_extension_map(cs: CoverSystem, family: ParameterizedFamily) -> StrongLift:
@@ -281,7 +268,7 @@ class CylinderPresentation:
     name = "stream-cylinders"
 
     def __init__(self):
-        self.target = BaireStreamSpace()
+        self.space = BaireStreamSpace()
 
     def slack(self, k: int) -> Fraction:
         return F(1, 2 ** (k + 2))
@@ -314,7 +301,7 @@ class DyadicIntervalPresentation:
     name = "interval-over-streams"
 
     def __init__(self):
-        self.target = IntervalSpace()
+        self.space = IntervalSpace()
         self._memo: dict = {}
 
     def slack(self, k: int) -> Fraction:
@@ -341,7 +328,7 @@ class DyadicIntervalPresentation:
         t = tuple(t)
         if t not in self._memo:
             if not t:
-                self._memo[t] = (0, self.target.whole())
+                self._memo[t] = (0, self.space.whole())
             else:
                 level, parent = self.resolve(t[:-1])
                 if t[-1] < 0:
@@ -363,9 +350,9 @@ class DyadicIntervalPresentation:
 
     def locate_child(self, t: Word, region, slack: Fraction) -> Optional[int]:
         level, parent = self.resolve(t)
-        if not self.target.eroded_contains(parent, region, slack):
+        if not self.space.eroded_contains(parent, region, slack):
             return None
-        p, q = self.target.hull(region)
+        p, q = self.space.hull(region)
         need = q - p + slack
         child_level = level + 1
         while 7 * need.denominator >= need.numerator << (child_level + 3):
@@ -375,7 +362,7 @@ class DyadicIntervalPresentation:
                 lo, hi = _mesh_span(p - slack, q + slack, child_level)
                 for j in range(max(lo, bounds[0]), min(hi, bounds[1]) + 1):
                     cell = _mesh_cell(child_level, j)
-                    if self.target.eroded_contains(cell, region, slack):
+                    if self.space.eroded_contains(cell, region, slack):
                         return pair(child_level - level - 1, j)
             child_level += 1
         return None
@@ -385,7 +372,7 @@ def presentation_certificate(presentation, depth: int, samples: int, rng) -> Cer
     """Spot-check the presentation laws on randomly drawn branch words:
     diameters decay geometrically and closures nest strictly."""
     cert = CertNode(f"{presentation.name}: presentation laws to depth {depth}")
-    target = presentation.target
+    space = presentation.space
     diam_bad = []
     nest_bad = []
     for _ in range(samples):
@@ -393,9 +380,9 @@ def presentation_certificate(presentation, depth: int, samples: int, rng) -> Cer
         for _ in range(depth):
             word = word + (rng.randrange(SYMBOL_BOUND + 1),)
             cell = presentation.v_cell(word)
-            if not target.diam(cell) < F(1, 2 ** len(word)):
+            if not space.diam(cell) < F(1, 2 ** len(word)):
                 diam_bad.append(word)
-            if not target.eroded_contains(presentation.v_cell(word[:-1]), cell, 0):
+            if not space.eroded_contains(presentation.v_cell(word[:-1]), cell, 0):
                 nest_bad.append(word)
     cert.check(
         f"cell diameters stay below 2^-depth on {samples} sampled words",
@@ -416,11 +403,11 @@ def presentation_certificate(presentation, depth: int, samples: int, rng) -> Cer
 
 @dataclass
 class BaireLift:
-    """A Polish point map factored through a presentation: reading a
-    branch until its image region is narrow enough, then descending the
-    presentation one cell per resolution.  The minimal prefixes read at a
-    fixed resolution form an antichain, discovered branch by branch or
-    supplied up front."""
+    """A Polish point map factored through a presentation (a cover system
+    too): reading a branch until its image region is narrow enough, then
+    descending the presentation one cell per resolution.  The minimal
+    prefixes read at a fixed resolution form an antichain, discovered
+    branch by branch or supplied up front."""
 
     presentation: object
     point_map: PolishPointMap
@@ -428,18 +415,20 @@ class BaireLift:
     name: str = "adaptive-lift"
     _antichains: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        if self.point_map.target.kind != self.presentation.space.kind:
+            raise SpaceMismatch(
+                f"{self.point_map.name} maps into a {self.point_map.target.kind} "
+                f"space but the presentation covers a "
+                f"{self.presentation.space.kind} space"
+            )
+
     def _minimal_prefix(self, w: Word, k: int) -> Word:
-        bound = self.presentation.slack(k) / 2
         if self.supplied is not None and k in self.supplied:
             members = sorted(self.supplied[k], key=len)
             for member in members:
                 member = tuple(member)
                 if w[: len(member)] == member:
-                    if self.point_map.target.diam(self.point_map.region(member)) > bound:
-                        raise NoCell(
-                            f"{self.name}: supplied prefix {member} leaves the "
-                            f"image wider than {bound} at resolution {k}"
-                        )
                     return member
             if any(tuple(m)[: len(w)] == w for m in members):
                 raise InsufficientInput(
@@ -450,6 +439,7 @@ class BaireLift:
                 f"supplied family at resolution {k} leaves the branch "
                 f"starting {w[: min(len(w), 6)]} uncovered"
             )
+        bound = self.presentation.slack(k) / 2
         for j in range(len(w) + 1):
             if self.point_map.target.diam(self.point_map.region(w[:j])) <= bound:
                 return w[:j]
@@ -464,15 +454,8 @@ class BaireLift:
         t: Word = ()
         for kk in range(1, k + 1):
             s = self._minimal_prefix(w, kk)
-            region = self.point_map.region(s)
-            child = self.presentation.locate_child(t, region, self.presentation.slack(kk))
-            if child is None:
-                raise NoCell(
-                    f"{self.name}: no cell below {t} holds the image of "
-                    f"{s} at resolution {kk}"
-                )
+            t = _descend(self.presentation, self.name, t, kk, self.point_map.region(s), s)
             self._antichains.setdefault(kk, set()).add(s)
-            t = t + (child,)
         return t
 
     def max_resolution(self, w: Sequence[int], limit: int = 64) -> int:
@@ -556,11 +539,6 @@ def baire_extension_map(
     point_map: PolishPointMap,
     supplied_antichains: Optional[dict] = None,
 ) -> BaireLift:
-    if point_map.target.kind != presentation.target.kind:
-        raise SpaceMismatch(
-            f"{point_map.name} maps into a {point_map.target.kind} space but "
-            f"the presentation covers a {presentation.target.kind} space"
-        )
     return BaireLift(
         presentation,
         point_map,

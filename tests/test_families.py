@@ -574,7 +574,7 @@ def _ref_extension_certificate(ext, resolution, samples, rng):
                     mk = member.lift.moduli(kk)[1]
                     region = member.point_map.image_region(cs.v_cell(zij[:mk]))
                     ok = cs.space.eroded_contains(
-                        cs.v_cell(oij[:kk]), region, member.lift.slack(kk)
+                        cs.v_cell(oij[:kk]), region, cs.slack(kk)
                     )
                 ana.check(
                     f"piece {i} member {j} [{member.point_map.name}]: "

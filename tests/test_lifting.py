@@ -27,6 +27,7 @@ from factorlift.errors import (
 from factorlift.geometry import CantorSpace, IntervalSpace, least_dyadic_level
 from factorlift.lifting import (
     SYMBOL_BOUND,
+    BaireLift,
     CylinderPresentation,
     DyadicIntervalPresentation,
     baire_extension_map,
@@ -71,7 +72,7 @@ def rand_branch(cs, length, rng):
 
 def _slack_schedule(cs, k):
     """Reference: the slack recurrence run from the root on every call, as
-    the free function the lifts' per-resolution table replaced did."""
+    the free function the cover systems' per-resolution table replaced did."""
     if k < 1:
         raise CertificationError("resolution starts at 1")
     r = cs.epsilon(0) / 4
@@ -80,18 +81,14 @@ def _slack_schedule(cs, k):
     return r
 
 
-def _slack_of(cs):
-    return lift_self_map(cs, identity_map(cs.space)).lift.slack
-
-
 def test_slack_schedule_frozen_values():
-    slack = _slack_of(interval_system())
+    slack = interval_system().slack
     assert [slack(k) for k in (1, 2, 3)] == [
         F(3, 128),
         F(3, 256),
         F(3, 512),
     ]
-    slack = _slack_of(cantor_system())
+    slack = cantor_system().slack
     assert [slack(k) for k in (1, 2, 3)] == [
         F(1, 16),
         F(1, 32),
@@ -100,32 +97,28 @@ def test_slack_schedule_frozen_values():
 
 
 def test_slack_schedule_halves_and_respects_lebesgue():
-    for cs in (interval_system(), circle_system(), finite_system()):
-        slack = _slack_of(cs)
-        previous = None
-        for k in range(1, 8):
-            r = slack(k)
-            assert 4 * r <= cs.epsilon(k - 1)
-            if previous is not None:
-                assert r <= previous / 2
-            previous = r
+    # the nesting argument of both lifts rests on the halving law
+    systems = list(shipped_systems().values())
+    for ps in (*systems, CylinderPresentation(), DyadicIntervalPresentation()):
+        for k in range(1, 9):
+            assert ps.slack(k + 1) <= ps.slack(k) / 2, (ps.name, k)
+    for cs in systems:
+        for k in range(1, 9):
+            assert 4 * cs.slack(k) <= cs.epsilon(k - 1), (cs.name, k)
     with pytest.raises(CertificationError):
-        _slack_of(interval_system())(0)
+        interval_system().slack(0)
 
 
 @pytest.mark.parametrize("name", sorted(shipped_systems()))
 def test_lift_slack_table_matches_the_schedule(name):
-    cs = shipped_systems()[name]
-    deep_first = lift_self_map(cs, identity_map(cs.space)).lift
-    in_order = lift_self_map(cs, identity_map(cs.space)).lift
-    assert deep_first.slack(130) == _slack_schedule(cs, 130)
+    deep_first, in_order, fresh = (shipped_systems()[name] for _ in range(3))
+    assert deep_first.slack(130) == _slack_schedule(fresh, 130)
     for k in range(1, 131):
-        assert deep_first.slack(k) == in_order.slack(k) == _slack_schedule(cs, k)
-    fresh = lift_self_map(cs, identity_map(cs.space)).lift
-    for lift in (fresh, deep_first):
+        assert deep_first.slack(k) == in_order.slack(k) == _slack_schedule(fresh, k)
+    for cs in (fresh, deep_first):
         for k in (0, -1):
             with pytest.raises(CertificationError, match="resolution starts at 1"):
-                lift.slack(k)
+                cs.slack(k)
 
 
 # --- exact lifts on binary streams ---
@@ -397,7 +390,7 @@ def _ref_locate_child(ps, t, region, slack):
     """Reference: the presentation's descent step with its candidate window
     read off Fraction floor and ceiling division."""
     level, parent = ps.resolve(t)
-    p, q = ps.target.hull(region)
+    p, q = ps.space.hull(region)
     for child_level in range(level + 1, level + 1 + 80):
         bounds = _ref_child_range(parent, child_level)
         if bounds is None:
@@ -407,7 +400,7 @@ def _ref_locate_child(ps, t, region, slack):
         hi = min(bounds[1], math.ceil((q + slack) / h) + 2)
         for j in range(lo, hi + 1):
             cell = (j * h - F(7, 8) * h, j * h + F(7, 8) * h)
-            if ps.target.eroded_contains(cell, region, slack):
+            if ps.space.eroded_contains(cell, region, slack):
                 return pair(child_level - level - 1, j)
     return None
 
@@ -436,11 +429,11 @@ def test_presentation_locate_child_matches_fraction_window(t, at, share, extra):
     # parent cell with the previous resolution's slack to spare
     ps = DyadicIntervalPresentation()
     parent = ps.v_cell(t)
-    a, b = ps.target.hull(parent)
+    a, b = ps.space.hull(parent)
     slack = ps.slack(len(t) + extra)
     x = a + at * (b - a)
     region = (x, x + share * slack)
-    assume(ps.target.eroded_contains(parent, region, ps.slack(len(t))))
+    assume(ps.space.eroded_contains(parent, region, ps.slack(len(t))))
     assert ps.locate_child(t, region, slack) == _ref_locate_child(ps, t, region, slack)
 
 
@@ -494,7 +487,8 @@ def test_baire_lift_refuses_a_region_that_leaves_its_cell():
 
     bl = baire_extension_map(ps, PolishPointMap(IntervalSpace(), region, "leaves-cell"))
     edge["v"] = ps.v_cell(bl.output((0,), 1))[1]
-    with _within_one_second(), pytest.raises(NoCell, match="resolution 2"):
+    message = r"^lift\[leaves-cell\]: no level-2 cell below \(\d+,\) holds the image of \(0, 0\)$"
+    with _within_one_second(), pytest.raises(NoCell, match=message):
         bl.output((0, 0), 2)
 
 
@@ -502,9 +496,9 @@ def test_dyadic_presentation_reindexes_out_of_range_symbols():
     ps = DyadicIntervalPresentation()
     cell = ps.v_cell((10 ** 6,))
     assert ps.v_cell((10 ** 6,)) == cell
-    assert ps.target.eroded_contains(ps.target.whole(), cell, 0)
+    assert ps.space.eroded_contains(ps.space.whole(), cell, 0)
     level, _ = ps.resolve((10 ** 6,))
-    assert ps.target.diam(cell) < F(1, 2)
+    assert ps.space.diam(cell) < F(1, 2)
 
 
 def test_baire_identity_lift_is_identity():
@@ -527,15 +521,23 @@ def test_constant_lift_ignores_the_branch():
     assert bl.max_resolution((0,), limit=10) == 10
 
 
-def test_parity_expansion_lift_certificate():
-    bl = baire_extension_map(DyadicIntervalPresentation(), parity_expansion_map())
+# the dyadic presentation and the interval cover system present one space
+INTERVAL_PRESENTATIONS = pytest.mark.parametrize(
+    "present", [DyadicIntervalPresentation, interval_system], ids=["dyadic", "cover"]
+)
+
+
+@INTERVAL_PRESENTATIONS
+def test_parity_expansion_lift_certificate(present):
+    bl = baire_extension_map(present(), parity_expansion_map())
     rng = random.Random(20260822)
     cert = bl.certificate(8, 25, rng)
     assert cert.ok, cert.render()
 
 
-def test_parity_expansion_lift_tracks_a_known_point():
-    bl = baire_extension_map(DyadicIntervalPresentation(), parity_expansion_map())
+@INTERVAL_PRESENTATIONS
+def test_parity_expansion_lift_tracks_a_known_point(present):
+    bl = baire_extension_map(present(), parity_expansion_map())
     w = (1,) + (0,) * 30
     t = bl.output(w, 5)
     for k in range(1, 6):
@@ -590,7 +592,7 @@ def test_supplied_antichain_paths():
     with pytest.raises(InsufficientInput):
         bl.output((0, 1), 1)
     short = baire_extension_map(ps, baire_identity_map(), supplied_antichains={1: [()]})
-    with pytest.raises(NoCell):
+    with pytest.raises(NoCell, match=r"region at \(\) is wider than"):
         short.output((0, 1, 0, 1, 0), 1)
 
 
@@ -602,9 +604,17 @@ def test_supplied_families_merge_with_adaptive_resolutions():
     assert bl.output((0, 1, 0, 1, 0), 2) == (0, 1)
 
 
-def test_baire_lift_checks_target_space():
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BaireLift(CylinderPresentation(), parity_expansion_map()),
+        lambda: baire_extension_map(cantor_system(), parity_expansion_map()),
+    ],
+    ids=["direct", "cantor-cover"],
+)
+def test_baire_lift_checks_target_space(make):
     with pytest.raises(SpaceMismatch):
-        baire_extension_map(CylinderPresentation(), parity_expansion_map())
+        make()
 
 
 # --- negative controls: every lift check flips to FAIL and names its witness ---
@@ -688,7 +698,7 @@ class _WidePresentation:
     nested, but each twice as wide as the diameter law allows."""
 
     name = "wide"
-    target = IntervalSpace()
+    space = IntervalSpace()
 
     def v_cell(self, word):
         w = F(1, 2 ** len(word))
@@ -700,11 +710,11 @@ class _HoppingPresentation:
     no cell below the first sits inside its parent."""
 
     name = "hopping"
-    target = IntervalSpace()
+    space = IntervalSpace()
 
     def v_cell(self, word):
         if not word:
-            return self.target.whole()
+            return self.space.whole()
         c = F(1, 4) if len(word) % 2 else F(3, 4)
         w = F(1, 2 ** (len(word) + 3))
         return (c - w, c + w)
