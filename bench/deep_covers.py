@@ -9,13 +9,16 @@ cantor:16).  The program is imported from DIR (default: `src/` of this
 repository), so the same script times another checkout by pointing `--src`
 at its `src/`.
 Each row builds a fresh system per run and prints one JSON line: system,
-depth, the median wall-clock seconds over the runs, and the verdict
-(PASS, FAIL, or the type and message of the error raised).
+depth, the median wall-clock seconds over the runs, the verdict (PASS,
+FAIL, or the type and message of the error raised) and `render_sha256`,
+the SHA-256 of the rendered certificate (null when an error was raised),
+so two checkouts can be shown to certify byte-identically.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
@@ -29,7 +32,7 @@ DEFAULT_ROWS = (
 
 
 def time_row(covers, errors, name: str, depth: int, repeats: int) -> dict:
-    times, verdict = [], None
+    times, verdict, sha = [], None, None
     for _ in range(repeats):
         cs = covers.shipped_systems()[name]
         start = time.perf_counter()
@@ -37,10 +40,12 @@ def time_row(covers, errors, name: str, depth: int, repeats: int) -> dict:
             cert = covers.verify_cover_system(cs, depth)
             verdict = "PASS" if cert.ok else "FAIL"
         except errors.CertificationError as exc:
-            verdict = f"{type(exc).__name__}: {exc}"
+            cert, verdict = None, f"{type(exc).__name__}: {exc}"
         times.append(time.perf_counter() - start)
+        sha = None if cert is None else hashlib.sha256(cert.render().encode()).hexdigest()
     return {"system": name, "depth": depth,
-            "seconds": round(statistics.median(times), 3), "verdict": verdict}
+            "seconds": round(statistics.median(times), 3), "verdict": verdict,
+            "render_sha256": sha}
 
 
 def main(argv=None) -> int:

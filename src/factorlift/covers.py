@@ -31,6 +31,19 @@ multiplicity, so failure counts and witnesses still speak of branch words:
 a count is a sum of multiplicities, and a witness is the least failing
 word, which is the first one met when classes are walked in order of
 their least words.
+
+The checks themselves run once per translation class.  A shift by a
+multiple of the level-(k + 1) spacing 2^-(k+2) maps every mesh of level
+k + 1 and finer onto itself, and the glue, diameter and cover predicates
+commute with it, so level-k classes whose cells are such translates get
+the same verdicts; `Space.canonical` keys a cell up to the shift (a
+Cantor cylinder up to a swap of its prefix, which keys it by its length).
+A class gets no key, and its checks run on their own, in three cases: its
+interval cell is clamped or meets an end cell of the next mesh, where
+`diam` and the erosion clamp; its circle arc wraps past 1, where the
+child indices are reduced mod 2^(k+2) and the child order rotates; or it
+has tamper entries below it.  Witness words, cells and multiplicities
+still come from each class.
 """
 
 from __future__ import annotations
@@ -209,7 +222,7 @@ def _class_levels(cs: CoverSystem, depth: int) -> Iterator[tuple[list, list]]:
             kids = [space.intersect(parent, w) for w in sel]
             expanded.append((c, sel, kids))
             for j, v in enumerate(kids):
-                sub = _rebase(below, (j,))
+                sub = _rebase(below, (j,)) if below else {}
                 key = (v, frozenset(sub.items()))
                 if key in children:
                     children[key][1] += mult
@@ -225,9 +238,10 @@ def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
     The walk visits one representative per cell class (see the module
     docstring): the key is the V cell with the tamper entries below the
     word, the representative is the class's least word, and the class
-    counts its words.  Reports read as a word-by-word walk would: the
-    header counts the words that carry a cell, failure counts sum
-    multiplicities, and each witness is the lexicographically first
+    counts its words.  The classes of a level that share a translation key
+    share one run of the checks.  Reports read as a word-by-word walk
+    would: the header counts the words that carry a cell, failure counts
+    sum multiplicities, and each witness is the lexicographically first
     failing branch word."""
     cert = CertNode(f"cover system '{cs.name}' to depth {depth}")
     space = cs.space
@@ -238,19 +252,23 @@ def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
         bound = F(1, 2 ** (k + 1))
         eps = cs.epsilon(k)
         glue_bad, diam_bad, cover_bad, lebesgue_bad = (_Failures() for _ in range(4))
-        for (s, mult, parent, _), sel, kids in expanded:
-            for j, (w, v) in enumerate(zip(sel, kids)):
-                sj = s + (j,)
-                if v is None:
-                    glue_bad.add(sj, mult, v)
-                    continue
-                if not (space.diam(v) < bound and space.diam(w) < bound):
-                    diam_bad.add(sj, mult, v)
-                if not space.closed_subset(v, parent):
-                    glue_bad.add(sj, mult, v)
-            if not space.open_cover_of_closure(parent, sel):
+        verdicts = {}  # translation key -> verdict
+        for (s, mult, parent, below), sel, kids in expanded:
+            key = None if below else space.canonical(parent, k)
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = _class_verdict(space, parent, sel, kids, bound, eps)
+                if key is not None:
+                    verdicts[key] = verdict
+            per_child, covered, lebesgue = verdict
+            for j, (glued, small) in enumerate(per_child):
+                if not glued:
+                    glue_bad.add(s + (j,), mult, kids[j])
+                if not small:
+                    diam_bad.add(s + (j,), mult, kids[j])
+            if not covered:
                 cover_bad.add(s, mult, parent)
-            if not space.eroded_cover_of_closure(parent, sel, eps):
+            if not lebesgue:
                 lebesgue_bad.add(s, mult, parent)
 
         node = cert.section(f"level {k} -> {k + 1} ({words} cells)")
@@ -270,6 +288,27 @@ def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
         )
     cert.note("root cell is the whole space; decay enforced from level 1")
     return cert
+
+
+def _class_verdict(
+    space: Space, parent: Cell, sel: list, kids: list, bound: Fraction, eps: Fraction
+):
+    """The checks on one expanded class: per child, whether it glues (a
+    cell nested in the parent) and whether both its cells are below the
+    diameter bound; then whether the W cells cover the parent's closure,
+    and whether eps is a Lebesgue number for them there."""
+    per_child = tuple(
+        (False, True) if v is None else (
+            space.closed_subset(v, parent),
+            space.diam(v) < bound and space.diam(w) < bound,
+        )
+        for w, v in zip(sel, kids)
+    )
+    return (
+        per_child,
+        space.open_cover_of_closure(parent, sel),
+        space.eroded_cover_of_closure(parent, sel, eps),
+    )
 
 
 @dataclass

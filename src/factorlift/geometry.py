@@ -134,11 +134,19 @@ class Space:
     # point_cell, distance, witness_point, sample_point, shrink_cell,
     # describe.  select_children(base, k) is the level-k mesh cells meeting
     # the closure of base, padded to child_arity(k) through _pad.
+    # canonical(cell, k) keys a level-k cell up to an isometry that maps
+    # every mesh of level k + 1 and finer onto itself and keeps the order
+    # of the selected children: cells with equal keys get the same verdict
+    # from every predicate on them and their children.  None means no such
+    # symmetry applies, as in a finite space.
     # eroded_contains(outer, region, r) holds when every point of the closed
     # region keeps its open r-ball inside the open outer cell; at r = 0 it
     # reads "the closure of region lies inside the open cell outer".
     # contains(cell, x) is the closed reading, x in the closure of cell; the
     # open reading is eroded_contains(cell, point_cell(x), 0).
+
+    def canonical(self, cell: Cell, k: int):
+        return None
 
     def _pad(self, pool, arity: int, cell=None) -> list[Cell]:
         """The pool padded to the arity by repeating its last member.  A
@@ -158,6 +166,18 @@ class _DyadicSpace(Space):
 
     def level_epsilon(self, k: int) -> Fraction:
         return F(3, 2 ** (k + 5))
+
+    @staticmethod
+    def _shift_key(start: Fraction, length: Fraction, k: int, first: int):
+        """(start mod h, length) for the level-(k + 1) spacing h = 2^-(k+2),
+        or None unless the level-(k + 1) mesh indices meeting
+        [start, start + length] lie in first .. 2^(k+2) - 1.  A shift by a
+        multiple of h moves those indices by the same multiple."""
+        n = 1 << (k + 2)
+        lo, hi = _mesh_span(start, start + length, k + 1)
+        if lo < first or hi >= n:
+            return None
+        return start % F(1, n), length
 
 
 # === unit interval ===
@@ -181,6 +201,14 @@ class IntervalSpace(_DyadicSpace):
         lo, hi = _mesh_span(*self.hull(base), k)
         span = range(max(lo, 0), min(hi, 2 ** (k + 1)) + 1)
         return self._pad(span, self.child_arity(k), lambda j: _mesh_cell(k, j))
+
+    def canonical(self, cell: Cell, k: int):
+        """None for a clamped cell and for one meeting the level-(k + 1)
+        end cells 0 and 2^(k+2), which `diam` and `_erode` clamp."""
+        u, v = cell
+        if u < 0 or v > 1:
+            return None
+        return self._shift_key(u, v - u, k, 1)
 
     def hull(self, cell: Cell):
         u, v = cell
@@ -282,6 +310,15 @@ class CircleSpace(_DyadicSpace):
         else:
             pool = sorted(j % n for j in range(lo, hi + 1))
         return self._pad(pool, self.child_arity(k), lambda j: _mesh_arc(k, j))
+
+    def canonical(self, cell: Cell, k: int):
+        """None for the whole circle and for an arc running into line
+        index 2^(k+2) at level k + 1, where `select_children` reduces the
+        indices mod 2^(k+2) and so rotates the child order."""
+        s, l = cell
+        if l >= 1:
+            return None
+        return self._shift_key(s, l, k, 0)
 
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
         sa, la = a
@@ -464,6 +501,10 @@ class CantorSpace(BaireStreamSpace, Space):
             raise CertificationError(f"{self.kind}: pool of {2 ** gap} exceeds arity 2")
         return [base + (0,), base + (1,)]
 
+    def canonical(self, cell: Cell, k: int):
+        # swapping one cylinder's prefix for another's is an isometry
+        return len(cell)
+
     def _brute_cover(self, base: Cell, cells) -> bool:
         """Cylinder base inside the union of the cylinder cells: walk the
         trie of the compatible words below base; a node that is a word is
@@ -621,6 +662,11 @@ class ProductSpace(Space):
 
     def mesh(self, k: int) -> list[Cell]:
         return [(a, b) for a in self.left.mesh(k) for b in self.right.mesh(k)]
+
+    def canonical(self, cell: Cell, k: int):
+        a = self.left.canonical(cell[0], k)
+        b = self.right.canonical(cell[1], k)
+        return None if a is None or b is None else (a, b)
 
     def select_children(self, base: Cell, k: int) -> list[Cell]:
         sel_a = self.left.select_children(base[0], k)

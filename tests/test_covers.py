@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from factorlift.certificates import CertNode, summary_line
 from factorlift.covers import (
     CoverSystem,
+    _class_verdict,
     cantor_system,
     circle_system,
     corrupt_system,
@@ -565,6 +566,29 @@ def test_corrupted_cantor_deep_names_parent(word):
     assert failure.detail.startswith(f"1 failures, first at branch {word[:-1]}:")
 
 
+# Length-7 words whose corruption FAILS the child-coverage check at depth 7
+# with the parent word as witness, found by trial on the per-class walk that
+# checked every class on its own.  Each parent's untampered cell has a
+# translation key, so the level-6 classes that share it pass; only the
+# tampered class may not take their verdict.
+@pytest.mark.parametrize(
+    "make, word",
+    [
+        (interval_system, (2, 2, 5, 5, 1, 5, 1)),
+        (interval_system, (3, 3, 0, 5, 3, 0, 1)),
+        (circle_system, (1, 3, 5, 3, 5, 2, 1)),
+        (circle_system, (3, 2, 0, 2, 4, 3, 1)),
+    ],
+)
+def test_corrupted_dyadic_deep_names_parent(make, word):
+    base = make()
+    assert base.space.canonical(base.v_cell(word[:-1]), 6) is not None
+    cert = verify_cover_system(corrupt_system(base, word), 7)
+    failure = cert.first_failure()
+    assert failure.title == "children cover parent closure"
+    assert failure.detail.startswith(f"1 failures, first at branch {word[:-1]}:")
+
+
 def test_verify_deterministic():
     a = verify_cover_system(interval_system(), 3).render()
     b = verify_cover_system(interval_system(), 3).render()
@@ -861,3 +885,78 @@ def tampered_systems(draw, name):
 def test_tampered_renders_match_word_walk(name, data):
     cs, depth = data.draw(tampered_systems(name))
     _same_verdict(cs, depth)
+
+
+# --- translation classes ---
+
+
+def _verdict(space, cell, k, shrunk=None):
+    """The checks on a level-k cell and its children, with the W cell of
+    child `shrunk` shrunk as `corrupt_system` does."""
+    sel = space.select_children(cell, k + 1)
+    if shrunk is not None:
+        sel[shrunk] = space.shrink_cell(sel[shrunk])
+    kids = [space.intersect(cell, w) for w in sel]
+    return _class_verdict(
+        space, cell, sel, kids, F(1, 2 ** (k + 1)), space.level_epsilon(k)
+    )
+
+
+@st.composite
+def _translates(draw):
+    """A level k and two starts in [0, 1) that differ by a multiple of the
+    level-(k + 1) spacing 2^-(k+2), with a length up to three spacings."""
+    k = draw(st.integers(1, 6))
+    n = 2 ** (k + 2)
+    unit = F(1, 48 * n)
+    offset = draw(st.integers(0, 47)) * unit
+    length = draw(st.integers(1, 144)) * unit
+    starts = [F(draw(st.integers(0, n - 1)), n) + offset for _ in range(2)]
+    return k, starts, length
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["interval", "circle"]), _translates(), st.integers(0, 5))
+def test_translates_share_keys_and_verdicts(kind, case, shrunk):
+    # the predicates commute with the shift, so failing verdicts match too
+    k, starts, length = case
+    edge = F(7, 2 ** (k + 5))  # reach of the level-(k + 1) end cells
+    if kind == "interval":
+        space = IntervalSpace()
+        cells = [(s, s + length) for s in starts]
+        # meets mesh cell 0 or 2^(k+2), or is clamped
+        crosses = [u < edge or v > 1 - edge for u, v in cells]
+    else:
+        space = CircleSpace()
+        cells = [(s, length) for s in starts]
+        # runs into the arc across 0 from below: the indices wrap
+        crosses = [s + l > 1 - edge for s, l in cells]
+    keys = [space.canonical(c, k) for c in cells]
+    assert [key is None for key in keys] == crosses
+    if None not in keys:
+        assert keys[0] == keys[1]
+        for j in (None, shrunk):
+            assert _verdict(space, cells[0], k, j) == _verdict(space, cells[1], k, j)
+
+
+@given(st.integers(0, 8), st.integers(0, 2), st.data())
+def test_cantor_cylinders_of_one_length_share_keys_and_verdicts(k, extra, data):
+    space = CantorSpace()
+    bits = st.lists(st.integers(0, 1), min_size=k + extra, max_size=k + extra)
+    a, b = tuple(data.draw(bits)), tuple(data.draw(bits))
+    assert space.canonical(a, k) == space.canonical(b, k) == len(a)
+    # shrink_cell appends zeros, which commutes with the prefix swap while
+    # the child cell extends the parent; at extra = 2 it is a proper prefix
+    for j in (None, 0, 1) if extra < 2 else (None,):
+        assert _verdict(space, a, k, j) == _verdict(space, b, k, j)
+
+
+def test_whole_and_product_cells_have_no_key_where_a_factor_has_none():
+    interval, circle = IntervalSpace(), CircleSpace()
+    assert interval.canonical(interval.whole(), 0) is None
+    assert circle.canonical(circle.whole(), 0) is None
+    assert finite_system().space.canonical((0,), 1) is None
+    inner = (F(3, 8), F(13, 32))
+    product = ProductSpace(CantorSpace(), interval)
+    assert product.canonical(((0, 1), inner), 2) == (2, interval.canonical(inner, 2))
+    assert product.canonical(((0, 1), interval.whole()), 2) is None
