@@ -13,13 +13,16 @@ at its `src/`.
 Each run certifies the whole pipeline (enumeration, its certificate, the
 factor map and the commutation certificate with 64 off-support samples) and
 prints one JSON line per row: matrix, base, the median wall-clock seconds
-over the runs, and the verdict (PASS, FAIL, or the type and message of the
-error raised).
+over the runs, the verdict (PASS, FAIL, or the type and message of the
+error raised) and `render_sha256`, the SHA-256 of the rendered certificate
+(null when an error was raised), so two checkouts can be shown to certify
+byte-identically.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import statistics
@@ -52,16 +55,19 @@ def time_row(name: str, base: int, repeats: int) -> dict:
 
     kind, mat = {n: (k, m) for n, k, m in workloads.MATRIX_TEMPLATES}[name]
     rho = workloads.exact_norm(kind, mat)
-    times, verdict = [], None
+    times, verdict, sha = [], None, None
     for _ in range(repeats):
         start = time.perf_counter()
         try:
-            verdict = "PASS" if certify(kind, mat, rho, base).ok else "FAIL"
+            cert = certify(kind, mat, rho, base)
+            verdict = "PASS" if cert.ok else "FAIL"
         except errors.CertificationError as exc:
-            verdict = f"{type(exc).__name__}: {exc}"
+            cert, verdict = None, f"{type(exc).__name__}: {exc}"
         times.append(time.perf_counter() - start)
+        sha = None if cert is None else hashlib.sha256(cert.render().encode()).hexdigest()
     return {"matrix": name, "base": base,
-            "seconds": round(statistics.median(times), 3), "verdict": verdict}
+            "seconds": round(statistics.median(times), 3), "verdict": verdict,
+            "render_sha256": sha}
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,6 @@ it, rotations being the standard refutation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -30,6 +29,7 @@ from .errors import (
     NetTooCoarse,
     SpaceMismatch,
 )
+from .geometry import least_dyadic_level
 from .lifting import LiftedSelfMap, StrongLift, lift_self_map, strong_extension_map
 from .pointmaps import ParameterizedFamily, PointMap, rotation_family, rotation_map
 from .transducers import (
@@ -453,7 +453,7 @@ def contraction_fixed_point(
     c,
     start,
     tol,
-    rng=None,
+    rng,
     samples: int = 32,
 ) -> FixedPointResult:
     """Iterate a declared c-contraction from the point start until the
@@ -467,7 +467,6 @@ def contraction_fixed_point(
     if tol <= 0:
         raise CertificationError("tolerance must be positive")
     space = point_map.space
-    rng = rng if rng is not None else random.Random(175)
     _refute_lipschitz(point_map, c, rng, samples)
     x = start
     bound = space.diam(space.whole()) / (1 - c)
@@ -506,7 +505,7 @@ class PowersCertificate:
 
 
 def controlled_powers_check(
-    fam: MapFamily, samples: int, depth: int, rng=None
+    fam: MapFamily, samples: int, depth: int, rng
 ) -> PowersCertificate:
     """Certify or refute uniform control of the power maps S -> S^i.
 
@@ -516,7 +515,6 @@ def controlled_powers_check(
     sampled orbits.  Parameterized isometry-like families are attacked by
     drift search: parameters agreeing to length j whose orbits separate by
     1/4 within the depth budget, at every tested j."""
-    rng = rng if rng is not None else random.Random(632)
     space = fam.cover.space
     diam = space.diam(space.whole())
     node = CertNode(f"controlled powers [{fam.name}] to depth {depth}")
@@ -617,9 +615,12 @@ def controlled_powers_check(
 
 
 def _net_level(cs: CoverSystem, net, eps: Fraction):
-    """Least tree level up to 5 certifying that every cell sits within eps
-    of the net: representative distance plus cell diameter, read once per
-    cell class; the offender is the first worst cell in branch-word order."""
+    """Least tree level certifying that every cell sits within eps of the
+    net: representative distance plus cell diameter, read once per cell
+    class; the offender is the first worst cell in branch-word order.  From
+    level 5 on, a representative farther than eps from the net, an exact
+    witness of a miss, ends the walk; without one it runs to the least
+    m >= 5 with 2^-m <= eps/2."""
     space = cs.space
     net = list(net)
     if not net:
@@ -627,23 +628,30 @@ def _net_level(cs: CoverSystem, net, eps: Fraction):
     for a in net:
         if not space.contains(space.whole(), a):
             raise CertificationError(f"net point {a} lies outside the space")
-    worst = None
-    for k, (_, classes) in enumerate(_class_levels(cs, 5), 1):
-        level_worst = F(0)
+    top = max(5, least_dyadic_level(eps / 2))
+    missed = False
+    for k, (_, classes) in enumerate(_class_levels(cs, top), 1):
+        worst = F(0)
         offender = None
         for s, _, cell, _ in classes:
             if cell is None:
                 raise CertificationError(f"{cs.name}: empty cell at branch {s}")
             rep = space.witness_point(cell)
-            bound = min(space.distance(rep, a) for a in net) + space.diam(cell)
-            if bound > level_worst:
-                level_worst, offender = bound, cell
-        if level_worst <= eps:
+            gap = min(space.distance(rep, a) for a in net)
+            missed = missed or gap > eps
+            bound = gap + space.diam(cell)
+            if bound > worst:
+                worst, offender = bound, cell
+        if worst <= eps:
             return k
-        worst = (level_worst, offender)
+        if missed and k >= 5:
+            raise NetTooCoarse(
+                f"net misses the space at scale {eps}: best certified bound "
+                f"{worst} near {space.describe(offender)}"
+            )
     raise NetTooCoarse(
-        f"net misses the space at scale {eps}: best certified bound "
-        f"{worst[0]} near {space.describe(worst[1])}"
+        f"net not certified at scale {eps} by tree level {top}: best bound "
+        f"{worst} near {space.describe(offender)}"
     )
 
 
@@ -678,32 +686,26 @@ def contractive_common_extension(
     depth: int,
     net,
     eps,
-    rng=None,
+    rng,
 ) -> ContractiveModel:
     """Tabulate e_{i,a}: S -> S^i(a) for i <= depth over a certified eps-net,
     adjoin the fixed-point row, and certify the universal action on the
     result: exact shifts along orbit rows, a frontier snap onto the
     fixed-point row with defect at most c^depth * diam(X), and evaluation
     surjectivity at net scale."""
-    members = tuple(members.members if isinstance(members, MapFamily) else members)
-    if not members:
-        raise EmptyFamily("the tabulated model needs at least one member")
-    space = cs.space
+    fam = finite_map_family(
+        cs, members.members if isinstance(members, MapFamily) else members
+    )
+    members, c = fam.members, fam.lipschitz
     for pm in members:
-        if pm.space.kind != space.kind:
-            raise SpaceMismatch(
-                f"{pm.name} lives on {pm.space.kind}, the cover system on {space.kind}"
-            )
         if pm.point_fn is None:
             raise CertificationError(f"{pm.name} carries no exact point rule")
-    bounds = [pm.lipschitz for pm in members]
-    if any(b is None for b in bounds) or max(bounds) >= 1:
+    if c is None or c >= 1:
         raise CertificationError(
             "every member needs a declared contraction constant below 1"
         )
-    c = max(bounds)
+    space = cs.space
     eps = F(eps)
-    rng = rng if rng is not None else random.Random(977)
     node = CertNode(
         f"tabulated contraction model: {len(members)} members, "
         f"depth {depth}, net of {len(net)} points"

@@ -151,7 +151,10 @@ class Component:
     kind: ComponentType
     members: tuple[int, ...]   # path order (cycle: anchor first, then forward)
     positions: tuple[int, ...]  # layout positions, parallel to members
-    resolved: bool
+
+    @property
+    def resolved(self) -> bool:
+        return self.kind is not ComponentType.UNRESOLVED
 
 
 def classify_components(sigma: PartialInjection) -> list[Component]:
@@ -170,19 +173,14 @@ def classify_components(sigma: PartialInjection) -> list[Component]:
     for start in sorted(sigma.nodes()):
         if start in visited:
             continue
-        comp = _walk_component(start, sigma.entries, inv)
-        visited.update(comp.members)
-        out.append(_type_component(comp, sigma))
+        members, is_cycle = _walk_component(start, sigma.entries, inv)
+        visited.update(members)
+        out.append(_type_component(members, is_cycle, sigma))
     return out
 
 
-@dataclass
-class _RawComponent:
-    members: list[int]
-    is_cycle: bool
-
-
-def _walk_component(start, entries, inv) -> _RawComponent:
+def _walk_component(start, entries, inv) -> tuple[list[int], bool]:
+    """(members in path order, whether they close into a cycle)."""
     # Backward first: in an injective graph every node has at most one
     # predecessor, so this finds the unique back end or returns to start.
     chain = [start]
@@ -205,21 +203,20 @@ def _walk_component(start, entries, inv) -> _RawComponent:
                 raise NotInjective(
                     f"walk from {start} re-enters mid-path at {nxt}"
                 )
-            return _RawComponent(members, True)
+            return members, True
         members.append(nxt)
         pos[nxt] = len(members) - 1
         node = nxt
-    return _RawComponent(members, False)
+    return members, False
 
 
-def _type_component(raw: _RawComponent, sigma: PartialInjection) -> Component:
-    members = raw.members
+def _type_component(members, is_cycle, sigma: PartialInjection) -> Component:
     declared = sigma.component_oracle
     oracle = {
         m: declared[m] for m in members
         if m in declared and declared[m].kind is not ComponentType.UNRESOLVED
     }
-    if raw.is_cycle:
+    if is_cycle:
         n = len(members)
         for m, entry in oracle.items():
             if entry.kind is not ComponentType.CYCLE:
@@ -230,21 +227,14 @@ def _type_component(raw: _RawComponent, sigma: PartialInjection) -> Component:
         # Anchor the smallest member at position 0.
         k = members.index(min(members))
         ordered = members[k:] + members[:k]
-        return Component(
-            ComponentType.CYCLE,
-            tuple(ordered),
-            tuple(range(n)),
-            resolved=True,
-        )
+        return Component(ComponentType.CYCLE, tuple(ordered), tuple(range(n)))
     kinds = {e.kind for e in oracle.values()}
     if not kinds:
         # Finite path of unknown type: smallest explored member sits at 0.
         anchor = min(members)
         base = members.index(anchor)
         positions = tuple(i - base for i in range(len(members)))
-        return Component(
-            ComponentType.UNRESOLVED, tuple(members), positions, resolved=False
-        )
+        return Component(ComponentType.UNRESOLVED, tuple(members), positions)
     if len(kinds) > 1:
         raise CertificationError(f"oracle conflicts on one component: {kinds}")
     kind = kinds.pop()
@@ -258,10 +248,7 @@ def _type_component(raw: _RawComponent, sigma: PartialInjection) -> Component:
             raise CertificationError(
                 f"ray offsets must stay in N, back end sits at {offsets[0]}"
             )
-        return Component(kind, tuple(members), tuple(offsets), resolved=True)
-    return Component(
-        ComponentType.BI_INFINITE_LINE, tuple(members), tuple(offsets), resolved=True
-    )
+    return Component(kind, tuple(members), tuple(offsets))
 
 
 def _check_cycle_offsets(members, oracle, n) -> None:
@@ -311,9 +298,6 @@ class EmbeddingCertificate:
     checked_edges: int
     layout_version: int = LAYOUT_VERSION
 
-    def image_set(self) -> set[int]:
-        return set(self.relabel.values())
-
 
 def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
     """Embed a finite injection into the layout, one fresh copy per component.
@@ -343,30 +327,29 @@ def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
             copies["line"] += 1
             for m, p in zip(comp.members, comp.positions):
                 relabel[m] = encode_line(copy, p)
-    cert = EmbeddingCertificate(
+    return EmbeddingCertificate(
         relabel=relabel,
         components=components,
         copies={**copies, **{f"cycle[{n}]": c for n, c in sorted(cycle_copies.items())}},
-        checked_edges=0,
+        checked_edges=_verify_embedding(sigma, relabel),
     )
-    _verify_embedding(sigma, cert)
-    return cert
 
 
-def _verify_embedding(sigma: PartialInjection, cert: EmbeddingCertificate) -> None:
-    if len(cert.image_set()) != len(cert.relabel):
+def _verify_embedding(sigma: PartialInjection, relabel: dict[int, int]) -> int:
+    """Check `relabel` is an injective conjugacy; return the edges checked."""
+    if len(set(relabel.values())) != len(relabel):
         raise NotInjective("relabeling collides")
     checked = 0
     for i, j in sigma.entries.items():
-        if i in cert.relabel and j in cert.relabel:
-            got = successor(cert.relabel[i])
-            if got != cert.relabel[j]:
+        if i in relabel and j in relabel:
+            got = successor(relabel[i])
+            if got != relabel[j]:
                 raise CertificationError(
                     f"conjugacy fails on edge {i} -> {j}: "
-                    f"successor({cert.relabel[i]}) = {got} != {cert.relabel[j]}"
+                    f"successor({relabel[i]}) = {got} != {relabel[j]}"
                 )
             checked += 1
-    cert.checked_edges = checked
+    return checked
 
 
 # === serialization ===

@@ -36,7 +36,6 @@ from .geometry import (
     IntervalSpace,
     _mesh_cell,
     _mesh_span,
-    dyadic_level,
 )
 from .pairing import pair, unpair
 from .pointmaps import (
@@ -199,10 +198,13 @@ class LiftedSelfMap:
     """A point map rewritten as a prefix transducer on branch words, with
     the commuting-square evidence that it projects back to the map."""
 
-    cs: CoverSystem
     point_map: PointMap
     lift: StrongLift
     transducer: PrefixTransducer
+
+    @property
+    def cs(self) -> CoverSystem:
+        return self.lift.cs
 
     def certificate(
         self,
@@ -244,7 +246,7 @@ def lift_self_map(cs: CoverSystem, point_map: PointMap) -> LiftedSelfMap:
     """Rewrite a uniformly continuous self-map as a self-map of branch
     words: one more output level per slack halving, located around the
     image region of the branch cell read so far."""
-    lift = StrongLift(cs, family_from_map(cs, point_map), name=f"lift[{point_map.name}]")
+    lift = strong_extension_map(cs, family_from_map(cs, point_map))
     branch_space = cs.branch_space()
 
     def step(w: Word) -> Word:
@@ -256,7 +258,7 @@ def lift_self_map(cs: CoverSystem, point_map: PointMap) -> LiftedSelfMap:
     machine = PrefixTransducer(
         branch_space, branch_space, step, modulus, name=f"lift[{point_map.name}]"
     )
-    return LiftedSelfMap(cs, point_map, lift, machine)
+    return LiftedSelfMap(point_map, lift, machine)
 
 
 # === presentations of Polish spaces over unbounded branching ===
@@ -278,11 +280,10 @@ class CylinderPresentation:
 
     def locate_child(self, t: Word, region, slack: Fraction) -> Optional[int]:
         region = tuple(region)
-        if len(region) <= len(t) or region[: len(t)] != t:
+        if len(region) <= len(t):
             return None
-        if dyadic_level(slack) < len(t) + 1:
-            return None
-        return region[len(t)]
+        child = region[len(t)]
+        return child if self.space.eroded_contains(t + (child,), region, slack) else None
 
 
 class DyadicIntervalPresentation:
@@ -302,7 +303,6 @@ class DyadicIntervalPresentation:
 
     def __init__(self):
         self.space = IntervalSpace()
-        self._memo: dict = {}
 
     def slack(self, k: int) -> Fraction:
         # a sixteenth per resolution: wide enough margin that some deeper
@@ -325,25 +325,21 @@ class DyadicIntervalPresentation:
 
     def resolve(self, t: Sequence[int]) -> tuple:
         """(mesh level, cell) along a branch word."""
-        t = tuple(t)
-        if t not in self._memo:
-            if not t:
-                self._memo[t] = (0, self.space.whole())
-            else:
-                level, parent = self.resolve(t[:-1])
-                if t[-1] < 0:
-                    raise InvalidBranch(f"negative branch symbol {t[-1]}")
-                offset, j = unpair(t[-1])
-                child_level = level + 1 + offset
-                bounds = self._child_range(parent, child_level)
-                if bounds is None:
-                    raise CertificationError(
-                        f"{self.name}: no qualifying cell at level {child_level}"
-                    )
-                if not bounds[0] <= j <= bounds[1]:
-                    j = bounds[0]
-                self._memo[t] = (child_level, _mesh_cell(child_level, j))
-        return self._memo[t]
+        level, cell = 0, self.space.whole()
+        for symbol in t:
+            if symbol < 0:
+                raise InvalidBranch(f"negative branch symbol {symbol}")
+            offset, j = unpair(symbol)
+            level += 1 + offset
+            bounds = self._child_range(cell, level)
+            if bounds is None:
+                raise CertificationError(
+                    f"{self.name}: no qualifying cell at level {level}"
+                )
+            if not bounds[0] <= j <= bounds[1]:
+                j = bounds[0]
+            cell = _mesh_cell(level, j)
+        return level, cell
 
     def v_cell(self, t: Sequence[int]) -> tuple:
         return self.resolve(t)[1]

@@ -41,7 +41,6 @@ from .injections import (
     successor,
 )
 from .pairing import pair, unpair
-from .rationals import format_fraction
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -77,20 +76,14 @@ class SparseL1Vector:
 
     def __repr__(self) -> str:
         terms = " + ".join(
-            f"{format_fraction(c)}*e{i}" for i, c in sorted(self.coeffs.items())
+            f"{c}*e{i}" for i, c in sorted(self.coeffs.items())
         )
         return f"<{terms or '0'}>"
 
 
 def apply_universal(x: SparseL1Vector) -> SparseL1Vector:
     """U(x): relabel the support along `successor`.  Exact isometry."""
-    out: dict[int, Fraction] = {}
-    for i, c in x.coeffs.items():
-        j = successor(i)
-        if j in out:  # successor is injective, so this is unreachable
-            raise NotInjective(f"support collision at {j}")
-        out[j] = c
-    return SparseL1Vector(out)
+    return SparseL1Vector({successor(i): c for i, c in x.coeffs.items()})
 
 
 def frechet_apply(xs: Sequence[SparseL1Vector]) -> list[SparseL1Vector]:
@@ -117,11 +110,9 @@ class BanachModel:
     kind: NormKind = NormKind.L1
 
     def in_unit_ball(self, v: Vector) -> bool:
-        if self.kind is NormKind.L1:
-            return sum(abs(c) for c in v) <= 1
-        if self.kind is NormKind.LINF:
-            return max((abs(c) for c in v), default=Fraction(0)) <= 1
-        return sum(c * c for c in v) <= 1
+        if self.kind is NormKind.L2SQ:
+            return sum(c * c for c in v) <= 1
+        return self.norm(v) <= 1
 
     def norm(self, v: Vector) -> Fraction:
         """Exact for L1/LINF; for L2 only the square is rational."""
@@ -295,22 +286,19 @@ def dense_orbit_enumeration(
     """
     rho = Fraction(rho)
     if rho <= 0:
-        raise NormBoundViolated(f"rho must be positive, got {format_fraction(rho)}")
+        raise NormBoundViolated(f"rho must be positive, got {rho}")
     try:
         exact = model.operator_norm(matrix)
     except CertificationError:
         exact = None  # L2: bound is caller-certified, membership is still re-checked below
     if exact is not None and rho < exact:
         raise NormBoundViolated(
-            f"rho = {format_fraction(rho)} < exact norm {format_fraction(exact)}"
+            f"rho = {rho} < exact norm {exact}"
         )
     points = unit_ball_grid(model, base_count)
     keys = [_key(v) for v in points]
     index = {k: e for e, k in enumerate(keys)}
     step = _scaled_step(matrix, rho)
-    enum = OrbitEnumeration(
-        model, matrix, rho, points, PartialInjection({}), [], [], repetitions
-    )
     # image[e]: index of the point (1/rho)T points[e], None past the frontier
     image: dict[int, int | None] = {}
     depth = [0] * len(points)
@@ -354,10 +342,10 @@ def dense_orbit_enumeration(
         r2 = max(e + r + (target >= e) - target, 0, last.get(target, -1) + 1)
         last[target] = r2
         entries[i] = pair(target, r2)
-    enum.sigma = PartialInjection(entries)
-    enum.covered = covered
-    enum.frontier = frontier
-    return enum
+    return OrbitEnumeration(
+        model, matrix, rho, points, PartialInjection(entries), covered, frontier,
+        repetitions,
+    )
 
 
 def enumeration_certificate(enum: OrbitEnumeration) -> CertNode:
@@ -582,13 +570,13 @@ def norm_growth_certificate(
     cert = CertNode("norm growth against the reference operator")
     cert.note(
         "ratios",
-        ", ".join(format_fraction(r) for r in ratios[: min(8, len(ratios))])
+        ", ".join(map(str, ratios[: min(8, len(ratios))]))
         + ("..." if len(ratios) > 8 else ""),
     )
     cert.check(
         "least admissible constant tabulated exactly",
         report.min_admissible_constant == max(ratios),
-        f"C >= {format_fraction(report.min_admissible_constant)}",
+        f"C >= {report.min_admissible_constant}",
     )
     if growing:
         cert.note(

@@ -960,3 +960,71 @@ def test_whole_and_product_cells_have_no_key_where_a_factor_has_none():
     product = ProductSpace(CantorSpace(), interval)
     assert product.canonical(((0, 1), inner), 2) == (2, interval.canonical(inner, 2))
     assert product.canonical(((0, 1), interval.whole()), 2) is None
+
+
+# --- typed refusals ---
+
+
+@pytest.mark.parametrize(
+    "call, exc, fragment",
+    [
+        pytest.param(lambda: corrupt_system(interval_system(), ()), CertificationError,
+                     "corruption needs a nonempty branch word", id="corrupt-empty-word"),
+        pytest.param(lambda: locate_ball(interval_system(), (F(0), F(1, 2)), F(-1), 2),
+                     CertificationError, "negative radius", id="locate-negative-radius"),
+        pytest.param(lambda: FiniteMetricSpace(((0, 1), (1, 1))), CertificationError,
+                     "bad distance matrix diagonal/shape", id="finite-bad-diagonal"),
+    ],
+)
+def test_refusals_are_typed(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is exc
+
+
+# --- distances ---
+
+_streams = st.builds(
+    Stream,
+    st.lists(st.integers(0, 3), max_size=6).map(tuple),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple),
+)
+
+
+def _unrolled(x: Stream) -> Stream:
+    """The same sequence as x, written with one more preamble symbol and a
+    doubled, rotated cycle."""
+    return Stream(x.pre + x.cycle[:1], (x.cycle[1:] + x.cycle[:1]) * 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_streams, _streams, _streams)
+def test_stream_distance_is_the_first_difference_ultrametric(x, y, z):
+    d = BaireStreamSpace().distance
+    # streams with preambles of at most 6 and cycles of at most 4 symbols
+    # that agree on 6 + lcm(3, 4) = 18 symbols agree everywhere, so a scan
+    # of 64 sees the first difference if there is one
+    a, b = x.prefix(64), y.prefix(64)
+    first = next((i for i in range(64) if a[i] != b[i]), None)
+    assert d(x, y) == (0 if first is None else F(1, 2 ** (first + 1)))
+    assert d(x, _unrolled(x)) == 0 and _unrolled(x) != x
+    assert (d(x, y) == 0) == (a == b)
+    assert d(x, y) == d(y, x)
+    assert d(x, z) <= max(d(x, y), d(y, z))
+
+
+def test_finite_distance_reads_the_matrix():
+    space = finite_system().space
+    for x, y in itertools.product(range(space.size), repeat=2):
+        assert space.distance(x, y) == space.distances[x][y]
+
+
+@given(
+    st.fractions(0, 1, max_denominator=64), st.fractions(0, 1, max_denominator=64),
+    st.fractions(0, 1, max_denominator=64), st.fractions(0, 1, max_denominator=64),
+)
+def test_product_distance_is_the_max_of_its_factors(a, b, c, d):
+    space = ProductSpace(IntervalSpace(), CircleSpace())
+    b, d = b % 1, d % 1
+    around = abs(b - d)
+    assert space.distance((a, b), (c, d)) == max(abs(a - c), min(around, 1 - around))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -201,16 +202,18 @@ def test_pipeline_pieces_must_be_finite():
 
 
 def test_contraction_fixed_point_meets_the_banach_bound():
-    fp = contraction_fixed_point(contractions()[0], F(1, 2), F(1), F(1, 1024))
+    fp = contraction_fixed_point(
+        contractions()[0], F(1, 2), F(1), F(1, 1024), random.Random(175)
+    )
     assert fp.error_bound <= F(1, 1024)
     assert abs(fp.value - F(1, 2)) <= fp.error_bound  # 1/4 + x/2 fixes 1/2
 
 
 def test_contraction_fixed_point_refutes_an_understated_constant():
     with pytest.raises(LipschitzRefuted, match=r"exceeds 1/4 \* d\(x, y\) = .* at x = .*, y = "):
-        contraction_fixed_point(contractions()[0], F(1, 4), F(0), F(1, 8))
+        contraction_fixed_point(contractions()[0], F(1, 4), F(0), F(1, 8), random.Random(175))
     with pytest.raises(CertificationError, match="strictly between 0 and 1"):
-        contraction_fixed_point(contractions()[0], 1, F(0), F(1, 8))
+        contraction_fixed_point(contractions()[0], 1, F(0), F(1, 8), random.Random(175))
 
 
 def test_controlled_powers_falsifies_rotations_with_a_drift_witness():
@@ -280,9 +283,11 @@ def test_contractive_model_refutes_a_coarse_net():
 
 def test_contractive_model_needs_contracting_members():
     with pytest.raises(EmptyFamily):
-        contractive_common_extension(interval_system(), [], 3, NET, F(1, 4))
+        contractive_common_extension(interval_system(), [], 3, NET, F(1, 4), random.Random(977))
     with pytest.raises(CertificationError, match="contraction constant below 1"):
-        contractive_common_extension(interval_system(), [tent_map()], 3, NET, F(1, 4))
+        contractive_common_extension(
+            interval_system(), [tent_map()], 3, NET, F(1, 4), random.Random(977)
+        )
 
 
 def test_invariant_witness_check_passes_on_a_tabulated_model():
@@ -346,9 +351,11 @@ def test_certificates_take_packed_sizes_from_the_projections():
 
 
 def _word_walk_net_level(cs, net, eps):
-    """Reference net level: every branch word of levels 1..5 checked on its
-    own through `v_cell`, as the original implementation did.  The class
-    walk must return the same level or raise the same error."""
+    """Reference net level: every branch word checked on its own through
+    `v_cell`, as the original implementation did.  A representative farther
+    than eps from the net ends the walk from level 5 on; without one it
+    runs to the least level m >= 5 with 2^-m <= eps/2.  The class walk must
+    return the same level or raise the same error."""
     space = cs.space
     net = list(net)
     if not net:
@@ -356,24 +363,33 @@ def _word_walk_net_level(cs, net, eps):
     for a in net:
         if not space.contains(space.whole(), a):
             raise CertificationError(f"net point {a} lies outside the space")
-    worst = None
+    top = 5
+    while F(1, 2 ** top) > eps / 2:
+        top += 1
+    missed = False
     words = [()]
-    for k in range(1, 6):
+    for k in range(1, top + 1):
         words = [s + (j,) for s in words for j in range(cs.child_arity(k))]
         level_worst = F(0)
         offender = None
         for s in words:
             cell = cs.v_cell(s)
             rep = space.witness_point(cell)
-            bound = min(space.distance(rep, a) for a in net) + space.diam(cell)
+            gap = min(space.distance(rep, a) for a in net)
+            missed = missed or gap > eps
+            bound = gap + space.diam(cell)
             if bound > level_worst:
                 level_worst, offender = bound, cell
         if level_worst <= eps:
             return k
-        worst = (level_worst, offender)
+        if missed and k >= 5:
+            raise NetTooCoarse(
+                f"net misses the space at scale {eps}: best certified bound "
+                f"{level_worst} near {space.describe(offender)}"
+            )
     raise NetTooCoarse(
-        f"net misses the space at scale {eps}: best certified bound "
-        f"{worst[0]} near {space.describe(worst[1])}"
+        f"net not certified at scale {eps} by tree level {top}: best bound "
+        f"{level_worst} near {space.describe(offender)}"
     )
 
 
@@ -408,6 +424,22 @@ def test_net_level_matches_word_walk(make, tampered, data):
         return _outcome(lambda: net_level(fresh, net, eps))
 
     assert walk(_net_level) == walk(_word_walk_net_level)
+
+
+def test_net_level_certifies_a_fine_net_past_level_five():
+    # level-5 cells are 7/256 wide, wider than eps; no point of the net
+    # misses, so the walk goes on and level 6 (cells 7/512 wide) certifies
+    net = [F(i, 1024) for i in range(1025)]
+    assert _net_level(interval_system(), net, F(1, 64)) == 6
+
+
+def test_net_level_does_not_claim_a_miss_without_a_witness():
+    # every point of [0, 1] lies within 1 of 0, so no representative is a
+    # witness; the cell bound never drops to 1, and the walk names its level
+    with pytest.raises(NetTooCoarse) as err:
+        _net_level(interval_system(), [F(0)], F(1))
+    assert "misses" not in str(err.value)
+    assert str(err.value).startswith("net not certified at scale 1 by tree level 5:")
 
 
 @pytest.mark.parametrize(
@@ -695,3 +727,50 @@ def test_extension_certificate_counts_the_short_runs():
     assert failure.detail == "4 short runs"
     # no full run, so nothing is left to check at the point level
     assert [c.title for c in cert.children][-1] == "member diagrams, projection level: exact"
+
+
+# --- typed refusals ---
+
+
+def _blind_contraction():
+    # a declared contraction with regions but no exact point rule
+    return PointMap(IntervalSpace(), lambda cell: cell, "blind", lipschitz=F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, exc, fragment",
+    [
+        pytest.param(
+            lambda: MapFamily(interval_system(), family=rotation_family(circle_system())),
+            SpaceMismatch, "rotation-family lives on circle, the cover system on interval",
+            id="family-on-another-space",
+        ),
+        pytest.param(
+            lambda: MapFamily(interval_system(), members=contractions(),
+                              map_at=lambda q: contractions()[0]),
+            CertificationError, "family: parameter evaluation needs the parameterized form",
+            id="map-at-without-family",
+        ),
+        pytest.param(
+            lambda: contraction_fixed_point(
+                contractions()[0], F(1, 2), F(0), 0, random.Random(175)
+            ),
+            CertificationError, "tolerance must be positive", id="fixed-point-zero-tol",
+        ),
+        pytest.param(lambda: _net_level(interval_system(), [], F(1, 4)),
+                     NetTooCoarse, "an empty net covers nothing", id="net-empty"),
+        pytest.param(lambda: _net_level(interval_system(), [F(0), F(2)], F(1, 4)),
+                     CertificationError, "net point 2 lies outside the space",
+                     id="net-point-outside"),
+        pytest.param(
+            lambda: contractive_common_extension(
+                interval_system(), [_blind_contraction()], 2, NET, F(1, 4), random.Random(1)
+            ),
+            CertificationError, "blind carries no exact point rule", id="member-without-point-rule",
+        ),
+    ],
+)
+def test_refusals_are_typed(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is exc

@@ -1,6 +1,7 @@
 """Layout codec, component classification, and embedding certificates."""
 
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -451,3 +452,44 @@ def test_load_rejects_garbage():
         load_injection("0 => 1\n")
     with pytest.raises(CertificationError):
         load_injection("# component x: ray\n0 -> 1\n")
+
+
+# === typed refusals ===
+
+
+@pytest.mark.parametrize(
+    "call, exc, fragment",
+    [
+        pytest.param(lambda: encode_ray(0, -1), InvalidIndex,
+                     "ray positions live in N, got -1", id="ray-negative-position"),
+        pytest.param(lambda: encode_cycle(0, 0, 0), InvalidIndex,
+                     "cycle length must be >= 1, got 0", id="cycle-length-zero"),
+        pytest.param(lambda: PartialInjection({-1: 0}), InvalidIndex,
+                     "entry -1 -> 0 leaves N", id="negative-entry"),
+        pytest.param(
+            lambda: classify_components(PartialInjection(
+                {0: 1, 1: 0}, {0: OracleEntry(0, ComponentType.FORWARD_RAY)}
+            )),
+            CertificationError, "oracle declares ray but 0 lies on a 2-cycle",
+            id="ray-declared-on-a-cycle",
+        ),
+        pytest.param(
+            lambda: classify_components(PartialInjection({0: 1}, {
+                0: OracleEntry(0, ComponentType.FORWARD_RAY),
+                1: OracleEntry(0, ComponentType.BI_INFINITE_LINE, 1),
+            })),
+            CertificationError, "oracle conflicts on one component",
+            id="two-kinds-on-one-path",
+        ),
+        pytest.param(lambda: load_injection("1 -> x"), CertificationError,
+                     "line 1: bad entry '1 -> x'", id="load-bad-entry"),
+        pytest.param(lambda: pair(-1, 0), ValueError,
+                     "pair needs nonnegative arguments, got (-1, 0)", id="pair-negative"),
+        pytest.param(lambda: unpair(-1), ValueError,
+                     "unpair needs a nonnegative argument, got -1", id="unpair-negative"),
+    ],
+)
+def test_refusals_are_typed(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is exc

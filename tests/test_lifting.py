@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import signal
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -20,6 +21,7 @@ from factorlift.covers import (
 from factorlift.errors import (
     CertificationError,
     InsufficientInput,
+    InvalidBranch,
     NoCell,
     NotAntichain,
     SpaceMismatch,
@@ -596,6 +598,19 @@ def test_supplied_antichain_paths():
         short.output((0, 1, 0, 1, 0), 1)
 
 
+def test_cylinder_locate_child_is_the_cylinder_containment_test():
+    ps = CylinderPresentation()
+    region = (0, 3, 1, 4)
+    # slack 0 asks only that the closed region sit inside the child
+    assert ps.locate_child((0,), region, F(0)) == 3
+    # an open ball of radius 1/4 pins two symbols, one of radius 1/2 only
+    # one: the level-2 child keeps the first and not the second
+    assert ps.locate_child((0,), region, F(1, 4)) == 3
+    assert ps.locate_child((0,), region, F(1, 2)) is None
+    assert ps.locate_child((1,), region, F(0)) is None
+    assert ps.locate_child((0, 3, 1, 4), region, F(0)) is None
+
+
 def test_supplied_families_merge_with_adaptive_resolutions():
     ps = CylinderPresentation()
     members = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
@@ -788,3 +803,31 @@ def test_baire_lift_certificate_names_comparable_prefixes():
     cert = bl.certificate(1, 3, random.Random(19))
     assert _statuses(cert) == ["PASS", "PASS", "FAIL", "INFO"]
     assert cert.first_failure().detail == "first comparable pair (1, (0, 0, 0), (0, 0, 0, 0))"
+
+
+# --- typed refusals ---
+
+
+@pytest.mark.parametrize(
+    "call, exc, fragment",
+    [
+        pytest.param(
+            lambda: strong_extension_map(interval_system(), rotation_family(circle_system())),
+            SpaceMismatch, "family rotation-family does not land in the unit-interval space",
+            id="family-on-another-space",
+        ),
+        pytest.param(
+            lambda: strong_extension_map(
+                circle_system(), rotation_family(circle_system())
+            ).prefix((), (0,) * 40, 1),
+            InsufficientInput, "resolution 1 reads 7 parameter symbols, got 0",
+            id="too-few-parameter-symbols",
+        ),
+        pytest.param(lambda: DyadicIntervalPresentation().resolve((-1,)), InvalidBranch,
+                     "negative branch symbol -1", id="negative-branch-symbol"),
+    ],
+)
+def test_refusals_are_typed(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is exc

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -622,3 +623,28 @@ def _seen_set_grid(model, count):
 def test_gcd_grid_matches_the_seen_set_grid(dim, kind, count):
     model = BanachModel(dim, kind)
     assert unit_ball_grid(model, count) == _seen_set_grid(model, count)
+
+
+# === typed refusals ===
+
+
+def _value_past_the_points():
+    enum = dense_orbit_enumeration(BanachModel(1), ((F(1, 2),),), F(1, 2), base_count=2)
+    return enum.value(pair(len(enum.points), 0))
+
+
+@pytest.mark.parametrize(
+    "call, exc, fragment",
+    [
+        pytest.param(lambda: SparseL1Vector({-1: 1}), CertificationError,
+                     "basis index -1 is negative", id="negative-basis-index"),
+        pytest.param(lambda: BanachModel(2).matrix([[1]]), CertificationError,
+                     "expected 2x2 matrix", id="matrix-wrong-shape"),
+        pytest.param(_value_past_the_points, CertificationError, "beyond the enumeration",
+                     id="value-past-the-points"),
+    ],
+)
+def test_refusals_are_typed(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is exc

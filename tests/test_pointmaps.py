@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -368,3 +369,24 @@ def test_least_dyadic_level_at_powers_of_two_and_zero_lipschitz():
     for w in (F(0), F(-1, 2)):
         with pytest.raises(CertificationError):
             least_dyadic_level(w)
+
+
+# --- typed refusals ---
+
+
+@pytest.mark.parametrize(
+    "call, exc, fragment",
+    [
+        pytest.param(
+            lambda: PointMap(IntervalSpace(), lambda cell: cell, "bare").modulus(F(1, 2)),
+            CertificationError, "bare has neither a modulus rule nor a Lipschitz bound",
+            id="modulus-without-rule-or-bound",
+        ),
+        pytest.param(lambda: rotation_family(circle_system()).moduli(0), CertificationError,
+                     "modulus needs a positive width", id="family-moduli-at-zero"),
+    ],
+)
+def test_refusals_are_typed(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is exc

@@ -1,9 +1,10 @@
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factorlift.errors import (
@@ -222,16 +223,39 @@ def test_compose_behavior():
     assert add_two.step((1, 0, 1)) == (1, 1, 1)
 
 
-def test_compose_modulus_law():
-    odo = odometer_transducer()
-    sub = substitution_transducer({0: (0, 1), 1: (1, 0)})
-    sh = shift_transducer(CANTOR)
-    fg = compose_transducers(sh, sub)
-    for k in range(8):
-        assert fg.modulus(k) == sub.modulus(sh.modulus(k))
-    gf = compose_transducers(sub, odo)
-    for k in range(8):
-        assert gf.modulus(k) == odo.modulus(sub.modulus(k))
+CANTOR_MAPS = {
+    "identity": lambda: identity_transducer(CANTOR),
+    "shift": lambda: shift_transducer(CANTOR),
+    "odometer": odometer_transducer,
+    "substitution": lambda: substitution_transducer({0: (0, 1), 1: (1, 0)}),
+    "block": lambda: block_transducer(
+        CANTOR, CANTOR, {(0, 0): (0,), (0, 1): (1,), (1, 0): (1,), (1, 1): (1,)}, 2, 1
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=st.sampled_from(sorted(CANTOR_MAPS)),
+    g=st.sampled_from(sorted(CANTOR_MAPS)),
+    k=st.integers(0, 16),
+    bits=st.lists(st.integers(0, 1), min_size=72, max_size=72),
+)
+@example(f="shift", g="substitution", k=7, bits=[0, 1] * 36)
+@example(f="substitution", g="odometer", k=7, bits=[1] * 72)
+def test_compose_modulus_law(f, g, k, bits):
+    """A word of length (f . g).modulus(k) determines k output symbols of
+    the composition, the ones nesting the two steps gives, and a longer
+    word keeps them."""
+    f, g = CANTOR_MAPS[f](), CANTOR_MAPS[g]()
+    fg = compose_transducers(f, g)
+    n = fg.modulus(k)
+    assert n <= len(bits)
+    w = tuple(bits[:n])
+    out = fg.step(w)
+    assert len(out) >= k
+    assert out[:k] == f.step(g.step(w))[:k]
+    assert fg.step(tuple(bits))[:k] == out[:k]
 
 
 def test_compose_rejects_space_mismatch():
@@ -563,3 +587,25 @@ def test_module_leaves_the_packing_to_transducers(module):
         else:
             continue
         assert "pairing" not in names, f"{module} imports the pairing at line {node.lineno}"
+
+
+# --- typed refusals ---
+
+
+@pytest.mark.parametrize(
+    "call, exc, fragment",
+    [
+        pytest.param(lambda: block_transducer(CANTOR, CANTOR, {(0,): (1,)}, 1, 1).step((1,)),
+                     InvalidBranch, "no table entry for block (1,)", id="block-table-miss"),
+        pytest.param(
+            lambda: product_lift(
+                [], tail=PrefixTransducer(CANTOR, BAIRE, lambda w: w, lambda k: k, "embed")
+            ),
+            SpaceMismatch, "tail rule must be a self-transducer", id="tail-not-a-self-map",
+        ),
+    ],
+)
+def test_refusals_are_typed(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is exc
