@@ -12,7 +12,8 @@ Each row builds a fresh system per run and prints one JSON line: system,
 depth, the median wall-clock seconds over the runs, the verdict (PASS,
 FAIL, or the type and message of the error raised) and `render_sha256`,
 the SHA-256 of the rendered certificate (null when an error was raised),
-so two checkouts can be shown to certify byte-identically.
+so two checkouts can be shown to certify byte-identically.  The exit code
+is 1 when any row's verdict is not PASS, else 0.
 """
 
 from __future__ import annotations
@@ -57,10 +58,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     from factorlift import covers, errors
 
+    failed = False
     for row in args.rows:
         name, depth = row.rsplit(":", 1)
-        print(json.dumps(time_row(covers, errors, name, int(depth), args.repeats)), flush=True)
-    return 0
+        result = time_row(covers, errors, name, int(depth), args.repeats)
+        print(json.dumps(result), flush=True)
+        failed = failed or result["verdict"] != "PASS"
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ prints one JSON line per row: matrix, base, the median wall-clock seconds
 over the runs, the verdict (PASS, FAIL, or the type and message of the
 error raised) and `render_sha256`, the SHA-256 of the rendered certificate
 (null when an error was raised), so two checkouts can be shown to certify
-byte-identically.
+byte-identically.  The exit code is 1 when any row's verdict is not PASS,
+else 0.
 """
 
 from __future__ import annotations
@@ -78,10 +79,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     # the program from --src; the matrices from this checkout's benchmark
     sys.path[:0] = [args.src, str(ROOT / "perfbench")]
+    failed = False
     for row in args.rows:
         name, base = row.rsplit(":", 1)
-        print(json.dumps(time_row(name, int(base), args.repeats)), flush=True)
-    return 0
+        result = time_row(name, int(base), args.repeats)
+        print(json.dumps(result), flush=True)
+        failed = failed or result["verdict"] != "PASS"
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -243,6 +243,8 @@ def verify_cover_system(cs: CoverSystem, depth: int) -> CertNode:
     would: the header counts the words that carry a cell, failure counts
     sum multiplicities, and each witness is the lexicographically first
     failing branch word."""
+    if depth < 0:
+        raise CertificationError(f"cover depth must be nonnegative, got {depth}")
     cert = CertNode(f"cover system '{cs.name}' to depth {depth}")
     space = cs.space
     words = 1

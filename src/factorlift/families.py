@@ -31,7 +31,13 @@ from .errors import (
 )
 from .geometry import least_dyadic_level
 from .lifting import LiftedSelfMap, StrongLift, lift_self_map, strong_extension_map
-from .pointmaps import ParameterizedFamily, PointMap, rotation_family, rotation_map
+from .pointmaps import (
+    ParameterizedFamily,
+    PointMap,
+    _rotation_angle,
+    rotation_family,
+    rotation_map,
+)
 from .transducers import (
     BAIRE,
     PrefixTransducer,
@@ -108,14 +114,10 @@ def finite_map_family(cover: CoverSystem, members, name: str = "family") -> MapF
 def rotation_map_family(cover: CoverSystem) -> MapFamily:
     """All circle rotations, indexed by binary parameter words."""
 
-    def at(q: Sequence[int]) -> PointMap:
-        angle = sum(F(b, 2 ** (i + 2)) for i, b in enumerate(q))
-        return rotation_map(angle)
-
     return MapFamily(
         cover,
         family=rotation_family(cover),
-        map_at=at,
+        map_at=lambda q: rotation_map(_rotation_angle(q)),
         lipschitz=F(1),
         name="rotations",
     )
@@ -383,23 +385,16 @@ class CommonExtension:
                 "projected cells"
             )
             for i, lf in enumerate(self.lifted):
-                cs = self.pieces[i].cover
                 zi, oi = extract_stream(z, i), extract_stream(out, i)
                 for j, member in enumerate(lf.members):
                     zij, oij = extract_stream(zi, j), extract_stream(oi, j)
-                    ok = len(zij) >= member.lift.moduli(resolution)[1]
-                    for kk in range(1, resolution + 1):
-                        if not ok:
-                            break
-                        mk = member.lift.moduli(kk)[1]
-                        region = member.point_map.image_region(cs.v_cell(zij[:mk]))
-                        ok = cs.space.eroded_contains(
-                            cs.v_cell(oij[:kk]), region, cs.slack(kk)
-                        )
                     ana.check(
                         f"piece {i} member {j} [{member.point_map.name}]: "
                         f"slack-padded image region inside every located cell",
-                        ok,
+                        all(
+                            member.lift.sound_at((), zij, oij, k)
+                            for k in range(1, resolution + 1)
+                        ),
                     )
         return node
 
@@ -614,6 +609,17 @@ def controlled_powers_check(
 # === the compact tabulated model for contraction families ===
 
 
+def _point_maps(members) -> tuple:
+    """The point maps of a `MapFamily`, or the given point maps."""
+    return tuple(members.members if isinstance(members, MapFamily) else members)
+
+
+def _act(members, values) -> tuple:
+    """The universal action on a tabulated map: each member eats its own
+    evaluation."""
+    return tuple(pm.point(v) for pm, v in zip(members, values))
+
+
 def _net_level(cs: CoverSystem, net, eps: Fraction):
     """Least tree level certifying that every cell sits within eps of the
     net: representative distance plus cell diameter, read once per cell
@@ -675,9 +681,8 @@ class ContractiveModel:
     report: CertNode
 
     def value_map(self, values: Sequence) -> tuple:
-        """The universal action on a tabulated map: each member eats its
-        own evaluation."""
-        return tuple(pm.point(v) for pm, v in zip(self.members, values))
+        """The universal action on a tabulated map (`_act`)."""
+        return _act(self.members, values)
 
 
 def contractive_common_extension(
@@ -693,9 +698,7 @@ def contractive_common_extension(
     result: exact shifts along orbit rows, a frontier snap onto the
     fixed-point row with defect at most c^depth * diam(X), and evaluation
     surjectivity at net scale."""
-    fam = finite_map_family(
-        cs, members.members if isinstance(members, MapFamily) else members
-    )
+    fam = finite_map_family(cs, _point_maps(members))
     members, c = fam.members, fam.lipschitz
     for pm in members:
         if pm.point_fn is None:
@@ -728,34 +731,15 @@ def contractive_common_extension(
     m = len(members)
     rows = [tuple((a,) * m for a in net)]
     for _ in range(depth):
-        rows.append(
-            tuple(
-                tuple(pm.point(v) for pm, v in zip(members, values))
-                for values in rows[-1]
-            )
-        )
+        rows.append(tuple(_act(members, values) for values in rows[-1]))
     fp_tol = (1 - c) * c ** depth * diam
     anchors = [
         contraction_fixed_point(pm, c, space.witness_point(space.whole()), fp_tol, rng)
         for pm in members
     ]
     alpha = tuple(anchor.value for anchor in anchors)
-    model = ContractiveModel(
-        cs,
-        members,
-        net,
-        eps,
-        depth,
-        c,
-        tuple(rows),
-        alpha,
-        fp_tol,
-        F(0),
-        F(0),
-        node,
-    )
     exact = all(
-        model.value_map(rows[i][a]) == rows[i + 1][a]
+        _act(members, rows[i][a]) == rows[i + 1][a]
         for i in range(depth)
         for a in range(len(net))
     )
@@ -766,9 +750,8 @@ def contractive_common_extension(
     defect = max(
         space.distance(v, alpha[j])
         for values in rows[depth]
-        for j, v in enumerate(model.value_map(values))
+        for j, v in enumerate(_act(members, values))
     )
-    model.defect = defect
     node.check(
         f"frontier rows snap to the fixed-point row with defect <= "
         f"c^{depth} * diam = {c ** depth * diam}",
@@ -776,9 +759,8 @@ def contractive_common_extension(
         f"exact defect {defect}",
     )
     alpha_defect = max(
-        space.distance(v, alpha[j]) for j, v in enumerate(model.value_map(alpha))
+        space.distance(v, alpha[j]) for j, v in enumerate(_act(members, alpha))
     )
-    model.alpha_defect = alpha_defect
     node.check(
         f"fixed-point row is stable within (1 + c) * {fp_tol}",
         alpha_defect <= (1 + c) * fp_tol,
@@ -792,7 +774,10 @@ def contractive_common_extension(
         f"(an eps-net at {eps})",
         onto,
     )
-    return model
+    return ContractiveModel(
+        cs, members, net, eps, depth, c, tuple(rows), alpha, fp_tol, defect,
+        alpha_defect, node,
+    )
 
 
 def invariant_witness_check(
@@ -806,7 +791,7 @@ def invariant_witness_check(
     the universal action stays within tol of the set, and evaluation at
     every member covers the space at the surjectivity scale (net_eps, or
     tol when omitted).  Failures carry witnesses."""
-    members = tuple(members.members if isinstance(members, MapFamily) else members)
+    members = _point_maps(members)
     if not members:
         raise EmptyFamily("an invariant model needs at least one member")
     tol = F(tol)
@@ -824,7 +809,7 @@ def invariant_witness_check(
     space = members[0].space
     worst = (F(-1), None)
     for z in rows:
-        image = tuple(pm.point(v) for pm, v in zip(members, z))
+        image = _act(members, z)
         best = min(
             max(space.distance(u, w) for u, w in zip(image, other))
             for other in rows

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .errors import CertificationError, InvalidIndex, NotInjective
 from .pairing import pair, unpair
@@ -294,7 +295,7 @@ class EmbeddingCertificate:
 
     relabel: dict[int, int]
     components: list[Component]
-    copies: dict[str, int]           # how many fresh copies each shape used
+    copies: dict[int, int]  # shape code -> fresh copies used (shapes in use only)
     checked_edges: int
     layout_version: int = LAYOUT_VERSION
 
@@ -308,29 +309,23 @@ def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
     """
     components = classify_components(sigma)
     relabel: dict[int, int] = {}
-    copies = {"line": 0, "ray": 0}
-    cycle_copies: dict[int, int] = {}
+    copies: dict[int, int] = {}
     for comp in components:
         if comp.kind is ComponentType.CYCLE:
             n = len(comp.members)
-            copy = cycle_copies.get(n, 0)
-            cycle_copies[n] = copy + 1
-            for m, p in zip(comp.members, comp.positions):
-                relabel[m] = encode_cycle(n, copy, p)
+            shape, encode = n + 1, partial(encode_cycle, n)
         elif comp.kind is ComponentType.FORWARD_RAY:
-            copy = copies["ray"]
-            copies["ray"] += 1
-            for m, p in zip(comp.members, comp.positions):
-                relabel[m] = encode_ray(copy, p)
+            shape, encode = RAY_SHAPE, encode_ray
         else:  # declared line or unresolved path
-            copy = copies["line"]
-            copies["line"] += 1
-            for m, p in zip(comp.members, comp.positions):
-                relabel[m] = encode_line(copy, p)
+            shape, encode = LINE_SHAPE, encode_line
+        copy = copies.get(shape, 0)
+        copies[shape] = copy + 1
+        for m, p in zip(comp.members, comp.positions):
+            relabel[m] = encode(copy, p)
     return EmbeddingCertificate(
         relabel=relabel,
         components=components,
-        copies={**copies, **{f"cycle[{n}]": c for n, c in sorted(cycle_copies.items())}},
+        copies=copies,
         checked_edges=_verify_embedding(sigma, relabel),
     )
 
@@ -388,13 +383,20 @@ def load_injection(text: str) -> PartialInjection:
                 raise CertificationError(
                     f"line {lineno}: bad component declaration {line!r}"
                 ) from exc
+            if member in oracle:
+                raise CertificationError(
+                    f"line {lineno}: second component declaration for {member}"
+                )
             oracle[member] = OracleEntry(member, kind, offset)
             continue
         if "->" not in line:
             raise CertificationError(f"line {lineno}: expected `i -> j`, got {line!r}")
         left, right = line.split("->", 1)
         try:
-            entries[int(left)] = int(right)
+            i, j = int(left), int(right)
         except ValueError as exc:
             raise CertificationError(f"line {lineno}: bad entry {line!r}") from exc
+        if i in entries:
+            raise CertificationError(f"line {lineno}: second entry for {i}")
+        entries[i] = j
     return PartialInjection(entries, oracle)

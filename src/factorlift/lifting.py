@@ -123,6 +123,17 @@ class StrongLift:
             t = hit
         return t
 
+    def sound_at(self, q: Sequence[int], s: Sequence[int], t: Word, k: int) -> bool:
+        """The soundness law at resolution k for the located branch t: its
+        level-k cell keeps the level-k slack ball around the family's region
+        at the prefixes of q and s the moduli demand.  False when q, s or t
+        is shorter than resolution k demands."""
+        l, m = self.moduli(k)
+        if len(q) < l or len(s) < m or len(t) < k:
+            return False
+        region = self.family.region(q[:l], s[:m])
+        return _keeps_slack(self.cs, self.cs.v_cell(t[:k]), region, k)
+
     def certificate(
         self, resolution: int, samples: int, rng, name: Optional[str] = None
     ) -> CertNode:
@@ -148,9 +159,7 @@ class StrongLift:
             for k in range(1, resolution + 1):
                 l, m = self.moduli(k)
                 region = self.family.region(q[:l], s[:m])
-                if not space.eroded_contains(
-                    self.cs.v_cell(t[:k]), region, self.cs.slack(k)
-                ):
+                if not _keeps_slack(self.cs, self.cs.v_cell(t[:k]), region, k):
                     enclosure_bad.append((q, s, k))
                 if previous is not None and not space.closed_subset(region, previous):
                     shrink_bad.append((q, s, k))
@@ -173,10 +182,17 @@ class StrongLift:
         return cert
 
 
+def _keeps_slack(presentation, cell, region, k: int) -> bool:
+    """The law `_descend` establishes at resolution k: the located level-k
+    cell keeps the level-k slack ball around the region it was located
+    for."""
+    return presentation.space.eroded_contains(cell, region, presentation.slack(k))
+
+
 def _descend(presentation, name: str, t: Word, kk: int, region, label) -> Word:
     """One resolution down a presentation: the region, read at `label`,
     must be at most half the level-kk slack wide, and the located child of
-    t keeps the slack-ball around it."""
+    t keeps the slack-ball around it (`_keeps_slack`)."""
     r = presentation.slack(kk)
     if presentation.space.diam(region) > r / 2:
         raise NoCell(
@@ -222,7 +238,7 @@ class LiftedSelfMap:
         )
         if exact_samples and self.point_map.point_fn is not None:
             space = self.cs.space
-            depth = max(self.lift.moduli(resolution)[1], resolution)
+            depth = self.transducer.modulus(resolution)
             radius = self.cs.epsilon(depth) / 4
             bad = []
             for _ in range(exact_samples):
@@ -493,9 +509,7 @@ class BaireLift:
             for k in range(1, resolution + 1):
                 s = self._minimal_prefix(w, k)
                 cell = self.presentation.v_cell(t[:k])
-                if not target.eroded_contains(
-                    cell, self.point_map.region(s), self.presentation.slack(k)
-                ):
+                if not _keeps_slack(self.presentation, cell, self.point_map.region(s), k):
                     enclosure_bad.append((w, k))
                 if not target.diam(cell) < F(1, 2 ** k):
                     diam_bad.append((w, k))

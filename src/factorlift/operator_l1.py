@@ -19,6 +19,7 @@ map and `BanachModel`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -34,6 +35,7 @@ from .errors import (
     NotInjective,
 )
 from .injections import (
+    LINE_SHAPE,
     EmbeddingCertificate,
     PartialInjection,
     embed_injection,
@@ -188,12 +190,6 @@ def _reduce(den: int, nums: Sequence[int]) -> tuple[int, ...]:
     return (den // g, *(n // g for n in nums))
 
 
-def _integer_matrix(matrix: Matrix) -> tuple[int, list[list[int]]]:
-    """(d, M) with matrix = M/d, d the least common denominator of the entries."""
-    d = math.lcm(*(c.denominator for row in matrix for c in row))
-    return d, [[c.numerator * (d // c.denominator) for c in row] for row in matrix]
-
-
 def _times(mat: list[list[int]], key: tuple[int, ...]) -> list[int]:
     """The integer matrix times the numerators of `key`: the orbit stages'
     only application of the operator."""
@@ -212,10 +208,14 @@ def _in_ball(kind: NormKind, key: tuple[int, ...]) -> bool:
 
 
 def _scaled_step(matrix: Matrix, rho: Fraction):
-    """The key map of (1/rho)T: with rho = a/b and T = M/d, the key
-    (den, *nums) goes to the key of b*M*nums / (a*d*den)."""
-    d, mat = _integer_matrix(matrix)
-    bmat = [[rho.denominator * m for m in row] for row in mat]
+    """The key map of (1/rho)T: with rho = a/b and T = M/d, d the least
+    common denominator of T's entries, the key (den, *nums) goes to the key
+    of b*M*nums / (a*d*den)."""
+    d = math.lcm(*(c.denominator for row in matrix for c in row))
+    bmat = [
+        [rho.denominator * c.numerator * (d // c.denominator) for c in row]
+        for row in matrix
+    ]
     ad = rho.numerator * d
     return lambda key: _reduce(ad * key[0], _times(bmat, key))
 
@@ -284,9 +284,12 @@ def dense_orbit_enumeration(
     images falling outside the point list (orbit frontier) are omitted and
     recorded.  (1/rho)T is applied once per point.
     """
+    matrix = model.matrix(matrix)
     rho = Fraction(rho)
     if rho <= 0:
         raise NormBoundViolated(f"rho must be positive, got {rho}")
+    if repetitions < 1:
+        raise CertificationError(f"repetitions must be at least 1, got {repetitions}")
     try:
         exact = model.operator_norm(matrix)
     except CertificationError:
@@ -348,6 +351,17 @@ def dense_orbit_enumeration(
     )
 
 
+def _keyed(enum: OrbitEnumeration):
+    """The enumeration on integer keys, as both certificates read it:
+    key_of[e] is the key of points[e] (key_of[None], where pi reads no
+    point, the zero key), and image(e) the memoized key of (1/rho)T
+    points[e]."""
+    key_of: dict[int | None, tuple[int, ...]] = dict(enumerate(map(_key, enum.points)))
+    key_of[None] = (1,) + (0,) * enum.model.dim
+    step = _scaled_step(enum.matrix, enum.rho)
+    return key_of, functools.cache(lambda e: step(key_of[e]))
+
+
 def enumeration_certificate(enum: OrbitEnumeration) -> CertNode:
     """Exactness and structure checks for an orbit enumeration."""
     cert = CertNode("dense orbit enumeration")
@@ -355,18 +369,10 @@ def enumeration_certificate(enum: OrbitEnumeration) -> CertNode:
         "sigma is injective on its domain",
         len(set(enum.sigma.entries.values())) == len(enum.sigma.entries),
     )
-    keys = [_key(v) for v in enum.points]
-    step = _scaled_step(enum.matrix, enum.rho)
-    images: dict[int, tuple[int, ...]] = {}  # point e -> key of its scaled image
-
-    def image(i: int) -> tuple[int, ...]:
-        e = enum._point(i)
-        if e not in images:
-            images[e] = step(keys[e])
-        return images[e]
-
+    key_of, image = _keyed(enum)
     bad = [
-        i for i, j in enum.sigma.entries.items() if image(i) != keys[enum._point(j)]
+        i for i, j in enum.sigma.entries.items()
+        if image(enum._point(i)) != key_of[enum._point(j)]
     ]
     cert.check(
         "scaled image matches the enumeration on every covered index",
@@ -426,7 +432,7 @@ def synthesize_factor_map(enum: OrbitEnumeration) -> FactorMap:
     """
     cert = embed_injection(enum.sigma)
     layout_of = dict(cert.relabel)
-    extra_copy = cert.copies.get("line", 0)
+    extra_copy = cert.copies.get(LINE_SHAPE, 0)
     for i in enum.covered:
         if i not in layout_of:
             layout_of[i] = encode_line(extra_copy, 0)
@@ -448,47 +454,27 @@ def commutation_certificate(
     the both-sides-zero claim applies when the successor also lies off the
     support (left frontiers of line components are recorded, not claimed).
     """
-    enum, model = fmap.enum, fmap.enum.model
+    enum = fmap.enum
     cert = CertNode("factor map commutation")
-    d, mat = _integer_matrix(enum.matrix)
-    a, b = enum.rho.numerator, enum.rho.denominator
-    zero = (1,) + (0,) * model.dim
-    # key_of[e]: key of points[e]; key_of[None]: pi reads zero off the support
-    key_of: dict[int | None, tuple[int, ...]] = dict(enumerate(map(_key, enum.points)))
-    key_of[None] = zero
+    key_of, image = _keyed(enum)
+    zero = key_of[None]
 
     def point(layout_index: int) -> int | None:
         n = fmap.enum_of.get(layout_index)
         return None if n is None else enum._point(n)
 
-    # Both sides depend on a layout index only through the point pi reads
-    # there, so each is computed once per point.
-    lhs_of: dict[int | None, tuple[int, ...]] = {}
-    rhs_of: dict[int | None, tuple[int, ...]] = {}
-
-    def side(memo, layout_index: int, f) -> tuple[int, ...]:
-        e = point(layout_index)
-        if e not in memo:
-            memo[e] = f(key_of[e])
-        return memo[e]
-
-    def t_times(k):  # T v = M*nums / (d*den)
-        return _reduce(d * k[0], _times(mat, k))
-
-    def rho_times(k):  # rho v = a*nums / (b*den)
-        return _reduce(b * k[0], [a * x for x in k[1:]])
-
+    # rho > 0 and keys are canonical, so T pi(e_i) = rho pi(e_s) exactly
+    # when the scaled image of the point read at i is the point read at s
     bad = []
-    checked = 0
     for n in enum.sigma.entries:
         i = fmap.layout_of[n]
-        if side(lhs_of, i, t_times) != side(rhs_of, successor(i), rho_times):
+        if image(point(i)) != key_of[point(successor(i))]:
             bad.append(i)
-        checked += 1
     cert.check(
         "exact commutation on every covered basis index",
         not bad,
-        f"first witness layout index {bad[0]}" if bad else f"{checked} indices",
+        f"first witness layout index {bad[0]}" if bad else
+        f"{len(enum.sigma.entries)} indices",
     )
     support = set(fmap.enum_of)
     sampled = skipped = attempts = 0
@@ -506,7 +492,7 @@ def commutation_certificate(
             if s in support:
                 skipped += 1  # left frontier of a line copy: no claim made
                 continue
-            if side(lhs_of, i, t_times) != zero or side(rhs_of, s, rho_times) != zero:
+            if image(point(i)) != zero or key_of[point(s)] != zero:
                 witness = i
                 break
             sampled += 1
@@ -550,6 +536,7 @@ def norm_growth_certificate(
     ||T^n|| <= C * ||U^n|| over the tabulated range; unbounded growth of the
     ratios is evidence that no finite C works globally.
     """
+    matrix = model.matrix(matrix)
     if steps < 1:
         raise CertificationError("need at least one power")
     ref = (

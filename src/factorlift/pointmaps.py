@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import CertificationError, SpaceMismatch
+from .errors import CertificationError, InvalidBranch, SpaceMismatch
 from .geometry import (
     BaireStreamSpace,
     CantorSpace,
@@ -273,18 +273,25 @@ def branch_family(cover_system) -> ParameterizedFamily:
     return ParameterizedFamily(cover_system.space, region, moduli, "branch-projection")
 
 
+def _rotation_angle(q: Sequence[int]) -> Fraction:
+    """The rotation a binary parameter word names: sum of q_i * 2^-(i+2)."""
+    for b in q:
+        if b not in (0, 1):
+            raise InvalidBranch(f"rotation parameter symbol {b} is not binary")
+    return sum(F(b, 2 ** (i + 2)) for i, b in enumerate(q))
+
+
 def rotation_family(cover_system) -> ParameterizedFamily:
-    """Circle rotations indexed by a binary parameter stream: the angle is
-    sum of q_i * 2^-(i+2), known to width 2^-(len(q)+1) from a prefix."""
+    """Circle rotations indexed by a binary parameter stream: the angle
+    `_rotation_angle(q)` is known to width 2^-(len(q)+1) from a prefix."""
     space = cover_system.space
     if not isinstance(space, CircleSpace):
         raise SpaceMismatch("rotation family needs the circle")
 
     def region(q: Word, s: Word) -> Cell:
-        angle = sum(F(b, 2 ** (i + 2)) for i, b in enumerate(q))
         width = F(1, 2 ** (len(q) + 1))
         start, length = cover_system.v_cell(s)
-        return _norm_arc(start + angle, length + width)
+        return _norm_arc(start + _rotation_angle(q), length + width)
 
     def moduli(width: Fraction) -> tuple:
         m = least_dyadic_level(width / 2)

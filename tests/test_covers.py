@@ -523,6 +523,7 @@ def test_finite_select_children_matches_mesh_filter(case):
         (cantor_system, 8),
         (finite_system, 5),
         (lambda: product_system(CantorSpace(), CantorSpace()), 5),
+        (interval_system, 0),
     ],
 )
 def test_verify_passes(make, depth):
@@ -974,6 +975,8 @@ def test_whole_and_product_cells_have_no_key_where_a_factor_has_none():
                      CertificationError, "negative radius", id="locate-negative-radius"),
         pytest.param(lambda: FiniteMetricSpace(((0, 1), (1, 1))), CertificationError,
                      "bad distance matrix diagonal/shape", id="finite-bad-diagonal"),
+        pytest.param(lambda: verify_cover_system(interval_system(), -2), CertificationError,
+                     "cover depth must be nonnegative, got -2", id="verify-negative-depth"),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):

@@ -483,6 +483,13 @@ def test_load_rejects_garbage():
         ),
         pytest.param(lambda: load_injection("1 -> x"), CertificationError,
                      "line 1: bad entry '1 -> x'", id="load-bad-entry"),
+        pytest.param(lambda: load_injection("1 -> 2\n1 -> 3\n"), CertificationError,
+                     "line 2: second entry for 1", id="load-two-entries-for-one-member"),
+        pytest.param(
+            lambda: load_injection("# component 1: ray @ 0\n\n# component 1: line @ 2\n"),
+            CertificationError, "line 3: second component declaration for 1",
+            id="load-two-declarations-for-one-member",
+        ),
         pytest.param(lambda: pair(-1, 0), ValueError,
                      "pair needs nonnegative arguments, got (-1, 0)", id="pair-negative"),
         pytest.param(lambda: unpair(-1), ValueError,

@@ -653,6 +653,21 @@ def _first_strong_sample(lift, resolution, seed):
     return q, tuple(rng.randrange(lift.cs.child_arity(i + 1)) for i in range(m))
 
 
+def test_sound_at_holds_on_located_branches_and_refuses_short_prefixes():
+    cs = circle_system()
+    lift = strong_extension_map(cs, rotation_family(cs))
+    q, s = _first_strong_sample(lift, 3, 21)
+    t = lift.prefix(q, s, 3)
+    l, m = lift.moduli(3)
+    assert all(lift.sound_at(q, s, t, k) for k in (1, 2, 3))
+    assert not lift.sound_at(q[: l - 1], s, t, 3)
+    assert not lift.sound_at(q, s[: m - 1], t, 3)
+    assert not lift.sound_at(q, s, t[:2], 3)
+    # the level-1 circle cell opposite the located one
+    opposite = ((t[0] + cs.child_arity(1) // 2) % cs.child_arity(1),) + t[1:]
+    assert not lift.sound_at(q, s, opposite, 1)
+
+
 def test_strong_lift_certificate_names_a_misplaced_branch():
     cs = interval_system()
     lift = lift_self_map(cs, tent_map()).lift
@@ -771,6 +786,29 @@ def _first_baire_sample(seed):
     return tuple(rng.randrange(SYMBOL_BOUND + 1) for _ in range(8))
 
 
+@settings(max_examples=20, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), min_size=6, max_size=6))
+def test_interval_baire_lift_of_a_composite_agrees_with_lift_self_map(bits):
+    # tent after parity-expansion, lifted at once over the interval cover
+    # system and in two stages: the Baire lift of parity-expansion, then
+    # the lifted tent map; both level-k cells hold tent(x)
+    cs = interval_system()
+    tent, parity = tent_map(), parity_expansion_map()
+    composed = PolishPointMap(
+        cs.space, lambda v: tent.image_region(parity.region(v)), "tent-after-parity"
+    )
+    w = tuple(bits) + (0,) * 40
+    x = sum(F(b, 2 ** (i + 1)) for i, b in enumerate(bits))
+    at_once = baire_extension_map(cs, composed).output(w, 6)
+    stepper = lift_self_map(cs, tent).transducer
+    staged = stepper.step(baire_extension_map(cs, parity).output(w, stepper.modulus(6)))
+    assert len(at_once) == 6 and len(staged) >= 6
+    y = tent.point(x)
+    for k in range(1, 7):
+        assert cs.space.contains(cs.v_cell(at_once[:k]), y), (k, at_once)
+        assert cs.space.contains(cs.v_cell(staged[:k]), y), (k, staged)
+
+
 def test_baire_lift_certificate_names_a_misplaced_cell():
     bl = baire_extension_map(_ShiftedCylinders(), baire_identity_map())
     cert = bl.certificate(1, 3, random.Random(17))
@@ -825,6 +863,13 @@ def test_baire_lift_certificate_names_comparable_prefixes():
         ),
         pytest.param(lambda: DyadicIntervalPresentation().resolve((-1,)), InvalidBranch,
                      "negative branch symbol -1", id="negative-branch-symbol"),
+        pytest.param(
+            lambda: strong_extension_map(
+                circle_system(), rotation_family(circle_system())
+            ).prefix((7,) * 12, (0,) * 12, 2),
+            InvalidBranch, "rotation parameter symbol 7 is not binary",
+            id="rotation-parameter-not-binary",
+        ),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):

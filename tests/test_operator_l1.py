@@ -628,6 +628,10 @@ def test_gcd_grid_matches_the_seen_set_grid(dim, kind, count):
 # === typed refusals ===
 
 
+# the top-left 2x2 block is (1/2) I; the entry 3 lies outside it
+_THREE_BY_THREE = ((F(1, 2), 0, 0), (0, F(1, 2), 0), (0, 0, 3))
+
+
 def _value_past_the_points():
     enum = dense_orbit_enumeration(BanachModel(1), ((F(1, 2),),), F(1, 2), base_count=2)
     return enum.value(pair(len(enum.points), 0))
@@ -642,6 +646,23 @@ def _value_past_the_points():
                      "expected 2x2 matrix", id="matrix-wrong-shape"),
         pytest.param(_value_past_the_points, CertificationError, "beyond the enumeration",
                      id="value-past-the-points"),
+        pytest.param(lambda: dense_orbit_enumeration(BanachModel(2), _THREE_BY_THREE, F(1, 2)),
+                     CertificationError, "expected 2x2 matrix",
+                     id="enumeration-matrix-larger-than-the-model"),
+        pytest.param(lambda: dense_orbit_enumeration(BanachModel(2), ((F(1, 2),),), F(1, 2)),
+                     CertificationError, "expected 2x2 matrix",
+                     id="enumeration-matrix-smaller-than-the-model"),
+        pytest.param(lambda: norm_growth_certificate(BanachModel(2), _THREE_BY_THREE, 3),
+                     CertificationError, "expected 2x2 matrix",
+                     id="norm-growth-matrix-larger-than-the-model"),
+        pytest.param(
+            lambda: dense_orbit_enumeration(
+                BanachModel(2), BanachModel(2).matrix([[F(1, 2), 0], [0, F(1, 2)]]), F(1, 2),
+                repetitions=0,
+            ),
+            CertificationError, "repetitions must be at least 1, got 0",
+            id="enumeration-no-repetitions",
+        ),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):
