@@ -37,10 +37,6 @@ class NoCell(CertificationError):
     """No cell of the requested resolution contains the given region."""
 
 
-class NotAntichain(CertificationError):
-    """A supplied prefix family cannot be pruned into a covering antichain."""
-
-
 class LipschitzRefuted(CertificationError):
     """A declared Lipschitz constant fails on an exhibited pair of points."""
 

@@ -709,6 +709,7 @@ def contractive_common_extension(
         )
     space = cs.space
     eps = F(eps)
+    net = tuple(net)
     node = CertNode(
         f"tabulated contraction model: {len(members)} members, "
         f"depth {depth}, net of {len(net)} points"
@@ -726,7 +727,6 @@ def contractive_common_extension(
         True,
         f"certified cell by cell at tree level {level}",
     )
-    net = tuple(net)
     diam = space.diam(space.whole())
     m = len(members)
     rows = [tuple((a,) * m for a in net)]

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import count, islice
+from typing import Iterator, Optional, Sequence
 
 from .certificates import CertNode
 from .covers import CoverSystem, locate_ball
@@ -28,7 +29,6 @@ from .errors import (
     InsufficientInput,
     InvalidBranch,
     NoCell,
-    NotAntichain,
     SpaceMismatch,
 )
 from .geometry import (
@@ -44,7 +44,7 @@ from .pointmaps import (
     PolishPointMap,
     family_from_map,
 )
-from .transducers import PrefixTransducer
+from .transducers import BAIRE, PrefixTransducer, validate_word
 
 F = Fraction
 
@@ -79,14 +79,17 @@ class StrongLift:
 
     def moduli(self, k: int) -> tuple:
         """Prefix lengths (parameter, branch) consumed at resolution k;
-        running maxima keep them monotone in k."""
+        running maxima keep them monotone in k, and resolution 0 reads
+        nothing."""
+        if k < 0:
+            raise CertificationError(f"{self.name}: resolution {k} is negative")
         while len(self._moduli) < k:
             kk = len(self._moduli) + 1
             l, m = self.family.moduli(self.cs.slack(kk) / 2)
             if self._moduli:
                 l, m = max(l, self._moduli[-1][0]), max(m, self._moduli[-1][1])
             self._moduli.append((l, m))
-        return self._moduli[k - 1]
+        return self._moduli[k - 1] if k else (0, 0)
 
     def max_resolution(self, q_len: int, s_len: int) -> int:
         """Deepest resolution the given prefix lengths support, capped at
@@ -100,6 +103,8 @@ class StrongLift:
         return k
 
     def prefix(self, q: Sequence[int], s: Sequence[int], k: int) -> Word:
+        if k < 0:
+            raise CertificationError(f"{self.name}: resolution {k} is negative")
         q, s = tuple(q), tuple(s)
         t: Word = ()
         for kk in range(1, k + 1):
@@ -289,6 +294,8 @@ class CylinderPresentation:
         self.space = BaireStreamSpace()
 
     def slack(self, k: int) -> Fraction:
+        if k < 1:
+            raise CertificationError("resolution starts at 1")
         return F(1, 2 ** (k + 2))
 
     def v_cell(self, t: Sequence[int]) -> tuple:
@@ -324,6 +331,8 @@ class DyadicIntervalPresentation:
         # a sixteenth per resolution: wide enough margin that some deeper
         # mesh cell both swallows the fattened region and keeps its
         # closure strictly inside the previous cell
+        if k < 1:
+            raise CertificationError("resolution starts at 1")
         return F(1, 2 ** (4 * k + 2))
 
     def _child_range(self, parent, level: int) -> Optional[tuple]:
@@ -419,11 +428,10 @@ class BaireLift:
     too): reading a branch until its image region is narrow enough, then
     descending the presentation one cell per resolution.  The minimal
     prefixes read at a fixed resolution form an antichain, discovered
-    branch by branch or supplied up front."""
+    branch by branch."""
 
     presentation: object
     point_map: PolishPointMap
-    supplied: Optional[dict] = None
     name: str = "adaptive-lift"
     _antichains: dict = field(default_factory=dict, repr=False)
 
@@ -435,52 +443,50 @@ class BaireLift:
                 f"{self.presentation.space.kind} space"
             )
 
-    def _minimal_prefix(self, w: Word, k: int) -> Word:
-        if self.supplied is not None and k in self.supplied:
-            members = sorted(self.supplied[k], key=len)
-            for member in members:
-                member = tuple(member)
-                if w[: len(member)] == member:
-                    return member
-            if any(tuple(m)[: len(w)] == w for m in members):
-                raise InsufficientInput(
-                    f"{self.name}: supplied family at resolution {k} needs a "
-                    f"longer input than {len(w)} symbols"
-                )
-            raise NotAntichain(
-                f"supplied family at resolution {k} leaves the branch "
-                f"starting {w[: min(len(w), 6)]} uncovered"
-            )
-        bound = self.presentation.slack(k) / 2
-        for j in range(len(w) + 1):
-            if self.point_map.target.diam(self.point_map.region(w[:j])) <= bound:
-                return w[:j]
-        raise InsufficientInput(
-            f"{self.name}: no prefix of the {len(w)}-symbol input pins the "
-            f"image below {bound} for resolution {k}"
-        )
+    def _walk(self, w: Sequence[int]) -> Iterator[tuple]:
+        """(minimal prefix read, located branch) at resolutions 1, 2, ...
+
+        The read bound at resolution k is slack(k) / 2, and the slack at
+        least halves per resolution, so a prefix short enough for k + 1 was
+        short enough for k: each scan resumes where the previous one
+        stopped and finds the minimal prefix a scan from () would."""
+        w = validate_word(BAIRE, w)
+        target, region_of = self.point_map.target, self.point_map.region
+        j, region = 0, region_of(())
+        t: Word = ()
+        for k in count(1):
+            bound = self.presentation.slack(k) / 2
+            while target.diam(region) > bound:
+                if j == len(w):
+                    raise InsufficientInput(
+                        f"{self.name}: no prefix of the {len(w)}-symbol input pins "
+                        f"the image below {bound} for resolution {k}"
+                    )
+                j += 1
+                region = region_of(w[:j])
+            s = w[:j]
+            t = _descend(self.presentation, self.name, t, k, region, s)
+            self._antichains.setdefault(k, set()).add(s)
+            yield s, t
 
     def output(self, w: Sequence[int], k: int) -> Word:
         """The length-k presentation branch naming the image point."""
-        w = tuple(w)
+        if k < 0:
+            raise CertificationError(f"{self.name}: resolution {k} is negative")
         t: Word = ()
-        for kk in range(1, k + 1):
-            s = self._minimal_prefix(w, kk)
-            t = _descend(self.presentation, self.name, t, kk, self.point_map.region(s), s)
-            self._antichains.setdefault(kk, set()).add(s)
+        for _, t in islice(self._walk(w), k):
+            pass
         return t
 
-    def max_resolution(self, w: Sequence[int], limit: int = 64) -> int:
-        """Deepest resolution the input supports; maps that stop reading
-        their input (constants, say) are cut off at the limit."""
-        w = tuple(w)
+    def max_resolution(self, w: Sequence[int]) -> int:
+        """Deepest resolution the input supports, capped at one output
+        symbol per input symbol."""
         k = 0
-        while k < limit:
-            try:
-                self.output(w, k + 1)
-            except (InsufficientInput, NoCell):
-                break
-            k += 1
+        try:
+            for k, _ in zip(range(1, len(w) + 1), self._walk(w)):
+                pass
+        except (InsufficientInput, NoCell):
+            pass
         return k
 
     def antichain(self, k: int) -> list:
@@ -500,15 +506,14 @@ class BaireLift:
             while True:
                 w = tuple(rng.randrange(SYMBOL_BOUND + 1) for _ in range(length))
                 try:
-                    t = self.output(w, resolution)
+                    steps = list(islice(self._walk(w), resolution))
                     break
                 except InsufficientInput:
                     length *= 2
                     if length > 4096:
                         raise
-            for k in range(1, resolution + 1):
-                s = self._minimal_prefix(w, k)
-                cell = self.presentation.v_cell(t[:k])
+            for k, (s, t) in enumerate(steps, 1):
+                cell = self.presentation.v_cell(t)
                 if not _keeps_slack(self.presentation, cell, self.point_map.region(s), k):
                     enclosure_bad.append((w, k))
                 if not target.diam(cell) < F(1, 2 ** k):
@@ -544,14 +549,5 @@ class BaireLift:
         return cert
 
 
-def baire_extension_map(
-    presentation,
-    point_map: PolishPointMap,
-    supplied_antichains: Optional[dict] = None,
-) -> BaireLift:
-    return BaireLift(
-        presentation,
-        point_map,
-        supplied=supplied_antichains,
-        name=f"lift[{point_map.name}]",
-    )
+def baire_extension_map(presentation, point_map: PolishPointMap) -> BaireLift:
+    return BaireLift(presentation, point_map, name=f"lift[{point_map.name}]")

@@ -546,6 +546,10 @@ def norm_growth_certificate(
     )
     if len(ref) < steps:
         raise CertificationError("reference norm sequence too short")
+    ref = ref[:steps]
+    for i, r in enumerate(ref):
+        if r <= 0:
+            raise CertificationError(f"reference norm {i} is {r}, not positive")
     powers: list[Fraction] = []
     acc = matrix
     for _ in range(steps):
@@ -553,7 +557,7 @@ def norm_growth_certificate(
         acc = model.mat_mul(acc, matrix)
     ratios = [p / r for p, r in zip(powers, ref)]
     growing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    report = NormGrowthReport(powers, ref[:steps], ratios, max(ratios), growing)
+    report = NormGrowthReport(powers, ref, ratios, max(ratios), growing)
     cert = CertNode("norm growth against the reference operator")
     cert.note(
         "ratios",

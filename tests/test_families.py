@@ -266,6 +266,15 @@ def test_contractive_model_passes_with_its_exact_defect():
     assert model.value_map(model.rows[0][8]) == model.rows[1][8]
 
 
+def test_contractive_model_takes_a_generator_net():
+    def model(net):
+        return contractive_common_extension(
+            interval_system(), contractions(), 3, net, F(1, 4), random.Random(1)
+        )
+
+    assert model(iter(NET)).report.render() == model(tuple(NET)).report.render()
+
+
 def test_contractive_model_refutes_an_understated_lipschitz_constant():
     with pytest.raises(LipschitzRefuted, match=r"liar: d\(S\(x\), S\(y\)\) = .* at x = "):
         contractive_common_extension(interval_system(), [liar()], 3, NET, F(1, 4), random.Random(1))

@@ -23,7 +23,6 @@ from factorlift.errors import (
     InsufficientInput,
     InvalidBranch,
     NoCell,
-    NotAntichain,
     SpaceMismatch,
 )
 from factorlift.geometry import CantorSpace, IntervalSpace, least_dyadic_level
@@ -117,7 +116,7 @@ def test_lift_slack_table_matches_the_schedule(name):
     assert deep_first.slack(130) == _slack_schedule(fresh, 130)
     for k in range(1, 131):
         assert deep_first.slack(k) == in_order.slack(k) == _slack_schedule(fresh, k)
-    for cs in (fresh, deep_first):
+    for cs in (fresh, deep_first, CylinderPresentation(), DyadicIntervalPresentation()):
         for k in (0, -1):
             with pytest.raises(CertificationError, match="resolution starts at 1"):
                 cs.slack(k)
@@ -360,6 +359,16 @@ def test_region_leaving_its_cell_names_the_missing_child():
         lift.prefix((), (0,) * 8, 2)
 
 
+def test_resolution_zero_reads_nothing_whatever_was_asked_before():
+    lifted = lift_self_map(interval_system(), tent_map())
+    assert lifted.transducer.modulus(0) == 0
+    assert lifted.transducer.modulus(4) == 11
+    assert lifted.transducer.modulus(0) == 0
+    assert lifted.lift.moduli(0) == (0, 0)
+    cert = lifted.lift.certificate(0, 2, random.Random(1))
+    assert "0 parameter symbols, 0 branch symbols" in cert.render()
+
+
 # --- presentations over unbounded branching ---
 
 
@@ -428,14 +437,15 @@ def test_presentation_child_range_matches_fraction_division(u, v, level):
 )
 def test_presentation_locate_child_matches_fraction_window(t, at, share, extra):
     # regions as a lift meets them: at most half the slack wide, inside the
-    # parent cell with the previous resolution's slack to spare
+    # parent cell with the previous resolution's slack to spare (the root
+    # has no previous resolution and holds every region)
     ps = DyadicIntervalPresentation()
     parent = ps.v_cell(t)
     a, b = ps.space.hull(parent)
     slack = ps.slack(len(t) + extra)
     x = a + at * (b - a)
     region = (x, x + share * slack)
-    assume(ps.space.eroded_contains(parent, region, ps.slack(len(t))))
+    assume(not t or ps.space.eroded_contains(parent, region, ps.slack(len(t))))
     assert ps.locate_child(t, region, slack) == _ref_locate_child(ps, t, region, slack)
 
 
@@ -520,7 +530,7 @@ def test_constant_lift_ignores_the_branch():
     b = bl.output((9, 9, 9, 9), 6)
     assert a == b
     assert bl.point_map.target.contains(bl.presentation.v_cell(a), F(1, 3))
-    assert bl.max_resolution((0,), limit=10) == 10
+    assert bl.max_resolution((0,) * 10) == 10
 
 
 # the dyadic presentation and the interval cover system present one space
@@ -558,7 +568,7 @@ def test_baire_outputs_extend():
 def test_baire_lift_output_extends_under_longer_input(w, data):
     bl = baire_extension_map(DyadicIntervalPresentation(), parity_expansion_map())
     cut = data.draw(st.integers(0, len(w)))
-    top, k = bl.max_resolution(w, limit=8), bl.max_resolution(w[:cut], limit=8)
+    top, k = bl.max_resolution(w), bl.max_resolution(w[:cut])
     assert k <= top
     assert bl.output(w, top)[:k] == bl.output(w[:cut], k)
 
@@ -584,18 +594,44 @@ def test_discovered_prefixes_are_minimal_antichains():
                 assert a[:n] != b[:n]
 
 
-def test_supplied_antichain_paths():
-    ps = CylinderPresentation()
-    members = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    bl = baire_extension_map(ps, baire_identity_map(), supplied_antichains={1: members})
-    assert bl.output((0, 1, 0, 1, 0), 1) == (0,)
-    with pytest.raises(NotAntichain):
-        bl.output((5, 0, 0, 0, 0), 1)
-    with pytest.raises(InsufficientInput):
-        bl.output((0, 1), 1)
-    short = baire_extension_map(ps, baire_identity_map(), supplied_antichains={1: [()]})
-    with pytest.raises(NoCell, match=r"region at \(\) is wider than"):
-        short.output((0, 1, 0, 1, 0), 1)
+def _ref_minimal_prefix(bl, w, k):
+    """Reference: the least prefix of w whose image region is at most half
+    the level-k slack wide, scanned from the empty prefix on every call;
+    None when no prefix of w is that narrow."""
+    bound = bl.presentation.slack(k) / 2
+    for j in range(len(w) + 1):
+        if bl.point_map.target.diam(bl.point_map.region(w[:j])) <= bound:
+            return w[:j]
+    return None
+
+
+BAIRE_PAIRS = {
+    "cylinder-id": (CylinderPresentation, baire_identity_map),
+    "dyadic-parity": (DyadicIntervalPresentation, parity_expansion_map),
+    "cover-parity": (interval_system, parity_expansion_map),
+}
+
+
+@pytest.mark.parametrize("pair_name", BAIRE_PAIRS)
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, SYMBOL_BOUND), max_size=30).map(tuple), st.data())
+def test_baire_walk_reads_the_minimal_prefixes_a_fresh_scan_finds(pair_name, w, data):
+    make_presentation, make_map = BAIRE_PAIRS[pair_name]
+    bl = baire_extension_map(make_presentation(), make_map())
+    reached = 0
+    try:
+        for k, (s, t) in enumerate(bl._walk(w), 1):
+            assert s == _ref_minimal_prefix(bl, w, k), k
+            assert len(t) == k
+            reached = k
+    except InsufficientInput:
+        # the walk runs out of input exactly where a fresh scan does
+        assert _ref_minimal_prefix(bl, w, reached + 1) is None
+    except NoCell:
+        pass
+    assert bl.max_resolution(w) == min(reached, len(w))
+    cut = data.draw(st.integers(0, len(w)))
+    assert bl.max_resolution(w[:cut]) <= bl.max_resolution(w) <= len(w)
 
 
 def test_cylinder_locate_child_is_the_cylinder_containment_test():
@@ -609,14 +645,6 @@ def test_cylinder_locate_child_is_the_cylinder_containment_test():
     assert ps.locate_child((0,), region, F(1, 2)) is None
     assert ps.locate_child((1,), region, F(0)) is None
     assert ps.locate_child((0, 3, 1, 4), region, F(0)) is None
-
-
-def test_supplied_families_merge_with_adaptive_resolutions():
-    ps = CylinderPresentation()
-    members = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    bl = baire_extension_map(ps, baire_identity_map(), supplied_antichains={1: members})
-    # resolution 2 has no supplied family and falls back to minimal prefixes
-    assert bl.output((0, 1, 0, 1, 0), 2) == (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -830,14 +858,10 @@ def test_baire_lift_certificate_names_a_cell_too_wide():
 
 
 def test_baire_lift_certificate_names_comparable_prefixes():
-    # a supplied family that reads one symbol past the minimal prefix,
-    # then adaptive reading at the same resolution
-    bl = baire_extension_map(
-        CylinderPresentation(), baire_identity_map(), supplied_antichains={1: [(0, 0, 0, 0)]}
-    )
+    # plant a recorded prefix one symbol past the minimal one the walk read
+    bl = baire_extension_map(CylinderPresentation(), baire_identity_map())
     bl.output((0,) * 8, 1)
-    bl.supplied = None
-    bl.output((0,) * 8, 1)
+    bl._antichains[1].add((0, 0, 0, 0))
     cert = bl.certificate(1, 3, random.Random(19))
     assert _statuses(cert) == ["PASS", "PASS", "FAIL", "INFO"]
     assert cert.first_failure().detail == "first comparable pair (1, (0, 0, 0), (0, 0, 0, 0))"
@@ -870,6 +894,37 @@ def test_baire_lift_certificate_names_comparable_prefixes():
             InvalidBranch, "rotation parameter symbol 7 is not binary",
             id="rotation-parameter-not-binary",
         ),
+        pytest.param(lambda: lift_self_map(interval_system(), tent_map()).lift.moduli(-1),
+                     CertificationError, "lift[tent]: resolution -1 is negative",
+                     id="negative-moduli-resolution"),
+        pytest.param(
+            lambda: lift_self_map(interval_system(), tent_map()).lift.prefix((), (0,) * 8, -1),
+            CertificationError, "lift[tent]: resolution -1 is negative",
+            id="negative-strong-lift-resolution",
+        ),
+        pytest.param(
+            lambda: baire_extension_map(CylinderPresentation(), baire_identity_map()).output(
+                (0,) * 8, -2
+            ),
+            CertificationError, "lift[id]: resolution -2 is negative",
+            id="negative-baire-lift-resolution",
+        ),
+        pytest.param(
+            lambda: baire_extension_map(CylinderPresentation(), baire_identity_map()).output(
+                (-1, -2, 3, 4, 5), 2
+            ),
+            InvalidBranch, "symbol -1 at position 0 leaves alphabet of size None",
+            id="negative-baire-input-symbol",
+        ),
+        pytest.param(
+            lambda: baire_extension_map(
+                DyadicIntervalPresentation(), parity_expansion_map()
+            ).max_resolution((-1,) * 40),
+            InvalidBranch, "symbol -1 at position 0 leaves alphabet of size None",
+            id="negative-parity-input-symbol",
+        ),
+        pytest.param(lambda: CylinderPresentation().slack(-3), CertificationError,
+                     "resolution starts at 1", id="cylinder-slack-below-resolution-1"),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):

@@ -656,6 +656,16 @@ def _value_past_the_points():
                      CertificationError, "expected 2x2 matrix",
                      id="norm-growth-matrix-larger-than-the-model"),
         pytest.param(
+            lambda: norm_growth_certificate(BanachModel(1), ((F(2),),), 3, [1, 0, 1]),
+            CertificationError, "reference norm 1 is 0, not positive",
+            id="norm-growth-zero-reference",
+        ),
+        pytest.param(
+            lambda: norm_growth_certificate(BanachModel(1), ((F(2),),), 2, [-1, 1]),
+            CertificationError, "reference norm 0 is -1, not positive",
+            id="norm-growth-negative-reference",
+        ),
+        pytest.param(
             lambda: dense_orbit_enumeration(
                 BanachModel(2), BanachModel(2).matrix([[F(1, 2), 0], [0, F(1, 2)]]), F(1, 2),
                 repetitions=0,
