@@ -344,6 +344,8 @@ def _report(node: CertNode, title: str, bad: _Failures, cs: CoverSystem):
 def project_symbol_to_point(cs: CoverSystem, prefix: Sequence[int], k: int) -> Cell:
     """The closed level-k cell a branch prefix pins down."""
     prefix = validate_word(cs.branch_space(), prefix)
+    if k < 0:
+        raise InvalidBranch(f"level must be nonnegative, got {k}")
     if len(prefix) < k:
         raise InvalidBranch(f"prefix of length {len(prefix)} cannot reach level {k}")
     return cs.v_cell(prefix[:k])
@@ -365,6 +367,8 @@ def locate_ball(cs: CoverSystem, region: Cell, radius: Fraction, k: int) -> Word
     point of the closed region."""
     if radius < 0:
         raise CertificationError("negative radius")
+    if k < 0:
+        raise InvalidBranch(f"branch length must be nonnegative, got {k}")
     t: Word = ()
     while len(t) < k:
         j = cs.locate_child(t, region, radius)

@@ -310,6 +310,10 @@ class CommonExtension:
     machine: PrefixTransducer
 
     def factor(self, piece_index: int, member_index: int) -> MemberFactor:
+        if not 0 <= piece_index < len(self.lifted):
+            raise CertificationError(f"no piece {piece_index} among {len(self.lifted)}")
+        if not 0 <= member_index < len(self.lifted[piece_index].members):
+            raise CertificationError(f"piece {piece_index} has no member {member_index}")
         inner = self.universals[piece_index].projection(member_index)
         outer = self.product.projection(piece_index)
         return MemberFactor(
@@ -424,8 +428,6 @@ def common_extension_baire(pieces: Sequence[MapFamily]) -> CommonExtension:
 class FixedPointResult:
     value: Any
     error_bound: Fraction
-    iterations: int
-    name: str = "fixed-point"
 
 
 def _refute_lipschitz(point_map: PointMap, c: Fraction, rng, samples: int) -> None:
@@ -449,11 +451,10 @@ def contraction_fixed_point(
     start,
     tol,
     rng,
-    samples: int = 32,
 ) -> FixedPointResult:
     """Iterate a declared c-contraction from the point start until the
     Banach bound c^i * diam(X) / (1 - c) drops below tol.  The
-    declaration is spot-checked on sampled pairs first."""
+    declaration is spot-checked on 32 sampled pairs first."""
     c, tol = F(c), F(tol)
     if not 0 < c < 1:
         raise CertificationError(
@@ -462,15 +463,13 @@ def contraction_fixed_point(
     if tol <= 0:
         raise CertificationError("tolerance must be positive")
     space = point_map.space
-    _refute_lipschitz(point_map, c, rng, samples)
+    _refute_lipschitz(point_map, c, rng, 32)
     x = start
     bound = space.diam(space.whole()) / (1 - c)
-    iterations = 0
     while bound > tol:
         x = point_map.point(x)
         bound *= c
-        iterations += 1
-    return FixedPointResult(x, bound, iterations, f"alpha[{point_map.name}]")
+    return FixedPointResult(x, bound)
 
 
 @dataclass(frozen=True)
@@ -609,11 +608,6 @@ def controlled_powers_check(
 # === the compact tabulated model for contraction families ===
 
 
-def _point_maps(members) -> tuple:
-    """The point maps of a `MapFamily`, or the given point maps."""
-    return tuple(members.members if isinstance(members, MapFamily) else members)
-
-
 def _act(members, values) -> tuple:
     """The universal action on a tabulated map: each member eats its own
     evaluation."""
@@ -680,10 +674,6 @@ class ContractiveModel:
     alpha_defect: Fraction
     report: CertNode
 
-    def value_map(self, values: Sequence) -> tuple:
-        """The universal action on a tabulated map (`_act`)."""
-        return _act(self.members, values)
-
 
 def contractive_common_extension(
     cs: CoverSystem,
@@ -698,7 +688,7 @@ def contractive_common_extension(
     result: exact shifts along orbit rows, a frontier snap onto the
     fixed-point row with defect at most c^depth * diam(X), and evaluation
     surjectivity at net scale."""
-    fam = finite_map_family(cs, _point_maps(members))
+    fam = finite_map_family(cs, members)
     members, c = fam.members, fam.lipschitz
     for pm in members:
         if pm.point_fn is None:
@@ -778,65 +768,3 @@ def contractive_common_extension(
         cs, members, net, eps, depth, c, tuple(rows), alpha, fp_tol, defect,
         alpha_defect, node,
     )
-
-
-def invariant_witness_check(
-    members,
-    model,
-    tol,
-    net_eps=None,
-    cs: Optional[CoverSystem] = None,
-) -> CertNode:
-    """Decide whether a finite set of tabulated maps is an invariant model:
-    the universal action stays within tol of the set, and evaluation at
-    every member covers the space at the surjectivity scale (net_eps, or
-    tol when omitted).  Failures carry witnesses."""
-    members = _point_maps(members)
-    if not members:
-        raise EmptyFamily("an invariant model needs at least one member")
-    tol = F(tol)
-    scale = F(net_eps) if net_eps is not None else tol
-    node = CertNode(
-        f"invariance and surjectivity of a tabulated model "
-        f"({len(members)} members, tolerance {tol})"
-    )
-    rows = [tuple(z) for z in model]
-    if not rows:
-        node.check("model is nonempty", False, "an empty set evaluates onto nothing")
-        return node
-    if any(len(z) != len(members) for z in rows):
-        raise CertificationError("tabulated maps must list one value per member")
-    space = members[0].space
-    worst = (F(-1), None)
-    for z in rows:
-        image = _act(members, z)
-        best = min(
-            max(space.distance(u, w) for u, w in zip(image, other))
-            for other in rows
-        )
-        if best > worst[0]:
-            worst = (best, z)
-    node.check(
-        f"universal action stays within {tol} of the model",
-        worst[0] <= tol,
-        f"worst displacement {worst[0]}"
-        + ("" if worst[0] <= tol else f" at row ({', '.join(map(str, worst[1]))})"),
-    )
-    ambient = cs if cs is not None else CoverSystem(space, f"{space.kind} ambient")
-    sec = node.section(f"evaluation maps cover the space at scale {scale}")
-    for j, pm in enumerate(members):
-        values = list({z[j] for z in rows})
-        try:
-            level = _net_level(ambient, values, scale)
-            sec.check(
-                f"evaluation at {pm.name} is onto at scale {scale}",
-                True,
-                f"certified at tree level {level}",
-            )
-        except NetTooCoarse as miss:
-            sec.check(
-                f"evaluation at {pm.name} is onto at scale {scale}",
-                False,
-                str(miss),
-            )
-    return node

@@ -87,7 +87,7 @@ def identity_map(space: Space) -> PointMap:
     return PointMap(space, lambda cell: cell, "id", lipschitz=F(1), point_fn=lambda x: x)
 
 
-def affine_map(offset, slope, name: Optional[str] = None) -> PointMap:
+def affine_map(offset, slope) -> PointMap:
     """x -> offset + slope * x on the unit interval; the image must stay
     inside [0, 1]."""
     offset, slope = F(offset), F(slope)
@@ -106,7 +106,7 @@ def affine_map(offset, slope, name: Optional[str] = None) -> PointMap:
     return PointMap(
         space,
         region,
-        name or f"affine({offset}+{slope}x)",
+        f"affine({offset}+{slope}x)",
         lipschitz=abs(slope),
         point_fn=lambda x: offset + slope * x,
     )
@@ -177,9 +177,7 @@ def stream_map(
     return PointMap(space, region, machine.name, point_fn=point_fn, modulus_fn=modulus)
 
 
-def table_map(
-    space: FiniteMetricSpace, images: Sequence[int], name: Optional[str] = None
-) -> PointMap:
+def table_map(space: FiniteMetricSpace, images: Sequence[int]) -> PointMap:
     images = tuple(images)
     if len(images) != space.size or not all(0 <= y < space.size for y in images):
         raise CertificationError(f"image table {images} does not fit the space")
@@ -190,14 +188,14 @@ def table_map(
     return PointMap(
         space,
         region,
-        name or f"table{images}",
+        f"table{images}",
         point_fn=lambda x: images[x],
         # level-1 cells are singletons, so their regions are singletons too
         modulus_fn=lambda width: 1,
     )
 
 
-def product_map(left: PointMap, right: PointMap, name: Optional[str] = None) -> PointMap:
+def product_map(left: PointMap, right: PointMap) -> PointMap:
     space = ProductSpace(left.space, right.space)
 
     def region(cell: Cell) -> Cell:
@@ -210,7 +208,7 @@ def product_map(left: PointMap, right: PointMap, name: Optional[str] = None) -> 
     return PointMap(
         space,
         region,
-        name or f"{left.name}*{right.name}",
+        f"{left.name}*{right.name}",
         point_fn=point_fn,
         modulus_fn=lambda width: max(left.modulus(width), right.modulus(width)),
     )

@@ -63,6 +63,8 @@ class InterleavedSpace:
     tail_component: Union[SymbolicSpace, "InterleavedSpace"]
 
     def component(self, n: int) -> Space:
+        if n < 0:
+            raise InvalidBranch(f"component index must be nonnegative, got {n}")
         return self.components[n] if n < len(self.components) else self.tail_component
 
     def arities(self, length: int) -> list[Optional[int]]:
@@ -204,7 +206,7 @@ def odometer_transducer() -> PrefixTransducer:
     return PrefixTransducer(CANTOR, CANTOR, step, lambda k: k, "odometer")
 
 
-def substitution_transducer(rules: dict[int, Word], space: Space = CANTOR) -> PrefixTransducer:
+def substitution_transducer(rules: dict[int, Word]) -> PrefixTransducer:
     if not rules:
         raise EmptyFamily("substitution needs at least one rule")
     if any(len(img) == 0 for img in rules.values()):
@@ -220,7 +222,7 @@ def substitution_transducer(rules: dict[int, Word], space: Space = CANTOR) -> Pr
         return tuple(out)
 
     return PrefixTransducer(
-        space, space, step, lambda k: -(-k // min_len), "substitution"
+        CANTOR, CANTOR, step, lambda k: -(-k // min_len), "substitution"
     )
 
 
@@ -232,6 +234,10 @@ def block_transducer(
     out_block: int,
 ) -> PrefixTransducer:
     """Tabulated map applied to consecutive input blocks of fixed length."""
+    if in_block < 1 or out_block < 1:
+        raise CertificationError(
+            f"block lengths must be positive, got {in_block} and {out_block}"
+        )
     if any(len(k) != in_block or len(v) != out_block for k, v in table.items()):
         raise CertificationError("table entries must match the block lengths")
 
@@ -279,10 +285,9 @@ def extract_stream(packed: Sequence[int], n: int) -> Word:
 
 def pack_streams(
     streams: Sequence[Sequence[int]],
-    default: int = 0,
     length: Optional[int] = None,
 ) -> Word:
-    """Interleave finite prefixes; components beyond the list read `default`.
+    """Interleave finite prefixes; components beyond the list read 0.
 
     Without an explicit length the result is the maximal packed prefix all of
     whose positions are determined by the given streams.
@@ -297,7 +302,9 @@ def pack_streams(
             )
     elif length is None:
         raise CertificationError("packing no streams needs an explicit length")
-    out = [default] * length
+    if length < 0:
+        raise CertificationError(f"packed length must be nonnegative, got {length}")
+    out = [0] * length
     for n, s in enumerate(streams):
         for p, sym in zip(_slots(n, length), s):
             out[p] = sym
@@ -327,6 +334,8 @@ class ProductLift:
         )
 
     def component_map(self, n: int) -> PrefixTransducer:
+        if n < 0:
+            raise InvalidBranch(f"component index must be nonnegative, got {n}")
         return self.maps[n] if n < len(self.maps) else self.tail_map
 
     def _step(self, w: Word) -> Word:

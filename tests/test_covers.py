@@ -977,6 +977,12 @@ def test_whole_and_product_cells_have_no_key_where_a_factor_has_none():
                      "bad distance matrix diagonal/shape", id="finite-bad-diagonal"),
         pytest.param(lambda: verify_cover_system(interval_system(), -2), CertificationError,
                      "cover depth must be nonnegative, got -2", id="verify-negative-depth"),
+        pytest.param(lambda: project_symbol_to_point(interval_system(), (0, 1, 2), -1),
+                     InvalidBranch, "level must be nonnegative, got -1",
+                     id="project-negative-level"),
+        pytest.param(lambda: locate_ball(interval_system(), (F(0), F(1, 2)), F(0), -2),
+                     InvalidBranch, "branch length must be nonnegative, got -2",
+                     id="locate-negative-length"),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):

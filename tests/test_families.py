@@ -27,7 +27,6 @@ from factorlift.families import (
     controlled_powers_check,
     family_lift,
     finite_map_family,
-    invariant_witness_check,
     rotation_map_family,
     universal_on_functions,
 )
@@ -263,7 +262,8 @@ def test_contractive_model_passes_with_its_exact_defect():
     assert model.report.ok, model.report.render()
     assert model.defect == F(1, 32)
     assert model.alpha_defect == 0
-    assert model.value_map(model.rows[0][8]) == model.rows[1][8]
+    step = tuple(pm.point(v) for pm, v in zip(contractions(), model.rows[0][8]))
+    assert step == model.rows[1][8]
 
 
 def test_contractive_model_takes_a_generator_net():
@@ -297,38 +297,6 @@ def test_contractive_model_needs_contracting_members():
         contractive_common_extension(
             interval_system(), [tent_map()], 3, NET, F(1, 4), random.Random(977)
         )
-
-
-def test_invariant_witness_check_passes_on_a_tabulated_model():
-    ci = interval_system()
-    model = contractive_common_extension(ci, contractions(), 3, NET, F(1, 4), random.Random(1))
-    rows = [values for row in model.rows for values in row] + [model.alpha]
-    fam = finite_map_family(ci, contractions(), "c")
-    cert = invariant_witness_check(fam, rows, model.defect, net_eps=F(1, 4), cs=ci)
-    assert cert.ok, cert.render()
-
-
-def test_invariant_witness_check_names_the_displaced_row():
-    cert = invariant_witness_check(contractions(), [(F(1), F(1))], F(1, 8))
-    assert not cert.ok
-    moved = cert.first_failure()
-    assert moved.title == "universal action stays within 1/8 of the model"
-    assert moved.detail == "worst displacement 1/3 at row (1, 1)"
-    onto = [c for c in cert.children[-1].children if not c.ok]
-    assert [c.detail.split(":")[0] for c in onto] == ["net misses the space at scale 1/8"] * 2
-
-
-def test_invariant_witness_check_rejects_malformed_models():
-    assert not invariant_witness_check(contractions(), [], F(1, 8)).ok
-    with pytest.raises(CertificationError, match="one value per member"):
-        invariant_witness_check(contractions(), [(F(1),)], F(1, 8))
-
-
-def test_invariant_witness_check_needs_a_member():
-    # a row of no values used to reach members[0] and raise IndexError
-    for rows in ([()], []):
-        with pytest.raises(EmptyFamily, match="at least one member"):
-            invariant_witness_check([], rows, F(1, 8))
 
 
 # --- packed sizes: the certificates ask the projections ---
@@ -777,6 +745,11 @@ def _blind_contraction():
             ),
             CertificationError, "blind carries no exact point rule", id="member-without-point-rule",
         ),
+        pytest.param(lambda: common_extension_baire(pipeline_pieces()).factor(-1, -1),
+                     CertificationError, "no piece -1 among 2", id="factor-negative-piece"),
+        pytest.param(lambda: common_extension_baire(pipeline_pieces()).factor(1, -1),
+                     CertificationError, "piece 1 has no member -1",
+                     id="factor-negative-member"),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):

@@ -296,7 +296,7 @@ def test_pack_extract_roundtrip():
 
 def test_pack_with_explicit_length():
     # length 5 stays below pair(0, 2), the first position stream 0 leaves open
-    packed = pack_streams([(1, 1)], default=0, length=5)
+    packed = pack_streams([(1, 1)], length=5)
     assert packed == (1, 0, 1, 0, 0)
     assert packed[pair(0, 0)] == 1
     assert packed[pair(0, 1)] == 1
@@ -315,7 +315,7 @@ def test_pack_rejects_overlong_length():
         pack_streams([(1,)], length=pair(0, 1) + 1)
 
 
-def _positionwise_pack(streams, default, length):
+def _positionwise_pack(streams, length):
     """Reference packing: every position unpaired on its own; the first one
     a stream leaves open raises."""
     out = []
@@ -326,7 +326,7 @@ def _positionwise_pack(streams, default, length):
                 raise InsufficientInput(f"position {p} needs symbol {i} of stream {n}")
             out.append(streams[n][i])
         else:
-            out.append(default)
+            out.append(0)
     return tuple(out)
 
 
@@ -334,18 +334,18 @@ STREAMS = st.lists(st.lists(st.integers(0, 9), max_size=12).map(tuple), max_size
 
 
 @settings(max_examples=300, deadline=None)
-@given(streams=STREAMS, default=st.integers(0, 3), length=st.none() | st.integers(0, 200))
-def test_pack_matches_positionwise_packing(streams, default, length):
+@given(streams=STREAMS, length=st.none() | st.integers(0, 200))
+def test_pack_matches_positionwise_packing(streams, length):
     assume(streams or length is not None)
     full = min(pair(n, len(s)) for n, s in enumerate(streams)) if length is None else length
     try:
-        want = _positionwise_pack(streams, default, full)
+        want = _positionwise_pack(streams, full)
     except InsufficientInput as exc:
         with pytest.raises(InsufficientInput) as got:
-            pack_streams(streams, default, length)
+            pack_streams(streams, length)
         assert str(got.value) == str(exc)
     else:
-        assert pack_streams(streams, default, length) == want
+        assert pack_streams(streams, length) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -603,6 +603,18 @@ def test_module_leaves_the_packing_to_transducers(module):
             ),
             SpaceMismatch, "tail rule must be a self-transducer", id="tail-not-a-self-map",
         ),
+        pytest.param(lambda: product_lift([shift_transducer(CANTOR)]).component_map(-1),
+                     InvalidBranch, "component index must be nonnegative, got -1",
+                     id="component-map-negative-index"),
+        pytest.param(lambda: product_lift([shift_transducer(CANTOR)]).projection(-1),
+                     InvalidBranch, "component index must be nonnegative, got -1",
+                     id="projection-negative-index"),
+        pytest.param(lambda: block_transducer(CANTOR, CANTOR, {}, 0, 1), CertificationError,
+                     "block lengths must be positive, got 0 and 1", id="block-empty-input"),
+        pytest.param(lambda: block_transducer(CANTOR, CANTOR, {}, 1, 0), CertificationError,
+                     "block lengths must be positive, got 1 and 0", id="block-empty-output"),
+        pytest.param(lambda: pack_streams([], length=-3), CertificationError,
+                     "packed length must be nonnegative, got -3", id="pack-negative-length"),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):
