@@ -433,7 +433,6 @@ class BaireLift:
     presentation: object
     point_map: PolishPointMap
     name: str = "adaptive-lift"
-    _antichains: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.point_map.target.kind != self.presentation.space.kind:
@@ -466,7 +465,6 @@ class BaireLift:
                 region = region_of(w[:j])
             s = w[:j]
             t = _descend(self.presentation, self.name, t, k, region, s)
-            self._antichains.setdefault(k, set()).add(s)
             yield s, t
 
     def output(self, w: Sequence[int], k: int) -> Word:
@@ -489,10 +487,6 @@ class BaireLift:
             pass
         return k
 
-    def antichain(self, k: int) -> list:
-        """Minimal prefixes read so far at resolution k."""
-        return sorted(self._antichains.get(k, ()))
-
     def certificate(self, resolution: int, samples: int, rng) -> CertNode:
         cert = CertNode(
             f"{self.name}: projection matches {self.point_map.name} "
@@ -501,6 +495,7 @@ class BaireLift:
         target = self.point_map.target
         enclosure_bad = []
         diam_bad = []
+        read = [set() for _ in range(resolution)]  # minimal prefixes per resolution
         length = 8
         for _ in range(samples):
             while True:
@@ -513,6 +508,7 @@ class BaireLift:
                     if length > 4096:
                         raise
             for k, (s, t) in enumerate(steps, 1):
+                read[k - 1].add(s)
                 cell = self.presentation.v_cell(t)
                 if not _keeps_slack(self.presentation, cell, self.point_map.region(s), k):
                     enclosure_bad.append((w, k))
@@ -530,8 +526,8 @@ class BaireLift:
             f"first failure at (w, k) = {diam_bad[0]}" if diam_bad else "",
         )
         overlap = []
-        for k in range(1, resolution + 1):
-            family = self.antichain(k)
+        for k, prefixes in enumerate(read, 1):
+            family = sorted(prefixes)
             for i, a in enumerate(family):
                 for b in family[i + 1 :]:
                     n = min(len(a), len(b))

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .injections import (
     LINE_SHAPE,
-    EmbeddingCertificate,
     PartialInjection,
     embed_injection,
     encode_line,
@@ -255,7 +254,6 @@ class OrbitEnumeration:
     sigma: PartialInjection
     covered: list[int]            # indices pair(e, r) forming sigma's domain pool
     frontier: list[int]           # covered indices omitted: image past the frontier
-    repetitions: int
 
     def value(self, index: int) -> Vector:
         return self.points[self._point(index)]
@@ -346,8 +344,7 @@ def dense_orbit_enumeration(
         last[target] = r2
         entries[i] = pair(target, r2)
     return OrbitEnumeration(
-        model, matrix, rho, points, PartialInjection(entries), covered, frontier,
-        repetitions,
+        model, matrix, rho, points, PartialInjection(entries), covered, frontier
     )
 
 
@@ -405,7 +402,6 @@ class FactorMap:
     """
 
     enum: OrbitEnumeration
-    embedding: EmbeddingCertificate
     layout_of: dict[int, int] = field(default_factory=dict)  # enum idx -> layout idx
     enum_of: dict[int, int] = field(default_factory=dict)    # layout idx -> enum idx
 
@@ -440,7 +436,7 @@ def synthesize_factor_map(enum: OrbitEnumeration) -> FactorMap:
     enum_of = {v: k for k, v in layout_of.items()}
     if len(enum_of) != len(layout_of):
         raise NotInjective("layout relabeling collides")
-    return FactorMap(enum, cert, layout_of, enum_of)
+    return FactorMap(enum, layout_of, enum_of)
 
 
 def commutation_certificate(
@@ -536,8 +532,8 @@ def norm_growth_certificate(
     product or norm breaks.
     """
     matrix = model.matrix(matrix)
-    if steps < 1:
-        raise CertificationError("need at least one power")
+    if steps < 2:
+        raise CertificationError(f"the growth check compares two powers, got steps = {steps}")
     powers: list[Fraction] = []
     acc = matrix
     for _ in range(steps):

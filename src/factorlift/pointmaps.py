@@ -16,9 +16,10 @@ branch, at a rate the branch itself reveals.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import CertificationError, InvalidBranch, SpaceMismatch
 from .geometry import (
@@ -87,28 +88,50 @@ def identity_map(space: Space) -> PointMap:
     return PointMap(space, lambda cell: cell, "id", lipschitz=F(1), point_fn=lambda x: x)
 
 
+def piecewise_affine_map(knots: Iterable[tuple], name: str) -> PointMap:
+    """The map of the unit interval through rational knots (x, y), affine
+    between neighbours: x runs strictly upward from 0 to 1 and y stays in
+    [0, 1].  A cell's region spans the values at its hull's ends and at the
+    knots strictly inside it; the Lipschitz bound is the steepest slope."""
+    knots = tuple((F(x), F(y)) for x, y in knots)
+    xs, ys = tuple(x for x, _ in knots), tuple(y for _, y in knots)
+    if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1 or any(a >= b for a, b in zip(xs, xs[1:])):
+        raise CertificationError(
+            f"{name}: knot x values {', '.join(map(str, xs))} "
+            "do not run strictly upward from 0 to 1"
+        )
+    if not all(0 <= y <= 1 for y in ys):
+        raise CertificationError(f"{name}: knot values {', '.join(map(str, ys))} leave [0, 1]")
+    slopes = tuple((y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
+    offsets = tuple(y - slope * x for x, y, slope in zip(xs, ys, slopes))
+    space = IntervalSpace()
+
+    def piece(x) -> int:
+        return bisect_right(xs, x, 1, len(slopes)) - 1
+
+    def point(x):
+        i = piece(x)
+        return offsets[i] + slopes[i] * x
+
+    def region(cell: Cell) -> Cell:
+        a, b = space.hull(cell)
+        i, j = piece(a), piece(b)
+        ya, yb = offsets[i] + slopes[i] * a, offsets[j] + slopes[j] * b
+        lo, hi = (ya, yb) if ya <= yb else (yb, ya)
+        # knots i + 1 .. j lie in (a, b]; a knot at b adds only its own value
+        for k in range(i + 1, j + 1):
+            lo, hi = min(lo, ys[k]), max(hi, ys[k])
+        return lo, hi
+
+    return PointMap(space, region, name, lipschitz=max(map(abs, slopes)), point_fn=point)
+
+
 def affine_map(offset, slope) -> PointMap:
     """x -> offset + slope * x on the unit interval; the image must stay
     inside [0, 1]."""
     offset, slope = F(offset), F(slope)
-    lo, hi = sorted((offset, offset + slope))
-    if lo < 0 or hi > 1:
-        raise CertificationError(
-            f"affine image [{lo}, {hi}] leaves the unit interval"
-        )
-    space = IntervalSpace()
-
-    def region(cell: Cell) -> Cell:
-        a, b = space.hull(cell)
-        ya, yb = offset + slope * a, offset + slope * b
-        return (ya, yb) if ya <= yb else (yb, ya)
-
-    return PointMap(
-        space,
-        region,
-        f"affine({offset}+{slope}x)",
-        lipschitz=abs(slope),
-        point_fn=lambda x: offset + slope * x,
+    return piecewise_affine_map(
+        ((0, offset), (1, offset + slope)), f"affine({offset}+{slope}x)"
     )
 
 
@@ -123,22 +146,7 @@ def squaring_map() -> PointMap:
 
 
 def tent_map() -> PointMap:
-    space = IntervalSpace()
-    half = F(1, 2)
-
-    def region(cell: Cell) -> Cell:
-        a, b = space.hull(cell)
-        if b <= half:
-            return (2 * a, 2 * b)
-        if a >= half:
-            return (2 - 2 * b, 2 - 2 * a)
-        # cell straddles the peak, so the maximum value 1 is attained
-        return (min(2 * a, 2 - 2 * b), F(1))
-
-    def point(x):
-        return 2 * x if x <= half else 2 - 2 * x
-
-    return PointMap(space, region, "tent", lipschitz=F(2), point_fn=point)
+    return piecewise_affine_map(((0, 0), (F(1, 2), 1), (1, 0)), "tent")
 
 
 def rotation_map(angle) -> PointMap:
@@ -256,19 +264,6 @@ def family_from_map(cover_system, point_map: PointMap) -> ParameterizedFamily:
         lambda width: (0, point_map.modulus(width)),
         name=point_map.name,
     )
-
-
-def branch_family(cover_system) -> ParameterizedFamily:
-    """The family that ignores the parameter and returns the branch cell
-    itself; lifting it recovers a branch of the same point."""
-
-    def region(q: Word, s: Word) -> Cell:
-        return cover_system.v_cell(s)
-
-    def moduli(width: Fraction) -> tuple:
-        return 0, least_dyadic_level(width)
-
-    return ParameterizedFamily(cover_system.space, region, moduli, "branch-projection")
 
 
 def _rotation_angle(q: Sequence[int]) -> Fraction:

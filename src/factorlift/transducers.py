@@ -280,6 +280,8 @@ def _packed_length(n: int, k: int) -> int:
 
 def extract_stream(packed: Sequence[int], n: int) -> Word:
     """Contiguous determined prefix of component n inside a packed word."""
+    if n < 0:
+        raise InvalidBranch(f"component index must be nonnegative, got {n}")
     return tuple(packed[p] for p in _slots(n, len(packed)))
 
 
@@ -373,6 +375,8 @@ class ProductLift:
 
     def projection_preimage(self, n: int, u: Sequence[int]) -> Word:
         """A packed word whose component n reads exactly u: surjectivity witness."""
+        if n < 0:
+            raise InvalidBranch(f"component index must be nonnegative, got {n}")
         out = [0] * _packed_length(n, len(u))
         for p, sym in zip(_slots(n, len(out)), u):
             out[p] = sym

@@ -42,8 +42,8 @@ from factorlift.pointmaps import (
     PointMap,
     PolishPointMap,
     baire_identity_map,
-    branch_family,
     constant_interval_map,
+    family_from_map,
     identity_map,
     parity_expansion_map,
     product_map,
@@ -127,7 +127,7 @@ def test_lift_slack_table_matches_the_schedule(name):
 
 def test_branch_family_lift_recovers_the_branch():
     cs = cantor_system()
-    lift = strong_extension_map(cs, branch_family(cs))
+    lift = strong_extension_map(cs, family_from_map(cs, identity_map(cs.space)))
     rng = random.Random(20260822)
     for _ in range(30):
         k = rng.randrange(1, 7)
@@ -576,12 +576,14 @@ def test_baire_lift_output_extends_under_longer_input(w, data):
 def test_discovered_prefixes_are_minimal_antichains():
     bl = baire_extension_map(DyadicIntervalPresentation(), parity_expansion_map())
     rng = random.Random(41)
+    read = {k: set() for k in (1, 2, 3, 4)}
     for _ in range(15):
         w = tuple(rng.randrange(10) for _ in range(40))
-        bl.output(w, 4)
+        for k, (s, _) in zip(read, bl._walk(w)):
+            read[k].add(s)
     target = bl.point_map.target
-    for k in (1, 2, 3, 4):
-        family = bl.antichain(k)
+    for k, prefixes in read.items():
+        family = sorted(prefixes)
         assert family
         bound = bl.presentation.slack(k) / 2
         for s in family:
@@ -858,10 +860,18 @@ def test_baire_lift_certificate_names_a_cell_too_wide():
 
 
 def test_baire_lift_certificate_names_comparable_prefixes():
-    # plant a recorded prefix one symbol past the minimal one the walk read
+    # the first two sample walks read (0, 0, 0) and one symbol past it
     bl = baire_extension_map(CylinderPresentation(), baire_identity_map())
-    bl.output((0,) * 8, 1)
-    bl._antichains[1].add((0, 0, 0, 0))
+    planted, walk = [((0, 0, 0, 0), (0,)), ((0, 0, 0), (0,))], bl._walk
+
+    def planting_walk(w):
+        steps = walk(w)
+        if planted:
+            next(steps)
+            yield planted.pop()
+        yield from steps
+
+    bl._walk = planting_walk
     cert = bl.certificate(1, 3, random.Random(19))
     assert _statuses(cert) == ["PASS", "PASS", "FAIL", "INFO"]
     assert cert.first_failure().detail == "first comparable pair (1, (0, 0, 0), (0, 0, 0, 0))"

@@ -300,7 +300,7 @@ def _per_index_enumeration(model, matrix, rho, base_count, orbit_depth, repetiti
     points = list(unit_ball_grid(model, base_count))
     index = {v: e for e, v in enumerate(points)}
     enum = OrbitEnumeration(
-        model, matrix, rho, points, PartialInjection({}), [], [], repetitions
+        model, matrix, rho, points, PartialInjection({}), [], []
     )
     depth = {e: 0 for e in range(len(points))}
     queue = list(range(len(points)))
@@ -662,6 +662,12 @@ def _value_past_the_points():
         pytest.param(lambda: norm_growth_certificate(BanachModel(2), _THREE_BY_THREE, 3),
                      CertificationError, "expected 2x2 matrix",
                      id="norm-growth-matrix-larger-than-the-model"),
+        pytest.param(lambda: norm_growth_certificate(BanachModel(1), [[2]], 1),
+                     CertificationError, "the growth check compares two powers, got steps = 1",
+                     id="norm-growth-one-step"),
+        pytest.param(lambda: norm_growth_certificate(BanachModel(1), [[2]], 0),
+                     CertificationError, "the growth check compares two powers, got steps = 0",
+                     id="norm-growth-no-steps"),
         pytest.param(
             lambda: dense_orbit_enumeration(
                 BanachModel(2), BanachModel(2).matrix([[F(1, 2), 0], [0, F(1, 2)]]), F(1, 2),

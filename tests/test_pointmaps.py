@@ -1,9 +1,11 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factorlift.covers import (
@@ -11,18 +13,20 @@ from factorlift.covers import (
     circle_system,
     finite_system,
     interval_system,
+    locate_ball,
 )
-from factorlift.errors import CertificationError, SpaceMismatch
+from factorlift.errors import CertificationError, NoCell, SpaceMismatch
 from factorlift.geometry import CantorSpace, IntervalSpace, least_dyadic_level
+from factorlift.lifting import lift_self_map
 from factorlift.pointmaps import (
     PointMap,
     affine_map,
     baire_identity_map,
-    branch_family,
     constant_interval_map,
     family_from_map,
     identity_map,
     parity_expansion_map,
+    piecewise_affine_map,
     product_map,
     rotation_family,
     rotation_map,
@@ -63,6 +67,9 @@ def test_tent_region_branches():
     assert t.image_region((F(1, 4), F(3, 4))) == (F(1, 2), F(1))
     assert t.point(F(1, 2)) == 1
     assert t.point(F(5, 8)) == F(3, 4)
+    # knots read once, so a generator of them builds the same map
+    once = piecewise_affine_map(((x, 1 - abs(2 * x - 1)) for x in (0, F(1, 2), 1)), "tent")
+    assert once.image_region((F(1, 4), F(3, 4))) == t.image_region((F(1, 4), F(3, 4)))
 
 
 def test_affine_region_reverses_orientation():
@@ -195,6 +202,140 @@ def test_regions_shrink_under_refinement():
         assert system.space.closed_subset(fine, coarse)
 
 
+# --- knot lists against the hand-written rules they replaced ---
+
+
+def _ref_affine_map(offset, slope):
+    """Reference: the hand-written affine map, one region rule of its own."""
+    space = IntervalSpace()
+
+    def region(cell):
+        a, b = space.hull(cell)
+        ya, yb = offset + slope * a, offset + slope * b
+        return (ya, yb) if ya <= yb else (yb, ya)
+
+    return PointMap(
+        space,
+        region,
+        f"affine({offset}+{slope}x)",
+        lipschitz=abs(slope),
+        point_fn=lambda x: offset + slope * x,
+    )
+
+
+def _ref_tent_map():
+    """Reference: the hand-written tent map, one region rule of its own."""
+    space = IntervalSpace()
+    half = F(1, 2)
+
+    def region(cell):
+        a, b = space.hull(cell)
+        if b <= half:
+            return (2 * a, 2 * b)
+        if a >= half:
+            return (2 - 2 * b, 2 - 2 * a)
+        # cell straddles the peak, so the maximum value 1 is attained
+        return (min(2 * a, 2 - 2 * b), F(1))
+
+    def point(x):
+        return 2 * x if x <= half else 2 - 2 * x
+
+    return PointMap(space, region, "tent", lipschitz=F(2), point_fn=point)
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=64)
+# cells whose hull [max(u, 0), min(v, 1)] is nonempty: every mesh cell to
+# level 8, and cells on the 1/1024 grid that may poke past either end
+HULLED_CELLS = st.one_of(
+    st.integers(0, 8).flatmap(lambda k: st.sampled_from(IntervalSpace().mesh(k))),
+    st.tuples(st.integers(-1024, 1024), st.integers(0, 2048))
+    .filter(lambda uv: uv[0] <= uv[1])
+    .map(lambda uv: (F(uv[0], 1024), F(uv[1], 1024))),
+)
+
+
+def _readings(m, cell, x, width):
+    """What a render can read off a map, as text."""
+    return [str(v) for v in (m.name, m.lipschitz, m.modulus(width), m.point(x),
+                             m.image_region(cell))]
+
+
+@given(UNIT, UNIT, HULLED_CELLS, UNIT, st.integers(0, 30).map(lambda e: F(1, 2 ** e)))
+def test_affine_knot_list_matches_the_hand_written_rule(y0, y1, cell, x, width):
+    offset, slope = y0, y1 - y0
+    expected = _readings(_ref_affine_map(offset, slope), cell, x, width)
+    assert _readings(affine_map(offset, slope), cell, x, width) == expected
+
+
+@given(HULLED_CELLS, UNIT, st.integers(0, 30).map(lambda e: F(1, 2 ** e)))
+def test_tent_knot_list_matches_the_hand_written_rule(cell, x, width):
+    assert _readings(tent_map(), cell, x, width) == _readings(_ref_tent_map(), cell, x, width)
+
+
+# --- drawn knot lists through the lift ---
+
+# 1-4 pieces with knots on the 1/8 grid
+KNOT_LISTS = st.integers(1, 4).flatmap(
+    lambda pieces: st.tuples(
+        st.lists(st.integers(1, 7), min_size=pieces - 1, max_size=pieces - 1, unique=True),
+        st.lists(st.integers(0, 8), min_size=pieces + 1, max_size=pieces + 1),
+    )
+).map(lambda xy: tuple((F(x, 8), F(y, 8)) for x, y in zip([0, *sorted(xy[0]), 8], xy[1])))
+
+
+@given(KNOT_LISTS, HULLED_CELLS)
+def test_drawn_map_region_spans_the_ends_and_the_knots_inside(knots, cell):
+    pm = piecewise_affine_map(knots, "drawn")
+    a, b = IntervalSpace().hull(cell)
+    values = [pm.point(a), pm.point(b)] + [y for x, y in knots if a < x < b]
+    assert pm.image_region(cell) == (min(values), max(values))
+
+
+@settings(max_examples=20, deadline=None)
+@given(KNOT_LISTS, st.integers(0, 2 ** 32))
+def test_drawn_map_lift_certificate_passes(knots, seed):
+    lifted = lift_self_map(interval_system(), piecewise_affine_map(knots, "drawn"))
+    cert = lifted.certificate(4, 10, random.Random(seed), exact_samples=10)
+    assert cert.ok, cert.render()
+
+
+@settings(max_examples=20, deadline=None)
+@given(KNOT_LISTS, st.data())
+def test_drawn_map_lift_output_extends_under_longer_input(knots, data):
+    cs = interval_system()
+    lifted = lift_self_map(cs, piecewise_affine_map(knots, "drawn"))
+    w = data.draw(st.tuples(*(st.integers(0, cs.child_arity(i + 1) - 1) for i in range(16))))
+    cut = data.draw(st.integers(0, len(w)))
+    short = lifted.transducer.step(w[:cut])
+    assert lifted.transducer.step(w)[: len(short)] == short
+
+
+@settings(max_examples=20, deadline=None)
+@given(KNOT_LISTS)
+def test_drawn_map_lift_with_a_quartered_bound_finds_no_cell(knots):
+    pm = piecewise_affine_map(knots, "drawn")
+    assume(pm.lipschitz > 0)
+    cs = interval_system()
+    lift = lift_self_map(cs, dataclasses.replace(pm, lipschitz=pm.lipschitz / 4)).lift
+    # Resolution k is the first whose moduli read m >= 3 branch symbols.  As
+    # the least level for a quarter of the bound, m has L * 2^-m > slack(k).
+    # At m >= 3 the level-m mesh cell centred 1/16 past the steepest piece's
+    # left knot lies inside the piece and is the only one holding that
+    # centre, so the branch around the radius-2^-(m+2) ball there ends in a
+    # cell inside the piece at least 2^-(m+1) wide, whose region is wider
+    # than slack(k) / 2.
+    k = next(k for k in count(1) if lift.moduli(k)[1] >= 3)
+    m = lift.moduli(k)[1]
+    slopes = [abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(knots, knots[1:])]
+    i = slopes.index(pm.lipschitz)
+    centre = knots[i][0] + F(1, 16)
+    s = locate_ball(cs, (centre, centre), F(1, 2 ** (m + 2)), m)
+    a, b = cs.v_cell(s)
+    assert knots[i][0] <= a and b <= knots[i + 1][0] and b - a >= F(1, 2 ** (m + 1))
+    with pytest.raises(NoCell):
+        lift.prefix((), s, k)
+
+
 # --- parameterized families ---
 
 
@@ -213,7 +354,7 @@ def test_family_from_map_checks_space():
 
 def test_branch_family_returns_branch_cell():
     cs = cantor_system()
-    fam = branch_family(cs)
+    fam = family_from_map(cs, identity_map(cs.space))
     assert fam.region((1, 0), (0, 1, 1)) == (0, 1, 1)
 
 
@@ -352,7 +493,8 @@ def test_least_dyadic_level_matches_the_five_loops(width, lipschitz):
     assert pm.modulus(width) == _loop_lipschitz(lipschitz, width)
     # the identity machine reads exactly the cylinder level
     assert stream_map(identity_transducer(CANTOR)).modulus(width) == _loop_cylinder(width)
-    assert branch_family(interval_system()).moduli(width) == (0, _loop_branch(width))
+    identity = family_from_map(interval_system(), identity_map(IntervalSpace()))
+    assert identity.moduli(width) == (0, _loop_branch(width))
     assert rotation_family(circle_system()).moduli(width) == (
         _loop_rotation_parameter(width),
         _loop_rotation_branch(width),
@@ -384,6 +526,25 @@ def test_least_dyadic_level_at_powers_of_two_and_zero_lipschitz():
         ),
         pytest.param(lambda: rotation_family(circle_system()).moduli(0), CertificationError,
                      "modulus needs a positive width", id="family-moduli-at-zero"),
+        pytest.param(lambda: piecewise_affine_map(((0, 0), (F(3, 4), 1), (F(1, 4), 0), (1, 1)),
+                                                  "zigzag"),
+                     CertificationError,
+                     "zigzag: knot x values 0, 3/4, 1/4, 1 do not run strictly upward from 0 to 1",
+                     id="knots-unsorted"),
+        pytest.param(lambda: piecewise_affine_map(((F(1, 8), 0), (1, 1)), "late"),
+                     CertificationError,
+                     "late: knot x values 1/8, 1 do not run strictly upward from 0 to 1",
+                     id="knots-start-past-0"),
+        pytest.param(lambda: piecewise_affine_map(((0, 0), (F(7, 8), 1)), "short"),
+                     CertificationError,
+                     "short: knot x values 0, 7/8 do not run strictly upward from 0 to 1",
+                     id="knots-end-before-1"),
+        pytest.param(lambda: piecewise_affine_map(((0, 0), (1, F(9, 8))), "tall"),
+                     CertificationError, "tall: knot values 0, 9/8 leave [0, 1]",
+                     id="knot-value-above-1"),
+        pytest.param(lambda: affine_map(F(1, 2), F(3, 4)), CertificationError,
+                     "affine(1/2+3/4x): knot values 1/2, 5/4 leave [0, 1]",
+                     id="affine-image-leaves-the-interval"),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):

@@ -609,6 +609,12 @@ def test_module_leaves_the_packing_to_transducers(module):
         pytest.param(lambda: product_lift([shift_transducer(CANTOR)]).projection(-1),
                      InvalidBranch, "component index must be nonnegative, got -1",
                      id="projection-negative-index"),
+        pytest.param(lambda: extract_stream((0, 1, 1, 0), -1),
+                     InvalidBranch, "component index must be nonnegative, got -1",
+                     id="extract-negative-index"),
+        pytest.param(lambda: product_lift([shift_transducer(CANTOR)]).projection_preimage(-1, (1,)),
+                     InvalidBranch, "component index must be nonnegative, got -1",
+                     id="preimage-negative-index"),
         pytest.param(lambda: block_transducer(CANTOR, CANTOR, {}, 0, 1), CertificationError,
                      "block lengths must be positive, got 0 and 1", id="block-empty-input"),
         pytest.param(lambda: block_transducer(CANTOR, CANTOR, {}, 1, 0), CertificationError,
