@@ -48,6 +48,7 @@ from .transducers import (
     identity_transducer,
     pack_streams,
     product_lift,
+    stream_width,
 )
 
 F = Fraction
@@ -176,15 +177,26 @@ def _sample_diagrams(machine, in_len, out_len, resolution, samples, rng, coords)
     A coordinate is (path, member): its path of component indices, (n,) or
     (i, j), leads from the packed word to the member's stream.  Returns the
     lengths of the runs shorter than `out_len`, the count of disagreeing
-    samples per path, and the last full (z, out) or None.  Each z is drawn
-    from `machine.domain.arities(in_len)`, so it fits the machine's alphabet
-    by construction and goes straight to `step_fn`: `step` would only
-    rebuild that profile to check z again.
+    samples per path, and the last full (z, out) or None.
+
+    Each z holds only the member streams, drawn at full width below `in_len`
+    from each member's own alphabet in coordinate order and packed along
+    their paths; every other position reads 0, a symbol of every alphabet,
+    so z goes straight to `step_fn`.  Zero tails move no compared value: the
+    packed step is componentwise (the transducer tests' positionwise-walk law).
     """
-    profile = machine.domain.arities(in_len)
+
+    def draw(coords, length):
+        if coords and not coords[0][0]:
+            return _sample_word(coords[0][1].domain.arities(length), rng)
+        return pack_streams([
+            draw([(p[1:], f) for p, f in coords if p[0] == n], stream_width(n, length))
+            for n in range(max((p[0] + 1 for p, _ in coords), default=0))
+        ], length)
+
     short, bad, last = [], {path: 0 for path, _ in coords}, None
     for _ in range(samples):
-        z = _sample_word(profile, rng)
+        z = draw(coords, in_len)
         out = machine.step_fn(z)
         if len(out) < out_len:
             short.append(len(out))

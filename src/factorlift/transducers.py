@@ -10,8 +10,8 @@ This module owns the packed layout: position pair(n, i) of a packed word
 holds symbol i of component n.  The slot walker `_slots` is the one place
 that walks that rule: every pass over a packed word goes through it, one
 component at a time.  Everything else reads components through
-`extract_stream`, `pack_streams` and the projections of a `ProductLift`,
-and asks a projection's modulus for packed sizes.
+`extract_stream`, `pack_streams`, `stream_width` and the projections of a
+`ProductLift`, and asks a projection's modulus for packed sizes.
 """
 
 from __future__ import annotations
@@ -270,6 +270,11 @@ def _slots(n: int, length: int) -> Iterator[int]:
         yield p
         p += step
         step += 1
+
+
+def stream_width(n: int, length: int) -> int:
+    """Number of symbols of component n a packed word of this length holds."""
+    return sum(1 for _ in _slots(n, length))
 
 
 def _packed_length(n: int, k: int) -> int:

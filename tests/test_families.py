@@ -442,6 +442,30 @@ def _ref_sample_word(profile, rng):
     return tuple(rng.randrange(a if a is not None else 6) for a in profile)
 
 
+def _ref_width(n, length):
+    """Symbols of component n below a packed length, read off the slots."""
+    return len(extract_stream(range(length), n))
+
+
+def _ref_stream_positions(path, length):
+    """Packed positions below `length` of the stream at the end of `path`,
+    in order: symbol k of component n sits at pair(n, k)."""
+    n, rest = path[0], path[1:]
+    here = [pair(n, k) for k in range(_ref_width(n, length))]
+    return [here[p] for p in _ref_stream_positions(rest, len(here))] if rest else here
+
+
+def _ref_draw(length, streams, rng):
+    """A packed word of `length` holding each (path, member) stream, drawn
+    in turn at its full width from the member's alphabet; 0 elsewhere."""
+    z = [0] * length
+    for path, member in streams:
+        at = _ref_stream_positions(path, length)
+        for p, sym in zip(at, _ref_sample_word(member.domain.arities(len(at)), rng)):
+            z[p] = sym
+    return tuple(z)
+
+
 def _ref_universal_certificate(uni, resolution, samples, rng):
     """Reference: `FunctionSpaceUniversal.certificate` with its own sampling
     loop, stepping the machine through the validating `step`."""
@@ -457,9 +481,9 @@ def _ref_universal_certificate(uni, resolution, samples, rng):
         f"{out_len} output positions need {in_len} input positions",
     )
     short, bad = [], {n: [] for n in range(m)}
-    profile = uni.product.packed_space.arities(in_len)
+    streams = [((n,), member) for n, member in enumerate(uni.members)]
     for _ in range(samples):
-        z = _ref_sample_word(profile, rng)
+        z = _ref_draw(in_len, streams, rng)
         out = uni.machine.step(z)
         if len(out) < out_len:
             short.append(len(out))
@@ -521,9 +545,13 @@ def _ref_extension_certificate(ext, resolution, samples, rng):
     short = 0
     bad = {}
     last = None
-    profile = ext.product.packed_space.arities(in_len)
+    streams = [
+        ((i, j), member.transducer)
+        for i, lf in enumerate(ext.lifted)
+        for j, member in enumerate(lf.members)
+    ]
     for _ in range(samples):
-        z = _ref_sample_word(profile, rng)
+        z = _ref_draw(in_len, streams, rng)
         out = ext.machine.step(z)
         if len(out) < out_len:
             short += 1
@@ -687,6 +715,34 @@ def test_extension_certificate_matches_its_own_loop(
     assert len(drawn) == samples
     for z in drawn:
         assert validate_word(ext.machine.domain, z) == z
+
+
+@pytest.mark.parametrize("which", ["universal", "extension"])
+def test_drawn_words_hold_the_member_streams_and_zero_elsewhere(which):
+    if which == "universal":
+        target, resolution = _universal_case("plain", 0), 4
+        coords = [((n,), member) for n, member in enumerate(target.members)]
+    else:
+        target, resolution = _extension_case("plain", 0, ()), 2
+        coords = [
+            ((i, j), member.transducer)
+            for i, lf in enumerate(target.lifted)
+            for j, member in enumerate(lf.members)
+        ]
+    drawn = _recording(target.machine)
+    cert = target.certificate(resolution, 16, random.Random(19))
+    assert cert.ok, cert.render()
+    _, in_len = _packed_sizes(cert)
+    # the words are the reference draws, one after another
+    rng = random.Random(19)
+    assert drawn == [_ref_draw(in_len, coords, rng) for _ in range(16)]
+    streams = [_ref_stream_positions(path, in_len) for path, _ in coords]
+    held = {p for at in streams for p in at}
+    for z in drawn:
+        assert all(z[p] == 0 for p in range(in_len) if p not in held)
+    for at in streams:
+        # each stream is drawn up to its last slot below the packed length
+        assert any(z[at[-1]] for z in drawn)
 
 
 def test_universal_certificate_names_the_shortest_run():

@@ -33,6 +33,7 @@ from factorlift.transducers import (
     pack_streams,
     product_lift,
     shift_transducer,
+    stream_width,
     substitution_transducer,
     validate_word,
 )
@@ -106,6 +107,7 @@ def test_slots_are_the_pairing_positions(n, length):
     while pair(n, len(want)) < length:
         want.append(pair(n, len(want)))
     assert list(_slots(n, length)) == want
+    assert stream_width(n, length) == len(list(_slots(n, length)))
 
 
 @settings(max_examples=200, deadline=None)
