@@ -27,7 +27,9 @@ JSON line per row gives the row, the median wall-clock seconds over the
 runs, the verdict (PASS, FAIL, or the type and message of the error raised)
 and `render_sha256`, the SHA-256 of the rendered certificate (null when an
 error was raised), so two checkouts can be shown to certify byte-identically.
-The exit code is 1 when any row's verdict is not PASS, else 0.
+The exit code is 1 when any row's verdict is not PASS or a default row's
+`render_sha256` differs from the digest recorded in `PINNED`, else 0; each
+such row is named on standard error.
 """
 
 from __future__ import annotations
@@ -42,14 +44,48 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_ROWS = (
-    "covers:interval:7", "covers:interval:8", "covers:circle:7", "covers:circle:8",
-    "covers:cantor:14", "covers:cantor:15", "covers:cantor:16",
-    "l1:2x2-l1:256", "l1:2x2-linf:256", "l1:3x3-l1:256",
-    "l1:2x2-l1:1024", "l1:2x2-linf:1024", "l1:3x3-l1:1024",
-    "baire:dyadic:8", "baire:dyadic:16", "baire:dyadic:24",
-    "baire:cover:8", "baire:cover:16", "baire:cover:24",
-)
+# The render digest of each default row; a row that renders otherwise fails.
+PINNED = {
+    "covers:interval:7":
+        "1125db8886930fe22e83030572805a686dc25e2bdedd3619d7136f4282ae72c3",
+    "covers:interval:8":
+        "4f881c9208b31c2761fcd118b56813fb8d9a51fb40871a312a76fab262ef48dc",
+    "covers:circle:7":
+        "fbf46014dbc7b81ea0fd0acea0e06f090e826ebfbe5e48ad8e13b30b22659400",
+    "covers:circle:8":
+        "e2591a1e4240c054baf08a66f8a010d7c7eb78e8e6409d6403e3c2aac679154a",
+    "covers:cantor:14":
+        "f7af005542b0dd1980a0ae860d933ee3121f8607895b090c61555a8b10c94348",
+    "covers:cantor:15":
+        "738e42c588523c0d57ef0edc6cda6922cc29c5ffa1b97c068ba6cddddf15795b",
+    "covers:cantor:16":
+        "42de7a850ac7a2008256c85bcaccbc6f5dcadf31706e99084dedd63a81b0b1a9",
+    "l1:2x2-l1:256":
+        "721a367251615dcefbe4a0a0a0f60655dd94cf9bc89ec437c2ba2c89d5ce7145",
+    "l1:2x2-linf:256":
+        "21b7824eda2f0b2671d7ebe9eb55a5f353cf3bcc21f130d762c95ef27908d9de",
+    "l1:3x3-l1:256":
+        "21b7824eda2f0b2671d7ebe9eb55a5f353cf3bcc21f130d762c95ef27908d9de",
+    "l1:2x2-l1:1024":
+        "ac6a9bb9c63fa5b89f926791034e8e91f15bf2410dd04ae17dde7dfc4238c366",
+    "l1:2x2-linf:1024":
+        "0b248651c691023f61dceeb0229e26bd0db7b65f513f43e88edea39c7d51973a",
+    "l1:3x3-l1:1024":
+        "e8c551d214c4cd29c8c69a63f4ba21061db8678e1eabe343a710f31d4a8c5c61",
+    "baire:dyadic:8":
+        "765e5d313b2fee70c4fa2420d18b27bfa665fb96dfd75fbfb629dc63d2af30fa",
+    "baire:dyadic:16":
+        "265afbf1cb137f51bfcb27326a9b1ef155fea96e376da9644f073b6229674cc5",
+    "baire:dyadic:24":
+        "dc8e233086b65557d41cf608be61e618d065fc625b6ba7f19fb9969faaedc349",
+    "baire:cover:8":
+        "765e5d313b2fee70c4fa2420d18b27bfa665fb96dfd75fbfb629dc63d2af30fa",
+    "baire:cover:16":
+        "265afbf1cb137f51bfcb27326a9b1ef155fea96e376da9644f073b6229674cc5",
+    "baire:cover:24":
+        "dc8e233086b65557d41cf608be61e618d065fc625b6ba7f19fb9969faaedc349",
+}
+DEFAULT_ROWS = tuple(PINNED)
 
 
 def covers_row(name: str, depth: int):
@@ -120,7 +156,15 @@ def main(argv=None) -> int:
     for row in args.rows:
         result = time_row(row, args.repeats)
         print(json.dumps(result), flush=True)
-        failed = failed or result["verdict"] != "PASS"
+        want = PINNED.get(row)
+        if result["verdict"] != "PASS":
+            problem = f"verdict {result['verdict']}"
+        elif want is not None and result["render_sha256"] != want:
+            problem = f"render_sha256 {result['render_sha256']} differs from the pinned {want}"
+        else:
+            continue
+        print(f"{row}: {problem}", file=sys.stderr, flush=True)
+        failed = True
     return int(failed)
 
 

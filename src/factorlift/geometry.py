@@ -18,7 +18,8 @@ radius 7/8 of the spacing, so neighbours overlap.  Which cells meet a closed
 [a, b] is therefore integer floor division on the numerators and
 denominators of a and b (`_mesh_span`), with no rational arithmetic per
 candidate cell; the circle takes the same indices on the line and reduces
-them mod 2^(k+1).
+them mod 2^(k+1).  The interval and circle predicates that do arithmetic
+compare integer numerators over one common denominator (`_scaled`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Optional
 
 from .errors import CertificationError
@@ -36,6 +38,15 @@ _ZERO, _ONE = F(0), F(1)
 
 Cell = Any
 Point = Any
+
+
+def _scaled(*xs) -> tuple[list[int], int]:
+    """The numerators of the rationals xs over their least common
+    denominator d, and d.  Scaling by d keeps order and sums, 1 reads d,
+    and x mod 1 becomes the numerator mod d."""
+    dens = [x.denominator for x in xs]
+    d = math.lcm(*dens)
+    return [x.numerator * (d // q) for x, q in zip(xs, dens)], d
 
 
 def _open_chain_cover(a: Fraction, b: Fraction, intervals) -> bool:
@@ -204,7 +215,8 @@ class IntervalSpace(_DyadicSpace):
 
     def canonical(self, cell: Cell, k: int):
         """None for a clamped cell and for one meeting the level-(k + 1)
-        end cells 0 and 2^(k+2), which `diam` and `_erode` clamp."""
+        end cells 0 and 2^(k+2), which `diam` and the erosion in
+        `eroded_cover_of_closure` clamp."""
         u, v = cell
         if u < 0 or v > 1:
             return None
@@ -234,26 +246,27 @@ class IntervalSpace(_DyadicSpace):
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
         """Every point of the closed region keeps its open radius-ball
         inside the open outer cell (relative to [0, 1])."""
-        u, v = outer
-        p, q = self.hull(region)
-        left = u < 0 or (p - radius >= u and p > u)
-        right = v > 1 or (q + radius <= v and q < v)
+        (u, v, p, q, r), d = _scaled(*outer, *region, radius)
+        p, q = max(p, 0), min(q, d)
+        left = u < 0 or (p - r >= u and p > u)
+        right = v > d or (q + r <= v and q < v)
         return left and right
 
-    def _erode(self, cell: Cell, eps: Fraction) -> Optional[Cell]:
-        u, v = cell
-        lo = F(0) if u < 0 else u + eps
-        hi = F(1) if v > 1 else v - eps
-        return (lo, hi) if lo <= hi else None
-
     def open_cover_of_closure(self, base: Cell, cells) -> bool:
-        a, b = self.hull(base)
-        return _open_chain_cover(a, b, list(cells))
+        (a, b, *ends), d = _scaled(*base, *chain.from_iterable(cells))
+        return _open_chain_cover(max(a, 0), min(b, d), zip(ends[::2], ends[1::2]))
 
     def eroded_cover_of_closure(self, base: Cell, cells, eps: Fraction) -> bool:
-        a, b = self.hull(base)
-        eroded = [e for e in (self._erode(c, eps) for c in cells) if e is not None]
-        return _closed_chain_cover(a, b, eroded)
+        """The closure of base inside the union of the cells eroded by eps;
+        an end clamped past 0 or 1 stays put."""
+        (a, b, e, *ends), d = _scaled(*base, eps, *chain.from_iterable(cells))
+        eroded = []
+        for u, v in zip(ends[::2], ends[1::2]):
+            lo = 0 if u < 0 else u + e
+            hi = d if v > d else v - e
+            if lo <= hi:
+                eroded.append((lo, hi))
+        return _closed_chain_cover(max(a, 0), min(b, d), eroded)
 
     def point_cell(self, x: Point, bound=None) -> Cell:
         return (x, x)
@@ -321,70 +334,72 @@ class CircleSpace(_DyadicSpace):
         return self._shift_key(s, l, k, 0)
 
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
-        sa, la = a
-        sb, lb = b
-        if la >= 1:
+        (sa, la, sb, lb), d = _scaled(*a, *b)
+        if la >= d:
             return b
-        if lb >= 1:
+        if lb >= d:
             return a
-        if la + lb >= 1:
+        if la + lb >= d:
             raise CertificationError("arc intersection may be disconnected")
-        d = (sb - sa) % 1
-        for d2 in (d, d - 1):
-            lo, hi = max(F(0), d2), min(la, d2 + lb)
-            if lo < hi:
-                return _norm_arc(sa + lo, hi - lo)
+        t = (sb - sa) % d
+        for t2 in (t, t - d):
+            lo, hi = max(0, t2), min(la, t2 + lb)
+            if lo < hi:  # hi - lo <= la < d: a proper arc
+                return F((sa + lo) % d, d), F(hi - lo, d)
         return None
 
     def diam(self, cell: Cell) -> Fraction:
         return min(cell[1], F(1, 2))
 
     def contains(self, cell: Cell, x: Point) -> bool:
-        s, l = cell
-        return l >= 1 or (x - s) % 1 <= l
+        (s, l, x), d = _scaled(*cell, x)
+        return l >= d or (x - s) % d <= l
+
+    @staticmethod
+    def _arc_inside(offset: int, length: int, room: int, d: int) -> bool:
+        """The closed arc of this length starting offset past the start of
+        a closed arc of length room < d lies inside it; numerators over d."""
+        return offset % d + length <= room
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
-        si, li = inner
-        so, lo = outer
-        if lo >= 1:
-            return True
-        if li > lo:
-            return False
-        return (si - so) % 1 + li <= lo
+        (si, li, so, lo), d = _scaled(*inner, *outer)
+        return lo >= d or self._arc_inside(si - so, li, lo, d)
 
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
-        s, l = outer
-        if l >= 1:
+        (s, l, rs, rl, r), d = _scaled(*outer, *region, radius)
+        if l >= d:
             return True
-        if l - 2 * radius < 0:
+        if l < 2 * r:
             return False
-        if radius == 0:
-            d = (region[0] - s) % 1
-            return 0 < d and d + region[1] < l
-        return self.closed_subset(region, ((s + radius) % 1, l - 2 * radius))
+        if r == 0:
+            t = (rs - s) % d
+            return 0 < t and t + rl < l
+        return self._arc_inside(rs - s - r, rl, l - 2 * r, d)
 
-    def _unroll(self, base_start: Fraction, arcs):
-        """Line placements of arcs relative to a base start point."""
+    @staticmethod
+    def _unroll(base_start: int, arcs, d: int):
+        """Line placements of arcs relative to a base start point, as
+        numerators over d."""
         out = []
         for s, l in arcs:
-            d = (s - base_start) % 1
-            out.append((d, d + l))
-            out.append((d - 1, d - 1 + l))
+            t = (s - base_start) % d
+            out.append((t, t + l))
+            out.append((t - d, t - d + l))
         return out
 
     def open_cover_of_closure(self, base: Cell, cells) -> bool:
-        bs, bl = base
-        return _open_chain_cover(F(0), bl, self._unroll(bs, cells))
+        (bs, bl, *ends), d = _scaled(*base, *chain.from_iterable(cells))
+        return _open_chain_cover(0, bl, self._unroll(bs, zip(ends[::2], ends[1::2]), d))
 
     def eroded_cover_of_closure(self, base: Cell, cells, eps: Fraction) -> bool:
-        bs, bl = base
+        (bs, bl, e, *ends), d = _scaled(*base, eps, *chain.from_iterable(cells))
         eroded = []
-        for s, l in cells:
-            if l >= 1:
+        for s, l in zip(ends[::2], ends[1::2]):
+            if l >= d:
                 return True
-            if l - 2 * eps >= 0:
-                eroded.append(_norm_arc(s + eps, l - 2 * eps))
-        return _closed_chain_cover(F(0), bl, self._unroll(bs, eroded))
+            if l >= 2 * e:
+                eroded.append((s + e, l - 2 * e))
+        return _closed_chain_cover(0, bl, self._unroll(bs, eroded, d))
 
     def point_cell(self, x: Point, bound=None) -> Cell:
         return (x % 1, F(0))

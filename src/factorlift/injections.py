@@ -47,10 +47,14 @@ def unzigzag(q: int) -> int:
 
 
 def encode_line(copy: int, position: int) -> int:
+    if copy < 0:
+        raise InvalidIndex(f"copies live in N, got {copy}")
     return pair(pair(LINE_SHAPE, copy), zigzag(position))
 
 
 def encode_ray(copy: int, position: int) -> int:
+    if copy < 0:
+        raise InvalidIndex(f"copies live in N, got {copy}")
     if position < 0:
         raise InvalidIndex(f"ray positions live in N, got {position}")
     return pair(pair(RAY_SHAPE, copy), position)
@@ -59,6 +63,8 @@ def encode_ray(copy: int, position: int) -> int:
 def encode_cycle(length: int, copy: int, position: int) -> int:
     if length < 1:
         raise InvalidIndex(f"cycle length must be >= 1, got {length}")
+    if copy < 0:
+        raise InvalidIndex(f"copies live in N, got {copy}")
     return pair(pair(length + 1, copy), position % length)
 
 

@@ -274,6 +274,8 @@ def _slots(n: int, length: int) -> Iterator[int]:
 
 def stream_width(n: int, length: int) -> int:
     """Number of symbols of component n a packed word of this length holds."""
+    if n < 0:
+        raise InvalidBranch(f"component index must be nonnegative, got {n}")
     return sum(1 for _ in _slots(n, length))
 
 

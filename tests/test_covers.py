@@ -346,6 +346,194 @@ def test_erosion_at_radius_zero_is_closure_inside_open(kind, data):
     assert space.eroded_contains(outer, inner, F(0)) == _closure_in_open(space, inner, outer)
 
 
+# Reference predicates: the Fraction bodies of the interval and circle
+# predicates from before they compared integer numerators over a common
+# denominator.
+
+
+def _ref_interval_eroded_contains(outer, region, radius):
+    u, v = outer
+    p, q = IntervalSpace().hull(region)
+    left = u < 0 or (p - radius >= u and p > u)
+    right = v > 1 or (q + radius <= v and q < v)
+    return left and right
+
+
+def _ref_erode(cell, eps):
+    u, v = cell
+    lo = F(0) if u < 0 else u + eps
+    hi = F(1) if v > 1 else v - eps
+    return (lo, hi) if lo <= hi else None
+
+
+def _ref_interval_open_cover(base, cells):
+    a, b = IntervalSpace().hull(base)
+    return _open_chain_cover(a, b, list(cells))
+
+
+def _ref_interval_eroded_cover(base, cells, eps):
+    a, b = IntervalSpace().hull(base)
+    eroded = [e for e in (_ref_erode(c, eps) for c in cells) if e is not None]
+    return _closed_chain_cover(a, b, eroded)
+
+
+def _ref_arc_intersect(a, b):
+    sa, la = a
+    sb, lb = b
+    if la >= 1:
+        return b
+    if lb >= 1:
+        return a
+    if la + lb >= 1:
+        raise CertificationError("arc intersection may be disconnected")
+    d = (sb - sa) % 1
+    for d2 in (d, d - 1):
+        lo, hi = max(F(0), d2), min(la, d2 + lb)
+        if lo < hi:
+            return _ref_arc(sa + lo, hi - lo)
+    return None
+
+
+def _ref_arc_contains(cell, x):
+    s, l = cell
+    return l >= 1 or (x - s) % 1 <= l
+
+
+def _ref_arc_closed_subset(inner, outer):
+    si, li = inner
+    so, lo = outer
+    if lo >= 1:
+        return True
+    if li > lo:
+        return False
+    return (si - so) % 1 + li <= lo
+
+
+def _ref_arc_eroded_contains(outer, region, radius):
+    s, l = outer
+    if l >= 1:
+        return True
+    if l - 2 * radius < 0:
+        return False
+    if radius == 0:
+        d = (region[0] - s) % 1
+        return 0 < d and d + region[1] < l
+    return _ref_arc_closed_subset(region, ((s + radius) % 1, l - 2 * radius))
+
+
+def _ref_unroll(base_start, arcs):
+    out = []
+    for s, l in arcs:
+        d = (s - base_start) % 1
+        out.append((d, d + l))
+        out.append((d - 1, d - 1 + l))
+    return out
+
+
+def _ref_arc_open_cover(base, cells):
+    bs, bl = base
+    return _open_chain_cover(F(0), bl, _ref_unroll(bs, cells))
+
+
+def _ref_arc_eroded_cover(base, cells, eps):
+    bs, bl = base
+    eroded = []
+    for s, l in cells:
+        if l >= 1:
+            return True
+        if l - 2 * eps >= 0:
+            eroded.append(_ref_arc(s + eps, l - 2 * eps))
+    return _closed_chain_cover(F(0), bl, _ref_unroll(bs, eroded))
+
+
+def _same_outcome(fn, ref, *args):
+    """fn and ref return equal values with equal str, or raise the same
+    exception type with the same message."""
+
+    def run(f):
+        try:
+            out = f(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return out, str(out)
+
+    assert run(fn) == run(ref), args
+
+
+# Denominators the shipped systems meet: dyadic mesh ends, the thirds and
+# sevenths of the rotation regions, and shrink_cell's /200.
+_DENOMINATORS = st.sampled_from([1, 2, 3, 7, 16, 21, 200, 1024])
+
+
+def _rationals(lo, hi):
+    return _DENOMINATORS.flatmap(lambda q: st.integers(lo * q, hi * q).map(lambda p: F(p, q)))
+
+
+ORACLE_RADII = st.one_of(st.just(F(0)), _rationals(0, 1), _rationals(0, 1).map(lambda r: r / 16))
+# ends past 0 or 1 are clamped; u > v after clamping is an empty hull
+_LINE_CELLS = st.tuples(_rationals(-1, 2), _rationals(-1, 2))
+ORACLE_INTERVALS = st.one_of(
+    _LINE_CELLS,
+    _rationals(-1, 2).map(lambda x: (x, x)),
+    _LINE_CELLS.map(IntervalSpace().shrink_cell),
+)
+# starts in [0, 1), near 0 or near 1, so start + length past 1 wraps through 0
+_STARTS = st.one_of(_rationals(0, 1), _rationals(0, 1).map(lambda s: 1 - s)).filter(
+    lambda s: s < 1
+)
+_ARC_CELLS = st.tuples(_STARTS, _rationals(0, 1))
+# lengths 0 and 1 (the whole circle) come up among the drawn lengths
+ORACLE_ARCS = st.one_of(_ARC_CELLS, _ARC_CELLS.map(CircleSpace().shrink_cell))
+ORACLE_COVERS = {
+    "interval": (IntervalSpace(), ORACLE_INTERVALS,
+                 _ref_interval_open_cover, _ref_interval_eroded_cover),
+    "circle": (CircleSpace(), ORACLE_ARCS, _ref_arc_open_cover, _ref_arc_eroded_cover),
+}
+
+
+@settings(max_examples=500)
+@given(ORACLE_ARCS, st.data())
+def test_arc_predicates_match_fraction_oracles(a, data):
+    """b drawn freely or starting inside a, so that meets past the wrap come
+    up; x drawn freely or at an end of a."""
+    inside = st.tuples(_rationals(0, 1), _rationals(0, 1)).map(
+        lambda fl: ((a[0] + fl[0] * a[1]) % 1, fl[1])
+    )
+    b = data.draw(st.one_of(ORACLE_ARCS, inside), label="b")
+    x = data.draw(st.one_of(_rationals(-1, 2), st.sampled_from([a[0], a[0] + a[1]])), label="x")
+    radius = data.draw(ORACLE_RADII, label="radius")
+    sp = CircleSpace()
+    _same_outcome(sp.intersect, _ref_arc_intersect, a, b)
+    _same_outcome(sp.intersect, _ref_arc_intersect, b, a)
+    _same_outcome(sp.contains, _ref_arc_contains, a, x)
+    _same_outcome(sp.closed_subset, _ref_arc_closed_subset, a, b)
+    _same_outcome(sp.eroded_contains, _ref_arc_eroded_contains, a, b, radius)
+
+
+@settings(max_examples=500)
+@given(ORACLE_INTERVALS, ORACLE_INTERVALS, ORACLE_RADII)
+def test_interval_erosion_matches_fraction_oracle(outer, region, radius):
+    sp = IntervalSpace()
+    _same_outcome(sp.eroded_contains, _ref_interval_eroded_contains, outer, region, radius)
+
+
+@pytest.mark.parametrize("kind", ORACLE_COVERS)
+@settings(max_examples=500)
+@given(data=st.data())
+def test_cover_checks_match_fraction_oracles(kind, data):
+    """Drawn cells, or mesh cells of one level with some left out, so that
+    both verdicts come up."""
+    sp, cells, open_ref, eroded_ref = ORACLE_COVERS[kind]
+    base = data.draw(cells, label="base")
+    mesh = st.integers(1, 3).flatmap(
+        lambda k: st.lists(st.sampled_from(sp.mesh(k)), max_size=2 ** (k + 1) + 1)
+    )
+    kids = data.draw(st.one_of(st.lists(cells, max_size=6), mesh), label="cells")
+    eps = data.draw(ORACLE_RADII, label="eps")
+    _same_outcome(sp.open_cover_of_closure, open_ref, base, kids)
+    _same_outcome(sp.eroded_cover_of_closure, eroded_ref, base, kids, eps)
+
+
 # --- cover-system structure ---
 
 

@@ -464,6 +464,12 @@ def test_load_rejects_garbage():
                      "ray positions live in N, got -1", id="ray-negative-position"),
         pytest.param(lambda: encode_cycle(0, 0, 0), InvalidIndex,
                      "cycle length must be >= 1, got 0", id="cycle-length-zero"),
+        pytest.param(lambda: encode_line(-1, 0), InvalidIndex,
+                     "copies live in N, got -1", id="line-negative-copy"),
+        pytest.param(lambda: encode_ray(-1, 0), InvalidIndex,
+                     "copies live in N, got -1", id="ray-negative-copy"),
+        pytest.param(lambda: encode_cycle(3, -1, 0), InvalidIndex,
+                     "copies live in N, got -1", id="cycle-negative-copy"),
         pytest.param(lambda: PartialInjection({-1: 0}), InvalidIndex,
                      "entry -1 -> 0 leaves N", id="negative-entry"),
         pytest.param(

@@ -614,6 +614,9 @@ def test_module_leaves_the_packing_to_transducers(module):
         pytest.param(lambda: extract_stream((0, 1, 1, 0), -1),
                      InvalidBranch, "component index must be nonnegative, got -1",
                      id="extract-negative-index"),
+        pytest.param(lambda: stream_width(-1, 10),
+                     InvalidBranch, "component index must be nonnegative, got -1",
+                     id="width-negative-index"),
         pytest.param(lambda: product_lift([shift_transducer(CANTOR)]).projection_preimage(-1, (1,)),
                      InvalidBranch, "component index must be nonnegative, got -1",
                      id="preimage-negative-index"),
