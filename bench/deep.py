@@ -16,9 +16,9 @@ A row is `kind:name:size`, one of
                        Baire lift of `parity_expansion_map` over `dyadic`
                        (`DyadicIntervalPresentation`) or `cover`
                        (`interval_system()`).
-The default rows are interval and circle at depths 7 and 8 and cantor at 14,
-15 and 16; 2x2-l1, 2x2-linf and 3x3-l1 at base 256 and 1024; dyadic and
-cover at resolution 8, 16 and 24.  The program is imported from DIR
+The default rows are interval at depths 7, 8 and 10, circle at 7, 8 and 9,
+and cantor at 14, 15 and 16; 2x2-l1, 2x2-linf and 3x3-l1 at base 256 and
+1024; dyadic and cover at resolution 8, 16 and 24.  The program is imported from DIR
 (default: `src/` of this repository), so the same script times another
 checkout by pointing `--src` at its `src/`; the matrices always come from
 this checkout's benchmark.
@@ -50,10 +50,14 @@ PINNED = {
         "1125db8886930fe22e83030572805a686dc25e2bdedd3619d7136f4282ae72c3",
     "covers:interval:8":
         "4f881c9208b31c2761fcd118b56813fb8d9a51fb40871a312a76fab262ef48dc",
+    "covers:interval:10":
+        "efd0f49224f96c7477fde26f0e2f0ff002e038bf74998f9763dd885b728e23dc",
     "covers:circle:7":
         "fbf46014dbc7b81ea0fd0acea0e06f090e826ebfbe5e48ad8e13b30b22659400",
     "covers:circle:8":
         "e2591a1e4240c054baf08a66f8a010d7c7eb78e8e6409d6403e3c2aac679154a",
+    "covers:circle:9":
+        "1c9745bec20493d512e112b488ab25a3b0ded45c7d428f1accd487227f97c10d",
     "covers:cantor:14":
         "f7af005542b0dd1980a0ae860d933ee3121f8607895b090c61555a8b10c94348",
     "covers:cantor:15":
