@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 
 from .errors import CertificationError, InvalidIndex, NotInjective
 from .pairing import pair, unpair
@@ -187,34 +186,28 @@ def classify_components(sigma: PartialInjection) -> list[Component]:
 
 
 def _walk_component(start, entries, inv) -> tuple[list[int], bool]:
-    """(members in path order, whether they close into a cycle)."""
-    # Backward first: in an injective graph every node has at most one
-    # predecessor, so this finds the unique back end or returns to start.
-    chain = [start]
+    """(members in path order, whether they close into a cycle), walking
+    forward from `start`, the least member of its component: a cycle closes
+    at start, already anchored at its minimum, and only a path that ends
+    walks back from start to its back end."""
+    members = [start]
+    node, nxt = start, entries.get(start)
+    while nxt is not None:
+        # injective entries give every node one predecessor; another one
+        # would bring a walk back into its own path
+        if inv[nxt] != node:
+            raise NotInjective(f"walk from {start} re-enters mid-path at {nxt}")
+        if nxt == start:
+            return members, True
+        members.append(nxt)
+        node, nxt = nxt, entries.get(nxt)
+    back = []
     node = start
     while node in inv:
         node = inv[node]
-        if node == start:
-            break  # came around a cycle
-        chain.append(node)
-    chain.reverse()  # back end first
-    # Forward from the back end.
-    members = [chain[0]]
-    pos = {chain[0]: 0}
-    node = chain[0]
-    while node in entries:
-        nxt = entries[node]
-        if nxt in pos:
-            # Injectivity forces the revisit to close at the very first node.
-            if nxt != members[0]:
-                raise NotInjective(
-                    f"walk from {start} re-enters mid-path at {nxt}"
-                )
-            return members, True
-        members.append(nxt)
-        pos[nxt] = len(members) - 1
-        node = nxt
-    return members, False
+        back.append(node)
+    back.reverse()
+    return back + members, False
 
 
 def _type_component(members, is_cycle, sigma: PartialInjection) -> Component:
@@ -231,10 +224,7 @@ def _type_component(members, is_cycle, sigma: PartialInjection) -> Component:
                     f"oracle declares {entry.kind.value} but {m} lies on a {n}-cycle"
                 )
         _check_cycle_offsets(members, oracle, n)
-        # Anchor the smallest member at position 0.
-        k = members.index(min(members))
-        ordered = members[k:] + members[:k]
-        return Component(ComponentType.CYCLE, tuple(ordered), tuple(range(n)))
+        return Component(ComponentType.CYCLE, tuple(members), tuple(range(n)))
     kinds = {e.kind for e in oracle.values()}
     if not kinds:
         # Finite path of unknown type: smallest explored member sits at 0.
@@ -318,16 +308,16 @@ def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
     copies: dict[int, int] = {}
     for comp in components:
         if comp.kind is ComponentType.CYCLE:
-            n = len(comp.members)
-            shape, encode = n + 1, partial(encode_cycle, n)
+            shape = len(comp.members) + 1  # positions run 0 .. n - 1
         elif comp.kind is ComponentType.FORWARD_RAY:
-            shape, encode = RAY_SHAPE, encode_ray
+            shape = RAY_SHAPE  # positions checked nonnegative
         else:  # declared line or unresolved path
-            shape, encode = LINE_SHAPE, encode_line
+            shape = LINE_SHAPE
         copy = copies.get(shape, 0)
         copies[shape] = copy + 1
+        component = pair(shape, copy)
         for m, p in zip(comp.members, comp.positions):
-            relabel[m] = encode(copy, p)
+            relabel[m] = pair(component, zigzag(p) if shape == LINE_SHAPE else p)
     return EmbeddingCertificate(
         relabel=relabel,
         components=components,

@@ -457,6 +457,14 @@ def test_load_rejects_garbage():
 # === typed refusals ===
 
 
+def _mutated(entries):
+    """A valid injection whose entries are then replaced, as a caller
+    mutating `entries` after construction would."""
+    sigma = PartialInjection({})
+    sigma.entries = dict(entries)
+    return sigma
+
+
 @pytest.mark.parametrize(
     "call, exc, fragment",
     [
@@ -487,6 +495,10 @@ def test_load_rejects_garbage():
             CertificationError, "oracle conflicts on one component",
             id="two-kinds-on-one-path",
         ),
+        pytest.param(lambda: classify_components(_mutated({0: 1, 1: 2, 2: 1})), NotInjective,
+                     "walk from 0 re-enters mid-path at 1", id="mutated-entries-path-to-cycle"),
+        pytest.param(lambda: classify_components(_mutated({0: 1, 1: 0, 2: 0})), NotInjective,
+                     "walk from 0 re-enters mid-path at 0", id="mutated-entries-tail-into-cycle"),
         pytest.param(lambda: load_injection("1 -> x"), CertificationError,
                      "line 1: bad entry '1 -> x'", id="load-bad-entry"),
         pytest.param(lambda: load_injection("1 -> 2\n1 -> 3\n"), CertificationError,
