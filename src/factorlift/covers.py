@@ -38,6 +38,8 @@ k + 1 and finer onto itself, and the glue, diameter and cover predicates
 commute with it, so level-k classes whose cells are such translates get
 the same verdicts; `Space.canonical` keys a cell up to the shift (a
 Cantor cylinder up to a swap of its prefix, which keys it by its length).
+Interval and circle cells and their keys are reduced integer triples (see
+`geometry`), so equal cells fall into one class and keys hash integers.
 A class gets no key, and its checks run on their own, in three cases: its
 interval cell is clamped or meets an end cell of the next mesh, where
 `diam` and the erosion clamp; its circle arc wraps past 1, where the
@@ -223,9 +225,10 @@ def _class_levels(cs: CoverSystem, depth: int) -> Iterator[tuple[list, list]]:
             expanded.append((c, sel, kids))
             for j, v in enumerate(kids):
                 sub = _rebase(below, (j,)) if below else {}
-                key = (v, frozenset(sub.items()))
-                if key in children:
-                    children[key][1] += mult
+                key = (v, frozenset(sub.items())) if sub else v
+                child = children.get(key)
+                if child is not None:
+                    child[1] += mult
                 else:
                     children[key] = [s + (j,), mult, v, sub]
         classes = list(children.values())

@@ -5,21 +5,27 @@ space with metric 2^(-(i+1)) at first difference i, finite metric spaces
 given by rational distance matrices, and binary products under the max
 metric.  Every predicate is exact; no floats anywhere.
 
-Cells are plain data interpreted by their space: interval cells are raw
-open intervals (u, v) clamped to [0, 1] by the predicates, circle cells
-are arcs (start, length) with start normalized into [0, 1), stream cells
-are cylinder words, finite cells are sorted index tuples, product cells
-are pairs.  The same cell doubles as its own closure; predicates take an
-open or closed reading as documented per method.
+Cells are plain data interpreted by their space.  An interval cell is an
+integer triple (a, b, d), the raw open interval (a/d, b/d), which the
+predicates clamp to [0, 1]; a circle cell is a triple (s, l, d), the arc
+from s/d in [0, 1) of length l/d.  Both are reduced, d > 0 and
+gcd(a, b, d) = 1, so equal cells are equal tuples and hash alike.  The
+whole interval is (-1, 2, 1) and the whole circle (0, 1, 1).  Rules that
+compute a cell in rationals return it through `IntervalSpace.cell(lo, hi)`
+or `CircleSpace.arc(start, length)`; points stay `Fraction`s, and
+`describe` prints the reduced fractions.  Stream cells are cylinder words,
+finite cells are sorted index tuples, product cells are pairs.  The same
+cell doubles as its own closure; predicates take an open or closed reading
+as documented per method.
 
 The interval and the circle share one dyadic mesh.  Its level-k cell j is
 the open interval ((8j - 7)/D, (8j + 7)/D) with D = 2^(k+4): centre j/2^(k+1),
-radius 7/8 of the spacing, so neighbours overlap.  Which cells meet a closed
-[a, b] is therefore integer floor division on the numerators and
-denominators of a and b (`_mesh_span`), with no rational arithmetic per
-candidate cell; the circle takes the same indices on the line and reduces
-them mod 2^(k+1).  The interval and circle predicates that do arithmetic
-compare integer numerators over one common denominator (`_scaled`).
+radius 7/8 of the spacing, so neighbours overlap, and 8j +- 7 is odd, so
+the cell is born reduced.  Which cells meet a closed [a/d, b/d] is integer
+floor division (`_mesh_span`); the circle takes the same indices on the
+line and reduces them mod 2^(k+1).  The predicates compare integer
+numerators over one common denominator: `_aligned` puts two cells over
+theirs, `_scaled` any cells together with a rational radius or eps.
 """
 
 from __future__ import annotations
@@ -34,19 +40,33 @@ from .errors import CertificationError
 from .transducers import Stream
 
 F = Fraction
-_ZERO, _ONE = F(0), F(1)
 
 Cell = Any
 Point = Any
 
 
-def _scaled(*xs) -> tuple[list[int], int]:
-    """The numerators of the rationals xs over their least common
-    denominator d, and d.  Scaling by d keeps order and sums, 1 reads d,
-    and x mod 1 becomes the numerator mod d."""
-    dens = [x.denominator for x in xs]
-    d = math.lcm(*dens)
-    return [x.numerator * (d // q) for x, q in zip(xs, dens)], d
+def _scaled(cells, *xs) -> tuple[list[int], int]:
+    """The end numerators of the interval or circle cells, then those of the
+    rationals xs, all over their least common denominator d, and d.
+    Scaling by d keeps order and sums, 1 reads d, and x mod 1 becomes the
+    numerator mod d."""
+    d = math.lcm(*[c[2] for c in cells], *[x.denominator for x in xs])
+    out = [n * (d // q) for a, b, q in cells for n in (a, b)]
+    return out + [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _aligned(x, y) -> tuple[int, int, int, int, int]:
+    """`_scaled` for two cells and no rationals, flattened: the hot case."""
+    (a, b, p), (c, e, q) = x, y
+    d = p if p == q else math.lcm(p, q)
+    return a * (d // p), b * (d // p), c * (d // q), e * (d // q), d
+
+
+def _reduced(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """(a, b, d) over d > 0 in lowest terms, gcd(a, b, d) = 1, so that
+    equal cells are equal tuples."""
+    g = math.gcd(a, b, d)
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
 
 
 def _open_chain_cover(a: Fraction, b: Fraction, intervals) -> bool:
@@ -108,30 +128,28 @@ def least_dyadic_level(width: Fraction) -> int:
     return (-(-width.denominator // width.numerator) - 1).bit_length()
 
 
-def _mesh_span(a: Fraction, b: Fraction, k: int, reach: int = 7) -> tuple[int, int]:
+def _mesh_span(a: int, b: int, d: int, k: int, reach: int = 7) -> tuple[int, int]:
     """The inclusive range lo..hi of the level-k mesh indices j with
-    (8j - reach)/D < b and (8j + reach)/D > a, D = 2^(k+4); empty when
-    lo > hi.  At reach 7 these are the cells meeting the closed [a, b]; at
-    reach -7 those whose closure lies inside the open (a, b)."""
-    d = 1 << (k + 4)
-    p, q = a.numerator, a.denominator
-    lo = (p * d - reach * q) // (8 * q) + 1
-    p, q = b.numerator, b.denominator
-    hi = -(-(p * d + reach * q) // (8 * q)) - 1
+    (8j - reach)/D < b/d and (8j + reach)/D > a/d, D = 2^(k+4); empty when
+    lo > hi.  At reach 7 these are the cells meeting the closed
+    [a/d, b/d]; at reach -7 those whose closure lies inside the open
+    (a/d, b/d)."""
+    mesh = 1 << (k + 4)
+    lo = (a * mesh - reach * d) // (8 * d) + 1
+    hi = -(-(b * mesh + reach * d) // (8 * d)) - 1
     return lo, hi
 
 
-def _mesh_cell(k: int, j: int) -> tuple[Fraction, Fraction]:
+def _mesh_cell(k: int, j: int) -> tuple[int, int, int]:
     """Level-k mesh cell j as an interval of the line."""
-    d = 1 << (k + 4)
-    return F(8 * j - 7, d), F(8 * j + 7, d)
+    return 8 * j - 7, 8 * j + 7, 1 << (k + 4)
 
 
-def _mesh_arc(k: int, j: int) -> tuple[Fraction, Fraction]:
+def _mesh_arc(k: int, j: int) -> tuple[int, int, int]:
     """Level-k mesh cell j, 0 <= j < 2^(k+1), as an arc of the circle with
     its start in [0, 1)."""
     d = 1 << (k + 4)
-    return F((8 * j - 7) % d, d), F(14, d)
+    return (8 * j - 7) % d, 14, d
 
 
 class Space:
@@ -143,8 +161,12 @@ class Space:
     # level_epsilon, intersect, diam, contains, closed_subset,
     # eroded_contains, open_cover_of_closure, eroded_cover_of_closure,
     # point_cell, distance, witness_point, sample_point, shrink_cell,
-    # describe.  select_children(base, k) is the level-k mesh cells meeting
-    # the closure of base, padded to child_arity(k) through _pad.
+    # describe.  Cells go in and come out in the space's own form (see the
+    # module docstring); diameters, radii and points are rationals.  The
+    # interval and circle build cells from rationals with cell(lo, hi) and
+    # arc(start, length).  select_children(base, k) is the level-k mesh
+    # cells meeting the closure of base, padded to child_arity(k) through
+    # _pad.
     # canonical(cell, k) keys a level-k cell up to an isometry that maps
     # every mesh of level k + 1 and finer onto itself and keeps the order
     # of the selected children: cells with equal keys get the same verdict
@@ -179,16 +201,17 @@ class _DyadicSpace(Space):
         return F(3, 2 ** (k + 5))
 
     @staticmethod
-    def _shift_key(start: Fraction, length: Fraction, k: int, first: int):
-        """(start mod h, length) for the level-(k + 1) spacing h = 2^-(k+2),
-        or None unless the level-(k + 1) mesh indices meeting
-        [start, start + length] lie in first .. 2^(k+2) - 1.  A shift by a
-        multiple of h moves those indices by the same multiple."""
+    def _shift_key(a: int, b: int, d: int, k: int, first: int):
+        """The translation key of the span [a/d, b/d], or None unless the
+        level-(k + 1) mesh indices meeting it lie in first .. 2^(k+2) - 1.
+        A shift by a multiple of the level-(k + 1) spacing 1/n, n = 2^(k+2),
+        moves those indices by the same multiple; the key is (n * a/d mod 1,
+        (b - a)/d) as a reduced triple over one denominator."""
         n = 1 << (k + 2)
-        lo, hi = _mesh_span(start, start + length, k + 1)
+        lo, hi = _mesh_span(a, b, d, k + 1)
         if lo < first or hi >= n:
             return None
-        return start % F(1, n), length
+        return _reduced(a * n % d, b - a, d)
 
 
 # === unit interval ===
@@ -198,8 +221,14 @@ class _DyadicSpace(Space):
 class IntervalSpace(_DyadicSpace):
     kind = "interval"
 
+    def cell(self, lo, hi) -> Cell:
+        """The open interval (lo, hi) of two rationals; over their least
+        common denominator the triple is already reduced."""
+        (a, b), d = _scaled((), lo, hi)
+        return a, b, d
+
     def whole(self) -> Cell:
-        return (F(-1), F(2))
+        return (-1, 2, 1)
 
     def child_arity(self, k: int) -> int:
         return 5 if k == 1 else 6
@@ -209,7 +238,8 @@ class IntervalSpace(_DyadicSpace):
 
     def select_children(self, base: Cell, k: int) -> list[Cell]:
         """Level-k mesh cells meeting the closure of base, in index order."""
-        lo, hi = _mesh_span(*self.hull(base), k)
+        a, b, d = base
+        lo, hi = _mesh_span(max(a, 0), min(b, d), d, k)
         span = range(max(lo, 0), min(hi, 2 ** (k + 1)) + 1)
         return self._pad(span, self.child_arity(k), lambda j: _mesh_cell(k, j))
 
@@ -217,49 +247,50 @@ class IntervalSpace(_DyadicSpace):
         """None for a clamped cell and for one meeting the level-(k + 1)
         end cells 0 and 2^(k+2), which `diam` and the erosion in
         `eroded_cover_of_closure` clamp."""
-        u, v = cell
-        if u < 0 or v > 1:
+        a, b, d = cell
+        if a < 0 or b > d:
             return None
-        return self._shift_key(u, v - u, k, 1)
+        return self._shift_key(a, b, d, k, 1)
 
-    def hull(self, cell: Cell):
-        u, v = cell
-        return (u if u >= 0 else _ZERO), (v if v <= 1 else _ONE)
+    def hull(self, cell: Cell) -> tuple[Fraction, Fraction]:
+        """The ends of the closure [max(u, 0), min(v, 1)] as rationals."""
+        a, b, d = cell
+        return F(max(a, 0), d), F(min(b, d), d)
 
-    def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
-        lo, hi = max(a[0], b[0]), min(a[1], b[1])
-        return (lo, hi) if lo < hi else None
+    def intersect(self, x: Cell, y: Cell) -> Optional[Cell]:
+        a, b, c, e, d = _aligned(x, y)
+        lo, hi = max(a, c), min(b, e)
+        return _reduced(lo, hi, d) if lo < hi else None
 
     def diam(self, cell: Cell) -> Fraction:
-        a, b = self.hull(cell)
-        return max(b - a, F(0))
+        a, b, d = cell
+        return F(max(min(b, d) - max(a, 0), 0), d)
 
     def contains(self, cell: Cell, x: Point) -> bool:
-        a, b = self.hull(cell)
-        return a <= x <= b
+        (a, b, x), d = _scaled((cell,), x)
+        return max(a, 0) <= x <= min(b, d)
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
-        a, b = self.hull(inner)
-        c, d = self.hull(outer)
-        return c <= a and b <= d
+        a, b, c, e, d = _aligned(inner, outer)
+        return max(c, 0) <= max(a, 0) and min(b, d) <= min(e, d)
 
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
         """Every point of the closed region keeps its open radius-ball
         inside the open outer cell (relative to [0, 1])."""
-        (u, v, p, q, r), d = _scaled(*outer, *region, radius)
+        (u, v, p, q, r), d = _scaled((outer, region), radius)
         p, q = max(p, 0), min(q, d)
         left = u < 0 or (p - r >= u and p > u)
         right = v > d or (q + r <= v and q < v)
         return left and right
 
     def open_cover_of_closure(self, base: Cell, cells) -> bool:
-        (a, b, *ends), d = _scaled(*base, *chain.from_iterable(cells))
+        (a, b, *ends), d = _scaled([base, *cells])
         return _open_chain_cover(max(a, 0), min(b, d), zip(ends[::2], ends[1::2]))
 
     def eroded_cover_of_closure(self, base: Cell, cells, eps: Fraction) -> bool:
         """The closure of base inside the union of the cells eroded by eps;
         an end clamped past 0 or 1 stays put."""
-        (a, b, e, *ends), d = _scaled(*base, eps, *chain.from_iterable(cells))
+        (a, b, *ends, e), d = _scaled([base, *cells], eps)
         eroded = []
         for u, v in zip(ends[::2], ends[1::2]):
             lo = 0 if u < 0 else u + e
@@ -269,42 +300,45 @@ class IntervalSpace(_DyadicSpace):
         return _closed_chain_cover(max(a, 0), min(b, d), eroded)
 
     def point_cell(self, x: Point, bound=None) -> Cell:
-        return (x, x)
+        return self.cell(x, x)
 
     def distance(self, x: Point, y: Point) -> Fraction:
         return abs(x - y)
 
     def witness_point(self, cell: Cell) -> Point:
-        a, b = self.hull(cell)
-        return (a + b) / 2
+        a, b, d = cell
+        return F(max(a, 0) + min(b, d), 2 * d)
 
     def sample_point(self, rng) -> Point:
         return F(rng.randrange(2 ** 20 + 1), 2 ** 20)
 
     def shrink_cell(self, cell: Cell) -> Cell:
-        u, v = cell
-        mid = (u + v) / 2
-        return (mid - (v - u) / 200, mid + (v - u) / 200)
+        """The cell a hundredth as wide about the same midpoint."""
+        a, b, d = cell
+        mid, half = 100 * (a + b), b - a
+        return _reduced(mid - half, mid + half, 200 * d)
 
     def describe(self, cell: Cell) -> str:
-        return f"interval({cell[0]}, {cell[1]})"
+        a, b, d = cell
+        return f"interval({F(a, d)}, {F(b, d)})"
 
 
 # === circle R/Z ===
-
-
-def _norm_arc(start: Fraction, length: Fraction) -> Cell:
-    if length >= 1:
-        return (F(0), F(1))
-    return (start % 1, length)
 
 
 @dataclass(frozen=True)
 class CircleSpace(_DyadicSpace):
     kind = "circle"
 
+    def arc(self, start, length) -> Cell:
+        """The arc of a rational length from a rational start taken mod 1,
+        the whole circle from length 1 on: numerators over the least common
+        denominator, which is already reduced."""
+        (s, l), d = _scaled((), start, length)
+        return (0, 1, 1) if l >= d else (s % d, l, d)
+
     def whole(self) -> Cell:
-        return (F(0), F(1))
+        return (0, 1, 1)
 
     def child_arity(self, k: int) -> int:
         return 4 if k == 1 else 6
@@ -315,9 +349,9 @@ class CircleSpace(_DyadicSpace):
     def select_children(self, base: Cell, k: int) -> list[Cell]:
         """Level-k mesh arcs meeting the closure of base, in index order:
         the line cells meeting [start, start + length], indices mod 2^(k+1)."""
-        bs, bl = base
+        s, l, d = base
         n = 2 ** (k + 1)
-        lo, hi = _mesh_span(bs, bs + bl, k)
+        lo, hi = _mesh_span(s, s + l, d, k)
         if hi - lo + 1 >= n:
             pool = range(n)
         else:
@@ -328,13 +362,13 @@ class CircleSpace(_DyadicSpace):
         """None for the whole circle and for an arc running into line
         index 2^(k+2) at level k + 1, where `select_children` reduces the
         indices mod 2^(k+2) and so rotates the child order."""
-        s, l = cell
-        if l >= 1:
+        s, l, d = cell
+        if l >= d:
             return None
-        return self._shift_key(s, l, k, 0)
+        return self._shift_key(s, s + l, d, k, 0)
 
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
-        (sa, la, sb, lb), d = _scaled(*a, *b)
+        sa, la, sb, lb, d = _aligned(a, b)
         if la >= d:
             return b
         if lb >= d:
@@ -345,14 +379,15 @@ class CircleSpace(_DyadicSpace):
         for t2 in (t, t - d):
             lo, hi = max(0, t2), min(la, t2 + lb)
             if lo < hi:  # hi - lo <= la < d: a proper arc
-                return F((sa + lo) % d, d), F(hi - lo, d)
+                return _reduced((sa + lo) % d, hi - lo, d)
         return None
 
     def diam(self, cell: Cell) -> Fraction:
-        return min(cell[1], F(1, 2))
+        _, l, d = cell
+        return F(1, 2) if 2 * l >= d else F(l, d)
 
     def contains(self, cell: Cell, x: Point) -> bool:
-        (s, l, x), d = _scaled(*cell, x)
+        (s, l, x), d = _scaled((cell,), x)
         return l >= d or (x - s) % d <= l
 
     @staticmethod
@@ -362,11 +397,11 @@ class CircleSpace(_DyadicSpace):
         return offset % d + length <= room
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
-        (si, li, so, lo), d = _scaled(*inner, *outer)
+        si, li, so, lo, d = _aligned(inner, outer)
         return lo >= d or self._arc_inside(si - so, li, lo, d)
 
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
-        (s, l, rs, rl, r), d = _scaled(*outer, *region, radius)
+        (s, l, rs, rl, r), d = _scaled((outer, region), radius)
         if l >= d:
             return True
         if l < 2 * r:
@@ -388,11 +423,11 @@ class CircleSpace(_DyadicSpace):
         return out
 
     def open_cover_of_closure(self, base: Cell, cells) -> bool:
-        (bs, bl, *ends), d = _scaled(*base, *chain.from_iterable(cells))
+        (bs, bl, *ends), d = _scaled([base, *cells])
         return _open_chain_cover(0, bl, self._unroll(bs, zip(ends[::2], ends[1::2]), d))
 
     def eroded_cover_of_closure(self, base: Cell, cells, eps: Fraction) -> bool:
-        (bs, bl, e, *ends), d = _scaled(*base, eps, *chain.from_iterable(cells))
+        (bs, bl, *ends, e), d = _scaled([base, *cells], eps)
         eroded = []
         for s, l in zip(ends[::2], ends[1::2]):
             if l >= d:
@@ -402,25 +437,27 @@ class CircleSpace(_DyadicSpace):
         return _closed_chain_cover(0, bl, self._unroll(bs, eroded, d))
 
     def point_cell(self, x: Point, bound=None) -> Cell:
-        return (x % 1, F(0))
+        return self.arc(x, 0)
 
     def distance(self, x: Point, y: Point) -> Fraction:
         d = (x - y) % 1
         return min(d, 1 - d)
 
     def witness_point(self, cell: Cell) -> Point:
-        s, l = cell
-        return (s + l / 2) % 1
+        s, l, d = cell
+        return F((2 * s + l) % (2 * d), 2 * d)
 
     def sample_point(self, rng) -> Point:
         return F(rng.randrange(2 ** 20), 2 ** 20)
 
     def shrink_cell(self, cell: Cell) -> Cell:
-        s, l = cell
-        return _norm_arc(s + l / 2 - l / 200, l / 100)
+        """The arc a hundredth as long about the same midpoint."""
+        s, l, d = cell
+        return _reduced((200 * s + 99 * l) % (200 * d), 2 * l, 200 * d)
 
     def describe(self, cell: Cell) -> str:
-        return f"arc(start={cell[0]}, length={cell[1]})"
+        s, l, d = cell
+        return f"arc(start={F(s, d)}, length={F(l, d)})"
 
 
 # === binary streams ===

@@ -36,6 +36,7 @@ from .geometry import (
     IntervalSpace,
     _mesh_cell,
     _mesh_span,
+    _scaled,
 )
 from .pairing import pair, unpair
 from .pointmaps import (
@@ -345,10 +346,10 @@ class DyadicIntervalPresentation:
         is free when the parent pokes past 0, the right end when it pokes
         past 1."""
         j_top = 2 ** (level + 1)
-        u, v = parent
-        lo, hi = _mesh_span(u, v, level, reach=-7)
+        u, v, d = parent
+        lo, hi = _mesh_span(u, v, d, level, reach=-7)
         lo = 0 if u < 0 else max(lo, 0)
-        hi = j_top if v > 1 else min(hi, j_top)
+        hi = j_top if v > d else min(hi, j_top)
         return (lo, hi) if lo <= hi else None
 
     def resolve(self, t: Sequence[int]) -> tuple:
@@ -376,14 +377,16 @@ class DyadicIntervalPresentation:
         level, parent = self.resolve(t)
         if not self.space.eroded_contains(parent, region, slack):
             return None
-        p, q = self.space.hull(region)
-        need = q - p + slack
+        (p, q, r), d = _scaled((region,), slack)
+        p, q = max(p, 0), min(q, d)  # the region's hull
         child_level = level + 1
-        while 7 * need.denominator >= need.numerator << (child_level + 3):
+        # while the level's cells, 7/2^(L+3) wide, are no narrower than the
+        # hull plus the slack
+        while 7 * d >= (q - p + r) << (child_level + 3):
             bounds = self._child_range(parent, child_level)
             if bounds is not None:
                 # a cell that holds the region meets its slack-fattened hull
-                lo, hi = _mesh_span(p - slack, q + slack, child_level)
+                lo, hi = _mesh_span(p - r, q + r, d, child_level)
                 for j in range(max(lo, bounds[0]), min(hi, bounds[1]) + 1):
                     cell = _mesh_cell(child_level, j)
                     if self.space.eroded_contains(cell, region, slack):

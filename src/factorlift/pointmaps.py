@@ -31,7 +31,6 @@ from .geometry import (
     IntervalSpace,
     ProductSpace,
     Space,
-    _norm_arc,
     least_dyadic_level,
 )
 from .transducers import CANTOR, PrefixTransducer
@@ -121,7 +120,7 @@ def piecewise_affine_map(knots: Iterable[tuple], name: str) -> PointMap:
         # knots i + 1 .. j lie in (a, b]; a knot at b adds only its own value
         for k in range(i + 1, j + 1):
             lo, hi = min(lo, ys[k]), max(hi, ys[k])
-        return lo, hi
+        return space.cell(lo, hi)
 
     return PointMap(space, region, name, lipschitz=max(map(abs, slopes)), point_fn=point)
 
@@ -140,7 +139,7 @@ def squaring_map() -> PointMap:
 
     def region(cell: Cell) -> Cell:
         a, b = space.hull(cell)
-        return (a * a, b * b)
+        return space.cell(a * a, b * b)
 
     return PointMap(space, region, "square", lipschitz=F(2), point_fn=lambda x: x * x)
 
@@ -154,8 +153,8 @@ def rotation_map(angle) -> PointMap:
     space = CircleSpace()
 
     def region(cell: Cell) -> Cell:
-        start, length = cell
-        return _norm_arc(start + angle, length)
+        s, l, d = cell
+        return space.arc(F(s, d) + angle, F(l, d))
 
     return PointMap(
         space,
@@ -283,8 +282,8 @@ def rotation_family(cover_system) -> ParameterizedFamily:
 
     def region(q: Word, s: Word) -> Cell:
         width = F(1, 2 ** (len(q) + 1))
-        start, length = cover_system.v_cell(s)
-        return _norm_arc(start + _rotation_angle(q), length + width)
+        start, length, d = cover_system.v_cell(s)
+        return space.arc(F(start, d) + _rotation_angle(q), F(length, d) + width)
 
     def moduli(width: Fraction) -> tuple:
         m = least_dyadic_level(width / 2)
@@ -343,7 +342,7 @@ def parity_expansion_map() -> PolishPointMap:
         low = 0
         for b in w:
             low = 2 * low + b % 2
-        return (F(low, 2 ** len(w)), F(low + 1, 2 ** len(w)))
+        return space.cell(F(low, 2 ** len(w)), F(low + 1, 2 ** len(w)))
 
     return PolishPointMap(space, region, "parity-expansion")
 
@@ -352,9 +351,11 @@ def constant_interval_map(value) -> PolishPointMap:
     value = F(value)
     if not 0 <= value <= 1:
         raise CertificationError("constant value outside the unit interval")
+    space = IntervalSpace()
+    cell = space.point_cell(value)
     return PolishPointMap(
-        IntervalSpace(),
-        lambda w: (value, value),
+        space,
+        lambda w: cell,
         f"const({value})",
         point_fn=lambda x: value,
     )

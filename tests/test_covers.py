@@ -39,6 +39,14 @@ from factorlift.geometry import (
 from factorlift.transducers import Stream, validate_word
 
 ONE = F(1)
+IV, ARC = IntervalSpace().cell, CircleSpace().arc
+
+
+def _ends(cell):
+    """The two rationals an interval cell (u, v) or a circle arc
+    (start, length) stands for."""
+    a, b, d = cell
+    return F(a, d), F(b, d)
 
 
 # --- raw geometry ---
@@ -64,9 +72,10 @@ def test_interval_mesh_shape():
     for k in (1, 2, 5):
         cells = sp.mesh(k)
         assert len(cells) == 2 ** (k + 1) + 1
-        for u, v in cells:
+        for cell in cells:
+            u, v = _ends(cell)
             assert v - u == F(7, 8) * F(1, 2 ** k)
-            assert sp.diam((u, v)) < F(1, 2 ** k)
+            assert sp.diam(cell) < F(1, 2 ** k)
 
 
 def test_whole_space_diameters():
@@ -79,28 +88,29 @@ def test_whole_space_diameters():
 
 def test_arc_arithmetic_wraps():
     sp = CircleSpace()
-    a = (F(7, 8), F(1, 4))
-    b = (F(0), F(1, 8))
-    assert sp.intersect(a, b) == (F(0), F(1, 8))
+    a = ARC(F(7, 8), F(1, 4))
+    b = ARC(0, F(1, 8))
+    assert sp.intersect(a, b) == b == (0, 1, 8)
     assert sp.contains(a, F(0))
     assert sp.eroded_contains(a, sp.point_cell(F(0)), 0)
     # the closed reading keeps the ends, the open one does not
     assert sp.contains(a, F(1, 8)) and sp.contains(a, F(7, 8))
     assert not sp.eroded_contains(a, sp.point_cell(F(1, 8)), 0)
     assert not sp.contains(a, F(1, 4))
-    assert sp.closed_subset((F(15, 16), F(1, 8)), a)
-    assert not sp.closed_subset(b, (F(15, 16), F(1, 32)))
+    assert sp.closed_subset(ARC(F(15, 16), F(1, 8)), a)
+    assert not sp.closed_subset(b, ARC(F(15, 16), F(1, 32)))
 
 
 def test_interval_relative_topology_at_edges():
     sp = IntervalSpace()
     # a cell sticking past 0 is relatively open there, one ending at 0 is not
-    assert sp.eroded_contains((F(-1, 8), F(1, 4)), (F(0), F(0)), F(0))
-    assert not sp.eroded_contains((F(0), F(1, 4)), (F(0), F(0)), F(0))
-    assert sp.eroded_contains((F(-1, 8), F(1, 4)), (F(0), F(1, 64)), F(1, 16))
+    past = IV(F(-1, 8), F(1, 4))
+    assert sp.eroded_contains(past, IV(0, 0), F(0))
+    assert not sp.eroded_contains(IV(0, F(1, 4)), IV(0, 0), F(0))
+    assert sp.eroded_contains(past, IV(0, F(1, 64)), F(1, 16))
     # the closed reading keeps both ends of the clamped cell
-    assert sp.contains((F(-1, 8), F(1, 4)), F(0)) and sp.contains((F(-1, 8), F(1, 4)), F(1, 4))
-    assert not sp.contains((F(-1, 8), F(1, 4)), F(1, 3))
+    assert sp.contains(past, F(0)) and sp.contains(past, F(1, 4))
+    assert not sp.contains(past, F(1, 3))
 
 
 def test_finite_space_validation():
@@ -216,6 +226,11 @@ def _ref_arc(start, length):
     return (F(0), F(1)) if length >= 1 else (start % 1, length)
 
 
+def _ref_cells(make, ref, *args):
+    """The Fraction-pair cells a reference returns, each built as a cell."""
+    return [make(*cell) for cell in ref(*args)]
+
+
 def _ref_arc_meets(open_cell, base):
     u, l1 = open_cell
     s, l2 = base
@@ -259,8 +274,8 @@ def test_interval_select_children_matches_fraction_loop(case):
     k, a, w = case
     sp = IntervalSpace()
     base = (a, a + w)
-    assert _outcome(sp.select_children, base, k) == _outcome(
-        _ref_interval_children, sp, base, k
+    assert _outcome(sp.select_children, IV(*base), k) == _outcome(
+        _ref_cells, IV, _ref_interval_children, sp, base, k
     )
 
 
@@ -271,29 +286,29 @@ def test_circle_select_children_matches_fraction_loop(case):
     k, s, l = case
     sp = CircleSpace()
     for base in ((s, l), (s % 1, l), (1 - l / 2, l)):
-        assert _outcome(sp.select_children, base, k) == _outcome(
-            _ref_circle_children, sp, base, k
+        assert _outcome(sp.select_children, ARC(*base), k) == _outcome(
+            _ref_cells, ARC, _ref_circle_children, sp, base, k
         )
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_whole_cells_select_children_match_fraction_loop(k):
     interval, circle = IntervalSpace(), CircleSpace()
-    for base in (interval.whole(), (F(-1, 3), F(4, 3)), (F(0), F(1))):
-        assert _outcome(interval.select_children, base, k) == _outcome(
-            _ref_interval_children, interval, base, k
+    for base in (_ends(interval.whole()), (F(-1, 3), F(4, 3)), (F(0), F(1))):
+        assert _outcome(interval.select_children, IV(*base), k) == _outcome(
+            _ref_cells, IV, _ref_interval_children, interval, base, k
         )
-    for base in (circle.whole(), (F(1, 3), F(1)), (F(5, 7), F(3, 2))):
-        assert _outcome(circle.select_children, base, k) == _outcome(
-            _ref_circle_children, circle, base, k
+    for base in (_ends(circle.whole()), (F(1, 3), F(1)), (F(5, 7), F(3, 2))):
+        assert _outcome(circle.select_children, ARC(*base), k) == _outcome(
+            _ref_cells, ARC, _ref_circle_children, circle, base, k
         )
 
 
 def test_overflowing_pools_are_refused_before_their_cells_are_built():
-    assert _outcome(IntervalSpace().select_children, (F(0), F(1)), 24) == (
+    assert _outcome(IntervalSpace().select_children, IV(0, 1), 24) == (
         f"CertificationError: interval: pool of {2 ** 25 + 1} exceeds arity 6"
     )
-    assert _outcome(CircleSpace().select_children, (F(0), F(1)), 24) == (
+    assert _outcome(CircleSpace().select_children, ARC(0, 1), 24) == (
         f"CertificationError: circle: pool of {2 ** 25} exceeds arity 6"
     )
 
@@ -303,10 +318,10 @@ def _closure_in_open(space, inner, outer) -> bool:
     space kind once spelled it out on its own."""
     if space.kind == "interval":
         a, b = space.hull(inner)
-        u, v = outer
+        u, v = _ends(outer)
         return (u < 0 or u < a) and (v > 1 or b < v)
     if space.kind == "circle":
-        (si, li), (so, lo) = inner, outer
+        (si, li), (so, lo) = _ends(inner), _ends(outer)
         if lo >= 1:
             return True
         d = (si - so) % 1
@@ -320,11 +335,11 @@ def _closure_in_open(space, inner, outer) -> bool:
 
 
 NEAR_UNIT = st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=16)
-INTERVAL_CELLS = st.tuples(NEAR_UNIT, NEAR_UNIT).map(lambda c: tuple(sorted(c)))
+INTERVAL_CELLS = st.tuples(NEAR_UNIT, NEAR_UNIT).map(lambda c: IV(*sorted(c)))
 ARCS = st.tuples(
     st.fractions(min_value=0, max_value=1, max_denominator=16).filter(lambda s: s < 1),
     st.fractions(min_value=0, max_value=1, max_denominator=16),
-).map(lambda a: (F(0), F(1)) if a[1] >= 1 else a)
+).map(lambda a: ARC(*a))
 CELL_KINDS = {
     "interval": (IntervalSpace(), INTERVAL_CELLS),
     "circle": (CircleSpace(), ARCS),
@@ -346,14 +361,20 @@ def test_erosion_at_radius_zero_is_closure_inside_open(kind, data):
     assert space.eroded_contains(outer, inner, F(0)) == _closure_in_open(space, inner, outer)
 
 
-# Reference predicates: the Fraction bodies of the interval and circle
-# predicates from before they compared integer numerators over a common
-# denominator.
+# Reference predicates and builders: the Fraction bodies of the interval and
+# circle code from before it compared integer numerators over a common
+# denominator, and from before cells were integer triples.  They read cells
+# as pairs of rationals, as `_ends` gives them.
+
+
+def _ref_hull(cell):
+    u, v = cell
+    return max(u, F(0)), min(v, F(1))
 
 
 def _ref_interval_eroded_contains(outer, region, radius):
     u, v = outer
-    p, q = IntervalSpace().hull(region)
+    p, q = _ref_hull(region)
     left = u < 0 or (p - radius >= u and p > u)
     right = v > 1 or (q + radius <= v and q < v)
     return left and right
@@ -367,14 +388,31 @@ def _ref_erode(cell, eps):
 
 
 def _ref_interval_open_cover(base, cells):
-    a, b = IntervalSpace().hull(base)
+    a, b = _ref_hull(base)
     return _open_chain_cover(a, b, list(cells))
 
 
 def _ref_interval_eroded_cover(base, cells, eps):
-    a, b = IntervalSpace().hull(base)
+    a, b = _ref_hull(base)
     eroded = [e for e in (_ref_erode(c, eps) for c in cells) if e is not None]
     return _closed_chain_cover(a, b, eroded)
+
+
+def _ref_interval_intersect(a, b):
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    return (lo, hi) if lo < hi else None
+
+
+def _ref_interval_closed_subset(inner, outer):
+    a, b = _ref_hull(inner)
+    c, d = _ref_hull(outer)
+    return c <= a and b <= d
+
+
+def _ref_interval_shrink(cell):
+    u, v = cell
+    mid = (u + v) / 2
+    return (mid - (v - u) / 200, mid + (v - u) / 200)
 
 
 def _ref_arc_intersect(a, b):
@@ -446,18 +484,69 @@ def _ref_arc_eroded_cover(base, cells, eps):
     return _closed_chain_cover(F(0), bl, _ref_unroll(bs, eroded))
 
 
-def _same_outcome(fn, ref, *args):
-    """fn and ref return equal values with equal str, or raise the same
-    exception type with the same message."""
+def _ref_arc_shrink(cell):
+    s, l = cell
+    return _ref_arc(s + l / 2 - l / 200, l / 100)
+
+
+def _ref_span(a, b, k):
+    """The level-k mesh indices j with (8j - 7)/2^(k+4) < b and
+    (8j + 7)/2^(k+4) > a, as Fraction floor and ceiling division."""
+    d = 2 ** (k + 4)
+    return math.floor((a * d - 7) / 8) + 1, math.ceil((b * d + 7) / 8) - 1
+
+
+def _ref_shift_key(start, length, k, first):
+    n = 2 ** (k + 2)
+    lo, hi = _ref_span(start, start + length, k + 1)
+    if lo < first or hi >= n:
+        return None
+    return start % F(1, n), length
+
+
+def _ref_interval_canonical(cell, k):
+    u, v = cell
+    if u < 0 or v > 1:
+        return None
+    return _ref_shift_key(u, v - u, k, 1)
+
+
+def _ref_arc_canonical(cell, k):
+    s, l = cell
+    return None if l >= 1 else _ref_shift_key(s, l, k, 0)
+
+
+def _key_reads(key, k):
+    """A translation key as (start mod 2^-(k+2), length); the key must be a
+    reduced triple."""
+    if key is None:
+        return None
+    x, l, d = key
+    assert d > 0 and math.gcd(x, l, d) == 1, key
+    return F(x, d * 2 ** (k + 2)), F(l, d)
+
+
+def _reduced_cell(cell):
+    return isinstance(cell, tuple) and cell[2] > 0 and math.gcd(*cell) == 1
+
+
+def _same_outcome(got, want):
+    """The calls got() and want() return equal values with equal str, or
+    raise the same exception type with the same message."""
 
     def run(f):
         try:
-            out = f(*args)
+            out = f()
         except Exception as exc:
             return type(exc), str(exc)
         return out, str(out)
 
-    assert run(fn) == run(ref), args
+    assert run(got) == run(want)
+
+
+def _built(make, pair):
+    """A reference's Fraction-pair cell built as a cell; None stays None."""
+    return None if pair is None else make(*pair)
 
 
 # Denominators the shipped systems meet: dyadic mesh ends, the thirds and
@@ -473,9 +562,9 @@ ORACLE_RADII = st.one_of(st.just(F(0)), _rationals(0, 1), _rationals(0, 1).map(l
 # ends past 0 or 1 are clamped; u > v after clamping is an empty hull
 _LINE_CELLS = st.tuples(_rationals(-1, 2), _rationals(-1, 2))
 ORACLE_INTERVALS = st.one_of(
-    _LINE_CELLS,
-    _rationals(-1, 2).map(lambda x: (x, x)),
-    _LINE_CELLS.map(IntervalSpace().shrink_cell),
+    _LINE_CELLS.map(lambda c: IV(*c)),
+    _rationals(-1, 2).map(lambda x: IV(x, x)),
+    _LINE_CELLS.map(lambda c: IntervalSpace().shrink_cell(IV(*c))),
 )
 # starts in [0, 1), near 0 or near 1, so start + length past 1 wraps through 0
 _STARTS = st.one_of(_rationals(0, 1), _rationals(0, 1).map(lambda s: 1 - s)).filter(
@@ -483,7 +572,10 @@ _STARTS = st.one_of(_rationals(0, 1), _rationals(0, 1).map(lambda s: 1 - s)).fil
 )
 _ARC_CELLS = st.tuples(_STARTS, _rationals(0, 1))
 # lengths 0 and 1 (the whole circle) come up among the drawn lengths
-ORACLE_ARCS = st.one_of(_ARC_CELLS, _ARC_CELLS.map(CircleSpace().shrink_cell))
+ORACLE_ARCS = st.one_of(
+    _ARC_CELLS.map(lambda c: ARC(*c)),
+    _ARC_CELLS.map(lambda c: CircleSpace().shrink_cell(ARC(*c))),
+)
 ORACLE_COVERS = {
     "interval": (IntervalSpace(), ORACLE_INTERVALS,
                  _ref_interval_open_cover, _ref_interval_eroded_cover),
@@ -496,25 +588,38 @@ ORACLE_COVERS = {
 def test_arc_predicates_match_fraction_oracles(a, data):
     """b drawn freely or starting inside a, so that meets past the wrap come
     up; x drawn freely or at an end of a."""
+    ea = _ends(a)
     inside = st.tuples(_rationals(0, 1), _rationals(0, 1)).map(
-        lambda fl: ((a[0] + fl[0] * a[1]) % 1, fl[1])
+        lambda fl: ARC(ea[0] + fl[0] * ea[1], fl[1])
     )
     b = data.draw(st.one_of(ORACLE_ARCS, inside), label="b")
-    x = data.draw(st.one_of(_rationals(-1, 2), st.sampled_from([a[0], a[0] + a[1]])), label="x")
+    eb = _ends(b)
+    x = data.draw(st.one_of(_rationals(-1, 2), st.sampled_from([ea[0], ea[0] + ea[1]])), label="x")
     radius = data.draw(ORACLE_RADII, label="radius")
     sp = CircleSpace()
-    _same_outcome(sp.intersect, _ref_arc_intersect, a, b)
-    _same_outcome(sp.intersect, _ref_arc_intersect, b, a)
-    _same_outcome(sp.contains, _ref_arc_contains, a, x)
-    _same_outcome(sp.closed_subset, _ref_arc_closed_subset, a, b)
-    _same_outcome(sp.eroded_contains, _ref_arc_eroded_contains, a, b, radius)
+    _same_outcome(lambda: sp.intersect(a, b), lambda: _built(ARC, _ref_arc_intersect(ea, eb)))
+    _same_outcome(lambda: sp.intersect(b, a), lambda: _built(ARC, _ref_arc_intersect(eb, ea)))
+    _same_outcome(lambda: sp.contains(a, x), lambda: _ref_arc_contains(ea, x))
+    _same_outcome(lambda: sp.closed_subset(a, b), lambda: _ref_arc_closed_subset(ea, eb))
+    _same_outcome(
+        lambda: sp.eroded_contains(a, b, radius),
+        lambda: _ref_arc_eroded_contains(ea, eb, radius),
+    )
 
 
 @settings(max_examples=500)
 @given(ORACLE_INTERVALS, ORACLE_INTERVALS, ORACLE_RADII)
 def test_interval_erosion_matches_fraction_oracle(outer, region, radius):
     sp = IntervalSpace()
-    _same_outcome(sp.eroded_contains, _ref_interval_eroded_contains, outer, region, radius)
+    eo, er = _ends(outer), _ends(region)
+    _same_outcome(
+        lambda: sp.eroded_contains(outer, region, radius),
+        lambda: _ref_interval_eroded_contains(eo, er, radius),
+    )
+    _same_outcome(lambda: sp.intersect(outer, region),
+                  lambda: _built(IV, _ref_interval_intersect(eo, er)))
+    _same_outcome(lambda: sp.closed_subset(region, outer),
+                  lambda: _ref_interval_closed_subset(er, eo))
 
 
 @pytest.mark.parametrize("kind", ORACLE_COVERS)
@@ -530,8 +635,95 @@ def test_cover_checks_match_fraction_oracles(kind, data):
     )
     kids = data.draw(st.one_of(st.lists(cells, max_size=6), mesh), label="cells")
     eps = data.draw(ORACLE_RADII, label="eps")
-    _same_outcome(sp.open_cover_of_closure, open_ref, base, kids)
-    _same_outcome(sp.eroded_cover_of_closure, eroded_ref, base, kids, eps)
+    eb, ek = _ends(base), [_ends(c) for c in kids]
+    _same_outcome(lambda: sp.open_cover_of_closure(base, kids), lambda: open_ref(eb, ek))
+    _same_outcome(
+        lambda: sp.eroded_cover_of_closure(base, kids, eps), lambda: eroded_ref(eb, ek, eps)
+    )
+
+
+@settings(max_examples=400)
+@given(_level_and_span(-F(1, 8), F(9, 8)), _rationals(-1, 2))
+def test_interval_builders_match_fraction_oracles(case, x):
+    """The constructor, shrink_cell, describe, canonical and the readings of
+    a cell, on cells at a level's mesh scale, clamped or not."""
+    k, a, w = case
+    sp = IntervalSpace()
+    for ends in ((a, a + w), (a + w, a), (x, a)):
+        cell = IV(*ends)
+        assert _reduced_cell(cell) and _ends(cell) == ends
+        assert sp.shrink_cell(cell) == IV(*_ref_interval_shrink(ends))
+        assert _reduced_cell(sp.shrink_cell(cell))
+        assert sp.describe(cell) == f"interval({ends[0]}, {ends[1]})"
+        assert _key_reads(sp.canonical(cell, k), k) == _ref_interval_canonical(ends, k)
+        lo, hi = _ref_hull(ends)
+        assert sp.hull(cell) == (lo, hi)
+        assert sp.diam(cell) == max(hi - lo, F(0))
+        assert sp.witness_point(cell) == (lo + hi) / 2
+    assert sp.point_cell(x) == IV(x, x) and _ends(IV(x, x)) == (x, x)
+
+
+@settings(max_examples=400)
+@given(_level_and_span(-1, 2), _rationals(-1, 2))
+def test_arc_builders_match_fraction_oracles(case, x):
+    """The constructor (start mod 1, the whole circle from length 1 on),
+    shrink_cell, describe, canonical and the readings of an arc."""
+    k, s, l = case
+    sp = CircleSpace()
+    for start, length in ((s, l), (1 - l / 2, l), (x, l * 2 ** k)):
+        cell = ARC(start, length)
+        ends = _ref_arc(start, length)
+        assert _reduced_cell(cell) and _ends(cell) == ends
+        assert sp.shrink_cell(cell) == ARC(*_ref_arc_shrink(ends))
+        assert _reduced_cell(sp.shrink_cell(cell))
+        assert sp.describe(cell) == f"arc(start={ends[0]}, length={ends[1]})"
+        assert _key_reads(sp.canonical(cell, k), k) == _ref_arc_canonical(ends, k)
+        assert sp.diam(cell) == min(ends[1], F(1, 2))
+        assert sp.witness_point(cell) == (ends[0] + ends[1] / 2) % 1
+    assert sp.point_cell(x) == ARC(x, 0) and _ends(ARC(x, 0)) == (x % 1, 0)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_mesh_builders_match_fraction_oracles(k):
+    h, r = _ref_mesh(k)
+    assert IntervalSpace().mesh(k) == [IV(j * h - r, j * h + r) for j in range(2 ** (k + 1) + 1)]
+    assert CircleSpace().mesh(k) == [
+        ARC(*_ref_arc(j * h - r, 2 * r)) for j in range(2 ** (k + 1))
+    ]
+
+
+_QUARTERS = _rationals(0, 1).map(lambda r: r / 4)
+
+
+@settings(max_examples=300)
+@given(_rationals(-1, 2), _QUARTERS, _QUARTERS, _QUARTERS, _STARTS, st.integers(1, 6))
+def test_equal_cells_built_two_ways_are_one_reduced_tuple(u, w, pad0, pad1, s, k):
+    """A cell built by the constructor, by intersecting wider cells over
+    other denominators, by shrinking a cell a hundred times wider, or as a
+    mesh cell is one reduced tuple, so class keys and distinct counts
+    cannot split it."""
+    iv, circle = IntervalSpace(), CircleSpace()
+    v = u + w + F(1, 1024)
+    mid, half = (u + v) / 2, (v - u) / 2
+    intervals = [
+        IV(u, v),
+        iv.intersect(IV(u - pad0, v), IV(u, v + pad1)),
+        iv.intersect(IV(u, v + pad1), IV(u - pad0, v)),
+        iv.shrink_cell(IV(mid - 100 * half, mid + 100 * half)),
+    ]
+    l = w + F(1, 1024)
+    arcs = [
+        ARC(s, l),
+        ARC(s + 3, l),
+        ARC(s - 1, l),
+        circle.intersect(ARC(s - pad0 / 2, l + pad0 / 2), ARC(s, l + pad1 / 2)),
+        circle.shrink_cell(ARC(s + l / 2 - 50 * l, 100 * l)) if l < F(1, 100) else ARC(s, l),
+    ]
+    j = 2 ** k // 3
+    mesh = [IntervalSpace().mesh(k)[j], IV(F(8 * j - 7, 2 ** (k + 4)), F(8 * j + 7, 2 ** (k + 4)))]
+    for built in (intervals, arcs, mesh):
+        assert all(_reduced_cell(c) for c in built), built
+        assert len(dict.fromkeys(built)) == 1, built
 
 
 # --- cover-system structure ---
@@ -641,10 +833,10 @@ def _ref_open_contains(space, cell, x) -> bool:
     """Reference: the open reading `contains(cell, x, closed=False)` each
     space kind once carried beside its closed one."""
     if space.kind == "interval":
-        u, v = cell
+        u, v = _ends(cell)
         return u < x < v
     if space.kind == "circle":
-        s, l = cell
+        s, l = _ends(cell)
         return l >= 1 or 0 < (x - s) % 1 < l
     if space.kind == "product":
         return _ref_open_contains(space.left, cell[0], x[0]) and _ref_open_contains(
@@ -658,7 +850,8 @@ def _edge_points(space, cell):
     if space.kind == "interval":
         ends = space.hull(cell)
     elif space.kind == "circle":
-        ends = (cell[0], (cell[0] + cell[1]) % 1)
+        s, l = _ends(cell)
+        ends = (s, (s + l) % 1)
     else:
         return []
     return [e + d for e in ends for d in (0, F(1, 2**30), -F(1, 2**30)) if 0 <= e + d <= 1]
@@ -1112,14 +1305,14 @@ def test_translates_share_keys_and_verdicts(kind, case, shrunk):
     edge = F(7, 2 ** (k + 5))  # reach of the level-(k + 1) end cells
     if kind == "interval":
         space = IntervalSpace()
-        cells = [(s, s + length) for s in starts]
+        cells = [IV(s, s + length) for s in starts]
         # meets mesh cell 0 or 2^(k+2), or is clamped
-        crosses = [u < edge or v > 1 - edge for u, v in cells]
+        crosses = [s < edge or s + length > 1 - edge for s in starts]
     else:
         space = CircleSpace()
-        cells = [(s, length) for s in starts]
+        cells = [ARC(s, length) for s in starts]
         # runs into the arc across 0 from below: the indices wrap
-        crosses = [s + l > 1 - edge for s, l in cells]
+        crosses = [s + length > 1 - edge for s in starts]
     keys = [space.canonical(c, k) for c in cells]
     assert [key is None for key in keys] == crosses
     if None not in keys:
@@ -1145,7 +1338,7 @@ def test_whole_and_product_cells_have_no_key_where_a_factor_has_none():
     assert interval.canonical(interval.whole(), 0) is None
     assert circle.canonical(circle.whole(), 0) is None
     assert finite_system().space.canonical((0,), 1) is None
-    inner = (F(3, 8), F(13, 32))
+    inner = IV(F(3, 8), F(13, 32))
     product = ProductSpace(CantorSpace(), interval)
     assert product.canonical(((0, 1), inner), 2) == (2, interval.canonical(inner, 2))
     assert product.canonical(((0, 1), interval.whole()), 2) is None
@@ -1159,7 +1352,7 @@ def test_whole_and_product_cells_have_no_key_where_a_factor_has_none():
     [
         pytest.param(lambda: corrupt_system(interval_system(), ()), CertificationError,
                      "corruption needs a nonempty branch word", id="corrupt-empty-word"),
-        pytest.param(lambda: locate_ball(interval_system(), (F(0), F(1, 2)), F(-1), 2),
+        pytest.param(lambda: locate_ball(interval_system(), IV(0, F(1, 2)), F(-1), 2),
                      CertificationError, "negative radius", id="locate-negative-radius"),
         pytest.param(lambda: FiniteMetricSpace(((0, 1), (1, 1))), CertificationError,
                      "bad distance matrix diagonal/shape", id="finite-bad-diagonal"),
@@ -1168,7 +1361,7 @@ def test_whole_and_product_cells_have_no_key_where_a_factor_has_none():
         pytest.param(lambda: project_symbol_to_point(interval_system(), (0, 1, 2), -1),
                      InvalidBranch, "level must be nonnegative, got -1",
                      id="project-negative-level"),
-        pytest.param(lambda: locate_ball(interval_system(), (F(0), F(1, 2)), F(0), -2),
+        pytest.param(lambda: locate_ball(interval_system(), IV(0, F(1, 2)), F(0), -2),
                      InvalidBranch, "branch length must be nonnegative, got -2",
                      id="locate-negative-length"),
     ],

@@ -384,6 +384,14 @@ def test_dyadic_interval_presentation_laws():
     assert cert.ok, cert.render()
 
 
+IV = IntervalSpace().cell
+
+
+def _ends(cell):
+    a, b, d = cell
+    return F(a, d), F(b, d)
+
+
 def _ref_child_range(parent, level):
     """Reference: the presentation's child range in Fraction floor and
     ceiling division, before the integer mesh indices."""
@@ -403,14 +411,14 @@ def _ref_locate_child(ps, t, region, slack):
     level, parent = ps.resolve(t)
     p, q = ps.space.hull(region)
     for child_level in range(level + 1, level + 1 + 80):
-        bounds = _ref_child_range(parent, child_level)
+        bounds = _ref_child_range(_ends(parent), child_level)
         if bounds is None:
             continue
         h = F(1, 2 ** (child_level + 1))
         lo = max(bounds[0], math.floor((p - slack) / h) - 2)
         hi = min(bounds[1], math.ceil((q + slack) / h) + 2)
         for j in range(lo, hi + 1):
-            cell = (j * h - F(7, 8) * h, j * h + F(7, 8) * h)
+            cell = IV(j * h - F(7, 8) * h, j * h + F(7, 8) * h)
             if ps.space.eroded_contains(cell, region, slack):
                 return pair(child_level - level - 1, j)
     return None
@@ -425,7 +433,7 @@ def test_presentation_child_range_matches_fraction_division(u, v, level):
     # parents that poke past 0 or 1 free that end of the range
     ps = DyadicIntervalPresentation()
     parent = (min(u, v), max(u, v))
-    assert ps._child_range(parent, level) == _ref_child_range(parent, level)
+    assert ps._child_range(IV(*parent), level) == _ref_child_range(parent, level)
 
 
 @settings(max_examples=200, deadline=None)
@@ -444,7 +452,7 @@ def test_presentation_locate_child_matches_fraction_window(t, at, share, extra):
     a, b = ps.space.hull(parent)
     slack = ps.slack(len(t) + extra)
     x = a + at * (b - a)
-    region = (x, x + share * slack)
+    region = IV(x, x + share * slack)
     assume(not t or ps.space.eroded_contains(parent, region, ps.slack(len(t))))
     assert ps.locate_child(t, region, slack) == _ref_locate_child(ps, t, region, slack)
 
@@ -478,9 +486,9 @@ def _within_one_second():
 )
 def test_presentation_locate_child_refuses_regions_no_child_holds(region, slack):
     ps = DyadicIntervalPresentation()
-    assert ps.v_cell((26,)) == (F(33, 64), F(47, 64))
+    assert ps.v_cell((26,)) == IV(F(33, 64), F(47, 64))
     with _within_one_second():
-        assert ps.locate_child((26,), region, slack) is None
+        assert ps.locate_child((26,), IV(*region), slack) is None
 
 
 def test_baire_lift_refuses_a_region_that_leaves_its_cell():
@@ -491,14 +499,14 @@ def test_baire_lift_refuses_a_region_that_leaves_its_cell():
 
     def region(w):
         if not w:
-            return F(0), F(1)
+            return IV(0, 1)
         if len(w) == 1:
-            return F(1, 4), F(1, 4) + F(1, 2 ** 10)
+            return IV(F(1, 4), F(1, 4) + F(1, 2 ** 10))
         width = F(1, 2 ** (4 * len(w) + 6))
-        return edge["v"] - width, edge["v"] + width
+        return IV(edge["v"] - width, edge["v"] + width)
 
     bl = baire_extension_map(ps, PolishPointMap(IntervalSpace(), region, "leaves-cell"))
-    edge["v"] = ps.v_cell(bl.output((0,), 1))[1]
+    edge["v"] = _ends(ps.v_cell(bl.output((0,), 1)))[1]
     message = r"^lift\[leaves-cell\]: no level-2 cell below \(\d+,\) holds the image of \(0, 0\)$"
     with _within_one_second(), pytest.raises(NoCell, match=message):
         bl.output((0, 0), 2)
@@ -773,7 +781,7 @@ class _WidePresentation:
 
     def v_cell(self, word):
         w = F(1, 2 ** len(word))
-        return (F(1, 2) - w, F(1, 2) + w)
+        return self.space.cell(F(1, 2) - w, F(1, 2) + w)
 
 
 class _HoppingPresentation:
@@ -788,7 +796,7 @@ class _HoppingPresentation:
             return self.space.whole()
         c = F(1, 4) if len(word) % 2 else F(3, 4)
         w = F(1, 2 ** (len(word) + 3))
-        return (c - w, c + w)
+        return self.space.cell(c - w, c + w)
 
 
 def test_presentation_certificate_names_a_cell_too_wide():

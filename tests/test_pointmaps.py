@@ -16,7 +16,7 @@ from factorlift.covers import (
     locate_ball,
 )
 from factorlift.errors import CertificationError, NoCell, SpaceMismatch
-from factorlift.geometry import CantorSpace, IntervalSpace, least_dyadic_level
+from factorlift.geometry import CantorSpace, CircleSpace, IntervalSpace, least_dyadic_level
 from factorlift.lifting import lift_self_map
 from factorlift.pointmaps import (
     PointMap,
@@ -44,6 +44,9 @@ from factorlift.transducers import (
 )
 
 
+IV, ARC = IntervalSpace().cell, CircleSpace().arc
+
+
 def rand_branch(cs, length, rng):
     return tuple(rng.randrange(cs.child_arity(i + 1)) for i in range(length))
 
@@ -53,28 +56,28 @@ def rand_branch(cs, length, rng):
 
 def test_squaring_region_endpoints():
     sq = squaring_map()
-    assert sq.image_region((F(1, 4), F(1, 2))) == (F(1, 16), F(1, 4))
+    assert sq.image_region(IV(F(1, 4), F(1, 2))) == IV(F(1, 16), F(1, 4))
     # raw cells may stick past [0, 1]; the hull is what gets mapped
-    assert sq.image_region((F(-1), F(2))) == (F(0), F(1))
+    assert sq.image_region(IV(-1, 2)) == IV(0, 1)
     assert sq.point(F(1, 3)) == F(1, 9)
 
 
 def test_tent_region_branches():
     t = tent_map()
-    assert t.image_region((F(0), F(1, 4))) == (F(0), F(1, 2))
-    assert t.image_region((F(3, 4), F(1))) == (F(0), F(1, 2))
+    assert t.image_region(IV(0, F(1, 4))) == IV(0, F(1, 2))
+    assert t.image_region(IV(F(3, 4), 1)) == IV(0, F(1, 2))
     # a cell straddling the peak must report the attained maximum 1
-    assert t.image_region((F(1, 4), F(3, 4))) == (F(1, 2), F(1))
+    assert t.image_region(IV(F(1, 4), F(3, 4))) == IV(F(1, 2), 1)
     assert t.point(F(1, 2)) == 1
     assert t.point(F(5, 8)) == F(3, 4)
     # knots read once, so a generator of them builds the same map
     once = piecewise_affine_map(((x, 1 - abs(2 * x - 1)) for x in (0, F(1, 2), 1)), "tent")
-    assert once.image_region((F(1, 4), F(3, 4))) == t.image_region((F(1, 4), F(3, 4)))
+    assert once.image_region(IV(F(1, 4), F(3, 4))) == t.image_region(IV(F(1, 4), F(3, 4)))
 
 
 def test_affine_region_reverses_orientation():
     m = affine_map(F(1, 2), F(-1, 2))
-    assert m.image_region((F(0), F(1))) == (F(0), F(1, 2))
+    assert m.image_region(IV(0, 1)) == IV(0, F(1, 2))
     assert m.point(F(1, 4)) == F(3, 8)
 
 
@@ -87,14 +90,30 @@ def test_affine_must_stay_inside_interval():
 
 def test_rotation_region_wraps():
     r = rotation_map(F(3, 4))
-    assert r.image_region((F(1, 2), F(1, 8))) == (F(1, 4), F(1, 8))
+    assert r.image_region(ARC(F(1, 2), F(1, 8))) == ARC(F(1, 4), F(1, 8))
     assert r.point(F(7, 8)) == F(5, 8)
+
+
+_THIRTY_SECONDS = st.integers(-64, 64).map(lambda n: F(n, 32))
+
+
+@given(st.sampled_from([0, F(1, 3), F(2, 7), F(5, 8)]), _THIRTY_SECONDS,
+       _THIRTY_SECONDS.map(abs), st.integers(0, 6))
+def test_rotation_region_matches_the_fraction_rule(angle, start, length, k):
+    # reference: the start moved by the angle mod 1, the whole circle from
+    # length 1 on; over the arcs of a cover system too
+    ref = (F(0), F(1)) if length >= 1 else ((start + angle) % 1, length)
+    assert rotation_map(angle).image_region(ARC(start, length)) == ARC(*ref)
+    cs = circle_system()
+    cell = cs.v_cell((1,) * k)
+    u, l, d = cell
+    assert rotation_map(angle).image_region(cell) == ARC(F(u, d) + angle, F(l, d))
 
 
 def test_identity_map_is_identity_on_cells():
     sp = IntervalSpace()
     m = identity_map(sp)
-    assert m.image_region((F(1, 8), F(1, 4))) == (F(1, 8), F(1, 4))
+    assert m.image_region(IV(F(1, 8), F(1, 4))) == IV(F(1, 8), F(1, 4))
     assert m.modulus(F(1, 8)) == 3
 
 
@@ -131,8 +150,8 @@ def test_stream_map_requires_binary_alphabet():
 
 def test_product_map_acts_componentwise():
     m = product_map(squaring_map(), tent_map())
-    cell = ((F(0), F(1, 2)), (F(0), F(1, 4)))
-    assert m.image_region(cell) == ((F(0), F(1, 4)), (F(0), F(1, 2)))
+    cell = (IV(0, F(1, 2)), IV(0, F(1, 4)))
+    assert m.image_region(cell) == (IV(0, F(1, 4)), IV(0, F(1, 2)))
     assert m.point((F(1, 2), F(1, 4))) == (F(1, 4), F(1, 2))
     assert m.modulus(F(1, 8)) == max(squaring_map().modulus(F(1, 8)), 4)
 
@@ -212,7 +231,7 @@ def _ref_affine_map(offset, slope):
     def region(cell):
         a, b = space.hull(cell)
         ya, yb = offset + slope * a, offset + slope * b
-        return (ya, yb) if ya <= yb else (yb, ya)
+        return space.cell(*((ya, yb) if ya <= yb else (yb, ya)))
 
     return PointMap(
         space,
@@ -231,11 +250,11 @@ def _ref_tent_map():
     def region(cell):
         a, b = space.hull(cell)
         if b <= half:
-            return (2 * a, 2 * b)
+            return space.cell(2 * a, 2 * b)
         if a >= half:
-            return (2 - 2 * b, 2 - 2 * a)
+            return space.cell(2 - 2 * b, 2 - 2 * a)
         # cell straddles the peak, so the maximum value 1 is attained
-        return (min(2 * a, 2 - 2 * b), F(1))
+        return space.cell(min(2 * a, 2 - 2 * b), F(1))
 
     def point(x):
         return 2 * x if x <= half else 2 - 2 * x
@@ -250,7 +269,7 @@ HULLED_CELLS = st.one_of(
     st.integers(0, 8).flatmap(lambda k: st.sampled_from(IntervalSpace().mesh(k))),
     st.tuples(st.integers(-1024, 1024), st.integers(0, 2048))
     .filter(lambda uv: uv[0] <= uv[1])
-    .map(lambda uv: (F(uv[0], 1024), F(uv[1], 1024))),
+    .map(lambda uv: IV(F(uv[0], 1024), F(uv[1], 1024))),
 )
 
 
@@ -288,7 +307,7 @@ def test_drawn_map_region_spans_the_ends_and_the_knots_inside(knots, cell):
     pm = piecewise_affine_map(knots, "drawn")
     a, b = IntervalSpace().hull(cell)
     values = [pm.point(a), pm.point(b)] + [y for x, y in knots if a < x < b]
-    assert pm.image_region(cell) == (min(values), max(values))
+    assert pm.image_region(cell) == IV(min(values), max(values))
 
 
 @settings(max_examples=20, deadline=None)
@@ -329,8 +348,9 @@ def test_drawn_map_lift_with_a_quartered_bound_finds_no_cell(knots):
     slopes = [abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(knots, knots[1:])]
     i = slopes.index(pm.lipschitz)
     centre = knots[i][0] + F(1, 16)
-    s = locate_ball(cs, (centre, centre), F(1, 2 ** (m + 2)), m)
-    a, b = cs.v_cell(s)
+    s = locate_ball(cs, IV(centre, centre), F(1, 2 ** (m + 2)), m)
+    u, v, d = cs.v_cell(s)
+    a, b = F(u, d), F(v, d)
     assert knots[i][0] <= a and b <= knots[i + 1][0] and b - a >= F(1, 2 ** (m + 1))
     with pytest.raises(NoCell):
         lift.prefix((), s, k)
@@ -417,7 +437,7 @@ def test_baire_identity_regions_are_cylinders():
 def test_parity_expansion_region():
     m = parity_expansion_map()
     # parities 1,0,1 pin the expansion to [5/8, 5/8 + 1/8]
-    assert m.region((3, 2, 7)) == (F(5, 8), F(3, 4))
+    assert m.region((3, 2, 7)) == IV(F(5, 8), F(3, 4)) == (5, 6, 8)
     nested = m.region((3, 2, 7, 0))
     assert m.target.closed_subset(nested, m.region((3, 2, 7)))
 
@@ -426,12 +446,12 @@ def test_parity_expansion_region():
 def test_parity_expansion_region_matches_fraction_sum(w):
     # reference: the binary expansion summed one Fraction per symbol
     low = sum(F(b % 2, 2 ** (i + 1)) for i, b in enumerate(w))
-    assert parity_expansion_map().region(w) == (low, low + F(1, 2 ** len(w)))
+    assert parity_expansion_map().region(w) == IV(low, low + F(1, 2 ** len(w)))
 
 
 def test_constant_interval_map_is_degenerate():
     m = constant_interval_map(F(1, 3))
-    assert m.region((9, 9, 9)) == (F(1, 3), F(1, 3))
+    assert m.region((9, 9, 9)) == IV(F(1, 3), F(1, 3))
     assert m.target.diam(m.region(())) == 0
     with pytest.raises(CertificationError):
         constant_interval_map(F(3, 2))
