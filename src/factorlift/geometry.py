@@ -202,11 +202,10 @@ class _DyadicSpace(Space):
 
     @staticmethod
     def _shift_key(a: int, b: int, d: int, k: int, first: int):
-        """The translation key of the span [a/d, b/d], or None unless the
-        level-(k + 1) mesh indices meeting it lie in first .. 2^(k+2) - 1.
-        A shift by a multiple of the level-(k + 1) spacing 1/n, n = 2^(k+2),
-        moves those indices by the same multiple; the key is (n * a/d mod 1,
-        (b - a)/d) as a reduced triple over one denominator."""
+        """(n * a/d mod 1, (b - a)/d) as a reduced triple, n = 2^(k+2), or
+        None unless the level-(k + 1) mesh indices meeting [a/d, b/d] lie in
+        first .. n - 1.  A shift by a multiple of the level-(k + 1) spacing
+        1/n moves those indices by the same multiple."""
         n = 1 << (k + 2)
         lo, hi = _mesh_span(a, b, d, k + 1)
         if lo < first or hi >= n:
@@ -390,15 +389,10 @@ class CircleSpace(_DyadicSpace):
         (s, l, x), d = _scaled((cell,), x)
         return l >= d or (x - s) % d <= l
 
-    @staticmethod
-    def _arc_inside(offset: int, length: int, room: int, d: int) -> bool:
-        """The closed arc of this length starting offset past the start of
-        a closed arc of length room < d lies inside it; numerators over d."""
-        return offset % d + length <= room
-
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
         si, li, so, lo, d = _aligned(inner, outer)
-        return lo >= d or self._arc_inside(si - so, li, lo, d)
+        # inner starts (si - so) mod d past outer's start and ends by its end
+        return lo >= d or (si - so) % d + li <= lo
 
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
         (s, l, rs, rl, r), d = _scaled((outer, region), radius)
@@ -409,7 +403,7 @@ class CircleSpace(_DyadicSpace):
         if r == 0:
             t = (rs - s) % d
             return 0 < t and t + rl < l
-        return self._arc_inside(rs - s - r, rl, l - 2 * r, d)
+        return (rs - s - r) % d + rl <= l - 2 * r  # region inside outer eroded by r
 
     @staticmethod
     def _unroll(base_start: int, arcs, d: int):

@@ -380,8 +380,7 @@ class DyadicIntervalPresentation:
         (p, q, r), d = _scaled((region,), slack)
         p, q = max(p, 0), min(q, d)  # the region's hull
         child_level = level + 1
-        # while the level's cells, 7/2^(L+3) wide, are no narrower than the
-        # hull plus the slack
+        # while the level's cells, 7/2^(L+3) wide, can hold hull plus slack
         while 7 * d >= (q - p + r) << (child_level + 3):
             bounds = self._child_range(parent, child_level)
             if bounds is not None:

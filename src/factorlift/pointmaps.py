@@ -351,10 +351,9 @@ def constant_interval_map(value) -> PolishPointMap:
     value = F(value)
     if not 0 <= value <= 1:
         raise CertificationError("constant value outside the unit interval")
-    space = IntervalSpace()
-    cell = space.point_cell(value)
+    cell = IntervalSpace().point_cell(value)
     return PolishPointMap(
-        space,
+        IntervalSpace(),
         lambda w: cell,
         f"const({value})",
         point_fn=lambda x: value,
