@@ -17,6 +17,7 @@ component at a time.  Everything else reads components through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -323,6 +324,36 @@ def pack_streams(
 # === the product lift ===
 
 
+def _component(maps, tail, n: int) -> PrefixTransducer:
+    return maps[n] if n < len(maps) else tail
+
+
+def _product_step(component, w: Word) -> Word:
+    # The output ends at the first position a component leaves open.
+    # First slots pair(n, 0) grow with n, so a component whose first
+    # slot lies at or past the end found so far can neither add a
+    # position nor end the output sooner.
+    outs: list[Word] = []
+    end = None
+    while end is None or pair(len(outs), 0) < end:
+        n = len(outs)
+        outs.append(component(n).step_fn(extract_stream(w, n)))
+        open_at = pair(n, len(outs[n]))
+        end = open_at if end is None else min(end, open_at)
+    return pack_streams(outs, length=end)
+
+
+def _product_modulus(component, k: int) -> int:
+    # moduli need not be monotone, so every symbol's modulus is asked
+    need = k
+    for n in count():
+        f = component(n)
+        moduli = [f.modulus(i) for i, _ in enumerate(_slots(n, k), 1)]
+        if not moduli:
+            return need
+        need = max(need, _packed_length(n, max(moduli)))
+
+
 @dataclass
 class ProductLift:
     """A self-transducer of the packed space acting componentwise, with its
@@ -334,42 +365,22 @@ class ProductLift:
     lift: PrefixTransducer = field(init=False)
 
     def __post_init__(self):
+        # The lift's rules hold the maps, not self: bound methods of self
+        # would make self and its lift a reference cycle, which keeps every
+        # lifted member and its memos alive until a full garbage collection.
+        component = partial(_component, self.maps, self.tail_map)
         self.lift = PrefixTransducer(
             self.packed_space,
             self.packed_space,
-            self._step,
-            self._modulus,
+            partial(_product_step, component),
+            partial(_product_modulus, component),
             "product-lift",
         )
 
     def component_map(self, n: int) -> PrefixTransducer:
         if n < 0:
             raise InvalidBranch(f"component index must be nonnegative, got {n}")
-        return self.maps[n] if n < len(self.maps) else self.tail_map
-
-    def _step(self, w: Word) -> Word:
-        # The output ends at the first position a component leaves open.
-        # First slots pair(n, 0) grow with n, so a component whose first
-        # slot lies at or past the end found so far can neither add a
-        # position nor end the output sooner.
-        outs: list[Word] = []
-        end = None
-        while end is None or pair(len(outs), 0) < end:
-            n = len(outs)
-            outs.append(self.component_map(n).step_fn(extract_stream(w, n)))
-            open_at = pair(n, len(outs[n]))
-            end = open_at if end is None else min(end, open_at)
-        return pack_streams(outs, length=end)
-
-    def _modulus(self, k: int) -> int:
-        # moduli need not be monotone, so every symbol's modulus is asked
-        need = k
-        for n in count():
-            f = self.component_map(n)
-            moduli = [f.modulus(i) for i, _ in enumerate(_slots(n, k), 1)]
-            if not moduli:
-                return need
-            need = max(need, _packed_length(n, max(moduli)))
+        return _component(self.maps, self.tail_map, n)
 
     def projection(self, n: int) -> PrefixTransducer:
         return PrefixTransducer(
