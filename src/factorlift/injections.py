@@ -308,9 +308,9 @@ def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
     copies: dict[int, int] = {}
     for comp in components:
         if comp.kind is ComponentType.CYCLE:
-            shape = len(comp.members) + 1  # positions run 0 .. n - 1
+            shape = len(comp.members) + 1  # positions already run 0 .. n - 1
         elif comp.kind is ComponentType.FORWARD_RAY:
-            shape = RAY_SHAPE  # positions checked nonnegative
+            shape = RAY_SHAPE  # _type_component refused negative offsets
         else:  # declared line or unresolved path
             shape = LINE_SHAPE
         copy = copies.get(shape, 0)

@@ -670,7 +670,7 @@ def test_arc_builders_match_fraction_oracles(case, x):
     shrink_cell, describe, canonical and the readings of an arc."""
     k, s, l = case
     sp = CircleSpace()
-    for start, length in ((s, l), (1 - l / 2, l), (x, l * 2 ** k)):
+    for start, length in ((s, l), (1 - l / 2, l), (x, l * 2 ** k), (x, 1), (s, 1 + l)):
         cell = ARC(start, length)
         ends = _ref_arc(start, length)
         assert _reduced_cell(cell) and _ends(cell) == ends
