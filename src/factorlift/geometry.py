@@ -24,8 +24,8 @@ radius 7/8 of the spacing, so neighbours overlap, and 8j +- 7 is odd, so
 the cell is born reduced.  Which cells meet a closed [a/d, b/d] is integer
 floor division (`_mesh_span`); the circle takes the same indices on the
 line and reduces them mod 2^(k+1).  The predicates compare integer
-numerators over one common denominator: `_aligned` puts two cells over
-theirs, `_scaled` any cells together with a rational radius or eps.
+numerators over one common denominator, which `_scaled` finds for any
+cells together with a rational radius or eps.
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ def _scaled(cells, *xs) -> tuple[list[int], int]:
     d = math.lcm(*[c[2] for c in cells], *[x.denominator for x in xs])
     out = [n * (d // q) for a, b, q in cells for n in (a, b)]
     return out + [x.numerator * (d // x.denominator) for x in xs], d
-
-
-def _aligned(x, y) -> tuple[int, int, int, int, int]:
-    """`_scaled` for two cells and no rationals, flattened: the hot case."""
-    (a, b, p), (c, e, q) = x, y
-    d = p if p == q else math.lcm(p, q)
-    return a * (d // p), b * (d // p), c * (d // q), e * (d // q), d
 
 
 def _reduced(a: int, b: int, d: int) -> tuple[int, int, int]:
@@ -256,7 +249,7 @@ class IntervalSpace(_DyadicSpace):
         return F(max(a, 0), d), F(min(b, d), d)
 
     def intersect(self, x: Cell, y: Cell) -> Optional[Cell]:
-        a, b, c, e, d = _aligned(x, y)
+        (a, b, c, e), d = _scaled((x, y))
         lo, hi = max(a, c), min(b, e)
         return _reduced(lo, hi, d) if lo < hi else None
 
@@ -269,7 +262,7 @@ class IntervalSpace(_DyadicSpace):
         return max(a, 0) <= x <= min(b, d)
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
-        a, b, c, e, d = _aligned(inner, outer)
+        (a, b, c, e), d = _scaled((inner, outer))
         return max(c, 0) <= max(a, 0) and min(b, d) <= min(e, d)
 
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
@@ -366,7 +359,7 @@ class CircleSpace(_DyadicSpace):
         return self._shift_key(s, s + l, d, k, 0)
 
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
-        sa, la, sb, lb, d = _aligned(a, b)
+        (sa, la, sb, lb), d = _scaled((a, b))
         if la >= d:
             return b
         if lb >= d:
@@ -389,7 +382,7 @@ class CircleSpace(_DyadicSpace):
         return l >= d or (x - s) % d <= l
 
     def closed_subset(self, inner: Cell, outer: Cell) -> bool:
-        si, li, so, lo, d = _aligned(inner, outer)
+        (si, li, so, lo), d = _scaled((inner, outer))
         # inner starts (si - so) mod d past outer's start and ends by its end
         return lo >= d or (si - so) % d + li <= lo
 

@@ -45,26 +45,37 @@ def unzigzag(q: int) -> int:
     return q // 2 if q % 2 == 0 else -(q + 1) // 2
 
 
-def encode_line(copy: int, position: int) -> int:
+def _component(shape: int, copy: int) -> int:
+    """pair(shape, copy): one copy of a line, a ray or a cycle."""
     if copy < 0:
         raise InvalidIndex(f"copies live in N, got {copy}")
-    return pair(pair(LINE_SHAPE, copy), zigzag(position))
+    return pair(shape, copy)
+
+
+def _encode(component: int, shape: int, position: int) -> int:
+    """The layout index of a position on pair(shape, copy): a line position
+    through zigzag, a cycle position mod the length shape - 1."""
+    if shape == LINE_SHAPE:
+        return pair(component, zigzag(position))
+    if shape == RAY_SHAPE:
+        if position < 0:
+            raise InvalidIndex(f"ray positions live in N, got {position}")
+        return pair(component, position)
+    return pair(component, position % (shape - 1))
+
+
+def encode_line(copy: int, position: int) -> int:
+    return _encode(_component(LINE_SHAPE, copy), LINE_SHAPE, position)
 
 
 def encode_ray(copy: int, position: int) -> int:
-    if copy < 0:
-        raise InvalidIndex(f"copies live in N, got {copy}")
-    if position < 0:
-        raise InvalidIndex(f"ray positions live in N, got {position}")
-    return pair(pair(RAY_SHAPE, copy), position)
+    return _encode(_component(RAY_SHAPE, copy), RAY_SHAPE, position)
 
 
 def encode_cycle(length: int, copy: int, position: int) -> int:
     if length < 1:
         raise InvalidIndex(f"cycle length must be >= 1, got {length}")
-    if copy < 0:
-        raise InvalidIndex(f"copies live in N, got {copy}")
-    return pair(pair(length + 1, copy), position % length)
+    return _encode(_component(length + 1, copy), length + 1, position)
 
 
 @dataclass(frozen=True)
@@ -308,16 +319,16 @@ def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
     copies: dict[int, int] = {}
     for comp in components:
         if comp.kind is ComponentType.CYCLE:
-            shape = len(comp.members) + 1  # positions already run 0 .. n - 1
+            shape = len(comp.members) + 1
         elif comp.kind is ComponentType.FORWARD_RAY:
-            shape = RAY_SHAPE  # _type_component refused negative offsets
+            shape = RAY_SHAPE
         else:  # declared line or unresolved path
             shape = LINE_SHAPE
         copy = copies.get(shape, 0)
         copies[shape] = copy + 1
-        component = pair(shape, copy)
+        component = _component(shape, copy)
         for m, p in zip(comp.members, comp.positions):
-            relabel[m] = pair(component, zigzag(p) if shape == LINE_SHAPE else p)
+            relabel[m] = _encode(component, shape, p)
     return EmbeddingCertificate(
         relabel=relabel,
         components=components,
