@@ -49,9 +49,18 @@ def _scaled(cells, *xs) -> tuple[list[int], int]:
     rationals xs, all over their least common denominator d, and d.
     Scaling by d keeps order and sums, 1 reads d, and x mod 1 becomes the
     numerator mod d."""
-    d = math.lcm(*[c[2] for c in cells], *[x.denominator for x in xs])
-    out = [n * (d // q) for a, b, q in cells for n in (a, b)]
-    return out + [x.numerator * (d // x.denominator) for x in xs], d
+    d = 1
+    for cell in cells:
+        d = math.lcm(d, cell[2])
+    for x in xs:
+        d = math.lcm(d, x.denominator)
+    out = []
+    for a, b, q in cells:
+        m = d // q
+        out += (a * m, b * m)
+    for x in xs:
+        out.append(x.numerator * (d // x.denominator))
+    return out, d
 
 
 def _reduced(a: int, b: int, d: int) -> tuple[int, int, int]:
