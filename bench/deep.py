@@ -15,13 +15,18 @@ A row is `kind:name:size`, one of
   baire:PRES:RES       `certificate(RES, 8, random.Random(RES))` of a fresh
                        Baire lift of `parity_expansion_map` over `dyadic`
                        (`DyadicIntervalPresentation`) or `cover`
-                       (`interval_system()`).
+                       (`interval_system()`);
+  ext:pipeline:DEPTH   `certificate(DEPTH, 12, random.Random(DEPTH))` of a
+                       fresh `common_extension_baire` over the benchmark's
+                       `extension_pieces()` (`perfbench/workloads.py`), the
+                       pipeline whose depth 12 is lift-extend's top rung.
 The default rows are interval at depths 7, 8 and 10, circle at 7, 8 and 9,
 and cantor at 14, 15 and 16; 2x2-l1, 2x2-linf and 3x3-l1 at base 256 and
-1024; dyadic and cover at resolution 8, 16 and 24.  The program is imported from DIR
-(default: `src/` of this repository), so the same script times another
-checkout by pointing `--src` at its `src/`; the matrices always come from
-this checkout's benchmark.
+1024; dyadic and cover at resolution 8, 16 and 24; the pipeline at depth
+16, 20 and 24.  The program is imported from DIR (default: `src/` of this
+repository), so the same script times another checkout by pointing `--src`
+at its `src/`; the matrices and the extension pieces always come from this
+checkout's benchmark.
 Each run builds its input afresh and times only the certification.  One
 JSON line per row gives the row, the median wall-clock seconds over the
 runs, the verdict (PASS, FAIL, or the type and message of the error raised)
@@ -88,6 +93,12 @@ PINNED = {
         "265afbf1cb137f51bfcb27326a9b1ef155fea96e376da9644f073b6229674cc5",
     "baire:cover:24":
         "dc8e233086b65557d41cf608be61e618d065fc625b6ba7f19fb9969faaedc349",
+    "ext:pipeline:16":
+        "7313086f4833148d3fa2bd9222555e6c7f23964f97ec0e570e6545cea3a6b711",
+    "ext:pipeline:20":
+        "8cdcebe45e3db1bf8cddab6df324263194725311b5f79b5f36b1aee2ab66ce27",
+    "ext:pipeline:24":
+        "7c5d5bf8e3c14d826dc22f553748c0e490a71ea2d6b3d79f68af4b8a611bbe3e",
 }
 DEFAULT_ROWS = tuple(PINNED)
 
@@ -126,7 +137,16 @@ def baire_row(name: str, resolution: int):
     return lambda: bl.certificate(resolution, 8, random.Random(resolution))
 
 
-KINDS = {"covers": covers_row, "l1": l1_row, "baire": baire_row}
+def ext_row(name: str, depth: int):
+    from factorlift import families
+    import workloads
+
+    pieces = {"pipeline": workloads.extension_pieces}[name]()
+    ext = families.common_extension_baire(pieces)
+    return lambda: ext.certificate(depth, 12, random.Random(depth))
+
+
+KINDS = {"covers": covers_row, "l1": l1_row, "baire": baire_row, "ext": ext_row}
 
 
 def time_row(row: str, repeats: int) -> dict:
@@ -154,7 +174,7 @@ def main(argv=None) -> int:
     ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--repeats", type=int, default=1)
     args = ap.parse_args(argv)
-    # the program from --src; the matrices from this checkout's benchmark
+    # the program from --src; the matrices and pieces from this checkout's benchmark
     sys.path[:0] = [args.src, str(ROOT / "perfbench")]
     failed = False
     for row in args.rows:

@@ -8,8 +8,10 @@ continuous maps between the corresponding infinite-product spaces.
 
 This module owns the packed layout: position pair(n, i) of a packed word
 holds symbol i of component n.  The slot walker `_slots` is the one place
-that walks that rule: every pass over a packed word goes through it, one
-component at a time.  Everything else reads components through
+that lists a component's positions, one component at a time, and
+`stream_width` counts them in closed form.  The product step walks only the
+components whose map is not the identity: an identity component's symbols
+pass through where they stand.  Everything else reads components through
 `extract_stream`, `pack_streams`, `stream_width` and the projections of a
 `ProductLift`, and asks a projection's modulus for packed sizes.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
+from math import isqrt
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -168,8 +171,21 @@ def compose_transducers(f: PrefixTransducer, g: PrefixTransducer) -> PrefixTrans
 # === built-ins ===
 
 
+def _identity_step(w: Word) -> Word:
+    return w
+
+
+def _identity_modulus(k: int) -> int:
+    return k
+
+
 def identity_transducer(space: Space) -> PrefixTransducer:
-    return PrefixTransducer(space, space, lambda w: w, lambda k: k, "id")
+    return PrefixTransducer(space, space, _identity_step, _identity_modulus, "id")
+
+
+def _is_identity(f: PrefixTransducer) -> bool:
+    """True only for the rules `identity_transducer` installs, whatever the name."""
+    return f.step_fn is _identity_step and f.modulus_fn is _identity_modulus
 
 
 def shift_transducer(space: Space) -> PrefixTransducer:
@@ -277,7 +293,10 @@ def stream_width(n: int, length: int) -> int:
     """Number of symbols of component n a packed word of this length holds."""
     if n < 0:
         raise InvalidBranch(f"component index must be nonnegative, got {n}")
-    return sum(1 for _ in _slots(n, length))
+    # component n has one slot on each diagonal s >= n, at pair(n, s - n) =
+    # (s^2 + 3s)/2 - n; the last diagonal below length is the largest s
+    # with (2s + 3)^2 <= 8(length + n) + 5
+    return max(0, (isqrt(8 * (length + n) + 5) - 3) // 2 - n + 1)
 
 
 def _packed_length(n: int, k: int) -> int:
@@ -333,25 +352,41 @@ def _product_step(component, w: Word) -> Word:
     # First slots pair(n, 0) grow with n, so a component whose first
     # slot lies at or past the end found so far can neither add a
     # position nor end the output sooner.
-    outs: list[Word] = []
+    outs: list[tuple[int, Word]] = []
     end = None
-    while end is None or pair(len(outs), 0) < end:
-        n = len(outs)
-        outs.append(component(n).step_fn(extract_stream(w, n)))
-        open_at = pair(n, len(outs[n]))
+    n = 0
+    while end is None or pair(n, 0) < end:
+        f = component(n)
+        if _is_identity(f):
+            open_at = pair(n, stream_width(n, len(w)))
+        else:
+            outs.append((n, f.step_fn(extract_stream(w, n))))
+            open_at = pair(n, len(outs[-1][1]))
         end = open_at if end is None else min(end, open_at)
-    return pack_streams(outs, length=end)
+        n += 1
+    # An identity component leaves open its first slot at or past len(w),
+    # so its slots below end all lie below len(w) and already hold its
+    # output: the packed word starts as w, zero-padded when end > len(w),
+    # and only the other components' slots are written.
+    out = list(w[:end]) + [0] * (end - len(w))
+    for n, s in outs:
+        for p, sym in zip(_slots(n, end), s):
+            out[p] = sym
+    return tuple(out)
 
 
 def _product_modulus(component, k: int) -> int:
-    # moduli need not be monotone, so every symbol's modulus is asked
+    # moduli need not be monotone, so every symbol's modulus is asked; an
+    # identity component asks for no more than its own slots below k
     need = k
-    for n in count():
+    n = 0
+    while pair(n, 0) < k:
         f = component(n)
-        moduli = [f.modulus(i) for i, _ in enumerate(_slots(n, k), 1)]
-        if not moduli:
-            return need
-        need = max(need, _packed_length(n, max(moduli)))
+        if not _is_identity(f):
+            m = max(f.modulus(i) for i in range(1, stream_width(n, k) + 1))
+            need = max(need, _packed_length(n, m))
+        n += 1
+    return need
 
 
 @dataclass
