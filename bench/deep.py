@@ -19,14 +19,20 @@ A row is `kind:name:size`, one of
   ext:pipeline:DEPTH   `certificate(DEPTH, 12, random.Random(DEPTH))` of a
                        fresh `common_extension_baire` over the benchmark's
                        `extension_pieces()` (`perfbench/workloads.py`), the
-                       pipeline whose depth 12 is lift-extend's top rung.
+                       pipeline whose depth 12 is lift-extend's top rung;
+  lift:MAP:RES         `certificate(RES, 6, random.Random(RES),
+                       exact_samples=2)` of a fresh `lift_self_map` of
+                       `square` or `tent` on `interval_system()`, or of
+                       `rot` (`rotation_map(2/7)`) on `circle_system()`:
+                       the member lifts the common extension runs.
 The default rows are interval at depths 7, 8 and 10, circle at 7, 8 and 9,
 and cantor at 14, 15 and 16; 2x2-l1, 2x2-linf and 3x3-l1 at base 256 and
 1024; dyadic and cover at resolution 8, 16 and 24; the pipeline at depth
-16, 20 and 24.  The program is imported from DIR (default: `src/` of this
-repository), so the same script times another checkout by pointing `--src`
-at its `src/`; the matrices and the extension pieces always come from this
-checkout's benchmark.
+16, 20 and 24; square, tent and rot at resolution 32 and 128.  The program
+is imported from DIR (default: `src/` of this repository), so the same
+script times another checkout by pointing `--src` at its `src/`; the
+matrices and the extension pieces always come from this checkout's
+benchmark.
 Each run builds its input afresh and times only the certification.  One
 JSON line per row gives the row, the median wall-clock seconds over the
 runs, the verdict (PASS, FAIL, or the type and message of the error raised)
@@ -46,6 +52,7 @@ import random
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,6 +106,18 @@ PINNED = {
         "8cdcebe45e3db1bf8cddab6df324263194725311b5f79b5f36b1aee2ab66ce27",
     "ext:pipeline:24":
         "7c5d5bf8e3c14d826dc22f553748c0e490a71ea2d6b3d79f68af4b8a611bbe3e",
+    "lift:square:32":
+        "04c55a74adba02c9034212decca2c8e15e0b4f6e1cda8b6c5b8caecc07ec5a42",
+    "lift:tent:32":
+        "9532b547f6ccc45d1e2f7405f403cecf043229fac807cea09f73afa77c8a89ea",
+    "lift:rot:32":
+        "ff71a23023966ed1541566a362b50cd6c22e72675f5910f400cf2d803d852ff2",
+    "lift:square:128":
+        "f25f3d213d3d2b68c8b643325def0eeab3185c42770204b827a5cee4cefe119e",
+    "lift:tent:128":
+        "8a7f9658f1a9f3283d7e9da0a1baee02fc45f50b24cd4346611b08afa7249076",
+    "lift:rot:128":
+        "200b9009fa2c7b9cf58038c1a08d92de21d3fa15d34ae467cb6d95d07b7d2b23",
 }
 DEFAULT_ROWS = tuple(PINNED)
 
@@ -146,7 +165,27 @@ def ext_row(name: str, depth: int):
     return lambda: ext.certificate(depth, 12, random.Random(depth))
 
 
-KINDS = {"covers": covers_row, "l1": l1_row, "baire": baire_row, "ext": ext_row}
+def lift_row(name: str, resolution: int):
+    from factorlift import covers, lifting, pointmaps
+
+    system, point_map = {
+        "square": (covers.interval_system, pointmaps.squaring_map),
+        "tent": (covers.interval_system, pointmaps.tent_map),
+        "rot": (covers.circle_system, lambda: pointmaps.rotation_map(Fraction(2, 7))),
+    }[name]
+    lifted = lifting.lift_self_map(system(), point_map())
+    return lambda: lifted.certificate(
+        resolution, 6, random.Random(resolution), exact_samples=2
+    )
+
+
+KINDS = {
+    "covers": covers_row,
+    "l1": l1_row,
+    "baire": baire_row,
+    "ext": ext_row,
+    "lift": lift_row,
+}
 
 
 def time_row(row: str, repeats: int) -> dict:

@@ -109,17 +109,18 @@ class CoverSystem:
 
     def selection(self, s: Word) -> list[Cell]:
         """The padded W-cells for the children of word s."""
-        if s not in self._sel_memo:
-            self._sel_memo[s] = self._select(
+        sel = self._sel_memo.get(s)
+        if sel is None:
+            sel = self._sel_memo[s] = self._select(
                 self.v_cell(s), len(s), _rebase(self.tamper, s)
             )
-        return self._sel_memo[s]
+        return sel
 
     def _select(self, v: Cell, k: int, below: dict) -> list[Cell]:
         """The padded W-cells below a level-k cell v, given the tamper
         entries below it keyed by suffix."""
         sel = self.space.select_children(v, k + 1)
-        return [below.get((j,), cell) for j, cell in enumerate(sel)]
+        return [below.get((j,), cell) for j, cell in enumerate(sel)] if below else sel
 
     def w_cell(self, s: Sequence[int]) -> Cell:
         s = tuple(s)
@@ -132,23 +133,33 @@ class CoverSystem:
 
     def v_cell(self, s: Sequence[int]) -> Cell:
         s = tuple(s)
-        if s not in self._v_memo:
+        cell = self._v_memo.get(s)
+        if cell is None:
             if not s:
-                self._v_memo[s] = self.space.whole()
+                cell = self._v_memo[s] = self.space.whole()
             else:
-                cell = self.space.intersect(self.v_cell(s[:-1]), self.w_cell(s))
-                if cell is None:
-                    raise CertificationError(
-                        f"{self.name}: empty cell at branch {s}"
-                    )
-                self._v_memo[s] = cell
-        return self._v_memo[s]
+                cell = self._child(s, self.v_cell(s[:-1]), self.w_cell(s))
+        return cell
+
+    def _child(self, s: Word, parent: Cell, w: Cell) -> Cell:
+        """V_s = parent ∩ W_s, memoized; an empty cell is refused."""
+        cell = self.space.intersect(parent, w)
+        if cell is None:
+            raise CertificationError(f"{self.name}: empty cell at branch {s}")
+        self._v_memo[s] = cell
+        return cell
 
     def locate_child(self, t: Word, region: Cell, slack: Fraction) -> Optional[int]:
         """The least child j of word t whose open cell keeps the open
-        slack-ball around every point of the closed region, or None."""
-        for j in range(self.child_arity(len(t) + 1)):
-            if self.space.eroded_contains(self.v_cell(t + (j,)), region, slack):
+        slack-ball around every point of the closed region, or None.  The
+        parent cell and its selection are read once for all children."""
+        parent, memo = self.v_cell(t), self._v_memo
+        for j, w in enumerate(self.selection(t)):
+            s = t + (j,)
+            cell = memo.get(s)
+            if cell is None:
+                cell = self._child(s, parent, w)
+            if self.space.eroded_contains(cell, region, slack):
                 return j
         return None
 

@@ -10,13 +10,14 @@ integer triple (a, b, d), the raw open interval (a/d, b/d), which the
 predicates clamp to [0, 1]; a circle cell is a triple (s, l, d), the arc
 from s/d in [0, 1) of length l/d.  Both are reduced, d > 0 and
 gcd(a, b, d) = 1, so equal cells are equal tuples and hash alike.  The
-whole interval is (-1, 2, 1) and the whole circle (0, 1, 1).  Rules that
-compute a cell in rationals return it through `IntervalSpace.cell(lo, hi)`
-or `CircleSpace.arc(start, length)`; points stay `Fraction`s, and
-`describe` prints the reduced fractions.  Stream cells are cylinder words,
-finite cells are sorted index tuples, product cells are pairs.  The same
-cell doubles as its own closure; predicates take an open or closed reading
-as documented per method.
+whole interval is (-1, 2, 1) and the whole circle (0, 1, 1).  The shipped
+self-map rules compute on a cell's integers and return `_reduced(...)`;
+rules that compute in rationals return a cell through
+`IntervalSpace.cell(lo, hi)` or `CircleSpace.arc(start, length)`.  Points
+stay `Fraction`s, and `describe` prints the reduced fractions.  Stream
+cells are cylinder words, finite cells are sorted index tuples, product
+cells are pairs.  The same cell doubles as its own closure; predicates take
+an open or closed reading as documented per method.
 
 The interval and the circle share one dyadic mesh.  Its level-k cell j is
 the open interval ((8j - 7)/D, (8j + 7)/D) with D = 2^(k+4): centre j/2^(k+1),

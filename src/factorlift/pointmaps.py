@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import CertificationError, InvalidBranch, SpaceMismatch
@@ -31,6 +32,7 @@ from .geometry import (
     IntervalSpace,
     ProductSpace,
     Space,
+    _reduced,
     least_dyadic_level,
 )
 from .transducers import CANTOR, PrefixTransducer
@@ -91,7 +93,10 @@ def piecewise_affine_map(knots: Iterable[tuple], name: str) -> PointMap:
     """The map of the unit interval through rational knots (x, y), affine
     between neighbours: x runs strictly upward from 0 to 1 and y stays in
     [0, 1].  A cell's region spans the values at its hull's ends and at the
-    knots strictly inside it; the Lipschitz bound is the steepest slope."""
+    knots strictly inside it; the Lipschitz bound is the steepest slope.
+    The rules run on integers: knot x numerators over their least common
+    denominator X, and slopes, offsets and knot values over theirs, Y, all
+    scaled once here."""
     knots = tuple((F(x), F(y)) for x, y in knots)
     xs, ys = tuple(x for x, _ in knots), tuple(y for _, y in knots)
     if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1 or any(a >= b for a, b in zip(xs, xs[1:])):
@@ -103,24 +108,34 @@ def piecewise_affine_map(knots: Iterable[tuple], name: str) -> PointMap:
         raise CertificationError(f"{name}: knot values {', '.join(map(str, ys))} leave [0, 1]")
     slopes = tuple((y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
     offsets = tuple(y - slope * x for x, y, slope in zip(xs, ys, slopes))
+    X = lcm(*(x.denominator for x in xs))
+    Y = lcm(*(v.denominator for v in ys + slopes + offsets))
+    knot_xs = [int(x * X) for x in xs]
+    knot_ys, slope_ns, offset_ns = ([int(v * Y) for v in vs] for vs in (ys, slopes, offsets))
+    pieces = len(slopes)
     space = IntervalSpace()
 
-    def piece(x) -> int:
-        return bisect_right(xs, x, 1, len(slopes)) - 1
+    def piece(n: int, d: int) -> int:
+        # the piece holding n/d: an integer knot numerator is <= n/d * X
+        # exactly when it is <= its floor
+        return bisect_right(knot_xs, n * X // d, 1, pieces) - 1
 
     def point(x):
-        i = piece(x)
+        i = piece(x.numerator, x.denominator)
         return offsets[i] + slopes[i] * x
 
     def region(cell: Cell) -> Cell:
-        a, b = space.hull(cell)
-        i, j = piece(a), piece(b)
-        ya, yb = offsets[i] + slopes[i] * a, offsets[j] + slopes[j] * b
+        # values at a/d are offset + slope * a/d, numerators over Y * d
+        a, b, d = cell
+        a, b = max(a, 0), min(b, d)
+        i, j = piece(a, d), piece(b, d)
+        ya, yb = offset_ns[i] * d + slope_ns[i] * a, offset_ns[j] * d + slope_ns[j] * b
         lo, hi = (ya, yb) if ya <= yb else (yb, ya)
         # knots i + 1 .. j lie in (a, b]; a knot at b adds only its own value
         for k in range(i + 1, j + 1):
-            lo, hi = min(lo, ys[k]), max(hi, ys[k])
-        return space.cell(lo, hi)
+            y = knot_ys[k] * d
+            lo, hi = min(lo, y), max(hi, y)
+        return _reduced(lo, hi, Y * d)
 
     return PointMap(space, region, name, lipschitz=max(map(abs, slopes)), point_fn=point)
 
@@ -138,8 +153,8 @@ def squaring_map() -> PointMap:
     space = IntervalSpace()
 
     def region(cell: Cell) -> Cell:
-        a, b = space.hull(cell)
-        return space.cell(a * a, b * b)
+        a, b, d = cell
+        return _reduced(max(a, 0) ** 2, min(b, d) ** 2, d * d)
 
     return PointMap(space, region, "square", lipschitz=F(2), point_fn=lambda x: x * x)
 
@@ -150,11 +165,15 @@ def tent_map() -> PointMap:
 
 def rotation_map(angle) -> PointMap:
     angle = F(angle) % 1
+    p, q = angle.numerator, angle.denominator
     space = CircleSpace()
 
     def region(cell: Cell) -> Cell:
+        # the arc moved by p/q, over d * q; the whole circle stays whole
         s, l, d = cell
-        return space.arc(F(s, d) + angle, F(l, d))
+        if l >= d:
+            return space.whole()
+        return _reduced((s * q + p * d) % (d * q), l * q, d * q)
 
     return PointMap(
         space,

@@ -375,15 +375,26 @@ def _product_step(component, w: Word) -> Word:
     return tuple(out)
 
 
+def _is_product(f: PrefixTransducer) -> bool:
+    """True only for the modulus rule `ProductLift` installs."""
+    return isinstance(f.modulus_fn, partial) and f.modulus_fn.func is _product_modulus
+
+
 def _product_modulus(component, k: int) -> int:
-    # moduli need not be monotone, so every symbol's modulus is asked; an
-    # identity component asks for no more than its own slots below k
+    # Moduli need not be monotone, so every symbol's modulus is asked, but
+    # a product modulus is nondecreasing in k (each term of the max below
+    # grows with k), so a nested product is asked at its last slot alone.
+    # An identity component asks for no more than its own slots below k.
     need = k
     n = 0
     while pair(n, 0) < k:
         f = component(n)
         if not _is_identity(f):
-            m = max(f.modulus(i) for i in range(1, stream_width(n, k) + 1))
+            width = stream_width(n, k)
+            if _is_product(f):
+                m = f.modulus(width)
+            else:
+                m = max(f.modulus(i) for i in range(1, width + 1))
             need = max(need, _packed_length(n, m))
         n += 1
     return need

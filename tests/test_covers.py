@@ -829,6 +829,82 @@ def test_both_invalid_branch_messages_name_the_same_symbol(name, data):
     assert cell[3] == proj[3] == str(arity)
 
 
+# --- locate_child against a word-by-word scan ---
+
+
+def _ref_locate_child(cs, t, region, slack):
+    """Reference: the least child whose cell, looked up word by word
+    through `v_cell`, keeps the slack-ball around the region."""
+    for j in range(cs.child_arity(len(t) + 1)):
+        if cs.space.eroded_contains(cs.v_cell(t + (j,)), region, slack):
+            return j
+    return None
+
+
+LOCATE_SYSTEMS = {
+    "interval": (interval_system, INTERVAL_CELLS),
+    "circle": (circle_system, ARCS),
+    "cantor-product": (
+        lambda: product_system(CantorSpace(), CantorSpace(), "cantor-product"),
+        st.tuples(BITS, BITS),
+    ),
+}
+
+
+@st.composite
+def _locate_cases(draw):
+    """A fresh-system maker, possibly corrupted below the word t, a region
+    drawn freely or shrunk inside a child's cell, a slack, and the children
+    to look up before locating."""
+    make, regions = LOCATE_SYSTEMS[draw(st.sampled_from(sorted(LOCATE_SYSTEMS)))]
+    base = make()
+    t = tuple(
+        draw(st.integers(0, base.child_arity(i + 1) - 1)) for i in range(draw(st.integers(0, 5)))
+    )
+    arity = base.child_arity(len(t) + 1)
+    region = draw(st.one_of(
+        regions, st.integers(0, arity - 1).map(lambda j: base.space.shrink_cell(base.v_cell(t + (j,))))
+    ))
+    tamper = {}
+    if draw(st.booleans()):
+        tamper = corrupt_system(base, t + (draw(st.integers(0, arity - 1)),)).tamper
+    slack = draw(st.one_of(st.just(F(0)), st.integers(3, 12).map(lambda m: F(1, 2 ** m))))
+    warm = draw(st.lists(st.integers(0, arity - 1), max_size=2))
+    return (lambda: CoverSystem(base.space, base.name, tamper=dict(tamper))), t, region, slack, warm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_locate_cases())
+def test_locate_child_matches_a_word_by_word_scan(case):
+    make, t, region, slack, warm = case
+    cs = make()
+    for j in warm:  # children already in the memo are read from it
+        _outcome(cs.v_cell, t + (j,))
+    got = _outcome(cs.locate_child, t, region, slack)
+    assert got == _outcome(_ref_locate_child, make(), t, region, slack)
+    fresh = make()
+    for s, cell in cs._v_memo.items():
+        assert cell == fresh.v_cell(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(LOCATE_SYSTEMS)), st.data())
+def test_an_empty_child_raises_the_same_error_through_locate_child(name, data):
+    # W cell t + (j,) swapped for a mesh cell that misses V_t; the whole
+    # space as region makes the scan reach child j
+    make = LOCATE_SYSTEMS[name][0]
+    base = make()
+    t = tuple(
+        data.draw(st.integers(0, base.child_arity(i + 1) - 1)) for i in range(data.draw(st.integers(1, 3)))
+    )
+    word = t + (data.draw(st.integers(0, base.child_arity(len(t) + 1) - 1)),)
+    far = next(m for m in base.space.mesh(len(word)) if base.space.intersect(base.v_cell(t), m) is None)
+    tampered = lambda: CoverSystem(base.space, "far", tamper={word: far})
+    expected = _outcome(tampered().v_cell, word)
+    assert expected == f"CertificationError: far: empty cell at branch {word}"
+    assert _outcome(tampered().locate_child, t, base.space.whole(), F(0)) == expected
+
+
 def _ref_open_contains(space, cell, x) -> bool:
     """Reference: the open reading `contains(cell, x, closed=False)` each
     space kind once carried beside its closed one."""

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from bisect import bisect_right
 import re
 from fractions import Fraction as F
 from itertools import count
@@ -354,6 +355,89 @@ def test_drawn_map_lift_with_a_quartered_bound_finds_no_cell(knots):
     assert knots[i][0] <= a and b <= knots[i + 1][0] and b - a >= F(1, 2 ** (m + 1))
     with pytest.raises(NoCell):
         lift.prefix((), s, k)
+
+
+# --- integer region rules against the Fraction rules they replaced ---
+
+
+def _ref_knot_map(knots):
+    """Reference: the Fraction region and point rules of a knot list, read
+    through the hull and returned through `IntervalSpace.cell`."""
+    space = IntervalSpace()
+    xs, ys = [F(x) for x, _ in knots], [F(y) for _, y in knots]
+    slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+    offsets = [y - slope * x for x, y, slope in zip(xs, ys, slopes)]
+
+    def piece(x):
+        return bisect_right(xs, x, 1, len(slopes)) - 1
+
+    def point(x):
+        i = piece(x)
+        return offsets[i] + slopes[i] * x
+
+    def region(cell):
+        a, b = space.hull(cell)
+        i, j = piece(a), piece(b)
+        lo, hi = sorted((point(a), point(b)))
+        for k in range(i + 1, j + 1):
+            lo, hi = min(lo, ys[k]), max(hi, ys[k])
+        return space.cell(lo, hi)
+
+    return region, point
+
+
+def _ref_square_region(cell):
+    a, b = IntervalSpace().hull(cell)
+    return IntervalSpace().cell(a * a, b * b)
+
+
+def _ref_rotation_region(angle, cell):
+    s, l, d = cell
+    return CircleSpace().arc(F(s, d) + F(angle) % 1, F(l, d))
+
+
+# 1-4 pieces whose inner knots sit over denominators 2-12, mostly off the
+# 1/8 grid that KNOT_LISTS keeps to
+_KNOT_XS = st.integers(2, 12).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: F(p, q)))
+OFF_GRID_KNOT_LISTS = st.tuples(
+    st.lists(_KNOT_XS, max_size=3, unique=True),
+    st.lists(st.fractions(0, 1, max_denominator=12), min_size=5, max_size=5),
+).map(lambda c: tuple(zip([F(0), *sorted(c[0]), F(1)], c[1])))
+# cell ends over denominators 1-36, so that ends fall on knots, past 0 or 1
+_ENDS = st.integers(1, 36).flatmap(lambda q: st.integers(-q // 2, 3 * q // 2).map(lambda p: F(p, q)))
+OFF_GRID_CELLS = st.one_of(HULLED_CELLS, st.tuples(_ENDS, _ENDS).map(lambda c: IV(*sorted(c))))
+
+
+@settings(max_examples=300)
+@given(OFF_GRID_KNOT_LISTS, OFF_GRID_CELLS, st.data())
+def test_knot_list_rules_match_the_fraction_rules(knots, cell, data):
+    pm = piecewise_affine_map(knots, "drawn")
+    region, point = _ref_knot_map(knots)
+    assert pm.image_region(cell) == region(cell)
+    x = data.draw(st.one_of(UNIT, st.sampled_from([x for x, _ in knots])))
+    assert pm.point(x) == point(x)
+
+
+_ODD_ANGLES = st.sampled_from([1, 3, 5, 7, 9, 11]).flatmap(
+    lambda q: st.integers(-2 * q, 2 * q).map(lambda p: F(p, q))
+)
+# starts in [0, 1) and lengths to 3/2: arcs that wrap past 1 and, from
+# length 1 on, the whole circle
+DRAWN_ARCS = st.tuples(
+    st.fractions(0, 1, max_denominator=24).filter(lambda s: s < 1),
+    st.fractions(0, F(3, 2), max_denominator=24),
+).map(lambda a: ARC(*a))
+
+
+@settings(max_examples=300)
+@given(_ODD_ANGLES, DRAWN_ARCS)
+def test_rotation_rule_matches_the_fraction_rule(angle, cell):
+    assert rotation_map(angle).image_region(cell) == _ref_rotation_region(angle, cell)
+
+
+@given(OFF_GRID_CELLS)
+def test_squaring_rule_matches_the_fraction_rule(cell):
+    assert squaring_map().image_region(cell) == _ref_square_region(cell)
 
 
 # --- parameterized families ---

@@ -581,6 +581,24 @@ def test_lift_modulus_matches_positionwise_rule(data):
     assert lifted.lift.modulus(k) == _positionwise_modulus(lifted, k)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_lifts(SELF_MAPS))
+def test_lift_modulus_is_nondecreasing(lifted):
+    # the law that lets a product ask a nested product at its last slot alone
+    moduli = [lifted.lift.modulus(k) for k in range(121)]
+    assert moduli == sorted(moduli)
+
+
+def test_nested_product_of_a_bumpy_map_matches_the_positionwise_rule():
+    # the inner product's own component is not monotone, so the inner
+    # product still asks each of its slots while the outer asks one
+    inner = product_lift([_bumpy(CANTOR)])
+    outer = product_lift([inner.lift, shift_transducer(inner.packed_space)])
+    for lifted in (inner, outer):
+        for k in range(121):
+            assert lifted.lift.modulus(k) == _positionwise_modulus(lifted, k)
+
+
 def test_packed_step_reads_tail_components_past_the_input():
     # every component past the empty input emits (1, 0), so the output runs
     # through components that read nothing
