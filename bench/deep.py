@@ -24,11 +24,17 @@ A row is `kind:name:size`, one of
                        exact_samples=2)` of a fresh `lift_self_map` of
                        `square` or `tent` on `interval_system()`, or of
                        `rot` (`rotation_map(2/7)`) on `circle_system()`:
-                       the member lifts the common extension runs.
+                       the member lifts the common extension runs;
+  embed:perm:N         `dump_injection`, `load_injection` and
+                       `embed_injection` of a permutation of 0..N-1 shuffled
+                       by `random.Random(N)`; it renders as its sorted
+                       relabel items and `checked_edges`, and passes when
+                       every edge was checked.
 The default rows are interval at depths 7, 8 and 10, circle at 7, 8 and 9,
 and cantor at 14, 15 and 16; 2x2-l1, 2x2-linf and 3x3-l1 at base 256 and
 1024; dyadic and cover at resolution 8, 16 and 24; the pipeline at depth
-16, 20 and 24; square, tent and rot at resolution 32 and 128.  The program
+16, 20 and 24; square, tent and rot at resolution 32 and 128; the
+permutation at 100,000 and 400,000.  The program
 is imported from DIR (default: `src/` of this repository), so the same
 script times another checkout by pointing `--src` at its `src/`; the
 matrices and the extension pieces always come from this checkout's
@@ -118,6 +124,10 @@ PINNED = {
         "8a7f9658f1a9f3283d7e9da0a1baee02fc45f50b24cd4346611b08afa7249076",
     "lift:rot:128":
         "200b9009fa2c7b9cf58038c1a08d92de21d3fa15d34ae467cb6d95d07b7d2b23",
+    "embed:perm:100000":
+        "36eaf00b13c2608090d03758d2fafcd141394887d8aab2ab2a72178301945b9b",
+    "embed:perm:400000":
+        "215a4dbfacf3e0e7b61941e51b14297fddc26d655ecb00ad4f168cbff7e8d31f",
 }
 DEFAULT_ROWS = tuple(PINNED)
 
@@ -179,12 +189,39 @@ def lift_row(name: str, resolution: int):
     )
 
 
+class _Embedding:
+    """An embedding certificate as a row reads it."""
+
+    def __init__(self, cert, edges: int):
+        self.cert = cert
+        self.ok = cert.checked_edges == edges
+
+    def render(self) -> str:
+        items = "".join(f"{m} {i}\n" for m, i in sorted(self.cert.relabel.items()))
+        return f"{items}checked_edges {self.cert.checked_edges}\n"
+
+
+def embed_row(name: str, size: int):
+    from factorlift import injections
+
+    image = list(range(size))
+    random.Random(size).shuffle(image)
+    sigma = {"perm": injections.PartialInjection}[name](dict(enumerate(image)))
+
+    def certify():
+        back = injections.load_injection(injections.dump_injection(sigma))
+        return _Embedding(injections.embed_injection(back), len(sigma.entries))
+
+    return certify
+
+
 KINDS = {
     "covers": covers_row,
     "l1": l1_row,
     "baire": baire_row,
     "ext": ext_row,
     "lift": lift_row,
+    "embed": embed_row,
 }
 
 

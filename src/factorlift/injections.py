@@ -10,15 +10,26 @@ shape 0 is the bi-infinite line (pos holds a zig-zag code for a signed
 position), shape 1 the forward ray (pos in N), shape n+1 the cycle of length
 n (pos reduced mod n).  `successor` advances one step inside a component and
 is injective on the whole layout.
+
+Decoding an index costs two integer square roots (one per Cantor level);
+stepping costs one `pair`.  `successors` walks a sequence of indices with one
+decode per walk rather than one per index: a step only moves pos, so the
+successor it builds, pair(component, pos'), decodes to (component, shape,
+pos') exactly, pairing being a bijection, and an input equal to a successor
+built earlier reuses that decode.  The embedding check and the l1
+commutation certificate read their edges through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
+from math import isqrt
+from typing import Iterable, Iterator
 
 from .errors import CertificationError, InvalidIndex, NotInjective
-from .pairing import pair, unpair
+from .pairing import pair
 
 LAYOUT_VERSION = 1
 
@@ -87,11 +98,16 @@ class DecodedIndex:
 
 
 def _split(index: int) -> tuple[int, int, int, int]:
-    """(pair(shape, copy), shape, copy, position code) of a layout index."""
+    """(pair(shape, copy), shape, copy, position code) of a layout index:
+    `unpair` at both Cantor levels, written out."""
     if index < 0:
         raise InvalidIndex(f"layout indices are nonnegative, got {index}")
-    component, q = unpair(index)
-    shape, copy = unpair(component)
+    s = (isqrt(8 * index + 1) - 1) // 2
+    q = index - s * (s + 1) // 2
+    component = s - q
+    s = (isqrt(8 * component + 1) - 1) // 2
+    copy = component - s * (s + 1) // 2
+    shape = s - copy
     if shape > RAY_SHAPE and q >= shape - 1:
         raise InvalidIndex(
             f"index {index} claims position {q} on a cycle of length {shape - 1}"
@@ -108,17 +124,43 @@ def decode_index(index: int) -> DecodedIndex:
     return DecodedIndex(ComponentType.CYCLE, copy, q, cycle_length=shape - 1)
 
 
+def _step(shape: int, q: int) -> int:
+    """The position code one step on: zigzag(unzigzag(q) + 1) on a line,
+    q + 1 on a ray, q + 1 mod the length on a cycle."""
+    if shape == LINE_SHAPE:
+        return q + 2 if q % 2 == 0 else max(q - 2, 0)
+    if shape == RAY_SHAPE:
+        return q + 1
+    return (q + 1) % (shape - 1)
+
+
 def successor(index: int) -> int:
     """One forward step inside the component of `index`.  Injective on N.
-    Only the position code q moves: to zigzag(unzigzag(q) + 1) on a line."""
+    Only the position code moves."""
     component, shape, _, q = _split(index)
-    if shape == LINE_SHAPE:
-        q = q + 2 if q % 2 == 0 else max(q - 2, 0)
-    elif shape == RAY_SHAPE:
-        q += 1
-    else:
-        q = (q + 1) % (shape - 1)
-    return pair(component, q)
+    return pair(component, _step(shape, q))
+
+
+def successors(indices: Iterable[int]) -> Iterator[int]:
+    """successor(x) for each x of `indices` in turn.
+
+    An x equal to a successor built earlier, pair(component, q), takes the
+    decode (component, shape, q) it was built from; pairing is a bijection,
+    so that is the decode `_split` would give.  Any other x goes through
+    `_split`, and an invalid one raises as `successor` does.  A decode is
+    carried until its index comes in, so a walk along a component decodes
+    once."""
+    built: dict[int, tuple[int, int, int]] = {}
+    for x in indices:
+        carried = built.pop(x, None)
+        if carried is None:
+            component, shape, _, q = _split(x)
+        else:
+            component, shape, q = carried
+        q = _step(shape, q)
+        s = pair(component, q)
+        built[s] = component, shape, q
+        yield s
 
 
 # === finite injections ===
@@ -146,6 +188,17 @@ class PartialInjection:
     component_oracle: dict[int, OracleEntry] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        values = self.entries.values()
+        if (
+            min(self.entries, default=0) < 0
+            or min(values, default=0) < 0
+            or len(set(values)) != len(values)
+        ):
+            self._refuse()
+
+    def _refuse(self) -> None:
+        """Raise for the first entry, in order, that leaves N or repeats an
+        image."""
         seen: dict[int, int] = {}
         for i, j in self.entries.items():
             if i < 0 or j < 0:
@@ -298,6 +351,11 @@ class EmbeddingCertificate:
 
     relabel is injective; for every edge i -> sigma(i) with both ends
     relabeled, successor(relabel[i]) == relabel[sigma(i)] holds exactly.
+    The check reads the edges along each component's path order (and the
+    closing edge of a cycle) through `successors`, so each component is
+    decoded once; every walked edge must be an entry of sigma, and the walks
+    must read as many edges as sigma has with both ends relabeled, so each of
+    those is checked exactly once.
     """
 
     relabel: dict[int, int]
@@ -333,24 +391,59 @@ def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
         relabel=relabel,
         components=components,
         copies=copies,
-        checked_edges=_verify_embedding(sigma, relabel),
+        checked_edges=_verify_embedding(sigma, relabel, components),
     )
 
 
-def _verify_embedding(sigma: PartialInjection, relabel: dict[int, int]) -> int:
-    """Check `relabel` is an injective conjugacy; return the edges checked."""
+def _targets(comp: Component) -> Iterator[int]:
+    """What the members of `comp` step to, in path order: the next member,
+    and on a cycle the first member after the last.  The last member of a
+    path steps to nothing."""
+    targets = islice(comp.members, 1, None)
+    if comp.kind is ComponentType.CYCLE:
+        return chain(targets, comp.members[:1])
+    return targets
+
+
+def _verify_embedding(
+    sigma: PartialInjection, relabel: dict[int, int], components: list[Component]
+) -> int:
+    """Check `relabel`, built from the members of `components`, is an
+    injective conjugacy; return the edges checked."""
     if len(set(relabel.values())) != len(relabel):
         raise NotInjective("relabeling collides")
+    # relabel has one key per distinct member: equal counts mean no member
+    # is walked twice, so no two walked edges share a source
+    listed = sum(len(comp.members) for comp in components)
+    if listed != len(relabel):
+        raise CertificationError(
+            f"component walks list {listed} members for {len(relabel)} relabeled nodes"
+        )
+    entries = sigma.entries
     checked = 0
-    for i, j in sigma.entries.items():
-        if i in relabel and j in relabel:
-            got = successor(relabel[i])
+    for comp in components:
+        members = comp.members
+        # zip asks for a target before a successor, so the last member of a
+        # path, which has no target, is not decoded
+        steps = successors(map(relabel.__getitem__, members))
+        for i, j, got in zip(members, _targets(comp), steps):
+            if entries.get(i) != j:
+                raise CertificationError(f"component walk steps {i} -> {j}, not an entry")
             if got != relabel[j]:
                 raise CertificationError(
                     f"conjugacy fails on edge {i} -> {j}: "
                     f"successor({relabel[i]}) = {got} != {relabel[j]}"
                 )
             checked += 1
+    # distinct walked edges are entries with both ends relabeled, so the
+    # counts agree exactly when the walks read every such entry
+    if checked != sum(1 for i, j in entries.items() if i in relabel and j in relabel):
+        walked = {i for comp in components for i, _ in zip(comp.members, _targets(comp))}
+        i, j = next(
+            (i, j) for i, j in entries.items()
+            if i in relabel and j in relabel and i not in walked
+        )
+        raise CertificationError(f"component walks miss edge {i} -> {j}")
     return checked
 
 
@@ -373,6 +466,19 @@ def load_injection(text: str) -> PartialInjection:
     oracle: dict[int, OracleEntry] = {}
     kind_names = {k.value: k for k in ComponentType}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        # entry lines take the short path; any other line, a bad entry
+        # included, goes through the full parser and its error messages
+        left, arrow, right = raw.partition("->")
+        if arrow:
+            try:
+                i, j = int(left), int(right)
+            except ValueError:
+                pass
+            else:
+                if i in entries:
+                    raise CertificationError(f"line {lineno}: second entry for {i}")
+                entries[i] = j
+                continue
         line = raw.strip()
         if not line:
             continue

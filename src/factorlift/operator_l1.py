@@ -40,6 +40,7 @@ from .injections import (
     embed_injection,
     encode_line,
     successor,
+    successors,
 )
 from .pairing import pair, unpair
 
@@ -254,12 +255,18 @@ class OrbitEnumeration:
     sigma: PartialInjection
     covered: list[int]            # indices pair(e, r) forming sigma's domain pool
     frontier: list[int]           # covered indices omitted: image past the frontier
+    # index -> e for every index pair(e, r) the construction made
+    point_of: dict[int, int] = field(default_factory=dict, repr=False)
 
     def value(self, index: int) -> Vector:
         return self.points[self._point(index)]
 
     def _point(self, index: int) -> int:
-        """The point e that `index` = pair(e, r) names."""
+        """The point e that `index` = pair(e, r) names: read from `point_of`,
+        or unpaired for an index the construction did not make."""
+        e = self.point_of.get(index)
+        if e is not None:
+            return e
         e, _ = unpair(index)
         if e >= len(self.points):
             raise CertificationError(f"index {index} beyond the enumeration")
@@ -324,14 +331,15 @@ def dense_orbit_enumeration(
     for e, y in enumerate(keys):
         if e not in image:  # never expanded: at orbit_depth
             image[e] = index.get(step(y))
-    covered = sorted(
-        pair(e, r) for e in range(len(points)) for r in range(repetitions)
+    cells = sorted(
+        (pair(e, r), e, r) for e in range(len(points)) for r in range(repetitions)
     )
+    covered = [i for i, _, _ in cells]
+    point_of = {i: e for i, e, _ in cells}
     entries: dict[int, int] = {}
     last: dict[int, int] = {}  # target point -> repetition it handed out last
     frontier: list[int] = []
-    for i in covered:
-        e, r = unpair(i)
+    for i, e, r in cells:
         target = image[e]
         if target is None:
             frontier.append(i)
@@ -342,9 +350,10 @@ def dense_orbit_enumeration(
         # all taken, so the least free one is the larger of the two.
         r2 = max(e + r + (target >= e) - target, 0, last.get(target, -1) + 1)
         last[target] = r2
-        entries[i] = pair(target, r2)
+        j = entries[i] = pair(target, r2)
+        point_of[j] = target
     return OrbitEnumeration(
-        model, matrix, rho, points, PartialInjection(entries), covered, frontier
+        model, matrix, rho, points, PartialInjection(entries), covered, frontier, point_of
     )
 
 
@@ -461,11 +470,13 @@ def commutation_certificate(
 
     # rho > 0 and keys are canonical, so T pi(e_i) = rho pi(e_s) exactly
     # when the scaled image of the point read at i is the point read at s
-    bad = []
-    for n in enum.sigma.entries:
-        i = fmap.layout_of[n]
-        if image(point(i)) != key_of[point(successor(i))]:
-            bad.append(i)
+    # sigma maps each index to a later one, so in increasing order most
+    # successors come back as inputs and carry their decode
+    layout = [fmap.layout_of[n] for n in enum.sigma.entries]
+    bad = [
+        i for i, s in zip(layout, successors(layout))
+        if image(point(i)) != key_of[point(s)]
+    ]
     cert.check(
         "exact commutation on every covered basis index",
         not bad,

@@ -1,5 +1,6 @@
 """Layout codec, component classification, and embedding certificates."""
 
+import dataclasses
 import random
 import re
 from itertools import permutations
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from factorlift import injections
 from factorlift.errors import CertificationError, InvalidIndex, NotInjective
 from factorlift.injections import (
+    Component,
     ComponentType,
     OracleEntry,
     PartialInjection,
@@ -22,6 +25,7 @@ from factorlift.injections import (
     encode_ray,
     load_injection,
     successor,
+    successors,
     unzigzag,
     zigzag,
 )
@@ -176,6 +180,84 @@ def test_successor_is_injective_within_a_component(i, q):
     j = _valid_index(pair(component, q))
     assume(i != j)
     assert successor(i) != successor(j)
+
+
+# === walks: one decode per walk ===
+
+
+# starts on short cycles and near the middle of lines, where steps wrap
+SMALL_SHAPES = st.one_of(
+    st.builds(encode_line, st.integers(0, 5), st.integers(-6, 6)),
+    st.builds(encode_ray, st.integers(0, 5), st.integers(0, 6)),
+    st.integers(1, 4).flatmap(lambda n: st.builds(
+        encode_cycle, st.just(n), st.integers(0, 5), st.integers(0, n - 1)
+    )),
+)
+# a negative index, or a position past the length of its cycle
+NOT_LAYOUT = st.one_of(
+    st.integers(-(2 ** 70), -1),
+    st.builds(
+        lambda n, copy, extra: pair(pair(n + 1, copy), n + extra),
+        st.integers(1, 2 ** 40), st.integers(0, 2 ** 40), st.integers(0, 2 ** 40),
+    ),
+)
+
+
+@st.composite
+def _walk_inputs(draw):
+    """Successor chains from drawn starts, then repeats, a shuffle and
+    indices off the layout mixed in, each half the time."""
+    xs = []
+    for x in draw(st.lists(st.one_of(VALID, SMALL_SHAPES), max_size=4)):
+        for _ in range(draw(st.integers(0, 12))):
+            xs.append(x)
+            x = successor(x)
+    if xs and draw(st.booleans()):
+        xs += draw(st.lists(st.sampled_from(xs), max_size=6))
+    if draw(st.booleans()):
+        xs = draw(st.permutations(xs))
+    if draw(st.booleans()):
+        for bad in draw(st.lists(NOT_LAYOUT, min_size=1, max_size=2)):
+            xs.insert(draw(st.integers(0, len(xs))), bad)
+    return xs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_walk_inputs())
+def test_successors_step_each_index_as_successor_does(xs):
+    walk = successors(xs)
+    for x in xs:
+        want = _outcome(successor, x)
+        if isinstance(want, tuple):
+            # the same refusal at the same element
+            with pytest.raises(InvalidIndex) as info:
+                next(walk)
+            assert ("InvalidIndex", str(info.value)) == want
+            return
+        assert next(walk) == want
+    assert next(walk, None) is None
+    assert list(successors(xs)) == [successor(x) for x in xs]
+
+
+BIG = st.integers(2 ** 64, 2 ** 200)
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    BIG,
+    BIG.map(_valid_index),
+    # both ends of a diagonal, where the integer square root turns over
+    st.builds(lambda s, d: s * (s + 1) // 2 - d, st.integers(2 ** 32, 2 ** 100), st.integers(0, 1)),
+    st.builds(encode_cycle, st.integers(1, 6), BIG, st.integers(0, 5)),
+))
+def test_split_matches_unpair_at_both_levels(index):
+    component, q = unpair(index)
+    shape, copy = unpair(component)
+    if shape > 1 and q >= shape - 1:
+        with pytest.raises(InvalidIndex, match=f"^index {index} claims position {q} "):
+            injections._split(index)
+    else:
+        assert injections._split(index) == (component, shape, copy, q)
 
 
 # === classification ===
@@ -391,6 +473,70 @@ def test_components_come_in_order_of_their_least_member(sigma):
     assert embed_injection(sigma).components == comps
 
 
+def _controlled_embedding():
+    """A 3-cycle 3 -> 7 -> 5 and a path 10 -> 11, embedded: the relabel and
+    components a control then breaks."""
+    sigma = PartialInjection({3: 7, 7: 5, 5: 3, 10: 11})
+    cert = embed_injection(sigma)
+    assert [c.members for c in cert.components] == [(3, 7, 5), (10, 11)]
+    return sigma, dict(cert.relabel), list(cert.components)
+
+
+def _swapped_relabel():
+    sigma, relabel, components = _controlled_embedding()
+    r7, r5 = relabel[7], relabel[5]
+    relabel[7], relabel[5] = r5, r7
+    return (sigma, relabel, components), (
+        CertificationError,
+        f"conjugacy fails on edge 3 -> 7: successor({relabel[3]}) = {r7} != {r5}",
+    )
+
+
+def _colliding_relabel():
+    sigma, relabel, components = _controlled_embedding()
+    relabel[11] = relabel[3]
+    return (sigma, relabel, components), (NotInjective, "relabeling collides")
+
+
+def _walk_off_the_entries():
+    sigma, relabel, components = _controlled_embedding()
+    components[0] = dataclasses.replace(components[0], members=(3, 5, 7))
+    return (sigma, relabel, components), (
+        CertificationError, "component walk steps 3 -> 5, not an entry"
+    )
+
+
+def _walk_missing_an_edge():
+    # the cycle walked as a path: its closing edge 5 -> 3 is never read
+    sigma, relabel, components = _controlled_embedding()
+    components[0] = dataclasses.replace(components[0], kind=ComponentType.UNRESOLVED)
+    return (sigma, relabel, components), (
+        CertificationError, "component walks miss edge 5 -> 3"
+    )
+
+
+def _member_walked_twice():
+    sigma, relabel, components = _controlled_embedding()
+    components.append(Component(ComponentType.UNRESOLVED, (10,), (0,)))
+    return (sigma, relabel, components), (
+        CertificationError, "component walks list 6 members for 5 relabeled nodes"
+    )
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [_swapped_relabel, _colliding_relabel, _walk_off_the_entries,
+     _walk_missing_an_edge, _member_walked_twice],
+)
+def test_embedding_check_refuses_a_broken_conjugacy(broken):
+    args, (exc, message) = broken()
+    with pytest.raises(exc) as info:
+        injections._verify_embedding(*args)
+    assert type(info.value) is exc and str(info.value) == message
+    # the unbroken embedding passes the same check
+    assert injections._verify_embedding(*_controlled_embedding()) == 4
+
+
 def test_embedding_is_deterministic():
     rng = random.Random(5)
     sigma = _random_partial_injection(rng, 80)
@@ -445,6 +591,88 @@ def test_embedding_is_conjugate_across_a_dump_load_round_trip(sigma):
     assert again.checked_edges == cert.checked_edges == len(sigma.entries)
     for i, j in back.entries.items():
         assert successor(again.relabel[i]) == again.relabel[j]
+
+
+def _reference_load(text):
+    """`load_injection` parsing every line with the full parser, as it did
+    before entry lines took a short path."""
+    entries, oracle = {}, {}
+    kind_names = {k.value: k for k in ComponentType}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if not body.startswith("component"):
+                continue
+            try:
+                head, decl = body.split(":", 1)
+                member = int(head.split()[1])
+                parts = decl.strip().split("@")
+                kind = kind_names[parts[0].strip()]
+                offset = int(parts[1]) if len(parts) > 1 else 0
+            except (ValueError, KeyError, IndexError):
+                raise CertificationError(f"line {lineno}: bad component declaration {line!r}")
+            if member in oracle:
+                raise CertificationError(f"line {lineno}: second component declaration for {member}")
+            oracle[member] = OracleEntry(member, kind, offset)
+            continue
+        if "->" not in line:
+            raise CertificationError(f"line {lineno}: expected `i -> j`, got {line!r}")
+        left, right = line.split("->", 1)
+        try:
+            i, j = int(left), int(right)
+        except ValueError:
+            raise CertificationError(f"line {lineno}: bad entry {line!r}")
+        if i in entries:
+            raise CertificationError(f"line {lineno}: second entry for {i}")
+        entries[i] = j
+    return PartialInjection(entries, oracle)
+
+
+INJECTION_LINES = st.sampled_from([
+    "0 -> 1", "1->0", "  2 ->  3  ", "+4 -> 5", "1_0 -> 6", "-1 -> 7", "7 -> 7",
+    "0 -> 8", "#0 -> 9", "# note", "# component 2: line @ -3", "# component 2: ray",
+    "# component x: ray", "1 -> x", "1 => 2", "1 -> 2 -> 3", "->", "", "   ", "\t5 -> 9",
+])
+
+
+def _load_outcome(load, text):
+    try:
+        sigma = load(text)
+    except CertificationError as exc:
+        return type(exc).__name__, str(exc)
+    return sigma.entries, sigma.component_oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(INJECTION_LINES, max_size=8))
+def test_load_parses_and_refuses_as_the_full_parser(lines):
+    text = "\n".join(lines)
+    assert _load_outcome(load_injection, text) == _load_outcome(_reference_load, text)
+
+
+def _reference_validation(entries):
+    seen = {}
+    for i, j in entries.items():
+        if i < 0 or j < 0:
+            return "InvalidIndex", f"entry {i} -> {j} leaves N"
+        if j in seen:
+            return "NotInjective", f"both {seen[j]} and {i} map to {j}"
+        seen[j] = i
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(-3, 12), st.integers(-3, 12), max_size=10))
+def test_validation_names_the_first_bad_entry(entries):
+    try:
+        PartialInjection(entries)
+        got = None
+    except CertificationError as exc:
+        got = type(exc).__name__, str(exc)
+    assert got == _reference_validation(entries)
 
 
 def test_load_rejects_garbage():

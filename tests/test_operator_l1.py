@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factorlift import operator_l1
@@ -488,6 +488,17 @@ def test_enumeration_and_certificates_match_per_index_original(problem, data):
     assert commutation_certificate(fmap, 8, random.Random(seed)).render() == (
         _per_index_commutation_certificate(fmap, 8, random.Random(seed)).render()
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=orbit_problems())
+def test_point_table_names_the_point_of_every_index_made(problem):
+    model, mat, rho, sizes = problem
+    enum = _outcome(lambda: dense_orbit_enumeration(model, mat, rho, *sizes))
+    assume(not isinstance(enum, tuple))
+    made = set(enum.covered) | set(enum.sigma.entries.values())
+    assert set(enum.point_of) == made
+    assert all(enum.point_of[i] == unpair(i)[0] for i in made)
 
 
 def _late_repetition(order, candidates):
