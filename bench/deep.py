@@ -60,6 +60,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 # The render digest of each default row; a row that renders otherwise fails.
@@ -189,28 +190,23 @@ def lift_row(name: str, resolution: int):
     )
 
 
-class _Embedding:
-    """An embedding certificate as a row reads it."""
-
-    def __init__(self, cert, edges: int):
-        self.cert = cert
-        self.ok = cert.checked_edges == edges
-
-    def render(self) -> str:
-        items = "".join(f"{m} {i}\n" for m, i in sorted(self.cert.relabel.items()))
-        return f"{items}checked_edges {self.cert.checked_edges}\n"
-
-
 def embed_row(name: str, size: int):
     from factorlift import injections
 
+    if name != "perm":
+        raise KeyError(name)
     image = list(range(size))
     random.Random(size).shuffle(image)
-    sigma = {"perm": injections.PartialInjection}[name](dict(enumerate(image)))
+    sigma = injections.PartialInjection(dict(enumerate(image)))
 
     def certify():
         back = injections.load_injection(injections.dump_injection(sigma))
-        return _Embedding(injections.embed_injection(back), len(sigma.entries))
+        cert = injections.embed_injection(back)
+        return SimpleNamespace(
+            ok=cert.checked_edges == size,
+            render=lambda: "".join(f"{m} {i}\n" for m, i in sorted(cert.relabel.items()))
+            + f"checked_edges {cert.checked_edges}\n",
+        )
 
     return certify
 

@@ -25,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
-from math import isqrt
 from typing import Iterable, Iterator
 
 from .errors import CertificationError, InvalidIndex, NotInjective
-from .pairing import pair
+from .pairing import pair, unpair
 
 LAYOUT_VERSION = 1
 
@@ -98,16 +97,11 @@ class DecodedIndex:
 
 
 def _split(index: int) -> tuple[int, int, int, int]:
-    """(pair(shape, copy), shape, copy, position code) of a layout index:
-    `unpair` at both Cantor levels, written out."""
+    """(pair(shape, copy), shape, copy, position code) of a layout index."""
     if index < 0:
         raise InvalidIndex(f"layout indices are nonnegative, got {index}")
-    s = (isqrt(8 * index + 1) - 1) // 2
-    q = index - s * (s + 1) // 2
-    component = s - q
-    s = (isqrt(8 * component + 1) - 1) // 2
-    copy = component - s * (s + 1) // 2
-    shape = s - copy
+    component, q = unpair(index)
+    shape, copy = unpair(component)
     if shape > RAY_SHAPE and q >= shape - 1:
         raise InvalidIndex(
             f"index {index} claims position {q} on a cycle of length {shape - 1}"
@@ -466,8 +460,8 @@ def load_injection(text: str) -> PartialInjection:
     oracle: dict[int, OracleEntry] = {}
     kind_names = {k.value: k for k in ComponentType}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        # entry lines take the short path; any other line, a bad entry
-        # included, goes through the full parser and its error messages
+        # an entry line ends here; blank lines, comments and component
+        # declarations fall through, and any other line is refused below
         left, arrow, right = raw.partition("->")
         if arrow:
             try:
@@ -502,14 +496,7 @@ def load_injection(text: str) -> PartialInjection:
                 )
             oracle[member] = OracleEntry(member, kind, offset)
             continue
-        if "->" not in line:
+        if not arrow:
             raise CertificationError(f"line {lineno}: expected `i -> j`, got {line!r}")
-        left, right = line.split("->", 1)
-        try:
-            i, j = int(left), int(right)
-        except ValueError as exc:
-            raise CertificationError(f"line {lineno}: bad entry {line!r}") from exc
-        if i in entries:
-            raise CertificationError(f"line {lineno}: second entry for {i}")
-        entries[i] = j
+        raise CertificationError(f"line {lineno}: bad entry {line!r}")
     return PartialInjection(entries, oracle)

@@ -265,9 +265,8 @@ class OrbitEnumeration:
         """The point e that `index` = pair(e, r) names: read from `point_of`,
         or unpaired for an index the construction did not make."""
         e = self.point_of.get(index)
-        if e is not None:
-            return e
-        e, _ = unpair(index)
+        if e is None:
+            e, _ = unpair(index)
         if e >= len(self.points):
             raise CertificationError(f"index {index} beyond the enumeration")
         return e

@@ -239,27 +239,6 @@ def test_successors_step_each_index_as_successor_does(xs):
     assert list(successors(xs)) == [successor(x) for x in xs]
 
 
-BIG = st.integers(2 ** 64, 2 ** 200)
-
-
-@settings(max_examples=400)
-@given(st.one_of(
-    BIG,
-    BIG.map(_valid_index),
-    # both ends of a diagonal, where the integer square root turns over
-    st.builds(lambda s, d: s * (s + 1) // 2 - d, st.integers(2 ** 32, 2 ** 100), st.integers(0, 1)),
-    st.builds(encode_cycle, st.integers(1, 6), BIG, st.integers(0, 5)),
-))
-def test_split_matches_unpair_at_both_levels(index):
-    component, q = unpair(index)
-    shape, copy = unpair(component)
-    if shape > 1 and q >= shape - 1:
-        with pytest.raises(InvalidIndex, match=f"^index {index} claims position {q} "):
-            injections._split(index)
-    else:
-        assert injections._split(index) == (component, shape, copy, q)
-
-
 # === classification ===
 
 def test_injectivity_validated():

@@ -501,6 +501,20 @@ def test_point_table_names_the_point_of_every_index_made(problem):
     assert all(enum.point_of[i] == unpair(i)[0] for i in made)
 
 
+@pytest.mark.parametrize(
+    "certify",
+    [enumeration_certificate, lambda enum: commutation_certificate(synthesize_factor_map(enum))],
+    ids=["enumeration", "commutation"],
+)
+def test_certificates_refuse_indices_past_shortened_points(certify):
+    # every index the construction made has its point recorded; a point
+    # list cut short under them is still refused, not read past its end
+    enum = dense_orbit_enumeration(BanachModel(1), ((F(1, 2),),), F(1, 2), base_count=8)
+    del enum.points[1:]
+    with pytest.raises(CertificationError, match="beyond the enumeration"):
+        certify(enum)
+
+
 def _late_repetition(order, candidates):
     """The last candidate whose point already sat at an earlier index of
     `order`: a memo keyed by the wrong index would answer it from that
