@@ -11,11 +11,12 @@ A row is `kind:name:size`, one of
                        certificate with 64 off-support samples) for a matrix
                        named in the benchmark's `MATRIX_TEMPLATES`
                        (`perfbench/workloads.py`), rho its exact norm, at a
-                       base count for `dense_orbit_enumeration`;
-  baire:PRES:RES       `certificate(RES, 8, random.Random(RES))` of a fresh
-                       Baire lift of `parity_expansion_map` over `dyadic`
-                       (`DyadicIntervalPresentation`) or `cover`
-                       (`interval_system()`);
+                       base count for `dense_orbit_enumeration`; its root
+                       notes the norm kind, dimension and matrix the
+                       enumeration certified;
+  baire:cover:RES      `certificate(RES, 8, random.Random(RES))` of a fresh
+                       Baire lift of `parity_expansion_map` over
+                       `interval_system()`;
   ext:pipeline:DEPTH   `certificate(DEPTH, 12, random.Random(DEPTH))` of a
                        fresh `common_extension_baire` over the benchmark's
                        `extension_pieces()` (`perfbench/workloads.py`), the
@@ -32,7 +33,7 @@ A row is `kind:name:size`, one of
                        every edge was checked.
 The default rows are interval at depths 7, 8 and 10, circle at 7, 8 and 9,
 and cantor at 14, 15 and 16; 2x2-l1, 2x2-linf and 3x3-l1 at base 256 and
-1024; dyadic and cover at resolution 8, 16 and 24; the pipeline at depth
+1024; cover at resolution 8, 16 and 24; the pipeline at depth
 16, 20 and 24; square, tent and rot at resolution 32 and 128; the
 permutation at 100,000 and 400,000.  The program
 is imported from DIR (default: `src/` of this repository), so the same
@@ -44,9 +45,10 @@ JSON line per row gives the row, the median wall-clock seconds over the
 runs, the verdict (PASS, FAIL, or the type and message of the error raised)
 and `render_sha256`, the SHA-256 of the rendered certificate (null when an
 error was raised), so two checkouts can be shown to certify byte-identically.
-The exit code is 1 when any row's verdict is not PASS or a default row's
-`render_sha256` differs from the digest recorded in `PINNED`, else 0; each
-such row is named on standard error.
+The exit code is 1 when any row's verdict is not PASS, a default row's
+`render_sha256` differs from the digest recorded in `PINNED`, or two default
+rows share a `render_sha256` (a pin that cannot tell two pipelines apart),
+else 0; each such row is named on standard error.
 """
 
 from __future__ import annotations
@@ -84,23 +86,17 @@ PINNED = {
     "covers:cantor:16":
         "42de7a850ac7a2008256c85bcaccbc6f5dcadf31706e99084dedd63a81b0b1a9",
     "l1:2x2-l1:256":
-        "721a367251615dcefbe4a0a0a0f60655dd94cf9bc89ec437c2ba2c89d5ce7145",
+        "ed2dda5ffe67d40dd9dbe7743acb3db2a0d2d46c82c5b5980bd12f552cbe4a83",
     "l1:2x2-linf:256":
-        "21b7824eda2f0b2671d7ebe9eb55a5f353cf3bcc21f130d762c95ef27908d9de",
+        "17d4808fcecd3852452276768964ed9cb20c2eb370a9033c6039d4238f3fd567",
     "l1:3x3-l1:256":
-        "21b7824eda2f0b2671d7ebe9eb55a5f353cf3bcc21f130d762c95ef27908d9de",
+        "b220b3ede21028db7e1c1a077fa146977e6710601dba1746394932c4f799d82d",
     "l1:2x2-l1:1024":
-        "ac6a9bb9c63fa5b89f926791034e8e91f15bf2410dd04ae17dde7dfc4238c366",
+        "2451bb261a18c3e01e2fce3ef013e7c9c2efd1ca3cca224c0935f1be1fe659e6",
     "l1:2x2-linf:1024":
-        "0b248651c691023f61dceeb0229e26bd0db7b65f513f43e88edea39c7d51973a",
+        "cfb50eb768d1a8b44bb978795499c8919b07b2315fdcc6f132fc43e336109872",
     "l1:3x3-l1:1024":
-        "e8c551d214c4cd29c8c69a63f4ba21061db8678e1eabe343a710f31d4a8c5c61",
-    "baire:dyadic:8":
-        "765e5d313b2fee70c4fa2420d18b27bfa665fb96dfd75fbfb629dc63d2af30fa",
-    "baire:dyadic:16":
-        "265afbf1cb137f51bfcb27326a9b1ef155fea96e376da9644f073b6229674cc5",
-    "baire:dyadic:24":
-        "dc8e233086b65557d41cf608be61e618d065fc625b6ba7f19fb9969faaedc349",
+        "05196e9c62a3d99214a0403eb1fcff8a0aec04b4d8e9a89e64922744f601d584",
     "baire:cover:8":
         "765e5d313b2fee70c4fa2420d18b27bfa665fb96dfd75fbfb629dc63d2af30fa",
     "baire:cover:16":
@@ -151,6 +147,9 @@ def l1_row(name: str, base: int):
         model = operator_l1.BanachModel(len(mat), operator_l1.NormKind[kind])
         enum = operator_l1.dense_orbit_enumeration(model, model.matrix(mat), rho, base_count=base)
         root = certificates.CertNode(f"l1 factoring base={base}")
+        entries = ", ".join("(" + ", ".join(map(str, row)) + ")" for row in enum.matrix)
+        root.note(f"norm {enum.model.kind.value}, dimension {enum.model.dim}, "
+                  f"matrix ({entries})")
         root.add(operator_l1.enumeration_certificate(enum))
         fmap = operator_l1.synthesize_factor_map(enum)
         root.add(operator_l1.commutation_certificate(fmap, rng=random.Random(base)))
@@ -162,7 +161,7 @@ def l1_row(name: str, base: int):
 def baire_row(name: str, resolution: int):
     from factorlift import covers, lifting, pointmaps
 
-    present = {"dyadic": lifting.DyadicIntervalPresentation, "cover": covers.interval_system}
+    present = {"cover": covers.interval_system}
     bl = lifting.baire_extension_map(present[name](), pointmaps.parity_expansion_map())
     return lambda: bl.certificate(resolution, 8, random.Random(resolution))
 
@@ -249,14 +248,18 @@ def main(argv=None) -> int:
     # the program from --src; the matrices and pieces from this checkout's benchmark
     sys.path[:0] = [args.src, str(ROOT / "perfbench")]
     failed = False
+    first_with = {}  # render_sha256 -> the first default row that rendered it
     for row in args.rows:
         result = time_row(row, args.repeats)
         print(json.dumps(result), flush=True)
-        want = PINNED.get(row)
+        want, sha = PINNED.get(row), result["render_sha256"]
+        twin = first_with.setdefault(sha, row) if want is not None else row
         if result["verdict"] != "PASS":
             problem = f"verdict {result['verdict']}"
-        elif want is not None and result["render_sha256"] != want:
-            problem = f"render_sha256 {result['render_sha256']} differs from the pinned {want}"
+        elif want is not None and sha != want:
+            problem = f"render_sha256 {sha} differs from the pinned {want}"
+        elif twin != row:
+            problem = f"render_sha256 {sha} is also the render of {twin}"
         else:
             continue
         print(f"{row}: {problem}", file=sys.stderr, flush=True)

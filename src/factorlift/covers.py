@@ -18,9 +18,9 @@ four members: `space`, the presented space; `slack(k)`, the radius
 allowance at resolution k; `v_cell(t)`, the cell a branch word names; and
 `locate_child(t, region, slack)`, the least child of t whose cell keeps
 the slack-ball around the region, or None.  `CoverSystem` implements it
-here, and `CylinderPresentation` and `DyadicIntervalPresentation` in
-`lifting` implement it over unbounded branching, so both lifts there trace
-a map down their coding through one descent step.
+here, and `CylinderPresentation` in `lifting` implements it over unbounded
+branching, so both lifts there trace a map down their coding through one
+descent step; the Baire lift presents the interval by `interval_system()`.
 
 Verification walks cell classes, not branch words.  Everything checked in
 the subtree below a word s depends only on its class key: the cell V_s and

@@ -130,15 +130,13 @@ def least_dyadic_level(width: Fraction) -> int:
     return (-(-width.denominator // width.numerator) - 1).bit_length()
 
 
-def _mesh_span(a: int, b: int, d: int, k: int, reach: int = 7) -> tuple[int, int]:
-    """The inclusive range lo..hi of the level-k mesh indices j with
-    (8j - reach)/D < b/d and (8j + reach)/D > a/d, D = 2^(k+4); empty when
-    lo > hi.  At reach 7 these are the cells meeting the closed
-    [a/d, b/d]; at reach -7 those whose closure lies inside the open
-    (a/d, b/d)."""
+def _mesh_span(a: int, b: int, d: int, k: int) -> tuple[int, int]:
+    """The inclusive range lo..hi of the level-k mesh indices j whose cells
+    meet the closed [a/d, b/d]: (8j - 7)/D < b/d and (8j + 7)/D > a/d,
+    D = 2^(k+4); empty when lo > hi."""
     mesh = 1 << (k + 4)
-    lo = (a * mesh - reach * d) // (8 * d) + 1
-    hi = -(-(b * mesh + reach * d) // (8 * d)) - 1
+    lo = (a * mesh - 7 * d) // (8 * d) + 1
+    hi = -(-(b * mesh + 7 * d) // (8 * d)) - 1
     return lo, hi
 
 

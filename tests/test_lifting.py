@@ -1,4 +1,3 @@
-import math
 import random
 import re
 import signal
@@ -6,7 +5,7 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlift.covers import (
@@ -30,13 +29,11 @@ from factorlift.lifting import (
     SYMBOL_BOUND,
     BaireLift,
     CylinderPresentation,
-    DyadicIntervalPresentation,
     baire_extension_map,
     lift_self_map,
     presentation_certificate,
     strong_extension_map,
 )
-from factorlift.pairing import pair
 from factorlift.pointmaps import (
     ParameterizedFamily,
     PointMap,
@@ -100,7 +97,7 @@ def test_slack_schedule_frozen_values():
 def test_slack_schedule_halves_and_respects_lebesgue():
     # the nesting argument of both lifts rests on the halving law
     systems = list(shipped_systems().values())
-    for ps in (*systems, CylinderPresentation(), DyadicIntervalPresentation()):
+    for ps in (*systems, CylinderPresentation()):
         for k in range(1, 9):
             assert ps.slack(k + 1) <= ps.slack(k) / 2, (ps.name, k)
     for cs in systems:
@@ -116,7 +113,7 @@ def test_lift_slack_table_matches_the_schedule(name):
     assert deep_first.slack(130) == _slack_schedule(fresh, 130)
     for k in range(1, 131):
         assert deep_first.slack(k) == in_order.slack(k) == _slack_schedule(fresh, k)
-    for cs in (fresh, deep_first, CylinderPresentation(), DyadicIntervalPresentation()):
+    for cs in (fresh, deep_first, CylinderPresentation()):
         for k in (0, -1):
             with pytest.raises(CertificationError, match="resolution starts at 1"):
                 cs.slack(k)
@@ -378,83 +375,7 @@ def test_cylinder_presentation_laws():
     assert cert.ok, cert.render()
 
 
-def test_dyadic_interval_presentation_laws():
-    rng = random.Random(20260822)
-    cert = presentation_certificate(DyadicIntervalPresentation(), 5, 12, rng)
-    assert cert.ok, cert.render()
-
-
 IV = IntervalSpace().cell
-
-
-def _ends(cell):
-    a, b, d = cell
-    return F(a, d), F(b, d)
-
-
-def _ref_child_range(parent, level):
-    """Reference: the presentation's child range in Fraction floor and
-    ceiling division, before the integer mesh indices."""
-    h = F(1, 2 ** (level + 1))
-    r = F(7, 8) * h
-    j_top = 2 ** (level + 1)
-    u, v = parent
-    lo = 0 if u < 0 else math.floor((u + r) / h) + 1
-    hi = j_top if v > 1 else math.ceil((v - r) / h) - 1
-    lo, hi = max(lo, 0), min(hi, j_top)
-    return None if lo > hi else (lo, hi)
-
-
-def _ref_locate_child(ps, t, region, slack):
-    """Reference: the presentation's descent step with its candidate window
-    read off Fraction floor and ceiling division."""
-    level, parent = ps.resolve(t)
-    p, q = ps.space.hull(region)
-    for child_level in range(level + 1, level + 1 + 80):
-        bounds = _ref_child_range(_ends(parent), child_level)
-        if bounds is None:
-            continue
-        h = F(1, 2 ** (child_level + 1))
-        lo = max(bounds[0], math.floor((p - slack) / h) - 2)
-        hi = min(bounds[1], math.ceil((q + slack) / h) + 2)
-        for j in range(lo, hi + 1):
-            cell = IV(j * h - F(7, 8) * h, j * h + F(7, 8) * h)
-            if ps.space.eroded_contains(cell, region, slack):
-                return pair(child_level - level - 1, j)
-    return None
-
-
-PARENT_ENDS = st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=2 ** 30)
-
-
-@settings(max_examples=400)
-@given(PARENT_ENDS, PARENT_ENDS, st.integers(1, 90))
-def test_presentation_child_range_matches_fraction_division(u, v, level):
-    # parents that poke past 0 or 1 free that end of the range
-    ps = DyadicIntervalPresentation()
-    parent = (min(u, v), max(u, v))
-    assert ps._child_range(IV(*parent), level) == _ref_child_range(parent, level)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(0, 14), max_size=4).map(tuple),
-    st.fractions(min_value=0, max_value=1, max_denominator=2 ** 20),
-    st.fractions(min_value=0, max_value=F(1, 2), max_denominator=2 ** 10),
-    st.integers(1, 3),
-)
-def test_presentation_locate_child_matches_fraction_window(t, at, share, extra):
-    # regions as a lift meets them: at most half the slack wide, inside the
-    # parent cell with the previous resolution's slack to spare (the root
-    # has no previous resolution and holds every region)
-    ps = DyadicIntervalPresentation()
-    parent = ps.v_cell(t)
-    a, b = ps.space.hull(parent)
-    slack = ps.slack(len(t) + extra)
-    x = a + at * (b - a)
-    region = IV(x, x + share * slack)
-    assume(not t or ps.space.eroded_contains(parent, region, ps.slack(len(t))))
-    assert ps.locate_child(t, region, slack) == _ref_locate_child(ps, t, region, slack)
 
 
 @contextmanager
@@ -471,54 +392,28 @@ def _within_one_second():
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize(
-    "region, slack",
-    [
-        # the slack-ball pokes past the parent's left end
-        ((F(529233, 1048576), F(531361, 1048576)), F(1, 64)),
-        # the slack-ball reaches the parent's left end exactly, where no
-        # child's closure can
-        ((F(34, 64), F(35, 64)), F(1, 64)),
-        # a point on the parent's edge at zero slack: no level is too
-        # narrow for it, so only the parent check ends the search
-        ((F(33, 64), F(33, 64)), F(0)),
-    ],
-)
-def test_presentation_locate_child_refuses_regions_no_child_holds(region, slack):
-    ps = DyadicIntervalPresentation()
-    assert ps.v_cell((26,)) == IV(F(33, 64), F(47, 64))
-    with _within_one_second():
-        assert ps.locate_child((26,), IV(*region), slack) is None
-
-
 def test_baire_lift_refuses_a_region_that_leaves_its_cell():
     # resolution 2 reads a region straddling the right end of the cell
-    # resolution 1 located, so no child of that cell can hold it
-    ps = DyadicIntervalPresentation()
+    # resolution 1 located; the level-1 region is too wide for resolution 2,
+    # so the lift must read the second symbol, and no child holds its region
+    ps = interval_system()
     edge = {}
 
     def region(w):
         if not w:
             return IV(0, 1)
         if len(w) == 1:
-            return IV(F(1, 4), F(1, 4) + F(1, 2 ** 10))
-        width = F(1, 2 ** (4 * len(w) + 6))
+            return IV(F(1, 4), F(1, 4) + ps.slack(1) / 2)
+        width = ps.slack(len(w)) / 8
         return IV(edge["v"] - width, edge["v"] + width)
 
     bl = baire_extension_map(ps, PolishPointMap(IntervalSpace(), region, "leaves-cell"))
-    edge["v"] = _ends(ps.v_cell(bl.output((0,), 1)))[1]
+    located = ps.v_cell(bl.output((0,), 1))
+    assert located == (1, 15, 32)
+    edge["v"] = F(15, 32)
     message = r"^lift\[leaves-cell\]: no level-2 cell below \(\d+,\) holds the image of \(0, 0\)$"
     with _within_one_second(), pytest.raises(NoCell, match=message):
         bl.output((0, 0), 2)
-
-
-def test_dyadic_presentation_reindexes_out_of_range_symbols():
-    ps = DyadicIntervalPresentation()
-    cell = ps.v_cell((10 ** 6,))
-    assert ps.v_cell((10 ** 6,)) == cell
-    assert ps.space.eroded_contains(ps.space.whole(), cell, 0)
-    level, _ = ps.resolve((10 ** 6,))
-    assert ps.space.diam(cell) < F(1, 2)
 
 
 def test_baire_identity_lift_is_identity():
@@ -533,7 +428,7 @@ def test_baire_identity_lift_is_identity():
 
 
 def test_constant_lift_ignores_the_branch():
-    bl = baire_extension_map(DyadicIntervalPresentation(), constant_interval_map(F(1, 3)))
+    bl = baire_extension_map(interval_system(), constant_interval_map(F(1, 3)))
     a = bl.output((0, 5, 2), 6)
     b = bl.output((9, 9, 9, 9), 6)
     assert a == b
@@ -541,10 +436,7 @@ def test_constant_lift_ignores_the_branch():
     assert bl.max_resolution((0,) * 10) == 10
 
 
-# the dyadic presentation and the interval cover system present one space
-INTERVAL_PRESENTATIONS = pytest.mark.parametrize(
-    "present", [DyadicIntervalPresentation, interval_system], ids=["dyadic", "cover"]
-)
+INTERVAL_PRESENTATIONS = pytest.mark.parametrize("present", [interval_system], ids=["cover"])
 
 
 @INTERVAL_PRESENTATIONS
@@ -566,7 +458,7 @@ def test_parity_expansion_lift_tracks_a_known_point(present):
 
 
 def test_baire_outputs_extend():
-    bl = baire_extension_map(DyadicIntervalPresentation(), parity_expansion_map())
+    bl = baire_extension_map(interval_system(), parity_expansion_map())
     w = tuple(random.Random(31).randrange(10) for _ in range(40))
     assert bl.output(w, 5)[:3] == bl.output(w, 3)
 
@@ -574,7 +466,7 @@ def test_baire_outputs_extend():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, SYMBOL_BOUND), min_size=1, max_size=30).map(tuple), st.data())
 def test_baire_lift_output_extends_under_longer_input(w, data):
-    bl = baire_extension_map(DyadicIntervalPresentation(), parity_expansion_map())
+    bl = baire_extension_map(interval_system(), parity_expansion_map())
     cut = data.draw(st.integers(0, len(w)))
     top, k = bl.max_resolution(w), bl.max_resolution(w[:cut])
     assert k <= top
@@ -582,7 +474,7 @@ def test_baire_lift_output_extends_under_longer_input(w, data):
 
 
 def test_discovered_prefixes_are_minimal_antichains():
-    bl = baire_extension_map(DyadicIntervalPresentation(), parity_expansion_map())
+    bl = baire_extension_map(interval_system(), parity_expansion_map())
     rng = random.Random(41)
     read = {k: set() for k in (1, 2, 3, 4)}
     for _ in range(15):
@@ -617,7 +509,6 @@ def _ref_minimal_prefix(bl, w, k):
 
 BAIRE_PAIRS = {
     "cylinder-id": (CylinderPresentation, baire_identity_map),
-    "dyadic-parity": (DyadicIntervalPresentation, parity_expansion_map),
     "cover-parity": (interval_system, parity_expansion_map),
 }
 
@@ -914,8 +805,6 @@ def test_baire_lift_certificate_names_comparable_prefixes():
             InsufficientInput, "resolution 1 reads 7 parameter symbols, got 0",
             id="too-few-parameter-symbols",
         ),
-        pytest.param(lambda: DyadicIntervalPresentation().resolve((-1,)), InvalidBranch,
-                     "negative branch symbol -1", id="negative-branch-symbol"),
         pytest.param(
             lambda: strong_extension_map(
                 circle_system(), rotation_family(circle_system())
@@ -947,10 +836,20 @@ def test_baire_lift_certificate_names_comparable_prefixes():
         ),
         pytest.param(
             lambda: baire_extension_map(
-                DyadicIntervalPresentation(), parity_expansion_map()
+                interval_system(), parity_expansion_map()
             ).max_resolution((-1,) * 40),
             InvalidBranch, "symbol -1 at position 0 leaves alphabet of size None",
             id="negative-parity-input-symbol",
+        ),
+        pytest.param(
+            lambda: baire_extension_map(
+                interval_system(),
+                PolishPointMap(IntervalSpace(), lambda w: IV(0, 1), "never-narrows"),
+            ).certificate(1, 1, random.Random(1)),
+            InsufficientInput,
+            "no prefix of the 4096-symbol input pins the image below 3/256 "
+            "for resolution 1",
+            id="baire-sampling-cap",
         ),
         pytest.param(lambda: CylinderPresentation().slack(-3), CertificationError,
                      "resolution starts at 1", id="cylinder-slack-below-resolution-1"),
