@@ -1,8 +1,8 @@
 """Structured certificates: a tree of named checks, rendered as stable text.
 
 Constructions return these instead of bare booleans so a failure always
-carries its witness, and so the CLI can emit byte-identical reports for a
-fixed seed.
+carries its witness.  A fixed seed renders byte-identical text, which the
+perfbench pins and the `bench/deep.py` digests rely on.
 """
 
 from __future__ import annotations

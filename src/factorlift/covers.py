@@ -7,7 +7,7 @@ below 2^-k at depth k >= 1), each level covers the space, the selected
 W-children cover the closure of their parent, and every level carries an
 exact rational Lebesgue number.  Branch words therefore name points: the
 closures of the cells along an infinite branch intersect to a single
-point, which is what the locate/project operations manipulate.
+point, which is what the locate operations manipulate.
 
 Each branch symbol is checked once, when its word first enters: `w_cell`
 checks its last symbol and `v_cell` recurses to the parent first, so the
@@ -65,7 +65,7 @@ from .geometry import (
     ProductSpace,
     Space,
 )
-from .transducers import SymbolicSpace, validate_word
+from .transducers import SymbolicSpace
 
 F = Fraction
 
@@ -353,26 +353,6 @@ def _report(node: CertNode, title: str, bad: _Failures, cs: CoverSystem):
             False,
             f"{bad.count} failures, first at branch {bad.witness}: {cell}",
         )
-
-
-def project_symbol_to_point(cs: CoverSystem, prefix: Sequence[int], k: int) -> Cell:
-    """The closed level-k cell a branch prefix pins down."""
-    prefix = validate_word(cs.branch_space(), prefix)
-    if k < 0:
-        raise InvalidBranch(f"level must be nonnegative, got {k}")
-    if len(prefix) < k:
-        raise InvalidBranch(f"prefix of length {len(prefix)} cannot reach level {k}")
-    return cs.v_cell(prefix[:k])
-
-
-def lebesgue_number(cs: CoverSystem, s: Sequence[int]) -> Fraction:
-    """Every ball of this radius centered in the closure of V_s lies in
-    one of the selected child W cells."""
-    s = tuple(s)
-    eps = cs.epsilon(len(s))
-    if not cs.space.eroded_cover_of_closure(cs.v_cell(s), cs.selection(s), eps):
-        raise CertificationError(f"Lebesgue number {eps} failed at branch {s}")
-    return eps
 
 
 def locate_ball(cs: CoverSystem, region: Cell, radius: Fraction, k: int) -> Word:

@@ -216,10 +216,6 @@ class Component:
     members: tuple[int, ...]   # path order (cycle: anchor first, then forward)
     positions: tuple[int, ...]  # layout positions, parallel to members
 
-    @property
-    def resolved(self) -> bool:
-        return self.kind is not ComponentType.UNRESOLVED
-
 
 def classify_components(sigma: PartialInjection) -> list[Component]:
     """Split the functional digraph of `sigma` into typed components.

@@ -88,15 +88,6 @@ def apply_universal(x: SparseL1Vector) -> SparseL1Vector:
     return SparseL1Vector({successor(i): c for i, c in x.coeffs.items()})
 
 
-def frechet_apply(xs: Sequence[SparseL1Vector]) -> list[SparseL1Vector]:
-    """Componentwise scaled shift: component n (1-based) maps to n*U(x_n).
-
-    This is the coordinate rule of the product operator whose factors realize
-    operators of arbitrarily large norm.
-    """
-    return [apply_universal(x).scale(n + 1) for n, x in enumerate(xs)]
-
-
 # === finite-dimensional models with decidable unit balls ===
 
 
@@ -131,29 +122,6 @@ class BanachModel:
         if len(m) != self.dim or any(len(r) != self.dim for r in m):
             raise CertificationError(f"expected {self.dim}x{self.dim} matrix")
         return m
-
-    def apply(self, mat: Matrix, v: Vector) -> Vector:
-        """T v, exactly: integer numerators over one common denominator."""
-        den = math.lcm(*(c.denominator for row in mat for c in row),
-                       *(c.denominator for c in v))
-        nums = [c.numerator * (den // c.denominator) for c in v]
-        return tuple(
-            Fraction(
-                sum(c.numerator * (den // c.denominator) * x for c, x in zip(row, nums)),
-                den * den,
-            )
-            for row in mat
-        )
-
-    def mat_mul(self, a: Matrix, b: Matrix) -> Matrix:
-        n = self.dim
-        return tuple(
-            tuple(
-                sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
 
     def operator_norm(self, mat: Matrix) -> Fraction:
         """Exact operator norm: max column sum (L1) / max row sum (LINF)."""
@@ -516,57 +484,3 @@ def commutation_certificate(
                f"{len(enum.points)} points")
     return cert
 
-
-# === norm growth ===
-
-
-@dataclass
-class NormGrowthReport:
-    powers: list[Fraction]          # ||T^n||, n = 1..N
-    min_admissible_constant: Fraction
-    strictly_growing: bool
-
-
-def norm_growth_certificate(
-    model: BanachModel,
-    matrix: Matrix,
-    steps: int,
-) -> tuple[NormGrowthReport, CertNode]:
-    """Exact ||T^n|| tabulation against the basis-shift isometry U, whose
-    powers all have norm exactly 1.
-
-    The report carries the least constant C with ||T^n|| <= C * ||U^n||
-    over the tabulated range; unbounded growth of the norms is evidence
-    that no finite C works globally.  The table is checked for
-    submultiplicativity, ||T^(n+1)|| <= ||T^n|| * ||T||, which a wrong
-    product or norm breaks.
-    """
-    matrix = model.matrix(matrix)
-    if steps < 2:
-        raise CertificationError(f"the growth check compares two powers, got steps = {steps}")
-    powers: list[Fraction] = []
-    acc = matrix
-    for _ in range(steps):
-        powers.append(model.operator_norm(acc))
-        acc = model.mat_mul(acc, matrix)
-    growing = all(b > a for a, b in zip(powers, powers[1:]))
-    report = NormGrowthReport(powers, max(powers), growing)
-    cert = CertNode("norm growth against the reference operator")
-    cert.note(
-        "norms",
-        ", ".join(map(str, powers[:8])) + ("..." if len(powers) > 8 else ""),
-    )
-    # powers[n] is ||T^(n+1)||
-    n = next((n for n in range(1, steps) if powers[n] > powers[n - 1] * powers[0]), None)
-    cert.check(
-        "submultiplicative: ||T^(n+1)|| <= ||T^n|| * ||T|| over the table",
-        n is None,
-        f"C >= {report.min_admissible_constant}" if n is None
-        else f"n = {n}: ||T^{n + 1}|| = {powers[n]} exceeds {powers[n - 1]} * {powers[0]}",
-    )
-    if growing:
-        cert.note(
-            "strict growth",
-            "norm sequence strictly increases: no tabulated C is final",
-        )
-    return report, cert

@@ -17,10 +17,8 @@ from factorlift.covers import (
     corrupt_system,
     finite_system,
     interval_system,
-    lebesgue_number,
     locate_ball,
     product_system,
-    project_symbol_to_point,
     shipped_systems,
     verify_cover_system,
 )
@@ -820,9 +818,7 @@ def test_both_invalid_branch_messages_name_the_same_symbol(name, data):
     bad = data.draw(st.one_of(st.integers(-3, -1), st.integers(arity, arity + 3)))
     word = good + (bad,) + tuple(data.draw(st.lists(st.integers(0, 1), max_size=3)))
     cell = CELL_ERROR.fullmatch(_invalid_branch(cs.v_cell, word))
-    proj = WORD_ERROR.fullmatch(
-        _invalid_branch(project_symbol_to_point, cs, word, len(word))
-    )
+    proj = WORD_ERROR.fullmatch(_invalid_branch(validate_word, cs.branch_space(), word))
     assert cell and proj
     assert cell[1] == proj[1] == str(bad)
     assert int(cell[2]) == int(proj[2]) + 1 == n + 1
@@ -1077,7 +1073,7 @@ def test_summary_line_and_counts_on_shipped_and_corrupted_renders():
 
 def test_project_leftmost_interval_branch():
     cs = interval_system()
-    cell = project_symbol_to_point(cs, (0,) * 6, 5)
+    cell = cs.v_cell((0,) * 5)
     assert cs.space.contains(cell, F(0))
     assert cs.space.diam(cell) <= F(1, 32)
 
@@ -1085,24 +1081,19 @@ def test_project_leftmost_interval_branch():
 def test_project_nested():
     cs = interval_system()
     prefix = (2, 3, 1, 4, 2, 0)
-    cells = [project_symbol_to_point(cs, prefix, k) for k in range(1, 7)]
+    cells = [cs.v_cell(prefix[:k]) for k in range(1, 7)]
     for fine, coarse in zip(cells[1:], cells):
         assert cs.space.closed_subset(fine, coarse)
 
 
 def test_project_cantor_prefix():
-    assert project_symbol_to_point(cantor_system(), (0, 1, 0), 3) == (0, 1, 0)
+    assert cantor_system().v_cell((0, 1, 0)) == (0, 1, 0)
 
 
 def test_project_circle_alternating():
     cs = circle_system()
-    cell = project_symbol_to_point(cs, (0, 1, 0, 1), 4)
+    cell = cs.v_cell((0, 1, 0, 1))
     assert cs.space.diam(cell) < F(1, 16)
-
-
-def test_project_needs_long_prefix():
-    with pytest.raises(InvalidBranch):
-        project_symbol_to_point(interval_system(), (0, 0), 3)
 
 
 # --- Lebesgue numbers ---
@@ -1110,20 +1101,27 @@ def test_project_needs_long_prefix():
 
 def test_lebesgue_frozen_values():
     # interval and circle: 3/2^(k+5); streams: 2^-(k+2); finite: min distance / 4
-    assert lebesgue_number(interval_system(), ()) == F(3, 32)
-    assert lebesgue_number(interval_system(), (2, 3)) == F(3, 128)
-    assert lebesgue_number(circle_system(), (1,)) == F(3, 64)
-    assert lebesgue_number(cantor_system(), (0, 1)) == F(1, 16)
-    assert lebesgue_number(finite_system(), ()) == F(1, 4)
-    prod = product_system(CantorSpace(), CantorSpace())
-    assert lebesgue_number(prod, ()) == F(1, 4)
+    cases = [
+        (interval_system(), (), F(3, 32)),
+        (interval_system(), (2, 3), F(3, 128)),
+        (circle_system(), (1,), F(3, 64)),
+        (cantor_system(), (0, 1), F(1, 16)),
+        (finite_system(), (), F(1, 4)),
+        (product_system(CantorSpace(), CantorSpace()), (), F(1, 4)),
+    ]
+    for cs, s, eps in cases:
+        assert cs.epsilon(len(s)) == eps
+        # every eps-ball centred in the closure of V_s lies in a selected W cell
+        assert cs.space.eroded_cover_of_closure(cs.v_cell(s), cs.selection(s), eps)
 
 
 def test_lebesgue_below_level_scale():
     for cs in shipped_systems().values():
         for k in range(4):
             s = (0,) * k
-            assert 0 < lebesgue_number(cs, s) < F(1, 2 ** k)
+            eps = cs.epsilon(k)
+            assert 0 < eps < F(1, 2 ** k)
+            assert cs.space.eroded_cover_of_closure(cs.v_cell(s), cs.selection(s), eps)
 
 
 # --- ball location ---
@@ -1188,7 +1186,7 @@ def test_locate_project_coherence():
         prefix = tuple(
             rng.randrange(cs.child_arity(k + 1)) for k in range(8)
         )
-        center = project_symbol_to_point(cs, prefix, len(prefix))
+        center = cs.v_cell(prefix)
         radius = cs.epsilon(8) / 4
         t = locate_ball(cs, center, radius, 4)
         assert cs.space.intersect(cs.v_cell(t), cs.v_cell(prefix[:4])) is not None
@@ -1434,9 +1432,6 @@ def test_whole_and_product_cells_have_no_key_where_a_factor_has_none():
                      "bad distance matrix diagonal/shape", id="finite-bad-diagonal"),
         pytest.param(lambda: verify_cover_system(interval_system(), -2), CertificationError,
                      "cover depth must be nonnegative, got -2", id="verify-negative-depth"),
-        pytest.param(lambda: project_symbol_to_point(interval_system(), (0, 1, 2), -1),
-                     InvalidBranch, "level must be nonnegative, got -1",
-                     id="project-negative-level"),
         pytest.param(lambda: locate_ball(interval_system(), IV(0, F(1, 2)), F(0), -2),
                      InvalidBranch, "branch length must be nonnegative, got -2",
                      id="locate-negative-length"),

@@ -251,7 +251,7 @@ def test_cycle_detected_without_oracle():
     comps = classify_components(sigma)
     assert len(comps) == 1
     c = comps[0]
-    assert c.kind is ComponentType.CYCLE and c.resolved
+    assert c.kind is ComponentType.CYCLE
     assert c.members[0] == 3  # smallest member anchors position 0
     assert list(c.positions) == [0, 1, 2]
 
@@ -261,7 +261,7 @@ def test_path_without_oracle_is_unresolved():
     comps = classify_components(sigma)
     assert len(comps) == 1
     c = comps[0]
-    assert c.kind is ComponentType.UNRESOLVED and not c.resolved
+    assert c.kind is ComponentType.UNRESOLVED
     # path order 5 -> 0 -> 7 with smallest member 0 at position 0
     assert c.members == (5, 0, 7)
     assert c.positions == (-1, 0, 1)
@@ -291,7 +291,7 @@ def test_declared_ray_uses_offsets():
         {4: OracleEntry(4, ComponentType.FORWARD_RAY, 0)},
     )
     c = classify_components(sigma)[0]
-    assert c.kind is ComponentType.FORWARD_RAY and c.resolved
+    assert c.kind is ComponentType.FORWARD_RAY
     assert c.members == (4, 9, 11)
     assert c.positions == (0, 1, 2)
 

@@ -23,8 +23,6 @@ from factorlift.operator_l1 import (
     commutation_certificate,
     dense_orbit_enumeration,
     enumeration_certificate,
-    frechet_apply,
-    norm_growth_certificate,
     synthesize_factor_map,
     unit_ball_grid,
 )
@@ -72,13 +70,6 @@ def test_shift_on_frozen_basis_vectors():
     assert apply_universal(y) == y
 
 
-def test_frechet_component_rule():
-    xs = [SparseL1Vector({1: 1}), SparseL1Vector({1: 1})]
-    out = frechet_apply(xs)
-    assert out[0] == SparseL1Vector({4: 1})
-    assert out[1] == SparseL1Vector({4: 2})
-
-
 # === models and ball grids ===
 
 def test_l1_grid_small_prefix_is_deterministic():
@@ -112,21 +103,6 @@ rational_entries = st.one_of(
     st.integers(-9, 9).map(F),
     st.fractions(min_value=-9, max_value=9, max_denominator=60),
 )
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_apply_matches_the_plain_fraction_sum(data):
-    dim = data.draw(st.integers(1, 4))
-    zero_rows = data.draw(st.sets(st.integers(0, dim - 1)))
-    mat = tuple(
-        tuple(F(0) if i in zero_rows else data.draw(rational_entries) for _ in range(dim))
-        for i in range(dim)
-    )
-    v = tuple(data.draw(rational_entries) for _ in range(dim))
-    got = BanachModel(dim).apply(mat, v)
-    assert got == _fraction_apply(mat, v)
-    assert all(type(c) is F for c in got)
 
 
 def test_l2_norm_is_refused_with_the_squares_reason():
@@ -233,7 +209,7 @@ def test_factor_linearity_against_brute_force():
     for _ in range(40):
         picks = rng.sample(layout_indices, 4)
         x = SparseL1Vector({i: F(rng.randrange(-9, 10), 7) for i in picks})
-        lhs = model.apply(enum.matrix, fmap.apply(x))
+        lhs = _fraction_apply(enum.matrix, fmap.apply(x))
         rhs = fmap.apply(apply_universal(x).scale(enum.rho))
         assert lhs == rhs
 
@@ -254,36 +230,6 @@ def test_every_point_attained():
     fmap = synthesize_factor_map(enum)
     for e, p in enumerate(enum.points):
         assert fmap.basis_image(fmap.layout_of[pair(e, 0)]) == p
-
-
-# === norm growth ===
-
-def test_doubling_map_ratios_grow_like_powers_of_two():
-    model = BanachModel(1, NormKind.L1)
-    report, cert = norm_growth_certificate(model, model.matrix([[2]]), 10)
-    assert report.powers == [F(2) ** n for n in range(1, 11)]
-    assert report.strictly_growing and cert.ok
-
-
-def test_contraction_ratios_do_not_grow():
-    model = BanachModel(1, NormKind.L1)
-    report, _ = norm_growth_certificate(model, model.matrix([["1/2"]]), 6)
-    assert not report.strictly_growing
-    assert report.min_admissible_constant == F(1, 2)
-
-
-class _DoublingProduct(BanachModel):
-    """A model whose matrix product is twice the true one."""
-
-    def mat_mul(self, a, b):
-        return tuple(tuple(2 * c for c in row) for row in super().mat_mul(a, b))
-
-
-def test_norm_growth_fails_on_a_wrong_product():
-    model = _DoublingProduct(1, NormKind.L1)
-    _, cert = norm_growth_certificate(model, model.matrix([["1/2"]]), 4)
-    assert not cert.ok
-    assert cert.first_failure().detail == "n = 1: ||T^2|| = 1/2 exceeds 1/2 * 1/2"
 
 
 # === per-point construction against the per-index original ===
@@ -628,7 +574,7 @@ def test_key_step_is_the_scaled_image(data):
     v = tuple(data.draw(rational_entries) for _ in range(dim))
     step = operator_l1._scaled_step(mat, rho)
     assert step(operator_l1._key(v)) == operator_l1._key(
-        tuple(c / rho for c in model.apply(mat, v))
+        tuple(c / rho for c in _fraction_apply(mat, v))
     )
 
 
@@ -684,15 +630,6 @@ def _value_past_the_points():
         pytest.param(lambda: dense_orbit_enumeration(BanachModel(2), ((F(1, 2),),), F(1, 2)),
                      CertificationError, "expected 2x2 matrix",
                      id="enumeration-matrix-smaller-than-the-model"),
-        pytest.param(lambda: norm_growth_certificate(BanachModel(2), _THREE_BY_THREE, 3),
-                     CertificationError, "expected 2x2 matrix",
-                     id="norm-growth-matrix-larger-than-the-model"),
-        pytest.param(lambda: norm_growth_certificate(BanachModel(1), [[2]], 1),
-                     CertificationError, "the growth check compares two powers, got steps = 1",
-                     id="norm-growth-one-step"),
-        pytest.param(lambda: norm_growth_certificate(BanachModel(1), [[2]], 0),
-                     CertificationError, "the growth check compares two powers, got steps = 0",
-                     id="norm-growth-no-steps"),
         pytest.param(
             lambda: dense_orbit_enumeration(
                 BanachModel(2), BanachModel(2).matrix([[F(1, 2), 0], [0, F(1, 2)]]), F(1, 2),

@@ -17,7 +17,7 @@ from factorlift.covers import (
     locate_ball,
 )
 from factorlift.errors import CertificationError, NoCell, SpaceMismatch
-from factorlift.geometry import CantorSpace, CircleSpace, IntervalSpace, least_dyadic_level
+from factorlift.geometry import CircleSpace, IntervalSpace, least_dyadic_level
 from factorlift.lifting import lift_self_map
 from factorlift.pointmaps import (
     PointMap,

@@ -1,7 +1,8 @@
 """Every public function, class and method of the package has a caller or
 a test: its name appears in `src/`, `tests/` or `perfbench/` somewhere
 other than the lines defining it.  The match is by bare name, so a
-mention in a string (a `getattr` path, say) counts as a use.
+mention in a string (a `getattr` path, say) counts as a use.  The names
+that only tests reach are a frozen list, so a new one is added on purpose.
 
 Every option of a public function or method, a parameter with a default,
 is passed by some call in `src/`, `tests/`, `perfbench/` or `bench/`, by
@@ -12,7 +13,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+THIS = Path(__file__).resolve()
+ROOT = THIS.parents[1]
 PACKAGE = ROOT / "src" / "factorlift"
 SEARCHED = ("src", "tests", "perfbench")
 WORD = re.compile(r"[A-Za-z_]\w*")
@@ -27,11 +29,15 @@ def _public_definitions(path: Path):
                 yield sub.name, sub.lineno
 
 
-def test_every_public_name_is_used_outside_its_definition():
+def _named_only_where_defined(tops) -> dict[str, str]:
+    """{name: "module.py:line"} of the public names that the `.py` files
+    under `tops`, this file aside, mention nowhere but on the lines
+    defining them."""
     mentions = Counter()
-    for top in SEARCHED:
+    for top in tops:
         for path in (ROOT / top).rglob("*.py"):
-            mentions.update(WORD.findall(path.read_text()))
+            if path != THIS:
+                mentions.update(WORD.findall(path.read_text()))
     defined = Counter()
     where = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -39,8 +45,46 @@ def test_every_public_name_is_used_outside_its_definition():
         for name, lineno in _public_definitions(path):
             defined[name] += WORD.findall(lines[lineno - 1]).count(name)
             where.setdefault(name, f"{path.name}:{lineno}")
-    unused = sorted(f"{where[name]} {name}" for name in defined if mentions[name] <= defined[name])
+    return {name: where[name] for name in defined if mentions[name] <= defined[name]}
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    found = _named_only_where_defined(SEARCHED)
+    unused = sorted(f"{where} {name}" for name, where in found.items())
     assert not unused, "named only where defined: " + ", ".join(unused)
+
+
+# public names that no code in src/, bench/ or perfbench/ calls, by reason
+TEST_ONLY = {
+    # U, the l1 isometry law and the factor map pi
+    "apply_universal", "norm1", "apply",
+    # the shipped Cantor transducers, which the Cantor-space copy of N^N is to run
+    "shift_transducer", "odometer_transducer", "substitution_transducer",
+    "block_transducer", "constant_transducer",
+    # example point maps that the lift and family tests build on
+    "identity_map", "stream_map", "table_map", "product_map", "baire_identity_map",
+    # the only input that drives the Baire lift's point-region (slack-0) path
+    "constant_interval_map",
+    # the layout encoders that the decode round trips draw indices through
+    "encode_ray", "encode_cycle",
+    # references that tests compare the lifts against
+    "evaluate_transducer", "component_map",
+    # the factor projections' surjectivity witness
+    "projection_preimage",
+    # the presentation laws of a presentation over unbounded branching
+    "presentation_certificate",
+    # the one-line verdict of a certificate tree
+    "summary_line",
+}
+
+
+def test_names_only_tests_reach_are_the_listed_ones():
+    found = _named_only_where_defined(("src", "bench", "perfbench"))
+    new = sorted(f"{found[name]} {name}" for name in set(found) - TEST_ONLY)
+    called = sorted(TEST_ONLY - set(found))
+    assert not new and not called, (
+        f"reached only by tests, not listed: {new}; listed, but now called: {called}"
+    )
 
 
 def _options(path: Path):
