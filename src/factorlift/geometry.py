@@ -27,6 +27,10 @@ floor division (`_mesh_span`); the circle takes the same indices on the
 line and reduces them mod 2^(k+1).  The predicates compare integer
 numerators over one common denominator, which `_scaled` finds for any
 cells together with a rational radius or eps.
+
+Every interval, circle and Cantor cover predicate is one `_chain_cover`
+call, a sweep over closed intervals with integer ends.  Open covers run on
+the doubled line, and cylinders read as dyadic intervals.
 """
 
 from __future__ import annotations
@@ -71,46 +75,18 @@ def _reduced(a: int, b: int, d: int) -> tuple[int, int, int]:
     return (a, b, d) if g == 1 else (a // g, b // g, d // g)
 
 
-def _open_chain_cover(a: Fraction, b: Fraction, intervals) -> bool:
-    """Closed [a, b] inside a union of open line intervals, by chaining.
-
-    One sweep in order of left end: `best` is the largest right end among
-    the intervals starting left of `reach`, and `reach` jumps to it while
-    it exceeds `reach`; an interval starting at or past `reach` can only
-    help once `reach` has moved beyond its start."""
-    if a > b:
-        return True
-    reach, best = a, None
-    for u, v in sorted(intervals):
-        while u >= reach:
-            if best is None or best <= reach:
-                return False
-            if best > b:
-                return True
-            reach = best
-        best = v if best is None else max(best, v)
-    return best is not None and best > reach and best > b
-
-
-def _closed_chain_cover(a: Fraction, b: Fraction, intervals) -> bool:
-    """Closed [a, b] inside a union of closed line intervals; the same
-    sweep as `_open_chain_cover` with closed endpoints."""
-    if a > b:
-        return True
-    if not any(p <= a <= q for p, q in intervals):
-        return False
-    reach, best = a, None
-    # an interval holding a sorts before any with p > a, so best is set
-    # before the first jump
+def _chain_cover(a: int, b: int, intervals) -> bool:
+    """Closed [a, b] inside a union of closed line intervals [p, q], all
+    ends integers.  One sweep in order of left end keeps the covered
+    stretch [a, reach], empty while reach < a, and stops at the first
+    interval that starts past max(reach, a)."""
+    reach = a - 1
     for p, q in sorted(intervals):
-        while p > reach:
-            if reach >= b:
-                return True
-            if best <= reach:
-                return False
-            reach = best
-        best = q if best is None else max(best, q)
-    return max(reach, best) >= b
+        if p > reach and p > a:
+            break
+        if q > reach:
+            reach = q
+    return reach >= b
 
 
 def dyadic_level(radius: Fraction) -> int:
@@ -177,6 +153,9 @@ class Space:
     # reads "the closure of region lies inside the open cell outer".
     # contains(cell, x) is the closed reading, x in the closure of cell; the
     # open reading is eroded_contains(cell, point_cell(x), 0).
+    # open_cover_of_closure and eroded_cover_of_closure of the interval, the
+    # circle and the Cantor space are each one `_chain_cover` call: open
+    # covers on the doubled line, cylinders as dyadic intervals.
 
     def canonical(self, cell: Cell, k: int):
         return None
@@ -283,20 +262,22 @@ class IntervalSpace(_DyadicSpace):
         return left and right
 
     def open_cover_of_closure(self, base: Cell, cells) -> bool:
+        """On the doubled line: an integer x lies in the open (u, v) exactly
+        when 2x lies in the closed [2u + 1, 2v - 1], and integer points
+        decide a cover by open cells with integer ends."""
         (a, b, *ends), d = _scaled([base, *cells])
-        return _open_chain_cover(max(a, 0), min(b, d), zip(ends[::2], ends[1::2]))
+        doubled = [(2 * u + 1, 2 * v - 1) for u, v in zip(ends[::2], ends[1::2])]
+        return _chain_cover(2 * max(a, 0), 2 * min(b, d), doubled)
 
     def eroded_cover_of_closure(self, base: Cell, cells, eps: Fraction) -> bool:
         """The closure of base inside the union of the cells eroded by eps;
         an end clamped past 0 or 1 stays put."""
         (a, b, *ends, e), d = _scaled([base, *cells], eps)
-        eroded = []
-        for u, v in zip(ends[::2], ends[1::2]):
-            lo = 0 if u < 0 else u + e
-            hi = d if v > d else v - e
-            if lo <= hi:
-                eroded.append((lo, hi))
-        return _closed_chain_cover(max(a, 0), min(b, d), eroded)
+        eroded = [
+            (0 if u < 0 else u + e, d if v > d else v - e)
+            for u, v in zip(ends[::2], ends[1::2])
+        ]
+        return _chain_cover(max(a, 0), min(b, d), eroded)
 
     def point_cell(self, x: Point, bound=None) -> Cell:
         return self.cell(x, x)
@@ -417,8 +398,14 @@ class CircleSpace(_DyadicSpace):
         return out
 
     def open_cover_of_closure(self, base: Cell, cells) -> bool:
+        """A whole-circle cell covers; otherwise the doubled line of
+        `IntervalSpace.open_cover_of_closure`."""
         (bs, bl, *ends), d = _scaled([base, *cells])
-        return _open_chain_cover(0, bl, self._unroll(bs, zip(ends[::2], ends[1::2]), d))
+        arcs = list(zip(ends[::2], ends[1::2]))
+        if any(l >= d for _, l in arcs):
+            return True
+        doubled = [(2 * u + 1, 2 * v - 1) for u, v in self._unroll(bs, arcs, d)]
+        return _chain_cover(0, 2 * bl, doubled)
 
     def eroded_cover_of_closure(self, base: Cell, cells, eps: Fraction) -> bool:
         (bs, bl, *ends, e), d = _scaled([base, *cells], eps)
@@ -428,7 +415,7 @@ class CircleSpace(_DyadicSpace):
                 return True
             if l >= 2 * e:
                 eroded.append((s + e, l - 2 * e))
-        return _closed_chain_cover(0, bl, self._unroll(bs, eroded, d))
+        return _chain_cover(0, bl, self._unroll(bs, eroded, d))
 
     def point_cell(self, x: Point, bound=None) -> Cell:
         return self.arc(x, 0)
@@ -512,10 +499,6 @@ class BaireStreamSpace:
     def witness_point(self, cell: Cell) -> Point:
         return Stream(cell, (0,))
 
-    def sample_point(self, rng) -> Point:
-        pre = tuple(rng.randrange(5) for _ in range(24))
-        return Stream(pre, (rng.randrange(5),))
-
     def describe(self, cell: Cell) -> str:
         return "cyl[" + ",".join(map(str, cell)) + "]"
 
@@ -551,30 +534,27 @@ class CantorSpace(BaireStreamSpace, Space):
         # swapping one cylinder's prefix for another's is an isometry
         return len(cell)
 
-    def _brute_cover(self, base: Cell, cells) -> bool:
-        """Cylinder base inside the union of the cylinder cells: walk the
-        trie of the compatible words below base; a node that is a word is
-        covered, one that no word passes through is a gap."""
-        words = {w for w in cells if self._compatible(w, base)}
-        if any(len(w) <= len(base) for w in words):
-            return True
-        inner = {w[:i] for w in words for i in range(len(base), len(w))}
-        stack = [base]
-        while stack:
-            node = stack.pop()
-            if node in words:
-                continue
-            if node not in inner:
-                return False
-            stack += (node + (0,), node + (1,))
-        return True
+    @staticmethod
+    def _dyadic_cover(base: Cell, cells) -> bool:
+        """Cylinder base inside the union of the cylinder cells.  A word of
+        length m and binary value v reads as the closed [v, v + 1] * 2^(n - m),
+        n the longest length; a stream at a dyadic end lies in the cylinder
+        on the side it comes from, so the cylinders cover base exactly when
+        their intervals cover base's."""
+        n = max(map(len, [base, *cells]))
+
+        def span(w):
+            v = int("0" + "".join(map(str, w)), 2)
+            return v << (n - len(w)), (v + 1) << (n - len(w))
+
+        return _chain_cover(*span(base), map(span, cells))
 
     def open_cover_of_closure(self, base: Cell, cells) -> bool:
-        return self._brute_cover(base, cells)
+        return self._dyadic_cover(base, cells)
 
     def eroded_cover_of_closure(self, base: Cell, cells, eps: Fraction) -> bool:
         m = dyadic_level(eps)
-        return self._brute_cover(base, [w for w in cells if m >= len(w)])
+        return self._dyadic_cover(base, [w for w in cells if m >= len(w)])
 
     def sample_point(self, rng) -> Point:
         pre = tuple(rng.randrange(2) for _ in range(24))

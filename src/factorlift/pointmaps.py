@@ -338,15 +338,9 @@ class PolishPointMap:
     target: Any
     region_fn: Callable[[Word], Cell]
     name: str = "polish-map"
-    point_fn: Optional[Callable] = None
 
     def region(self, word: Sequence[int]) -> Cell:
         return self.region_fn(tuple(word))
-
-    def point(self, x):
-        if self.point_fn is None:
-            raise CertificationError(f"{self.name} carries no exact point rule")
-        return self.point_fn(x)
 
 
 def baire_identity_map() -> PolishPointMap:
@@ -371,9 +365,4 @@ def constant_interval_map(value) -> PolishPointMap:
     if not 0 <= value <= 1:
         raise CertificationError("constant value outside the unit interval")
     cell = IntervalSpace().point_cell(value)
-    return PolishPointMap(
-        IntervalSpace(),
-        lambda w: cell,
-        f"const({value})",
-        point_fn=lambda x: value,
-    )
+    return PolishPointMap(IntervalSpace(), lambda w: cell, f"const({value})")

@@ -30,8 +30,7 @@ from factorlift.geometry import (
     FiniteMetricSpace,
     IntervalSpace,
     ProductSpace,
-    _closed_chain_cover,
-    _open_chain_cover,
+    _chain_cover,
     dyadic_level,
 )
 from factorlift.transducers import Stream, validate_word
@@ -141,7 +140,7 @@ def test_dyadic_level_matches_halving_loop(r):
     assert dyadic_level(r) == m
 
 
-LINE = st.fractions(min_value=-1, max_value=2, max_denominator=8)
+LINE = st.integers(-8, 16)
 LINE_INTERVALS = st.lists(st.tuples(LINE, LINE), max_size=8)
 
 
@@ -150,36 +149,66 @@ def _critical_points(a, b, intervals):
     consecutive ones: a union of intervals covers [a, b] iff it covers
     these points."""
     pts = sorted({a, b} | {e for iv in intervals for e in iv if a <= e <= b})
-    return pts + [(x + y) / 2 for x, y in zip(pts, pts[1:])]
+    return pts + [F(x + y, 2) for x, y in zip(pts, pts[1:])]
+
+
+def _covered(a, b, intervals, inside):
+    """Pointwise: every point of [a, b] lies in one of the intervals, as
+    inside(x, interval) reads them."""
+    return a > b or all(
+        any(inside(x, iv) for iv in intervals) for x in _critical_points(a, b, intervals)
+    )
+
+
+def _in_closed(x, iv):
+    return iv[0] <= x <= iv[1]
+
+
+def _in_open(x, iv):
+    return iv[0] < x < iv[1]
 
 
 @given(LINE, LINE, LINE_INTERVALS)
-def test_open_chain_cover_matches_pointwise(a, b, intervals):
-    want = a > b or all(
-        any(u < x < v for u, v in intervals) for x in _critical_points(a, b, intervals)
-    )
-    assert _open_chain_cover(a, b, intervals) == want
+def test_chain_cover_matches_pointwise(a, b, intervals):
+    assert _chain_cover(a, b, intervals) == _covered(a, b, intervals, _in_closed)
 
 
 @given(LINE, LINE, LINE_INTERVALS)
-def test_closed_chain_cover_matches_pointwise(a, b, intervals):
-    want = a > b or all(
-        any(p <= x <= q for p, q in intervals) for x in _critical_points(a, b, intervals)
-    )
-    assert _closed_chain_cover(a, b, intervals) == want
+def test_doubled_chain_cover_is_the_open_cover(a, b, intervals):
+    """With integer ends, [a, b] lies in the union of the open (u, v)
+    exactly when [2a, 2b] lies in the union of the closed [2u + 1, 2v - 1]."""
+    doubled = [(2 * u + 1, 2 * v - 1) for u, v in intervals]
+    assert _chain_cover(2 * a, 2 * b, doubled) == _covered(a, b, intervals, _in_open)
 
 
 BITS = st.lists(st.integers(0, 1), max_size=7).map(tuple)
 
 
-@given(BITS.filter(lambda w: len(w) <= 4), st.lists(BITS, max_size=8))
-def test_cantor_cover_matches_enumeration(base, cells):
+@st.composite
+def _cylinder_partitions(draw, base):
+    """Words that partition a prefix of base, by splitting pieces in two,
+    sometimes with one piece dropped or extra words added."""
+    parts = [base[: draw(st.integers(0, len(base)))]]
+    for j in draw(st.lists(st.integers(0, 63), max_size=10)):
+        w = parts.pop(j % len(parts))
+        parts += [w + (0,), w + (1,)] if len(w) < 7 else [w]
+    if draw(st.booleans()):
+        parts.pop(draw(st.integers(0, len(parts) - 1)))
+    return parts + draw(st.lists(BITS, max_size=2))
+
+
+@settings(max_examples=300)
+@given(BITS.filter(lambda w: len(w) <= 4), st.data())
+def test_cantor_cover_matches_enumeration(base, data):
+    """Words drawn freely rarely cover anything, so partitions of a
+    cylinder come up too."""
     sp = CantorSpace()
+    cells = data.draw(st.one_of(st.lists(BITS, max_size=8), _cylinder_partitions(base)))
     words = [w for w in cells if sp._compatible(w, base)]
     depth = max([len(base)] + [len(w) for w in words])
     frontier = [base + t for t in itertools.product((0, 1), repeat=depth - len(base))]
     want = all(any(e[: len(w)] == w for w in words) for e in frontier)
-    assert sp._brute_cover(base, cells) == want
+    assert sp.open_cover_of_closure(base, cells) == want
 
 
 def _outcome(fn, *args):
@@ -386,14 +415,12 @@ def _ref_erode(cell, eps):
 
 
 def _ref_interval_open_cover(base, cells):
-    a, b = _ref_hull(base)
-    return _open_chain_cover(a, b, list(cells))
+    return _covered(*_ref_hull(base), cells, _in_open)
 
 
 def _ref_interval_eroded_cover(base, cells, eps):
-    a, b = _ref_hull(base)
     eroded = [e for e in (_ref_erode(c, eps) for c in cells) if e is not None]
-    return _closed_chain_cover(a, b, eroded)
+    return _covered(*_ref_hull(base), eroded, _in_closed)
 
 
 def _ref_interval_intersect(a, b):
@@ -457,29 +484,35 @@ def _ref_arc_eroded_contains(outer, region, radius):
     return _ref_arc_closed_subset(region, ((s + radius) % 1, l - 2 * radius))
 
 
-def _ref_unroll(base_start, arcs):
-    out = []
-    for s, l in arcs:
-        d = (s - base_start) % 1
-        out.append((d, d + l))
-        out.append((d - 1, d - 1 + l))
-    return out
+def _ref_arc_cover(base, arcs, open_arcs):
+    """Pointwise: every point base start + x, x in [0, base length], lies
+    in one of the arcs, open or closed; an arc of length 1 is the whole
+    circle."""
+    bs, bl = base
+    # each arc's ends, as offsets from the base start
+    ends = [((s - bs) % 1, (s + l - bs) % 1) for s, l in arcs]
+
+    def inside(x, arc):
+        s, l = arc
+        t = (bs + x - s) % 1
+        return l >= 1 or (0 < t < l if open_arcs else t <= l)
+
+    return all(
+        any(inside(x, arc) for arc in arcs) for x in _critical_points(F(0), bl, ends)
+    )
 
 
 def _ref_arc_open_cover(base, cells):
-    bs, bl = base
-    return _open_chain_cover(F(0), bl, _ref_unroll(bs, cells))
+    return _ref_arc_cover(base, cells, True)
 
 
 def _ref_arc_eroded_cover(base, cells, eps):
-    bs, bl = base
-    eroded = []
-    for s, l in cells:
-        if l >= 1:
-            return True
-        if l - 2 * eps >= 0:
-            eroded.append(_ref_arc(s + eps, l - 2 * eps))
-    return _closed_chain_cover(F(0), bl, _ref_unroll(bs, eroded))
+    eroded = [
+        (s, l) if l >= 1 else _ref_arc(s + eps, l - 2 * eps)
+        for s, l in cells
+        if l >= 1 or l - 2 * eps >= 0
+    ]
+    return _ref_arc_cover(base, eroded, False)
 
 
 def _ref_arc_shrink(cell):
@@ -638,6 +671,20 @@ def test_cover_checks_match_fraction_oracles(kind, data):
     _same_outcome(
         lambda: sp.eroded_cover_of_closure(base, kids, eps), lambda: eroded_ref(eb, ek, eps)
     )
+
+
+@pytest.mark.parametrize("kind", ORACLE_COVERS)
+@settings(max_examples=500)
+@given(data=st.data())
+def test_eroded_cover_implies_open_cover(kind, data):
+    """Erosion by a positive eps only shrinks the cells, so an eroded cover
+    is an open cover; the whole space comes up among the drawn cells."""
+    sp, cells, _, _ = ORACLE_COVERS[kind]
+    cells = st.one_of(cells, st.just(sp.whole()))
+    base, kids = data.draw(cells, label="base"), data.draw(st.lists(cells, max_size=6))
+    eps = data.draw(ORACLE_RADII.filter(lambda r: r > 0), label="eps")
+    if sp.eroded_cover_of_closure(base, kids, eps):
+        assert sp.open_cover_of_closure(base, kids)
 
 
 @settings(max_examples=400)
