@@ -169,12 +169,12 @@ def _in_open(x, iv):
 
 
 @given(LINE, LINE, LINE_INTERVALS)
-def test_chain_cover_matches_pointwise(a, b, intervals):
+def test_closed_chain_cover_matches_pointwise(a, b, intervals):
     assert _chain_cover(a, b, intervals) == _covered(a, b, intervals, _in_closed)
 
 
 @given(LINE, LINE, LINE_INTERVALS)
-def test_doubled_chain_cover_is_the_open_cover(a, b, intervals):
+def test_open_chain_cover_matches_pointwise(a, b, intervals):
     """With integer ends, [a, b] lies in the union of the open (u, v)
     exactly when [2a, 2b] lies in the union of the closed [2u + 1, 2v - 1]."""
     doubled = [(2 * u + 1, 2 * v - 1) for u, v in intervals]
