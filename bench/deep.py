@@ -40,8 +40,11 @@ is imported from DIR (default: `src/` of this repository), so the same
 script times another checkout by pointing `--src` at its `src/`; the
 matrices and the extension pieces always come from this checkout's
 benchmark.
-Each run builds its input afresh and times only the certification.  One
-JSON line per row gives the row, the median wall-clock seconds over the
+Each run builds its input afresh and times only the certification, in
+nominal seconds read from this checkout's benchmark clock
+(`perfbench/speedmeter.py`), which scales program time by the machine's
+measured speed so that runs made minutes apart on a shared host compare.
+One JSON line per row gives the row, the median nominal seconds over the
 runs, the verdict (PASS, FAIL, or the type and message of the error raised)
 and `render_sha256`, the SHA-256 of the rendered certificate (null when an
 error was raised), so two checkouts can be shown to certify byte-identically.
@@ -59,7 +62,6 @@ import json
 import random
 import statistics
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -222,19 +224,25 @@ KINDS = {
 
 def time_row(row: str, repeats: int) -> dict:
     from factorlift import errors
+    from speedmeter import SpeedMeter
 
     kind, name, size = row.split(":")
     times, verdict, sha = [], None, None
-    for _ in range(repeats):
-        certify = KINDS[kind](name, int(size))
-        start = time.perf_counter()
-        try:
-            cert = certify()
-            verdict = "PASS" if cert.ok else "FAIL"
-        except errors.CertificationError as exc:
-            cert, verdict = None, f"{type(exc).__name__}: {exc}"
-        times.append(time.perf_counter() - start)
-        sha = None if cert is None else hashlib.sha256(cert.render().encode()).hexdigest()
+    meter = SpeedMeter()
+    meter.start()
+    try:
+        for _ in range(repeats):
+            certify = KINDS[kind](name, int(size))
+            start = meter.clock()
+            try:
+                cert = certify()
+                verdict = "PASS" if cert.ok else "FAIL"
+            except errors.CertificationError as exc:
+                cert, verdict = None, f"{type(exc).__name__}: {exc}"
+            times.append(meter.clock() - start)
+            sha = None if cert is None else hashlib.sha256(cert.render().encode()).hexdigest()
+    finally:
+        meter.stop()
     return {"row": row, "seconds": round(statistics.median(times), 3),
             "verdict": verdict, "render_sha256": sha}
 

@@ -78,7 +78,6 @@ class CoverSystem:
     name: str = "cover-system"
     tamper: dict = field(default_factory=dict)
     _v_memo: dict = field(default_factory=dict, repr=False)
-    _sel_memo: dict = field(default_factory=dict, repr=False)
     _slacks: list = field(default_factory=list, repr=False)
 
     def child_arity(self, k: int) -> int:
@@ -109,12 +108,7 @@ class CoverSystem:
 
     def selection(self, s: Word) -> list[Cell]:
         """The padded W-cells for the children of word s."""
-        sel = self._sel_memo.get(s)
-        if sel is None:
-            sel = self._sel_memo[s] = self._select(
-                self.v_cell(s), len(s), _rebase(self.tamper, s)
-            )
-        return sel
+        return self._select(self.v_cell(s), len(s), _rebase(self.tamper, s))
 
     def _select(self, v: Cell, k: int, below: dict) -> list[Cell]:
         """The padded W-cells below a level-k cell v, given the tamper

@@ -45,7 +45,6 @@ from .transducers import (
     Word,
     compose_transducers,
     extract_stream,
-    identity_transducer,
     pack_streams,
     product_lift,
     stream_width,
@@ -318,7 +317,7 @@ class CommonExtension:
     pieces: tuple
     lifted: tuple
     universals: tuple
-    product: Optional[ProductLift]
+    product: ProductLift
     machine: PrefixTransducer
 
     def factor(self, piece_index: int, member_index: int) -> MemberFactor:
@@ -344,13 +343,6 @@ class CommonExtension:
 
     def certificate(self, resolution: int, samples: int, rng) -> CertNode:
         node = CertNode(f"common extension pipeline to depth {resolution}")
-        if not self.pieces:
-            node.note(
-                "no pieces",
-                "the empty pipeline is the identity on the stream space; "
-                "there is nothing to intertwine",
-            )
-            return node
         shape = ", ".join(
             f"{fam.name}({len(lf.members)})"
             for fam, lf in zip(self.pieces, self.lifted)
@@ -421,7 +413,7 @@ def common_extension_baire(pieces: Sequence[MapFamily]) -> CommonExtension:
     finite ones first; each piece keeps its own cover system."""
     pieces = tuple(pieces)
     if not pieces:
-        return CommonExtension((), (), (), None, identity_transducer(BAIRE))
+        raise EmptyFamily("the common extension needs at least one piece")
     lifted = tuple(family_lift(p) for p in pieces)
     for fam, lf in zip(pieces, lifted):
         if not lf.members:

@@ -229,10 +229,7 @@ class LiftedSelfMap:
             name=f"lift[{self.point_map.name}]: projection intertwines the map "
             f"to depth {resolution}",
         )
-        if exact_samples and self.point_map.point_fn is None:
-            cert.note(f"{self.point_map.name}: no point rule, "
-                      f"{exact_samples} exact samples skipped")
-        elif exact_samples:
+        if exact_samples:
             space = self.cs.space
             depth = self.transducer.modulus(resolution)
             radius = self.cs.epsilon(depth) / 4

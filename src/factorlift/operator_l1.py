@@ -47,6 +47,13 @@ from .pairing import pair, unpair
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
+# How far the enumeration follows each grid point's forward orbit, how many
+# indices pair(e, r) it covers per point, and how many off-support indices
+# the commutation certificate samples.
+ORBIT_DEPTH = 8
+REPETITIONS = 4
+OUTSIDE_SAMPLES = 64
+
 
 # === sparse vectors over the layout basis ===
 
@@ -101,6 +108,10 @@ class NormKind(Enum):
 class BanachModel:
     dim: int
     kind: NormKind = NormKind.L1
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise CertificationError(f"dimension must be at least 1, got {self.dim}")
 
     def in_unit_ball(self, v: Vector) -> bool:
         if self.kind is NormKind.L2SQ:
@@ -245,13 +256,11 @@ def dense_orbit_enumeration(
     matrix: Matrix,
     rho,
     base_count: int = 16,
-    orbit_depth: int = 8,
-    repetitions: int = 4,
 ) -> OrbitEnumeration:
     """Build the enumeration and its index dynamics.
 
     The point list is the deterministic ball grid extended with forward
-    orbits of (1/rho)T to `orbit_depth`.  sigma maps pair(e, r) to the least
+    orbits of (1/rho)T to `ORBIT_DEPTH`.  sigma maps pair(e, r) to the least
     strictly later, previously unused repetition of the image point's index;
     images falling outside the point list (orbit frontier) are omitted and
     recorded.  (1/rho)T is applied once per point.
@@ -260,8 +269,6 @@ def dense_orbit_enumeration(
     rho = Fraction(rho)
     if rho <= 0:
         raise NormBoundViolated(f"rho must be positive, got {rho}")
-    if repetitions < 1:
-        raise CertificationError(f"repetitions must be at least 1, got {repetitions}")
     try:
         exact = model.operator_norm(matrix)
     except CertificationError:
@@ -280,7 +287,7 @@ def dense_orbit_enumeration(
     queue = deque(range(len(points)))
     while queue:
         e = queue.popleft()
-        if depth[e] >= orbit_depth:
+        if depth[e] >= ORBIT_DEPTH:
             continue
         y = step(keys[e])
         if not _in_ball(model.kind, y):
@@ -296,10 +303,10 @@ def dense_orbit_enumeration(
             queue.append(target)
         image[e] = target
     for e, y in enumerate(keys):
-        if e not in image:  # never expanded: at orbit_depth
+        if e not in image:  # never expanded: at ORBIT_DEPTH
             image[e] = index.get(step(y))
     cells = sorted(
-        (pair(e, r), e, r) for e in range(len(points)) for r in range(repetitions)
+        (pair(e, r), e, r) for e in range(len(points)) for r in range(REPETITIONS)
     )
     covered = [i for i, _, _ in cells]
     point_of = {i: e for i, e, _ in cells}
@@ -415,11 +422,7 @@ def synthesize_factor_map(enum: OrbitEnumeration) -> FactorMap:
     return FactorMap(enum, layout_of, enum_of)
 
 
-def commutation_certificate(
-    fmap: FactorMap,
-    outside_samples: int = 64,
-    rng=None,
-) -> CertNode:
+def commutation_certificate(fmap: FactorMap, rng=None) -> CertNode:
     """Certify T(pi(e_i)) = pi(rho U(e_i)) index by index, exactly.
 
     Covered edges are checked exhaustively.  Off-support indices are sampled;
@@ -454,7 +457,7 @@ def commutation_certificate(
     sampled = skipped = attempts = 0
     witness = None
     if rng is not None:
-        while sampled < outside_samples and attempts < 50 * outside_samples:
+        while sampled < OUTSIDE_SAMPLES and attempts < 50 * OUTSIDE_SAMPLES:
             attempts += 1
             i = rng.randrange(10**6)
             try:

@@ -107,6 +107,8 @@ class Stream:
             raise CertificationError("stream cycle must be nonempty")
 
     def prefix(self, k: int) -> Word:
+        if k < 0:
+            raise CertificationError(f"prefix length must be nonnegative, got {k}")
         out = list(self.pre[:k])
         i = 0
         while len(out) < k:
@@ -448,26 +450,18 @@ class ProductLift:
 
 
 def product_lift(
-    maps: Sequence[PrefixTransducer],
-    tail: Optional[PrefixTransducer] = None,
-    tail_space: Optional[Space] = None,
+    maps: Sequence[PrefixTransducer], tail_space: Optional[Space] = None
 ) -> ProductLift:
     """Lift countably many self-maps to one self-map of the packed space.
 
     `maps` is the explicit finite list, each on its own space; components
-    beyond it follow `tail` (identity on `tail_space` by default).
+    beyond it are the identity on `tail_space` (by default the first map's
+    space, or Cantor space when the list is empty).
     """
     for f in maps:
         if f.domain != f.codomain:
             raise SpaceMismatch(f"{f.name} is not a self-transducer")
-    if tail is None:
-        space = tail_space
-        if space is None:
-            space = maps[0].domain if maps else CANTOR
-        tail = identity_transducer(space)
-    elif tail.domain != tail.codomain:
-        raise SpaceMismatch("tail rule must be a self-transducer")
-    packed = InterleavedSpace(
-        tuple(f.domain for f in maps), tail.domain
-    )
-    return ProductLift(list(maps), tail, packed)
+    if tail_space is None:
+        tail_space = maps[0].domain if maps else CANTOR
+    packed = InterleavedSpace(tuple(f.domain for f in maps), tail_space)
+    return ProductLift(list(maps), identity_transducer(tail_space), packed)

@@ -1031,7 +1031,7 @@ def test_verify_passes(make, depth):
     cert = verify_cover_system(cs, depth)
     assert cert.ok, cert.render()
     # the walk keeps no per-word state
-    assert not cs._v_memo and not cs._sel_memo
+    assert not cs._v_memo
 
 
 def test_verify_interval_circle_product():

@@ -186,12 +186,6 @@ def test_common_extension_flags_a_tampered_member_at_projection_level():
     assert failure.detail.endswith(" disagreeing samples")
 
 
-def test_empty_pipeline_is_the_identity():
-    ext = common_extension_baire([])
-    assert ext.certificate(2, 1, random.Random(0)).ok
-    assert ext.machine.step((3, 1, 4)) == (3, 1, 4)
-
-
 def test_pipeline_pieces_must_be_finite():
     with pytest.raises(CertificationError, match="rotations: pipeline pieces must be finite"):
         common_extension_baire([rotation_map_family(circle_system())])
@@ -801,6 +795,8 @@ def _blind_contraction():
             ),
             CertificationError, "blind carries no exact point rule", id="member-without-point-rule",
         ),
+        pytest.param(lambda: common_extension_baire([]), EmptyFamily,
+                     "the common extension needs at least one piece", id="extension-no-pieces"),
         pytest.param(lambda: common_extension_baire(pipeline_pieces()).factor(-1, -1),
                      CertificationError, "no piece -1 among 2", id="factor-negative-piece"),
         pytest.param(lambda: common_extension_baire(pipeline_pieces()).factor(1, -1),

@@ -636,17 +636,6 @@ def test_strong_lift_certificate_names_a_region_that_grows():
     assert _named(failure.detail, "first failure at (q, s, k) = ") == (q, s, 2)
 
 
-def test_lifted_self_map_certificate_notes_skipped_exact_samples():
-    lifted = lift_self_map(cantor_system(), stream_map(odometer_transducer()))
-    cert = lifted.certificate(3, 4, random.Random(15), exact_samples=10)
-    assert cert.ok, cert.render()
-    assert cert.children[-1].title == "odometer: no point rule, 10 exact samples skipped"
-    assert cert.children[-1].status == "INFO"
-    # without a request there is nothing to skip and nothing to note
-    plain = lifted.certificate(3, 4, random.Random(15))
-    assert [c.title for c in plain.children] == [c.title for c in cert.children[:-1]]
-
-
 def test_lifted_self_map_certificate_names_a_point_rule_that_disagrees():
     cs = interval_system()
     # the regions are the identity's, the exact point rule the mirror's
@@ -853,6 +842,13 @@ def test_baire_lift_certificate_names_comparable_prefixes():
         ),
         pytest.param(lambda: CylinderPresentation().slack(-3), CertificationError,
                      "resolution starts at 1", id="cylinder-slack-below-resolution-1"),
+        pytest.param(
+            lambda: lift_self_map(cantor_system(), stream_map(odometer_transducer())).certificate(
+                3, 4, random.Random(15), exact_samples=10
+            ),
+            CertificationError, "odometer carries no exact point rule",
+            id="exact-samples-without-point-rule",
+        ),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -178,10 +179,8 @@ def test_l2_bad_certified_bound_is_caught_by_membership():
 
 def test_frontier_is_recorded_not_fatal():
     model = BanachModel(1, NormKind.L1)
-    enum = dense_orbit_enumeration(
-        model, model.matrix([["1/3"]]), 1, base_count=4, orbit_depth=2
-    )
-    assert enum.frontier, "depth-2 orbit of 1/3 must leave the point list"
+    enum = dense_orbit_enumeration(model, model.matrix([["1/3"]]), 1, base_count=4)
+    assert enum.frontier, "the orbit of 1/3 must leave the point list"
     assert enumeration_certificate(enum).ok
 
 
@@ -381,6 +380,14 @@ def _outcome(thunk):
         return type(exc).__name__, str(exc)
 
 
+def _enumerate(model, mat, rho, base_count, orbit_depth, repetitions):
+    """`dense_orbit_enumeration` with its orbit depth and repetitions set
+    for this call."""
+    with patch.object(operator_l1, "ORBIT_DEPTH", orbit_depth), \
+            patch.object(operator_l1, "REPETITIONS", repetitions):
+        return dense_orbit_enumeration(model, mat, rho, base_count)
+
+
 small_entries = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
 
 
@@ -407,7 +414,7 @@ def orbit_problems(draw):
 @given(problem=orbit_problems(), data=st.data())
 def test_enumeration_and_certificates_match_per_index_original(problem, data):
     model, mat, rho, sizes = problem
-    got = _outcome(lambda: dense_orbit_enumeration(model, mat, rho, *sizes))
+    got = _outcome(lambda: _enumerate(model, mat, rho, *sizes))
     want = _outcome(lambda: _per_index_enumeration(model, mat, rho, *sizes))
     if isinstance(want, tuple):
         assert got == want
@@ -431,16 +438,16 @@ def test_enumeration_and_certificates_match_per_index_original(problem, data):
         _per_index_enumeration_certificate(enum).render()
     )
     seed = data.draw(st.integers(0, 99))
-    assert commutation_certificate(fmap, 8, random.Random(seed)).render() == (
-        _per_index_commutation_certificate(fmap, 8, random.Random(seed)).render()
-    )
+    with patch.object(operator_l1, "OUTSIDE_SAMPLES", 8):
+        got = commutation_certificate(fmap, random.Random(seed)).render()
+    assert got == _per_index_commutation_certificate(fmap, 8, random.Random(seed)).render()
 
 
 @settings(max_examples=80, deadline=None)
 @given(problem=orbit_problems())
 def test_point_table_names_the_point_of_every_index_made(problem):
     model, mat, rho, sizes = problem
-    enum = _outcome(lambda: dense_orbit_enumeration(model, mat, rho, *sizes))
+    enum = _outcome(lambda: _enumerate(model, mat, rho, *sizes))
     assume(not isinstance(enum, tuple))
     made = set(enum.covered) | set(enum.sigma.entries.values())
     assert set(enum.point_of) == made
@@ -630,14 +637,8 @@ def _value_past_the_points():
         pytest.param(lambda: dense_orbit_enumeration(BanachModel(2), ((F(1, 2),),), F(1, 2)),
                      CertificationError, "expected 2x2 matrix",
                      id="enumeration-matrix-smaller-than-the-model"),
-        pytest.param(
-            lambda: dense_orbit_enumeration(
-                BanachModel(2), BanachModel(2).matrix([[F(1, 2), 0], [0, F(1, 2)]]), F(1, 2),
-                repetitions=0,
-            ),
-            CertificationError, "repetitions must be at least 1, got 0",
-            id="enumeration-no-repetitions",
-        ),
+        pytest.param(lambda: BanachModel(0), CertificationError,
+                     "dimension must be at least 1, got 0", id="model-of-dimension-0"),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):

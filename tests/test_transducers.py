@@ -442,16 +442,6 @@ def test_projection_preimage_is_section():
         lifted.projection_preimage(0, (1,), default=1)
 
 
-def test_lift_custom_tail():
-    lifted = product_lift([shift_transducer(CANTOR)], tail=odometer_transducer())
-    n = 3
-    proj = lifted.projection(n)
-    left = compose_transducers(proj, lifted.lift)
-    right = compose_transducers(odometer_transducer(), proj)
-    w = tuple((i * 7 + 3) % 2 for i in range(max(left.modulus(3), right.modulus(3))))
-    assert evaluate_transducer(left, w, 3)[:3] == evaluate_transducer(right, w, 3)[:3]
-
-
 def test_lift_heterogeneous_variant():
     lifted = product_lift(
         [odometer_transducer(), shift_transducer(BAIRE)],
@@ -540,7 +530,7 @@ def _lifts(maps):
     return st.builds(
         product_lift,
         st.lists(maps, max_size=4),
-        st.none() | maps,
+        st.none() | maps.map(lambda f: f.domain),
     )
 
 
@@ -600,9 +590,9 @@ def test_nested_product_of_a_bumpy_map_matches_the_positionwise_rule():
 
 
 def test_packed_step_reads_tail_components_past_the_input():
-    # every component past the empty input emits (1, 0), so the output runs
-    # through components that read nothing
-    lifted = product_lift([], tail=_prepend(CANTOR))
+    # the four components each emit (1, 0) on the empty input, so the
+    # output runs through components that read nothing
+    lifted = product_lift([_prepend(CANTOR)] * 4)
     out = lifted.lift.step(())
     assert out == _positionwise_step(lifted, ())
     assert len(out) == pair(0, 2)
@@ -633,12 +623,6 @@ def test_module_leaves_the_packing_to_transducers(module):
     [
         pytest.param(lambda: block_transducer(CANTOR, CANTOR, {(0,): (1,)}, 1, 1).step((1,)),
                      InvalidBranch, "no table entry for block (1,)", id="block-table-miss"),
-        pytest.param(
-            lambda: product_lift(
-                [], tail=PrefixTransducer(CANTOR, BAIRE, lambda w: w, lambda k: k, "embed")
-            ),
-            SpaceMismatch, "tail rule must be a self-transducer", id="tail-not-a-self-map",
-        ),
         pytest.param(lambda: product_lift([shift_transducer(CANTOR)]).component_map(-1),
                      InvalidBranch, "component index must be nonnegative, got -1",
                      id="component-map-negative-index"),
@@ -660,6 +644,8 @@ def test_module_leaves_the_packing_to_transducers(module):
                      "block lengths must be positive, got 1 and 0", id="block-empty-output"),
         pytest.param(lambda: pack_streams([], length=-3), CertificationError,
                      "packed length must be nonnegative, got -3", id="pack-negative-length"),
+        pytest.param(lambda: Stream((1, 2, 3), (0,)).prefix(-1), CertificationError,
+                     "prefix length must be nonnegative, got -1", id="stream-negative-prefix"),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):
