@@ -510,9 +510,10 @@ def controlled_powers_check(
     Finite families are certified outright (convergence inside them is
     eventually constant); a declared contraction constant upgrades the
     certificate to the analytic schedule c^i * diam(X), re-checked on
-    sampled orbits.  Parameterized isometry-like families are attacked by
-    drift search: parameters agreeing to length j whose orbits separate by
-    1/4 within the depth budget, at every tested j."""
+    sampled orbits, so each probed member needs an exact point rule.
+    Parameterized isometry-like families are attacked by drift search:
+    parameters agreeing to length j whose orbits separate by 1/4 within
+    the depth budget, at every tested j."""
     space = fam.cover.space
     diam = space.diam(space.whole())
     node = CertNode(f"controlled powers [{fam.name}] to depth {depth}")
@@ -532,8 +533,7 @@ def controlled_powers_check(
         fp_tol = c ** depth * diam / 8
         for pm in probes:
             if pm.point_fn is None:
-                sec.note(f"{pm.name}: no point rule, schedule stays analytic")
-                continue
+                raise CertificationError(f"{pm.name} carries no exact point rule")
             anchor = contraction_fixed_point(
                 pm, c, space.witness_point(space.whole()), fp_tol, rng
             )

@@ -12,20 +12,19 @@ n (pos reduced mod n).  `successor` advances one step inside a component and
 is injective on the whole layout.
 
 Decoding an index costs two integer square roots (one per Cantor level);
-stepping costs one `pair`.  `successors` walks a sequence of indices with one
-decode per walk rather than one per index: a step only moves pos, so the
-successor it builds, pair(component, pos'), decodes to (component, shape,
-pos') exactly, pairing being a bijection, and an input equal to a successor
-built earlier reuses that decode.  The embedding check and the l1
-commutation certificate read their edges through it.
+stepping costs one `pair`.  A step only moves pos, so the successor of
+pair(component, pos) is pair(component, pos'), which decodes to
+(component, shape, pos') exactly, pairing being a bijection: a walk along a
+component decodes once.  The embedding check carries that decode along each
+component's members; `successors` carries it across a sequence of indices,
+and the l1 commutation certificate reads its edges through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CertificationError, InvalidIndex, NotInjective
 from .pairing import pair, unpair
@@ -62,16 +61,22 @@ def _component(shape: int, copy: int) -> int:
     return pair(shape, copy)
 
 
-def _encode(component: int, shape: int, position: int) -> int:
-    """The layout index of a position on pair(shape, copy): a line position
-    through zigzag, a cycle position mod the length shape - 1."""
+def _codes(shape: int, positions: Sequence[int]) -> Iterable[int]:
+    """The position codes of `positions` on a component of `shape`: a line
+    position through zigzag, a cycle position mod the length shape - 1."""
     if shape == LINE_SHAPE:
-        return pair(component, zigzag(position))
+        return map(zigzag, positions)
     if shape == RAY_SHAPE:
-        if position < 0:
-            raise InvalidIndex(f"ray positions live in N, got {position}")
-        return pair(component, position)
-    return pair(component, position % (shape - 1))
+        low = min(positions, default=0)
+        if low < 0:
+            raise InvalidIndex(f"ray positions live in N, got {low}")
+        return positions
+    return [p % (shape - 1) for p in positions]
+
+
+def _encode(component: int, shape: int, position: int) -> int:
+    """The layout index of a position on pair(shape, copy)."""
+    return pair(component, *_codes(shape, (position,)))
 
 
 def encode_line(copy: int, position: int) -> int:
@@ -205,7 +210,8 @@ class PartialInjection:
         return {j: i for i, j in self.entries.items()}
 
     def nodes(self) -> set[int]:
-        ns = set(self.entries) | set(self.entries.values())
+        ns = set(self.entries)
+        ns.update(self.entries.values())
         ns.update(self.component_oracle)
         return ns
 
@@ -225,17 +231,18 @@ def classify_components(sigma: PartialInjection) -> list[Component]:
     UNRESOLVED (a finite path embeds into a line regardless); an oracle entry
     of kind UNRESOLVED declares nothing, on any shape.  Components come in
     order of their smallest member: each walk starts at the least
-    node not yet visited, the minimum of its own component.
+    node not yet walked, the minimum of its own component.
     """
     inv = sigma.inverse()
+    if len(inv) != len(sigma.entries):
+        sigma._refuse()  # entries replaced after validation repeat an image
     out: list[Component] = []
-    visited: set[int] = set()
-    for start in sorted(sigma.nodes()):
-        if start in visited:
-            continue
-        members, is_cycle = _walk_component(start, sigma.entries, inv)
-        visited.update(members)
-        out.append(_type_component(members, is_cycle, sigma))
+    left = sigma.nodes()
+    for start in sorted(left):
+        if start in left:
+            members, is_cycle = _walk_component(start, sigma.entries, inv)
+            left.difference_update(members)
+            out.append(_type_component(members, is_cycle, sigma))
     return out
 
 
@@ -243,18 +250,15 @@ def _walk_component(start, entries, inv) -> tuple[list[int], bool]:
     """(members in path order, whether they close into a cycle), walking
     forward from `start`, the least member of its component: a cycle closes
     at start, already anchored at its minimum, and only a path that ends
-    walks back from start to its back end."""
+    walks back from start to its back end.  `entries` must be injective,
+    so that every member has one predecessor and a walk returns only to start."""
     members = [start]
-    node, nxt = start, entries.get(start)
+    nxt = entries.get(start)
     while nxt is not None:
-        # injective entries give every node one predecessor; another one
-        # would bring a walk back into its own path
-        if inv[nxt] != node:
-            raise NotInjective(f"walk from {start} re-enters mid-path at {nxt}")
         if nxt == start:
             return members, True
         members.append(nxt)
-        node, nxt = nxt, entries.get(nxt)
+        nxt = entries.get(nxt)
     back = []
     node = start
     while node in inv:
@@ -342,10 +346,12 @@ class EmbeddingCertificate:
     relabel is injective; for every edge i -> sigma(i) with both ends
     relabeled, successor(relabel[i]) == relabel[sigma(i)] holds exactly.
     The check reads the edges along each component's path order (and the
-    closing edge of a cycle) through `successors`, so each component is
-    decoded once; every walked edge must be an entry of sigma, and the walks
-    must read as many edges as sigma has with both ends relabeled, so each of
-    those is checked exactly once.
+    closing edge of a cycle): it decodes the first member's index and steps
+    that decode along the walk, since a successor that matched relabel[j]
+    is relabel[j], so each component is decoded once.  Every walked edge
+    must be an entry of sigma, and the walks must read as many edges as
+    sigma has with both ends relabeled, so each of those is checked exactly
+    once.
     """
 
     relabel: dict[int, int]
@@ -375,8 +381,8 @@ def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
         copy = copies.get(shape, 0)
         copies[shape] = copy + 1
         component = _component(shape, copy)
-        for m, p in zip(comp.members, comp.positions):
-            relabel[m] = _encode(component, shape, p)
+        codes = _codes(shape, comp.positions)
+        relabel.update(zip(comp.members, [pair(component, q) for q in codes]))
     return EmbeddingCertificate(
         relabel=relabel,
         components=components,
@@ -385,14 +391,13 @@ def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
     )
 
 
-def _targets(comp: Component) -> Iterator[int]:
+def _targets(comp: Component) -> tuple[int, ...]:
     """What the members of `comp` step to, in path order: the next member,
     and on a cycle the first member after the last.  The last member of a
     path steps to nothing."""
-    targets = islice(comp.members, 1, None)
     if comp.kind is ComponentType.CYCLE:
-        return chain(targets, comp.members[:1])
-    return targets
+        return comp.members[1:] + comp.members[:1]
+    return comp.members[1:]
 
 
 def _verify_embedding(
@@ -412,11 +417,13 @@ def _verify_embedding(
     entries = sigma.entries
     checked = 0
     for comp in components:
-        members = comp.members
-        # zip asks for a target before a successor, so the last member of a
-        # path, which has no target, is not decoded
-        steps = successors(map(relabel.__getitem__, members))
-        for i, j, got in zip(members, _targets(comp), steps):
+        members, targets = comp.members, _targets(comp)
+        # a path's last member has no target, so it is never decoded
+        if targets:
+            component, shape, _, q = _split(relabel[members[0]])
+        for i, j in zip(members, targets):
+            q = _step(shape, q)
+            got = pair(component, q)
             if entries.get(i) != j:
                 raise CertificationError(f"component walk steps {i} -> {j}, not an entry")
             if got != relabel[j]:
@@ -427,7 +434,11 @@ def _verify_embedding(
             checked += 1
     # distinct walked edges are entries with both ends relabeled, so the
     # counts agree exactly when the walks read every such entry
-    if checked != sum(1 for i, j in entries.items() if i in relabel and j in relabel):
+    if relabel.keys() >= entries.keys() and all(map(relabel.__contains__, entries.values())):
+        edges = len(entries)
+    else:
+        edges = sum(1 for i, j in entries.items() if i in relabel and j in relabel)
+    if checked != edges:
         walked = {i for comp in components for i, _ in zip(comp.members, _targets(comp))}
         i, j = next(
             (i, j) for i, j in entries.items()

@@ -19,7 +19,6 @@ map and `BanachModel`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import deque
@@ -333,13 +332,12 @@ def dense_orbit_enumeration(
 
 def _keyed(enum: OrbitEnumeration):
     """The enumeration on integer keys, as both certificates read it:
-    key_of[e] is the key of points[e] (key_of[None], where pi reads no
-    point, the zero key), and image(e) the memoized key of (1/rho)T
-    points[e]."""
-    key_of: dict[int | None, tuple[int, ...]] = dict(enumerate(map(_key, enum.points)))
-    key_of[None] = (1,) + (0,) * enum.model.dim
-    step = _scaled_step(enum.matrix, enum.rho)
-    return key_of, functools.cache(lambda e: step(key_of[e]))
+    keys[e] is the key of points[e] and images[e] the key of (1/rho)T
+    points[e].  The slot after the last point holds the zero key in both,
+    for where pi reads no point."""
+    keys = list(map(_key, enum.points))
+    zero = (1,) + (0,) * enum.model.dim
+    return [*keys, zero], [*map(_scaled_step(enum.matrix, enum.rho), keys), zero]
 
 
 def enumeration_certificate(enum: OrbitEnumeration) -> CertNode:
@@ -349,10 +347,10 @@ def enumeration_certificate(enum: OrbitEnumeration) -> CertNode:
         "sigma is injective on its domain",
         len(set(enum.sigma.entries.values())) == len(enum.sigma.entries),
     )
-    key_of, image = _keyed(enum)
+    keys, images = _keyed(enum)
     bad = [
         i for i, j in enum.sigma.entries.items()
-        if image(enum._point(i)) != key_of[enum._point(j)]
+        if images[enum._point(i)] != keys[enum._point(j)]
     ]
     cert.check(
         "scaled image matches the enumeration on every covered index",
@@ -431,21 +429,21 @@ def commutation_certificate(fmap: FactorMap, rng=None) -> CertNode:
     """
     enum = fmap.enum
     cert = CertNode("factor map commutation")
-    key_of, image = _keyed(enum)
-    zero = key_of[None]
-
-    def point(layout_index: int) -> int | None:
-        n = fmap.enum_of.get(layout_index)
-        return None if n is None else enum._point(n)
+    keys, images = _keyed(enum)
+    nowhere = len(enum.points)  # the zero slot
+    zero = keys[nowhere]
+    # layout index -> the point pi reads there: the support of pi
+    point = {i: enum._point(n) for i, n in fmap.enum_of.items()}
 
     # rho > 0 and keys are canonical, so T pi(e_i) = rho pi(e_s) exactly
-    # when the scaled image of the point read at i is the point read at s
-    # sigma maps each index to a later one, so in increasing order most
-    # successors come back as inputs and carry their decode
+    # when images[] of the point read at i is keys[] of the point read at s,
+    # each read from the table (the zero slot off the support); sigma maps
+    # each index to a later one, so in increasing order most successors
+    # come back as inputs and carry their decode
     layout = [fmap.layout_of[n] for n in enum.sigma.entries]
     bad = [
         i for i, s in zip(layout, successors(layout))
-        if image(point(i)) != key_of[point(s)]
+        if images[point.get(i, nowhere)] != keys[point.get(s, nowhere)]
     ]
     cert.check(
         "exact commutation on every covered basis index",
@@ -453,7 +451,6 @@ def commutation_certificate(fmap: FactorMap, rng=None) -> CertNode:
         f"first witness layout index {bad[0]}" if bad else
         f"{len(enum.sigma.entries)} indices",
     )
-    support = set(fmap.enum_of)
     sampled = skipped = attempts = 0
     witness = None
     if rng is not None:
@@ -464,12 +461,12 @@ def commutation_certificate(fmap: FactorMap, rng=None) -> CertNode:
                 s = successor(i)
             except CertificationError:
                 continue  # not a layout index: e_i is not a basis vector
-            if i in support:
+            if i in point:
                 continue
-            if s in support:
+            if s in point:
                 skipped += 1  # left frontier of a line copy: no claim made
                 continue
-            if image(point(i)) != zero or key_of[point(s)] != zero:
+            if images[point.get(i, nowhere)] != zero or keys[point.get(s, nowhere)] != zero:
                 witness = i
                 break
             sampled += 1
@@ -480,7 +477,7 @@ def commutation_certificate(fmap: FactorMap, rng=None) -> CertNode:
             f"{sampled} sampled, {skipped} frontier-adjacent skipped",
         )
     surj = all(
-        key_of[point(fmap.layout_of[pair(e, 0)])] == key_of[e]
+        keys[point.get(fmap.layout_of[pair(e, 0)], nowhere)] == keys[e]
         for e in range(len(enum.points))
     )
     cert.check("every enumeration point is attained by a basis vector", surj,

@@ -456,12 +456,14 @@ def product_lift(
 
     `maps` is the explicit finite list, each on its own space; components
     beyond it are the identity on `tail_space` (by default the first map's
-    space, or Cantor space when the list is empty).
+    space, so an empty list needs one).
     """
     for f in maps:
         if f.domain != f.codomain:
             raise SpaceMismatch(f"{f.name} is not a self-transducer")
     if tail_space is None:
-        tail_space = maps[0].domain if maps else CANTOR
+        if not maps:
+            raise EmptyFamily("a product of no maps needs a tail space")
+        tail_space = maps[0].domain
     packed = InterleavedSpace(tuple(f.domain for f in maps), tail_space)
     return ProductLift(list(maps), identity_transducer(tail_space), packed)

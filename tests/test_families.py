@@ -795,6 +795,14 @@ def _blind_contraction():
             ),
             CertificationError, "blind carries no exact point rule", id="member-without-point-rule",
         ),
+        pytest.param(
+            lambda: controlled_powers_check(
+                finite_map_family(interval_system(), [_blind_contraction()], "blind"),
+                2, 2, random.Random(1),
+            ),
+            CertificationError, "blind carries no exact point rule",
+            id="powers-member-without-point-rule",
+        ),
         pytest.param(lambda: common_extension_baire([]), EmptyFamily,
                      "the common extension needs at least one piece", id="extension-no-pieces"),
         pytest.param(lambda: common_extension_baire(pipeline_pieces()).factor(-1, -1),

@@ -3,7 +3,7 @@
 import dataclasses
 import random
 import re
-from itertools import permutations
+from itertools import chain, islice, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -572,6 +572,166 @@ def test_embedding_is_conjugate_across_a_dump_load_round_trip(sigma):
         assert successor(again.relabel[i]) == again.relabel[j]
 
 
+# === the walks against their references ===
+
+
+def _reference_classify(sigma):
+    """`classify_components` with a `visited` set beside the node set, and a
+    walk that tests each step against the inverse map, as it read before
+    injectivity was checked once by counting."""
+    inv = sigma.inverse()
+    out, visited = [], set()
+    for start in sorted(sigma.nodes()):
+        if start in visited:
+            continue
+        members = [start]
+        node, nxt, is_cycle = start, sigma.entries.get(start), False
+        while nxt is not None:
+            if inv[nxt] != node:
+                raise NotInjective(f"walk from {start} re-enters mid-path at {nxt}")
+            if nxt == start:
+                is_cycle = True
+                break
+            members.append(nxt)
+            node, nxt = nxt, sigma.entries.get(nxt)
+        if not is_cycle:
+            back, node = [], start
+            while node in inv:
+                node = inv[node]
+                back.append(node)
+            members = back[::-1] + members
+        visited.update(members)
+        out.append(injections._type_component(members, is_cycle, sigma))
+    return out
+
+
+def _reference_targets(comp):
+    targets = islice(comp.members, 1, None)
+    if comp.kind is ComponentType.CYCLE:
+        return chain(targets, comp.members[:1])
+    return targets
+
+
+def _reference_verify(sigma, relabel, components):
+    """`_verify_embedding` stepping each walk through `successors`, which
+    decodes an index unless it is a successor built earlier, and counting
+    the edges with both ends relabeled one by one."""
+    if len(set(relabel.values())) != len(relabel):
+        raise NotInjective("relabeling collides")
+    listed = sum(len(comp.members) for comp in components)
+    if listed != len(relabel):
+        raise CertificationError(
+            f"component walks list {listed} members for {len(relabel)} relabeled nodes"
+        )
+    entries = sigma.entries
+    checked = 0
+    for comp in components:
+        members = comp.members
+        steps = successors(map(relabel.__getitem__, members))
+        for i, j, got in zip(members, _reference_targets(comp), steps):
+            if entries.get(i) != j:
+                raise CertificationError(f"component walk steps {i} -> {j}, not an entry")
+            if got != relabel[j]:
+                raise CertificationError(
+                    f"conjugacy fails on edge {i} -> {j}: "
+                    f"successor({relabel[i]}) = {got} != {relabel[j]}"
+                )
+            checked += 1
+    if checked != sum(1 for i, j in entries.items() if i in relabel and j in relabel):
+        walked = {
+            i for comp in components for i, _ in zip(comp.members, _reference_targets(comp))
+        }
+        i, j = next(
+            (i, j) for i, j in entries.items()
+            if i in relabel and j in relabel and i not in walked
+        )
+        raise CertificationError(f"component walks miss edge {i} -> {j}")
+    return checked
+
+
+def _either(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the reference's outcome decides, whatever it is
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_declared_injections(), st.data())
+def test_classification_matches_the_reference_walk(sigma, data):
+    # one declaration retyped or shifted half the time, so the refusals of
+    # a conflicting oracle are compared too
+    oracle = dict(sigma.component_oracle)
+    if oracle and data.draw(st.booleans()):
+        m = data.draw(st.sampled_from(sorted(oracle)))
+        kind = data.draw(st.sampled_from(list(ComponentType)))
+        oracle[m] = OracleEntry(m, kind, oracle[m].offset + data.draw(st.integers(-2, 2)))
+    sigma = PartialInjection(sigma.entries, oracle)
+    assert _either(classify_components, sigma) == _either(_reference_classify, sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 12), st.integers(0, 12), max_size=10))
+def test_classification_of_replaced_entries_refuses_as_validation_does(entries):
+    validated = _either(PartialInjection, entries)
+    got = _either(classify_components, _mutated(entries))
+    if isinstance(validated, tuple):  # refused: the type and message
+        assert got == validated
+    else:
+        assert got == _either(_reference_classify, validated)
+
+
+@st.composite
+def _tampered_embeddings(draw):
+    """The embedding of a drawn declared injection, its relabel and
+    components then broken by any of: two relabel values swapped, an index
+    off the layout at a path's first or last member, a singleton path at an
+    index off the layout added, a component listed twice beside a node no
+    component lists, a cycle typed as a path, a path's last member cut from
+    its walk and from relabel, a walk reversed."""
+    sigma = draw(_declared_injections())
+    cert = embed_injection(sigma)
+    relabel, components = dict(cert.relabel), list(cert.components)
+    if components and draw(st.booleans()):
+        k = draw(st.integers(0, len(components) - 1))
+        comp = components[k]
+        if comp.kind is not ComponentType.CYCLE and draw(st.booleans()):
+            del relabel[comp.members[-1]]
+            comp = dataclasses.replace(comp, members=comp.members[:-1])
+        else:
+            comp = dataclasses.replace(comp, members=comp.members[::-1])
+        components[k] = comp
+    if len(relabel) >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(sorted(relabel)), min_size=2, max_size=2,
+                             unique=True))
+        relabel[a], relabel[b] = relabel[b], relabel[a]
+    paths = [c.members for c in components if c.kind is not ComponentType.CYCLE and c.members]
+    if paths and draw(st.booleans()):
+        relabel[draw(st.sampled_from(paths))[draw(st.sampled_from([0, -1]))]] = draw(NOT_LAYOUT)
+    fresh = max(sigma.nodes(), default=-1) + 1
+    if draw(st.booleans()):
+        relabel[fresh] = draw(NOT_LAYOUT)
+        single = Component(ComponentType.UNRESOLVED, (fresh,), (0,))
+        components.insert(draw(st.integers(0, len(components))), single)
+    if components and draw(st.booleans()):
+        components.append(draw(st.sampled_from(components)))
+        if draw(st.booleans()):
+            relabel[fresh + 1] = draw(VALID)
+    cycles = [k for k, c in enumerate(components) if c.kind is ComponentType.CYCLE]
+    if cycles and draw(st.booleans()):
+        k = draw(st.sampled_from(cycles))
+        components[k] = dataclasses.replace(components[k], kind=ComponentType.UNRESOLVED)
+    return sigma, relabel, components
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tampered_embeddings())
+def test_embedding_check_matches_the_reference_check(args):
+    got = _either(injections._verify_embedding, *args)
+    assert got == _either(_reference_verify, *args)
+
+
 def _reference_load(text):
     """`load_injection` parsing every line with the full parser, as it did
     before entry lines took a short path."""
@@ -703,9 +863,9 @@ def _mutated(entries):
             id="two-kinds-on-one-path",
         ),
         pytest.param(lambda: classify_components(_mutated({0: 1, 1: 2, 2: 1})), NotInjective,
-                     "walk from 0 re-enters mid-path at 1", id="mutated-entries-path-to-cycle"),
+                     "both 0 and 2 map to 1", id="mutated-entries-path-to-cycle"),
         pytest.param(lambda: classify_components(_mutated({0: 1, 1: 0, 2: 0})), NotInjective,
-                     "walk from 0 re-enters mid-path at 0", id="mutated-entries-tail-into-cycle"),
+                     "both 1 and 2 map to 0", id="mutated-entries-tail-into-cycle"),
         pytest.param(lambda: load_injection("1 -> x"), CertificationError,
                      "line 1: bad entry '1 -> x'", id="load-bad-entry"),
         pytest.param(lambda: load_injection("1 -> 2\n1 -> 3\n"), CertificationError,

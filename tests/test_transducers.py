@@ -527,10 +527,10 @@ BASE_MAPS = [
 
 
 def _lifts(maps):
-    return st.builds(
-        product_lift,
-        st.lists(maps, max_size=4),
-        st.none() | maps.map(lambda f: f.domain),
+    # an empty product takes its tail space from the draw, never the default
+    tails = maps.map(lambda f: f.domain)
+    return st.lists(maps, max_size=4).flatmap(
+        lambda fs: st.builds(product_lift, st.just(fs), st.none() | tails if fs else tails)
     )
 
 
@@ -638,6 +638,8 @@ def test_module_leaves_the_packing_to_transducers(module):
         pytest.param(lambda: product_lift([shift_transducer(CANTOR)]).projection_preimage(-1, (1,)),
                      InvalidBranch, "component index must be nonnegative, got -1",
                      id="preimage-negative-index"),
+        pytest.param(lambda: product_lift([]), EmptyFamily,
+                     "a product of no maps needs a tail space", id="product-of-no-maps"),
         pytest.param(lambda: block_transducer(CANTOR, CANTOR, {}, 0, 1), CertificationError,
                      "block lengths must be positive, got 0 and 1", id="block-empty-input"),
         pytest.param(lambda: block_transducer(CANTOR, CANTOR, {}, 1, 0), CertificationError,
