@@ -30,18 +30,12 @@ A row is `kind:name:size`, one of
                        `embed_injection` of a permutation of 0..N-1 shuffled
                        by `random.Random(N)`; it renders as its sorted
                        relabel items and `checked_edges`, and passes when
-                       every edge was checked;
-  embed:lines:N        the same for 0..N-1 shuffled by `random.Random(N)`
-                       and cut into paths of 2 to 12 members, each declared
-                       a line, declared a ray or left unresolved: many short
-                       paths, the shape of the index dynamics the l1
-                       factoring embeds, where the permutation is a dozen
-                       huge cycles.
+                       every edge was checked.
 The default rows are interval at depths 7, 8 and 10, circle at 7, 8 and 9,
 and cantor at 14, 15 and 16; 2x2-l1, 2x2-linf and 3x3-l1 at base 256 and
 1024; cover at resolution 8, 16 and 24; the pipeline at depth
 16, 20 and 24; square, tent and rot at resolution 32 and 128; the
-permutation at 100,000 and 400,000; the paths at 100,000.  The program
+permutation at 100,000 and 400,000.  The program
 is imported from DIR (default: `src/` of this repository), so the same
 script times another checkout by pointing `--src` at its `src/`; the
 matrices and the extension pieces always come from this checkout's
@@ -133,8 +127,6 @@ PINNED = {
         "36eaf00b13c2608090d03758d2fafcd141394887d8aab2ab2a72178301945b9b",
     "embed:perm:400000":
         "215a4dbfacf3e0e7b61941e51b14297fddc26d655ecb00ad4f168cbff7e8d31f",
-    "embed:lines:100000":
-        "f22691bcb762602f588a5f4b727eda5c71e2a1748216fe8e06c65a9f112889ed",
 }
 DEFAULT_ROWS = tuple(PINNED)
 
@@ -202,34 +194,17 @@ def lift_row(name: str, resolution: int):
 def embed_row(name: str, size: int):
     from factorlift import injections
 
-    nodes = list(range(size))
-    rng = random.Random(size)
-    rng.shuffle(nodes)
-    if name == "perm":
-        sigma = injections.PartialInjection(dict(enumerate(nodes)))
-    elif name == "lines":
-        entries, oracle = {}, {}
-        line, ray = injections.ComponentType.BI_INFINITE_LINE, injections.ComponentType.FORWARD_RAY
-        at = 0
-        while at < size:
-            path = nodes[at : at + rng.randrange(2, 13)]
-            at += len(path)
-            entries.update(zip(path, path[1:]))
-            kind = rng.choice((None, line, ray))
-            if kind is not None:
-                # a ray's back end sits in N, a line's anywhere up to 0
-                base = rng.randrange(4) if kind is ray else -rng.randrange(len(path))
-                for k, m in enumerate(path):
-                    oracle[m] = injections.OracleEntry(m, kind, base + k)
-        sigma = injections.PartialInjection(entries, oracle)
-    else:
+    if name != "perm":
         raise KeyError(name)
+    image = list(range(size))
+    random.Random(size).shuffle(image)
+    sigma = injections.PartialInjection(dict(enumerate(image)))
 
     def certify():
         back = injections.load_injection(injections.dump_injection(sigma))
         cert = injections.embed_injection(back)
         return SimpleNamespace(
-            ok=cert.checked_edges == len(sigma.entries),
+            ok=cert.checked_edges == size,
             render=lambda: "".join(f"{m} {i}\n" for m, i in sorted(cert.relabel.items()))
             + f"checked_edges {cert.checked_edges}\n",
         )

@@ -434,11 +434,7 @@ def _verify_embedding(
             checked += 1
     # distinct walked edges are entries with both ends relabeled, so the
     # counts agree exactly when the walks read every such entry
-    if relabel.keys() >= entries.keys() and all(map(relabel.__contains__, entries.values())):
-        edges = len(entries)
-    else:
-        edges = sum(1 for i, j in entries.items() if i in relabel and j in relabel)
-    if checked != edges:
+    if checked != sum(1 for i, j in entries.items() if i in relabel and j in relabel):
         walked = {i for comp in components for i, _ in zip(comp.members, _targets(comp))}
         i, j = next(
             (i, j) for i, j in entries.items()

@@ -614,8 +614,7 @@ def _reference_targets(comp):
 
 def _reference_verify(sigma, relabel, components):
     """`_verify_embedding` stepping each walk through `successors`, which
-    decodes an index unless it is a successor built earlier, and counting
-    the edges with both ends relabeled one by one."""
+    decodes an index unless it is a successor built earlier."""
     if len(set(relabel.values())) != len(relabel):
         raise NotInjective("relabeling collides")
     listed = sum(len(comp.members) for comp in components)
