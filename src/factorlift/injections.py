@@ -22,6 +22,7 @@ and the l1 commutation certificate reads its edges through it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -458,6 +459,10 @@ def dump_injection(sigma: PartialInjection) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A component declaration exactly as `dump_injection` writes it.
+_DECLARATION = re.compile(r"# component ([0-9]+): ([a-z]+) @ (-?[0-9]+)")
+
+
 def load_injection(text: str) -> PartialInjection:
     entries: dict[int, int] = {}
     oracle: dict[int, OracleEntry] = {}
@@ -476,10 +481,20 @@ def load_injection(text: str) -> PartialInjection:
                     raise CertificationError(f"line {lineno}: second entry for {i}")
                 entries[i] = j
                 continue
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
+        # a declaration in dumped form takes one match; the full parser
+        # reads every other line, and would read a dumped one the same way
+        dumped = _DECLARATION.fullmatch(raw)
+        kind = dumped and kind_names.get(dumped[2])
+        if kind:
+            member, offset = int(dumped[1]), int(dumped[3])
+        else:
+            line = raw.strip()
+            if not line:
+                continue
+            if not line.startswith("#"):
+                if not arrow:
+                    raise CertificationError(f"line {lineno}: expected `i -> j`, got {line!r}")
+                raise CertificationError(f"line {lineno}: bad entry {line!r}")
             body = line.lstrip("#").strip()
             if not body.startswith("component"):
                 continue  # plain comment
@@ -493,13 +508,9 @@ def load_injection(text: str) -> PartialInjection:
                 raise CertificationError(
                     f"line {lineno}: bad component declaration {line!r}"
                 ) from exc
-            if member in oracle:
-                raise CertificationError(
-                    f"line {lineno}: second component declaration for {member}"
-                )
-            oracle[member] = OracleEntry(member, kind, offset)
-            continue
-        if not arrow:
-            raise CertificationError(f"line {lineno}: expected `i -> j`, got {line!r}")
-        raise CertificationError(f"line {lineno}: bad entry {line!r}")
+        if member in oracle:
+            raise CertificationError(
+                f"line {lineno}: second component declaration for {member}"
+            )
+        oracle[member] = OracleEntry(member, kind, offset)
     return PartialInjection(entries, oracle)

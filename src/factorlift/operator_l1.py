@@ -12,20 +12,24 @@ and both certificates) work on integers: a rational vector v is keyed by
 (den, *nums), where den is the least common denominator of its entries and
 nums = den*v, and the matrix is one integer matrix over the least common
 denominator of its entries.  Two vectors are equal exactly when their keys
-are, so integers do the hashing, comparing and stepping.  Fractions appear
-only at the public boundary: the enumeration's points, `value`, the factor
-map and `BanachModel`.
+are, so integers do the hashing, comparing and stepping.  An enumeration
+stores its points as keys, and both certificates step those keys.
+Fractions appear only at the public boundary: `value` and the `points`
+view build them from the keys on each read, and the factor map and
+`BanachModel` work on them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .certificates import CertNode
 from .errors import (
@@ -156,8 +160,15 @@ class BanachModel:
 
 
 def _key(v: Vector) -> tuple[int, ...]:
-    den = math.lcm(*(c.denominator for c in v))
-    return (den, *(c.numerator * (den // c.denominator) for c in v))
+    dens = [c.denominator for c in v]
+    den = math.lcm(*dens)
+    return (den, *[c.numerator * (den // d) for c, d in zip(v, dens)])
+
+
+def _vector(key: tuple[int, ...]) -> Vector:
+    """The vector nums/den that `key` names."""
+    den = key[0]
+    return tuple([Fraction(n, den) for n in key[1:]])
 
 
 def _reduce(den: int, nums: Sequence[int]) -> tuple[int, ...]:
@@ -172,7 +183,7 @@ def _times(mat: list[list[int]], key: tuple[int, ...]) -> list[int]:
     """The integer matrix times the numerators of `key`: the orbit stages'
     only application of the operator."""
     nums = key[1:]
-    return [sum(m * x for m, x in zip(row, nums)) for row in mat]
+    return [sum(map(operator.mul, row, nums)) for row in mat]
 
 
 def _in_ball(kind: NormKind, key: tuple[int, ...]) -> bool:
@@ -221,23 +232,46 @@ def unit_ball_grid(model: BanachModel, count: int) -> list[Vector]:
 # === dense enumerations closed under the scaled operator ===
 
 
+class _Points(Sequence):
+    """`OrbitEnumeration.points`: a read-only view of the stored keys that
+    builds the Fraction vector of a key on each read.  Two views compare
+    by identity; equal points have equal keys."""
+
+    def __init__(self, keys: list[tuple[int, ...]]):
+        self._keys = keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, e: int) -> Vector:
+        return _vector(self._keys[e])
+
+
 @dataclass
 class OrbitEnumeration:
     """A dense-ball enumeration z with z_{pair(e,r)} = points[e], plus the
-    index dynamics sigma realizing (1/rho)T as an injection on indices."""
+    index dynamics sigma realizing (1/rho)T as an injection on indices.
+
+    Point e is stored as its key, keys[e]: the key data is the one thing
+    the certificates take as given.  `points` and `value` build Fraction
+    vectors from it on each read."""
 
     model: BanachModel
     matrix: Matrix
     rho: Fraction
-    points: list[Vector]
+    keys: list[tuple[int, ...]]
     sigma: PartialInjection
     covered: list[int]            # indices pair(e, r) forming sigma's domain pool
     frontier: list[int]           # covered indices omitted: image past the frontier
     # index -> e for every index pair(e, r) the construction made
     point_of: dict[int, int] = field(default_factory=dict, repr=False)
 
+    @property
+    def points(self) -> Sequence[Vector]:
+        return _Points(self.keys)
+
     def value(self, index: int) -> Vector:
-        return self.points[self._point(index)]
+        return _vector(self.keys[self._point(index)])
 
     def _point(self, index: int) -> int:
         """The point e that `index` = pair(e, r) names: read from `point_of`,
@@ -245,7 +279,7 @@ class OrbitEnumeration:
         e = self.point_of.get(index)
         if e is None:
             e, _ = unpair(index)
-        if e >= len(self.points):
+        if e >= len(self.keys):
             raise CertificationError(f"index {index} beyond the enumeration")
         return e
 
@@ -276,14 +310,13 @@ def dense_orbit_enumeration(
         raise NormBoundViolated(
             f"rho = {rho} < exact norm {exact}"
         )
-    points = unit_ball_grid(model, base_count)
-    keys = [_key(v) for v in points]
+    keys = list(map(_key, unit_ball_grid(model, base_count)))
     index = {k: e for e, k in enumerate(keys)}
     step = _scaled_step(matrix, rho)
-    # image[e]: index of the point (1/rho)T points[e], None past the frontier
+    # image[e]: index of the point (1/rho)T keys[e], None past the frontier
     image: dict[int, int | None] = {}
-    depth = [0] * len(points)
-    queue = deque(range(len(points)))
+    depth = [0] * len(keys)
+    queue = deque(range(len(keys)))
     while queue:
         e = queue.popleft()
         if depth[e] >= ORBIT_DEPTH:
@@ -295,9 +328,8 @@ def dense_orbit_enumeration(
             )
         target = index.get(y)
         if target is None:
-            target = index[y] = len(points)
+            target = index[y] = len(keys)
             keys.append(y)
-            points.append(tuple(Fraction(n, y[0]) for n in y[1:]))
             depth.append(depth[e] + 1)
             queue.append(target)
         image[e] = target
@@ -305,7 +337,7 @@ def dense_orbit_enumeration(
         if e not in image:  # never expanded: at ORBIT_DEPTH
             image[e] = index.get(step(y))
     cells = sorted(
-        (pair(e, r), e, r) for e in range(len(points)) for r in range(REPETITIONS)
+        (pair(e, r), e, r) for e in range(len(keys)) for r in range(REPETITIONS)
     )
     covered = [i for i, _, _ in cells]
     point_of = {i: e for i, e, _ in cells}
@@ -326,18 +358,20 @@ def dense_orbit_enumeration(
         j = entries[i] = pair(target, r2)
         point_of[j] = target
     return OrbitEnumeration(
-        model, matrix, rho, points, PartialInjection(entries), covered, frontier, point_of
+        model, matrix, rho, keys, PartialInjection(entries), covered, frontier, point_of
     )
 
 
 def _keyed(enum: OrbitEnumeration):
-    """The enumeration on integer keys, as both certificates read it:
-    keys[e] is the key of points[e] and images[e] the key of (1/rho)T
-    points[e].  The slot after the last point holds the zero key in both,
-    for where pi reads no point."""
-    keys = list(map(_key, enum.points))
+    """The enumeration as both certificates read it: its stored keys, and
+    images[e], the key of (1/rho)T applied to keys[e] on this call.  The
+    slot after the last point holds the zero key in both, for where pi
+    reads no point.  Images come out reduced, so a stored key that is not
+    reduced can fail a comparison its vectors would pass, never the
+    other way round."""
     zero = (1,) + (0,) * enum.model.dim
-    return [*keys, zero], [*map(_scaled_step(enum.matrix, enum.rho), keys), zero]
+    step = _scaled_step(enum.matrix, enum.rho)
+    return [*enum.keys, zero], [*map(step, enum.keys), zero]
 
 
 def enumeration_certificate(enum: OrbitEnumeration) -> CertNode:
@@ -360,8 +394,8 @@ def enumeration_certificate(enum: OrbitEnumeration) -> CertNode:
     cert.check(
         "every point appears at infinitely many indices (spot check)",
         all(
-            enum.value(pair(e, r)) == enum.points[e]
-            for e in range(min(4, len(enum.points)))
+            keys[enum._point(pair(e, r))] == keys[e]
+            for e in range(min(4, len(enum.keys)))
             for r in (0, 5, 100)
         ),
     )
@@ -430,7 +464,7 @@ def commutation_certificate(fmap: FactorMap, rng=None) -> CertNode:
     enum = fmap.enum
     cert = CertNode("factor map commutation")
     keys, images = _keyed(enum)
-    nowhere = len(enum.points)  # the zero slot
+    nowhere = len(enum.keys)  # the zero slot
     zero = keys[nowhere]
     # layout index -> the point pi reads there: the support of pi
     point = {i: enum._point(n) for i, n in fmap.enum_of.items()}
@@ -478,9 +512,9 @@ def commutation_certificate(fmap: FactorMap, rng=None) -> CertNode:
         )
     surj = all(
         keys[point.get(fmap.layout_of[pair(e, 0)], nowhere)] == keys[e]
-        for e in range(len(enum.points))
+        for e in range(len(enum.keys))
     )
     cert.check("every enumeration point is attained by a basis vector", surj,
-               f"{len(enum.points)} points")
+               f"{len(enum.keys)} points")
     return cert
 

@@ -773,6 +773,10 @@ INJECTION_LINES = st.sampled_from([
     "0 -> 1", "1->0", "  2 ->  3  ", "+4 -> 5", "1_0 -> 6", "-1 -> 7", "7 -> 7",
     "0 -> 8", "#0 -> 9", "# note", "# component 2: line @ -3", "# component 2: ray",
     "# component x: ray", "1 -> x", "1 => 2", "1 -> 2 -> 3", "->", "", "   ", "\t5 -> 9",
+    # the dumped form, and lines one step off it
+    "# component 2: cycle @ 1", "# component 02: ray @ -0", "# component 2: bogus @ 1",
+    "# component 2: ray @ 1 @ 4", "# component 2: ray @ 1 ", "## component 2: line @ 5",
+    "# component 2 7: ray @ 1", "# component -2: ray @ 1", "# component 2: ray @ 3x",
 ])
 
 

@@ -240,13 +240,13 @@ def _per_index_scaled_image(enum, v):
 
 def _per_index_enumeration(model, matrix, rho, base_count, orbit_depth, repetitions):
     """Reference construction: every covered index computes its own image
-    and scans for a free repetition, as the original implementation did."""
+    and scans for a free repetition, as the original implementation did.
+    It walks Fraction points and keys them only to build the result."""
     rho = F(rho)
     points = list(unit_ball_grid(model, base_count))
     index = {v: e for e, v in enumerate(points)}
-    enum = OrbitEnumeration(
-        model, matrix, rho, points, PartialInjection({}), [], []
-    )
+    # the scaled image reads only the matrix and rho
+    enum = OrbitEnumeration(model, matrix, rho, [], PartialInjection({}), [], [])
     depth = {e: 0 for e in range(len(points))}
     queue = list(range(len(points)))
     while queue:
@@ -279,10 +279,10 @@ def _per_index_enumeration(model, matrix, rho, base_count, orbit_depth, repetiti
             r2 += 1
         taken.add(r2)
         entries[i] = pair(target, r2)
-    enum.sigma = PartialInjection(entries)
-    enum.covered = covered
-    enum.frontier = frontier
-    return enum
+    keys = [operator_l1._key(v) for v in points]
+    return OrbitEnumeration(
+        model, matrix, rho, keys, PartialInjection(entries), covered, frontier
+    )
 
 
 def _per_index_enumeration_certificate(enum):
@@ -419,28 +419,43 @@ def test_enumeration_and_certificates_match_per_index_original(problem, data):
     if isinstance(want, tuple):
         assert got == want
         return
-    assert got.points == want.points
+    assert got.keys == want.keys and list(got.points) == list(want.points)
     assert got.sigma.entries == want.sigma.entries
     assert got.frontier == want.frontier and got.covered == want.covered
     enum = got
     domain = sorted(enum.sigma.entries)
     fmap = synthesize_factor_map(enum)
-    how = data.draw(st.sampled_from(["none", "sigma", "enum_of"]))
+    # points that sigma enters from another point: a key moved onto one of
+    # them breaks that entering edge in both certificates
+    entered = sorted({
+        unpair(j)[0] for i, j in enum.sigma.entries.items() if unpair(i)[0] != unpair(j)[0]
+    })
+    how = data.draw(st.sampled_from(["none", "sigma", "enum_of", "keys"]))
     if domain and how == "sigma":
         i = data.draw(st.sampled_from(domain))
-        e = data.draw(st.integers(0, len(enum.points) - 1))
+        e = data.draw(st.integers(0, len(enum.keys) - 1))
         enum.sigma.entries[i] = pair(e, data.draw(st.integers(0, 40)))
     elif domain and how == "enum_of":
         victim = data.draw(st.sampled_from(domain))
         other = data.draw(st.sampled_from(enum.covered))
         fmap.enum_of[fmap.layout_of[victim]] = other
-    assert enumeration_certificate(enum).render() == (
-        _per_index_enumeration_certificate(enum).render()
-    )
+    elif entered and how == "keys":
+        victim = data.draw(st.sampled_from(entered))
+        other = data.draw(st.sampled_from([e for e in range(len(enum.keys)) if e != victim]))
+        enum.keys[victim] = enum.keys[other]
+    cert = enumeration_certificate(enum)
+    assert cert.render() == _per_index_enumeration_certificate(enum).render()
     seed = data.draw(st.integers(0, 99))
     with patch.object(operator_l1, "OUTSIDE_SAMPLES", 8):
-        got = commutation_certificate(fmap, random.Random(seed)).render()
-    assert got == _per_index_commutation_certificate(fmap, 8, random.Random(seed)).render()
+        got = commutation_certificate(fmap, random.Random(seed))
+    assert got.render() == _per_index_commutation_certificate(fmap, 8, random.Random(seed)).render()
+    if entered and how == "keys":
+        for failure, title in [
+            (cert.first_failure(), "scaled image matches the enumeration on every covered index"),
+            (got.first_failure(), "exact commutation on every covered basis index"),
+        ]:
+            assert failure.title == title
+            assert re.fullmatch(r"first witness (layout )?index \d+", failure.detail)
 
 
 @settings(max_examples=80, deadline=None)
@@ -452,6 +467,9 @@ def test_point_table_names_the_point_of_every_index_made(problem):
     made = set(enum.covered) | set(enum.sigma.entries.values())
     assert set(enum.point_of) == made
     assert all(enum.point_of[i] == unpair(i)[0] for i in made)
+    points = enum.points
+    assert len(points) == len(enum.keys)
+    assert all(points[e] == enum.value(pair(e, 0)) for e in range(len(points)))
 
 
 @pytest.mark.parametrize(
@@ -460,10 +478,10 @@ def test_point_table_names_the_point_of_every_index_made(problem):
     ids=["enumeration", "commutation"],
 )
 def test_certificates_refuse_indices_past_shortened_points(certify):
-    # every index the construction made has its point recorded; a point
+    # every index the construction made has its point recorded; a key
     # list cut short under them is still refused, not read past its end
     enum = dense_orbit_enumeration(BanachModel(1), ((F(1, 2),),), F(1, 2), base_count=8)
-    del enum.points[1:]
+    del enum.keys[1:]
     with pytest.raises(CertificationError, match="beyond the enumeration"):
         certify(enum)
 
@@ -551,6 +569,13 @@ def test_keys_are_canonical_and_round_trip(v, data):
     key = operator_l1._key(v)
     assert key[0] > 0 and math.gcd(*key) == 1
     assert tuple(F(n, key[0]) for n in key[1:]) == v
+    assert operator_l1._vector(key) == v
+    # a canonical key drawn on its own comes back from its vector
+    den = data.draw(st.integers(1, 10**6))
+    nums = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=4))
+    g = math.gcd(den, *nums)
+    canonical = (den // g, *(n // g for n in nums))
+    assert operator_l1._key(operator_l1._vector(canonical)) == canonical
     # w shares v's length; half the time it is v with one entry moved
     w = data.draw(st.one_of(
         st.tuples(*[rational_entries] * len(v)),
