@@ -82,17 +82,13 @@ class MapFamily:
             )
         if not self.members and self.family is None:
             raise EmptyFamily(f"{self.name} has no members")
-        kind = self.cover.space.kind
-        for pm in self.members:
-            if pm.space.kind != kind:
+        space = self.cover.space
+        for piece in self.members or (self.family,):
+            if piece.space != space:
                 raise SpaceMismatch(
-                    f"{pm.name} lives on {pm.space.kind}, the cover system on {kind}"
+                    f"{piece.name} lives on {piece.space.kind}, the cover system on "
+                    f"{space.kind} ({piece.space!r} against {space!r})"
                 )
-        if self.family is not None and self.family.space.kind != kind:
-            raise SpaceMismatch(
-                f"{self.family.name} lives on {self.family.space.kind}, "
-                f"the cover system on {kind}"
-            )
         if self.map_at is not None and self.family is None:
             raise CertificationError(
                 f"{self.name}: parameter evaluation needs the parameterized form"

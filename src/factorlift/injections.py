@@ -22,15 +22,12 @@ and the l1 commutation certificate reads its edges through it.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CertificationError, InvalidIndex, NotInjective
 from .pairing import pair, unpair
-
-LAYOUT_VERSION = 1
 
 LINE_SHAPE = 0
 RAY_SHAPE = 1
@@ -166,11 +163,11 @@ def successors(indices: Iterable[int]) -> Iterator[int]:
 # === finite injections ===
 
 
-@dataclass(frozen=True)
-class OracleEntry:
+class OracleEntry(NamedTuple):
     """Caller-certified component data for one member.
 
-    component: any stable id (the serialized form uses the anchor member);
+    component: any stable id; the loader stores the declared member, and
+    nothing reads it: it stays because callers build entries positionally.
     offset: position within the component, consistent along entries
     (successor adds 1; cycles wrap mod length).
     """
@@ -359,7 +356,6 @@ class EmbeddingCertificate:
     components: list[Component]
     copies: dict[int, int]  # shape code -> fresh copies used (shapes in use only)
     checked_edges: int
-    layout_version: int = LAYOUT_VERSION
 
 
 def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
@@ -459,10 +455,6 @@ def dump_injection(sigma: PartialInjection) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A component declaration exactly as `dump_injection` writes it.
-_DECLARATION = re.compile(r"# component ([0-9]+): ([a-z]+) @ (-?[0-9]+)")
-
-
 def load_injection(text: str) -> PartialInjection:
     entries: dict[int, int] = {}
     oracle: dict[int, OracleEntry] = {}
@@ -481,33 +473,26 @@ def load_injection(text: str) -> PartialInjection:
                     raise CertificationError(f"line {lineno}: second entry for {i}")
                 entries[i] = j
                 continue
-        # a declaration in dumped form takes one match; the full parser
-        # reads every other line, and would read a dumped one the same way
-        dumped = _DECLARATION.fullmatch(raw)
-        kind = dumped and kind_names.get(dumped[2])
-        if kind:
-            member, offset = int(dumped[1]), int(dumped[3])
-        else:
-            line = raw.strip()
-            if not line:
-                continue
-            if not line.startswith("#"):
-                if not arrow:
-                    raise CertificationError(f"line {lineno}: expected `i -> j`, got {line!r}")
-                raise CertificationError(f"line {lineno}: bad entry {line!r}")
-            body = line.lstrip("#").strip()
-            if not body.startswith("component"):
-                continue  # plain comment
-            try:
-                head, decl = body.split(":", 1)
-                member = int(head.split()[1])
-                parts = decl.strip().split("@")
-                kind = kind_names[parts[0].strip()]
-                offset = int(parts[1]) if len(parts) > 1 else 0
-            except (ValueError, KeyError, IndexError) as exc:
-                raise CertificationError(
-                    f"line {lineno}: bad component declaration {line!r}"
-                ) from exc
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.startswith("#"):
+            if not arrow:
+                raise CertificationError(f"line {lineno}: expected `i -> j`, got {line!r}")
+            raise CertificationError(f"line {lineno}: bad entry {line!r}")
+        body = line.lstrip("#").strip()
+        if not body.startswith("component"):
+            continue  # plain comment
+        try:
+            head, decl = body.split(":", 1)
+            member = int(head.split()[1])
+            parts = decl.strip().split("@")
+            kind = kind_names[parts[0].strip()]
+            offset = int(parts[1]) if len(parts) > 1 else 0
+        except (ValueError, KeyError, IndexError) as exc:
+            raise CertificationError(
+                f"line {lineno}: bad component declaration {line!r}"
+            ) from exc
         if member in oracle:
             raise CertificationError(
                 f"line {lineno}: second component declaration for {member}"

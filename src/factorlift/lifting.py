@@ -349,11 +349,11 @@ class BaireLift:
     name: str = "adaptive-lift"
 
     def __post_init__(self):
-        if self.point_map.target.kind != self.presentation.space.kind:
+        target, space = self.point_map.target, self.presentation.space
+        if target != space:
             raise SpaceMismatch(
-                f"{self.point_map.name} maps into a {self.point_map.target.kind} "
-                f"space but the presentation covers a "
-                f"{self.presentation.space.kind} space"
+                f"{self.point_map.name} maps into a {target.kind} space but the "
+                f"presentation covers a {space.kind} space ({target!r} against {space!r})"
             )
 
     def _walk(self, w: Sequence[int]) -> Iterator[tuple]:

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlift.certificates import CertNode
-from factorlift.covers import CoverSystem, circle_system, corrupt_system, interval_system
+from factorlift.covers import (
+    CoverSystem,
+    circle_system,
+    corrupt_system,
+    interval_system,
+    product_system,
+)
 from factorlift.errors import (
     CertificationError,
     EmptyFamily,
@@ -30,12 +36,13 @@ from factorlift.families import (
     rotation_map_family,
     universal_on_functions,
 )
-from factorlift.geometry import IntervalSpace
+from factorlift.geometry import CantorSpace, IntervalSpace
 from factorlift.lifting import lift_self_map
 from factorlift.pairing import pair
 from factorlift.pointmaps import (
     PointMap,
     affine_map,
+    product_map,
     rotation_family,
     rotation_map,
     tent_map,
@@ -771,6 +778,14 @@ def _blind_contraction():
             lambda: MapFamily(interval_system(), family=rotation_family(circle_system())),
             SpaceMismatch, "rotation-family lives on circle, the cover system on interval",
             id="family-on-another-space",
+        ),
+        pytest.param(
+            lambda: finite_map_family(
+                product_system(CantorSpace(), CantorSpace(), "cp"),
+                [product_map(rotation_map(F(1, 3)), rotation_map(F(1, 5)))],
+            ),
+            SpaceMismatch, "rot(1/3)*rot(1/5) lives on product, the cover system on product",
+            id="member-on-another-product",
         ),
         pytest.param(
             lambda: MapFamily(interval_system(), members=contractions(),

@@ -777,6 +777,7 @@ INJECTION_LINES = st.sampled_from([
     "# component 2: cycle @ 1", "# component 02: ray @ -0", "# component 2: bogus @ 1",
     "# component 2: ray @ 1 @ 4", "# component 2: ray @ 1 ", "## component 2: line @ 5",
     "# component 2 7: ray @ 1", "# component -2: ray @ 1", "# component 2: ray @ 3x",
+    "# component 2: unresolved @ 0", "# component 2: unresolved @",
 ])
 
 

@@ -24,7 +24,13 @@ from factorlift.errors import (
     NoCell,
     SpaceMismatch,
 )
-from factorlift.geometry import CantorSpace, IntervalSpace, least_dyadic_level
+from factorlift.geometry import (
+    CantorSpace,
+    CircleSpace,
+    IntervalSpace,
+    ProductSpace,
+    least_dyadic_level,
+)
 from factorlift.lifting import (
     SYMBOL_BOUND,
     BaireLift,
@@ -376,6 +382,7 @@ def test_cylinder_presentation_laws():
 
 
 IV = IntervalSpace().cell
+CIRCLE_SQUARED = ProductSpace(CircleSpace(), CircleSpace())
 
 
 @contextmanager
@@ -839,6 +846,15 @@ def test_baire_lift_certificate_names_comparable_prefixes():
             "no prefix of the 4096-symbol input pins the image below 3/256 "
             "for resolution 1",
             id="baire-sampling-cap",
+        ),
+        pytest.param(
+            lambda: baire_extension_map(
+                product_system(CantorSpace(), CantorSpace(), "cp"),
+                PolishPointMap(CIRCLE_SQUARED, lambda w: CIRCLE_SQUARED.whole(), "cc"),
+            ).output((0,) * 8, 2),
+            SpaceMismatch,
+            "cc maps into a product space but the presentation covers a product space",
+            id="baire-target-another-product",
         ),
         pytest.param(lambda: CylinderPresentation().slack(-3), CertificationError,
                      "resolution starts at 1", id="cylinder-slack-below-resolution-1"),

@@ -1,10 +1,12 @@
 """Every public function, class and method of the package has a caller or
-a test: its name appears in the code of `src/`, `tests/` or `perfbench/`.
-The match is by bare name, among identifiers, attribute names, keyword
-names and the words of string constants other than docstrings, so a
-`getattr` path counts as a use and prose in a docstring or a comment does
-not.  The names that only tests reach are a frozen list, so a new one is
-added on purpose.
+a test: code in `src/`, `tests/` or `perfbench/` reaches it.  A top-level
+function or class is reached by its bare name, a method only by an
+attribute access; a string constant that is a whole dotted path, as the
+tracer's `"CoverSystem.v_cell"`, reaches every name along it, so a
+`getattr` path counts as a use and prose does not.  A mention inside a
+function of the same name (a method calling its namesake on another
+object, or itself) reaches nothing.  The names that only tests reach are a
+frozen list, so a new one is added on purpose.
 
 Every option of a public function or method, a parameter with a default,
 is passed by some call in `src/`, `bench/` or `perfbench/`, by keyword or by
@@ -22,54 +24,63 @@ ROOT = THIS.parents[1]
 PACKAGE = ROOT / "src" / "factorlift"
 SEARCHED = ("src", "tests", "perfbench")
 PRODUCTION = ("src", "bench", "perfbench")
-WORD = re.compile(r"[A-Za-z_]\w*")
+DOTTED_PATH = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _public_definitions(path: Path):
-    """(name, line) of the module's public top-level functions and classes
-    and of the public methods of its classes."""
+    """(name, line, whether a method) of the module's public top-level
+    functions and classes and of the public methods of its classes."""
     for node in ast.parse(path.read_text()).body:
         for sub in [node] + (node.body if isinstance(node, ast.ClassDef) else []):
             if isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and not sub.name.startswith("_"):
-                yield sub.name, sub.lineno
+                yield sub.name, sub.lineno, sub is not node
 
 
-def _mentions(path: Path) -> Counter:
-    """The identifiers, attribute names and keyword names in the module's
-    code, and the words of its string constants other than docstrings."""
+def _mentions(path: Path) -> tuple[Counter, Counter]:
+    """(bare names, attribute names) that the module's code mentions outside
+    a function of the same name; the names along a string constant that is
+    a whole dotted path, docstrings aside, count as attribute names."""
     tree = ast.parse(path.read_text())
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(node, (ast.Module, ast.ClassDef) + FUNCTIONS)
         and ast.get_docstring(node, clean=False) is not None
     }
-    words = Counter()
-    for node in ast.walk(tree):
+    names, attributes = Counter(), Counter()
+
+    def visit(node, enclosing):
+        if isinstance(node, FUNCTIONS):
+            enclosing = enclosing | {node.name}
         if isinstance(node, ast.Name):
-            words[node.id] += 1
+            names.update({node.id} - enclosing)
         elif isinstance(node, ast.Attribute):
-            words[node.attr] += 1
-        elif isinstance(node, ast.keyword) and node.arg is not None:
-            words[node.arg] += 1
+            attributes.update({node.attr} - enclosing)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if id(node) not in docstrings:
-                words.update(WORD.findall(node.value))
-    return words
+            if id(node) not in docstrings and DOTTED_PATH.fullmatch(node.value):
+                attributes.update(set(node.value.split(".")) - enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return names, attributes
 
 
 def _named_only_where_defined(tops) -> dict[str, str]:
     """{name: "module.py:line"} of the public names that the code of the
-    `.py` files under `tops`, this file aside, never mentions."""
-    mentions = Counter()
+    `.py` files under `tops`, this file aside, never reaches."""
+    names, attributes = Counter(), Counter()
     for top in tops:
         for path in (ROOT / top).rglob("*.py"):
             if path != THIS:
-                mentions.update(_mentions(path))
+                bare, attrs = _mentions(path)
+                names.update(bare)
+                attributes.update(attrs)
     where = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, lineno in _public_definitions(path):
-            if not mentions[name]:
+        for name, lineno, method in _public_definitions(path):
+            if not attributes[name] and (method or not names[name]):
                 where.setdefault(name, f"{path.name}:{lineno}")
     return where
 
@@ -84,6 +95,10 @@ def test_every_public_name_is_used_outside_its_definition():
 TEST_ONLY = {
     # U, the l1 isometry law and the factor map pi
     "apply_universal", "norm1", "apply",
+    # the scalar multiple on the right of the U/pi law test
+    "scale",
+    # the level-k cells that the select_children laws filter as their reference
+    "mesh",
     # the shipped Cantor transducers, which the Cantor-space copy of N^N is to run
     "shift_transducer", "odometer_transducer", "substitution_transducer",
     "block_transducer", "constant_transducer",
