@@ -108,7 +108,11 @@ class CoverSystem:
 
     def selection(self, s: Word) -> list[Cell]:
         """The padded W-cells for the children of word s."""
-        return self._select(self.v_cell(s), len(s), _rebase(self.tamper, s))
+        return self._selection(s, self.v_cell(s))
+
+    def _selection(self, s: Word, v: Cell) -> list[Cell]:
+        """`selection(s)` from V_s = v, read once; `_rebase` only if tampered."""
+        return self._select(v, len(s), _rebase(self.tamper, s) if self.tamper else {})
 
     def _select(self, v: Cell, k: int, below: dict) -> list[Cell]:
         """The padded W-cells below a level-k cell v, given the tamper
@@ -118,9 +122,11 @@ class CoverSystem:
 
     def w_cell(self, s: Sequence[int]) -> Cell:
         s = tuple(s)
-        if not s:
-            return self.space.whole()
-        sel, j = self.selection(s[:-1]), s[-1]  # padded to child_arity(len(s))
+        return self._w_cell(s, self.v_cell(s[:-1])) if s else self.space.whole()
+
+    def _w_cell(self, s: Word, parent: Cell) -> Cell:
+        """W_s for a nonempty word s, given its parent cell V_{s[:-1]}."""
+        sel, j = self._selection(s[:-1], parent), s[-1]  # padded to child_arity(len(s))
         if not 0 <= j < len(sel):  # a negative j would wrap
             raise InvalidBranch(f"symbol {j} at level {len(s)} exceeds arity {len(sel)}")
         return sel[j]
@@ -132,7 +138,8 @@ class CoverSystem:
             if not s:
                 cell = self._v_memo[s] = self.space.whole()
             else:
-                cell = self._child(s, self.v_cell(s[:-1]), self.w_cell(s))
+                parent = self.v_cell(s[:-1])
+                cell = self._child(s, parent, self._w_cell(s, parent))
         return cell
 
     def _child(self, s: Word, parent: Cell, w: Cell) -> Cell:
@@ -146,9 +153,9 @@ class CoverSystem:
     def locate_child(self, t: Word, region: Cell, slack: Fraction) -> Optional[int]:
         """The least child j of word t whose open cell keeps the open
         slack-ball around every point of the closed region, or None.  The
-        parent cell and its selection are read once for all children."""
+        parent cell is read once, and the selection is built from it."""
         parent, memo = self.v_cell(t), self._v_memo
-        for j, w in enumerate(self.selection(t)):
+        for j, w in enumerate(self._selection(t, parent)):
             s = t + (j,)
             cell = memo.get(s)
             if cell is None:
@@ -307,11 +314,14 @@ def _class_verdict(
     cell nested in the parent) and whether both its cells are below the
     diameter bound; then whether the W cells cover the parent's closure,
     and whether eps is a Lebesgue number for them there."""
+    p, q = bound.numerator, bound.denominator
+
+    def small(cell) -> bool:  # diam(cell) < p/q
+        x = space.diam(cell)
+        return x.numerator * q < p * x.denominator
+
     per_child = tuple(
-        (False, True) if v is None else (
-            space.closed_subset(v, parent),
-            space.diam(v) < bound and space.diam(w) < bound,
-        )
+        (False, True) if v is None else (space.closed_subset(v, parent), small(v) and small(w))
         for w, v in zip(sel, kids)
     )
     return (

@@ -25,8 +25,9 @@ radius 7/8 of the spacing, so neighbours overlap, and 8j +- 7 is odd, so
 the cell is born reduced.  Which cells meet a closed [a/d, b/d] is integer
 floor division (`_mesh_span`); the circle takes the same indices on the
 line and reduces them mod 2^(k+1).  The predicates compare integer
-numerators over one common denominator, which `_scaled` finds for any
-cells together with a rational radius or eps.
+numerators over one common denominator: `intersect` and `eroded_contains`,
+the steps of a descent, scale their cells and radius by one `math.lcm`;
+the other predicates, the cover checks and `cell`/`arc` use `_scaled`.
 
 Every interval, circle and Cantor cover predicate is one `_chain_cover`
 call, a sweep over closed intervals with integer ends.  Open covers run on
@@ -141,8 +142,8 @@ class Space:
     # module docstring); diameters, radii and points are rationals.  The
     # interval and circle build cells from rationals with cell(lo, hi) and
     # arc(start, length).  select_children(base, k) is the level-k mesh
-    # cells meeting the closure of base, padded to child_arity(k) through
-    # _pad.
+    # cells meeting the closure of base, padded to child_arity(k) by _pad;
+    # the interval and circle pad mesh indices, then build the cells.
     # canonical(cell, k) keys a level-k cell up to an isometry that maps
     # every mesh of level k + 1 and finer onto itself and keeps the order
     # of the selected children: cells with equal keys get the same verdict
@@ -160,17 +161,17 @@ class Space:
     def canonical(self, cell: Cell, k: int):
         return None
 
-    def _pad(self, pool, arity: int, cell=None) -> list[Cell]:
-        """The pool padded to the arity by repeating its last member.  A
-        pool of mesh indices is sized before `cell` builds any of them."""
+    def _pad(self, pool, arity: int) -> list:
+        """The pool padded to the arity by repeating its last member; an
+        empty pool or one past the arity is refused.  Spaces that pad
+        indices size the pool before building any of its cells."""
         if not pool:
             raise CertificationError(f"{self.kind}: empty child pool")
         if len(pool) > arity:
             raise CertificationError(
                 f"{self.kind}: pool of {len(pool)} exceeds arity {arity}"
             )
-        cells = list(pool) if cell is None else [cell(j) for j in pool]
-        return cells + [cells[-1]] * (arity - len(cells))
+        return list(pool) + [pool[-1]] * (arity - len(pool))
 
 
 class _DyadicSpace(Space):
@@ -219,7 +220,7 @@ class IntervalSpace(_DyadicSpace):
         a, b, d = base
         lo, hi = _mesh_span(max(a, 0), min(b, d), d, k)
         span = range(max(lo, 0), min(hi, 2 ** (k + 1)) + 1)
-        return self._pad(span, self.child_arity(k), lambda j: _mesh_cell(k, j))
+        return [_mesh_cell(k, j) for j in self._pad(span, self.child_arity(k))]
 
     def canonical(self, cell: Cell, k: int):
         """None for a clamped cell and for one meeting the level-(k + 1)
@@ -236,8 +237,10 @@ class IntervalSpace(_DyadicSpace):
         return F(max(a, 0), d), F(min(b, d), d)
 
     def intersect(self, x: Cell, y: Cell) -> Optional[Cell]:
-        (a, b, c, e), d = _scaled((x, y))
-        lo, hi = max(a, c), min(b, e)
+        (a, b, p), (c, e, q) = x, y
+        d = math.lcm(p, q)
+        m, n = d // p, d // q
+        lo, hi = max(a * m, c * n), min(b * m, e * n)
         return _reduced(lo, hi, d) if lo < hi else None
 
     def diam(self, cell: Cell) -> Fraction:
@@ -255,8 +258,10 @@ class IntervalSpace(_DyadicSpace):
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
         """Every point of the closed region keeps its open radius-ball
         inside the open outer cell (relative to [0, 1])."""
-        (u, v, p, q, r), d = _scaled((outer, region), radius)
-        p, q = max(p, 0), min(q, d)
+        (u, v, c), (p, q, e) = outer, region
+        d = math.lcm(c, e, radius.denominator)
+        m, n, r = d // c, d // e, radius.numerator * (d // radius.denominator)
+        u, v, p, q = u * m, v * m, max(p * n, 0), min(q * n, d)
         left = u < 0 or (p - r >= u and p > u)
         right = v > d or (q + r <= v and q < v)
         return left and right
@@ -336,7 +341,7 @@ class CircleSpace(_DyadicSpace):
             pool = range(n)
         else:
             pool = sorted(j % n for j in range(lo, hi + 1))
-        return self._pad(pool, self.child_arity(k), lambda j: _mesh_arc(k, j))
+        return [_mesh_arc(k, j) for j in self._pad(pool, self.child_arity(k))]
 
     def canonical(self, cell: Cell, k: int):
         """None for the whole circle and for an arc running into line
@@ -348,11 +353,14 @@ class CircleSpace(_DyadicSpace):
         return self._shift_key(s, s + l, d, k, 0)
 
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
-        (sa, la, sb, lb), d = _scaled((a, b))
-        if la >= d:
+        (sa, la, p), (sb, lb, q) = a, b
+        if la >= p:
             return b
-        if lb >= d:
+        if lb >= q:
             return a
+        d = math.lcm(p, q)
+        m, n = d // p, d // q
+        sa, la, sb, lb = sa * m, la * m, sb * n, lb * n
         if la + lb >= d:
             raise CertificationError("arc intersection may be disconnected")
         t = (sb - sa) % d
@@ -376,9 +384,12 @@ class CircleSpace(_DyadicSpace):
         return lo >= d or (si - so) % d + li <= lo
 
     def eroded_contains(self, outer: Cell, region: Cell, radius: Fraction) -> bool:
-        (s, l, rs, rl, r), d = _scaled((outer, region), radius)
-        if l >= d:
+        (s, l, c), (rs, rl, e) = outer, region
+        if l >= c:
             return True
+        d = math.lcm(c, e, radius.denominator)
+        m, n, r = d // c, d // e, radius.numerator * (d // radius.denominator)
+        s, l, rs, rl = s * m, l * m, rs * n, rl * n
         if l < 2 * r:
             return False
         if r == 0:
@@ -613,7 +624,7 @@ class FiniteMetricSpace(Space):
 
     def select_children(self, base: Cell, k: int) -> list[Cell]:
         """The singletons of base's points, in index order."""
-        return self._pad(sorted(set(base)), self.child_arity(k), lambda i: (i,))
+        return [(i,) for i in self._pad(sorted(set(base)), self.child_arity(k))]
 
     def intersect(self, a: Cell, b: Cell) -> Optional[Cell]:
         common = tuple(sorted(set(a) & set(b)))

@@ -186,8 +186,8 @@ def _descend(presentation, name: str, t: Word, kk: int, region, label) -> Word:
     """One resolution down a presentation: the region, read at `label`,
     must be at most half the level-kk slack wide, and the located child of
     t keeps the slack-ball around it (`_keeps_slack`)."""
-    r = presentation.slack(kk)
-    if presentation.space.diam(region) > r / 2:
+    r, w = presentation.slack(kk), presentation.space.diam(region)
+    if 2 * w.numerator * r.denominator > r.numerator * w.denominator:  # w > r/2
         raise NoCell(
             f"{name}: region at {label} is wider than {r}/2; moduli too "
             f"coarse for resolution {kk}"

@@ -884,9 +884,11 @@ def _ref_locate_child(cs, t, region, slack):
     return None
 
 
+# regions also from the oracle strategies, whose denominators (3, 7, 21,
+# 200) differ from the slack's
 LOCATE_SYSTEMS = {
-    "interval": (interval_system, INTERVAL_CELLS),
-    "circle": (circle_system, ARCS),
+    "interval": (interval_system, st.one_of(INTERVAL_CELLS, ORACLE_INTERVALS)),
+    "circle": (circle_system, st.one_of(ARCS, ORACLE_ARCS)),
     "cantor-product": (
         lambda: product_system(CantorSpace(), CantorSpace(), "cantor-product"),
         st.tuples(BITS, BITS),
@@ -897,8 +899,10 @@ LOCATE_SYSTEMS = {
 @st.composite
 def _locate_cases(draw):
     """A fresh-system maker, possibly corrupted below the word t, a region
-    drawn freely or shrunk inside a child's cell, a slack, and the children
-    to look up before locating."""
+    drawn freely or shrunk inside a child's cell, a slack (0, a power of
+    1/2, or the system's own schedule at the child level, numerator 3 on
+    the interval and circle), and the children to look up before
+    locating."""
     make, regions = LOCATE_SYSTEMS[draw(st.sampled_from(sorted(LOCATE_SYSTEMS)))]
     base = make()
     t = tuple(
@@ -911,7 +915,9 @@ def _locate_cases(draw):
     tamper = {}
     if draw(st.booleans()):
         tamper = corrupt_system(base, t + (draw(st.integers(0, arity - 1)),)).tamper
-    slack = draw(st.one_of(st.just(F(0)), st.integers(3, 12).map(lambda m: F(1, 2 ** m))))
+    slack = draw(st.one_of(
+        st.just(F(0)), st.integers(3, 12).map(lambda m: F(1, 2 ** m)), st.just(base.slack(len(t) + 1))
+    ))
     warm = draw(st.lists(st.integers(0, arity - 1), max_size=2))
     return (lambda: CoverSystem(base.space, base.name, tamper=dict(tamper))), t, region, slack, warm
 

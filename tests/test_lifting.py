@@ -35,6 +35,8 @@ from factorlift.lifting import (
     SYMBOL_BOUND,
     BaireLift,
     CylinderPresentation,
+    _descend,
+    _keeps_slack,
     baire_extension_map,
     lift_self_map,
     presentation_certificate,
@@ -360,6 +362,34 @@ def test_region_leaving_its_cell_names_the_missing_child():
         r"\(\(\), \(0, 0, 0, 0, 0, 0, 0, 0\)\)$",
     ):
         lift.prefix((), (0,) * 8, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["interval", "circle"]),
+    st.integers(1, 8),
+    st.fractions(0, F(1, 2), max_denominator=1000),
+)
+def test_descend_takes_a_region_exactly_half_the_slack_wide(kind, kk, start):
+    """The width test is `diam(region) <= slack/2`: a region exactly that
+    wide descends to a child keeping the slack-ball around it, and one a
+    hair wider is refused, naming its label."""
+    cs = interval_system() if kind == "interval" else circle_system()
+    r, label = cs.slack(kk), ((0, 1), (2,))
+
+    def region(width):
+        if kind == "interval":
+            return cs.space.cell(start, start + width)
+        return cs.space.arc(start, width)
+
+    exact = region(r / 2)
+    assert cs.space.diam(exact) == r / 2
+    t = locate_ball(cs, exact, r, kk - 1)
+    word = _descend(cs, "lift", t, kk, exact, label)
+    assert word[:-1] == t and _keeps_slack(cs, cs.v_cell(word), exact, kk)
+    message = f"lift: region at {label} is wider than {r}/2; moduli too coarse for resolution {kk}"
+    with pytest.raises(NoCell, match=f"^{re.escape(message)}$"):
+        _descend(cs, "lift", t, kk, region(r / 2 + F(1, 2 ** 64)), label)
 
 
 def test_resolution_zero_reads_nothing_whatever_was_asked_before():
