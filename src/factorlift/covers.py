@@ -12,6 +12,8 @@ point, which is what the locate operations manipulate.
 Each branch symbol is checked once, when its word first enters: `w_cell`
 checks its last symbol and `v_cell` recurses to the parent first, so the
 memo keys are checked words and an error names the lowest bad level.
+`CoverSystem._children` is the one child list: `w_cell`, `locate_child`
+and the class walk all read their W cells from it.
 
 Descent is one level at a time, through one presentation protocol of
 four members: `space`, the presented space; `slack(k)`, the radius
@@ -106,27 +108,21 @@ class CoverSystem:
             slacks.append(min(slacks[-1] / 2, self.epsilon(len(slacks)) / 4))
         return slacks[k - 1]
 
-    def selection(self, s: Word) -> list[Cell]:
-        """The padded W-cells for the children of word s."""
-        return self._selection(s, self.v_cell(s))
-
-    def _selection(self, s: Word, v: Cell) -> list[Cell]:
-        """`selection(s)` from V_s = v, read once; `_rebase` only if tampered."""
-        return self._select(v, len(s), _rebase(self.tamper, s) if self.tamper else {})
-
-    def _select(self, v: Cell, k: int, below: dict) -> list[Cell]:
-        """The padded W-cells below a level-k cell v, given the tamper
-        entries below it keyed by suffix."""
-        sel = self.space.select_children(v, k + 1)
-        return [below.get((j,), cell) for j, cell in enumerate(sel)] if below else sel
+    def _children(self, s: Word, v: Cell) -> list[Cell]:
+        """The one child list: the W cells below word s, padded to
+        child_arity(len(s) + 1), given its cell V_s = v already read, with
+        the tamper entries below s swapped in (`_rebase` only if tampered)."""
+        sel = self.space.select_children(v, len(s) + 1)
+        below = _rebase(self.tamper, s) if self.tamper else None
+        return [below.get((j,), w) for j, w in enumerate(sel)] if below else sel
 
     def w_cell(self, s: Sequence[int]) -> Cell:
         s = tuple(s)
         return self._w_cell(s, self.v_cell(s[:-1])) if s else self.space.whole()
 
     def _w_cell(self, s: Word, parent: Cell) -> Cell:
-        """W_s for a nonempty word s, given its parent cell V_{s[:-1]}."""
-        sel, j = self._selection(s[:-1], parent), s[-1]  # padded to child_arity(len(s))
+        """W_s for a nonempty word s, from `_children` of its parent cell V_{s[:-1]}."""
+        sel, j = self._children(s[:-1], parent), s[-1]
         if not 0 <= j < len(sel):  # a negative j would wrap
             raise InvalidBranch(f"symbol {j} at level {len(s)} exceeds arity {len(sel)}")
         return sel[j]
@@ -153,9 +149,9 @@ class CoverSystem:
     def locate_child(self, t: Word, region: Cell, slack: Fraction) -> Optional[int]:
         """The least child j of word t whose open cell keeps the open
         slack-ball around every point of the closed region, or None.  The
-        parent cell is read once, and the selection is built from it."""
+        parent cell is read once, and its `_children` are built from it."""
         parent, memo = self.v_cell(t), self._v_memo
-        for j, w in enumerate(self._selection(t, parent)):
+        for j, w in enumerate(self._children(t, parent)):
             s = t + (j,)
             cell = memo.get(s)
             if cell is None:
@@ -226,13 +222,13 @@ def _class_levels(cs: CoverSystem, depth: int) -> Iterator[tuple[list, list]]:
     has no children and is not expanded."""
     space = cs.space
     classes = [[(), 1, space.whole(), _rebase(cs.tamper, ())]]
-    for k in range(depth):
+    for _ in range(depth):
         expanded, children = [], {}
         for c in classes:
             s, mult, parent, below = c
             if parent is None:
                 continue
-            sel = cs._select(parent, k, below)
+            sel = cs._children(s, parent)  # s is least, so its _rebase is below
             kids = [space.intersect(parent, w) for w in sel]
             expanded.append((c, sel, kids))
             for j, v in enumerate(kids):

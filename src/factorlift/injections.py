@@ -279,7 +279,8 @@ def _type_component(members, is_cycle, sigma: PartialInjection) -> Component:
                 raise CertificationError(
                     f"oracle declares {entry.kind.value} but {m} lies on a {n}-cycle"
                 )
-        _check_cycle_offsets(members, oracle, n)
+        if oracle:
+            _declared_offsets(members, oracle, cycle=True)
         return Component(ComponentType.CYCLE, tuple(members), tuple(range(n)))
     kinds = {e.kind for e in oracle.values()}
     if not kinds:
@@ -295,7 +296,7 @@ def _type_component(members, is_cycle, sigma: PartialInjection) -> Component:
         raise CertificationError(
             "oracle declares a cycle but the explored walk does not close"
         )
-    offsets = _propagate_offsets(members, oracle)
+    offsets = _declared_offsets(members, oracle, cycle=False)
     if kind is ComponentType.FORWARD_RAY:
         if offsets[0] < 0:
             raise CertificationError(
@@ -304,34 +305,26 @@ def _type_component(members, is_cycle, sigma: PartialInjection) -> Component:
     return Component(kind, tuple(members), tuple(offsets))
 
 
-def _check_cycle_offsets(members, oracle, n) -> None:
-    # Offsets of a declared cycle only need to be consistent up to rotation.
-    if not oracle:
-        return
+def _declared_offsets(members, oracle, cycle: bool) -> range:
+    """The offsets along `members` that a nonempty oracle fixes from its
+    least declared member; every declaration must match them, exactly on a
+    path and mod the length on a cycle (which has no preferred rotation)."""
     position = {m: k for k, m in enumerate(members)}
     anchor_member, anchor = min(oracle.items())
-    base = position[anchor_member]
+    base, n = position[anchor_member], len(members)
     for m, entry in oracle.items():
-        steps = (position[m] - base) % n
-        if (entry.offset - anchor.offset) % n != steps:
+        steps = position[m] - base
+        if cycle and (entry.offset - anchor.offset - steps) % n:
             raise CertificationError(
-                f"cycle offsets inconsistent at {m}: "
-                f"declared {entry.offset}, expected {anchor.offset}+{steps} mod {n}"
+                f"cycle offsets inconsistent at {m}: declared {entry.offset}, "
+                f"expected {anchor.offset}+{steps % n} mod {n}"
             )
-
-
-def _propagate_offsets(members, oracle) -> list[int]:
-    position = {m: k for k, m in enumerate(members)}
-    anchor_member, anchor = min(oracle.items())
-    base = position[anchor_member]
-    offsets = [anchor.offset + (i - base) for i in range(len(members))]
-    for m, entry in oracle.items():
-        if offsets[position[m]] != entry.offset:
+        if not cycle and entry.offset != anchor.offset + steps:
             raise CertificationError(
                 f"path offsets inconsistent at {m}: declared {entry.offset}, "
-                f"walk gives {offsets[position[m]]}"
+                f"walk gives {anchor.offset + steps}"
             )
-    return offsets
+    return range(anchor.offset - base, anchor.offset - base + n)
 
 
 # === embedding ===

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, pairwise
 from typing import Iterator, Optional, Sequence
 
 from .certificates import CertNode
@@ -127,13 +127,11 @@ class StrongLift:
         region = self.family.region(q[:l], s[:m])
         return _keeps_slack(self.cs, self.cs.v_cell(t[:k]), region, k)
 
-    def certificate(
-        self, resolution: int, samples: int, rng, name: Optional[str] = None
-    ) -> CertNode:
+    def certificate(self, resolution: int, samples: int, rng) -> CertNode:
         """Sampled soundness: at every resolution up to the target, the
         family's region sits inside the located cell with the full slack
         to spare, and regions shrink under prefix extension."""
-        cert = CertNode(name or f"{self.name}: factor identity to depth {resolution}")
+        cert = CertNode(f"{self.name}: factor identity to depth {resolution}")
         space = self.cs.space
         l_top, m_top = self.moduli(resolution)
         cert.note(
@@ -222,12 +220,10 @@ class LiftedSelfMap:
         rng,
         exact_samples: int = 0,
     ) -> CertNode:
-        cert = self.lift.certificate(
-            resolution,
-            samples,
-            rng,
-            name=f"lift[{self.point_map.name}]: projection intertwines the map "
-            f"to depth {resolution}",
+        cert = self.lift.certificate(resolution, samples, rng)
+        cert.title = (
+            f"lift[{self.point_map.name}]: projection intertwines the map "
+            f"to depth {resolution}"
         )
         if exact_samples:
             space = self.cs.space
@@ -397,7 +393,7 @@ class BaireLift:
         try:
             for k, _ in zip(range(1, len(w) + 1), self._walk(w)):
                 pass
-        except (InsufficientInput, NoCell):
+        except InsufficientInput:
             pass
         return k
 
@@ -444,14 +440,13 @@ class BaireLift:
             not diam_bad,
             f"first failure at (w, k) = {diam_bad[0]}" if diam_bad else "",
         )
-        overlap = []
-        for k, prefixes in enumerate(read, 1):
-            family = sorted(prefixes)
-            for i, a in enumerate(family):
-                for b in family[i + 1 :]:
-                    n = min(len(a), len(b))
-                    if a[:n] == b[:n]:
-                        overlap.append((k, a, b))
+        # words sorted between a and an extension of a extend a: check neighbours
+        overlap = [
+            (k, a, b)
+            for k, prefixes in enumerate(read, 1)
+            for a, b in pairwise(sorted(prefixes))
+            if b[: len(a)] == a
+        ]
         cert.check(
             "the minimal prefixes read at each resolution form antichains",
             not overlap,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from factorlift.certificates import CertNode, summary_line
 from factorlift.covers import (
     CoverSystem,
+    _class_levels,
     _class_verdict,
     cantor_system,
     circle_system,
@@ -1152,6 +1153,11 @@ def test_project_circle_alternating():
 # --- Lebesgue numbers ---
 
 
+def _w_cells(cs: CoverSystem, s: tuple) -> list:
+    """The W cells below word s, read one child word at a time."""
+    return [cs.w_cell(s + (j,)) for j in range(cs.child_arity(len(s) + 1))]
+
+
 def test_lebesgue_frozen_values():
     # interval and circle: 3/2^(k+5); streams: 2^-(k+2); finite: min distance / 4
     cases = [
@@ -1165,7 +1171,7 @@ def test_lebesgue_frozen_values():
     for cs, s, eps in cases:
         assert cs.epsilon(len(s)) == eps
         # every eps-ball centred in the closure of V_s lies in a selected W cell
-        assert cs.space.eroded_cover_of_closure(cs.v_cell(s), cs.selection(s), eps)
+        assert cs.space.eroded_cover_of_closure(cs.v_cell(s), _w_cells(cs, s), eps)
 
 
 def test_lebesgue_below_level_scale():
@@ -1174,7 +1180,7 @@ def test_lebesgue_below_level_scale():
             s = (0,) * k
             eps = cs.epsilon(k)
             assert 0 < eps < F(1, 2 ** k)
-            assert cs.space.eroded_cover_of_closure(cs.v_cell(s), cs.selection(s), eps)
+            assert cs.space.eroded_cover_of_closure(cs.v_cell(s), _w_cells(cs, s), eps)
 
 
 # --- ball location ---
@@ -1263,7 +1269,7 @@ def _word_walk(cs: CoverSystem, depth: int) -> CertNode:
         diam_bad, cover_bad, lebesgue_bad, glue_bad = [], [], [], []
         for s in words:
             parent = cs.v_cell(s)
-            children = cs.selection(s)
+            children = _w_cells(cs, s)
             for j, w in enumerate(children):
                 sj = s + (j,)
                 v = space.intersect(parent, w)
@@ -1394,6 +1400,38 @@ def tampered_systems(draw, name):
 def test_tampered_renders_match_word_walk(name, data):
     cs, depth = data.draw(tampered_systems(name))
     _same_verdict(cs, depth)
+
+
+def _class_cells_match_word_reads(cs: CoverSystem, depth: int) -> None:
+    """Every class the walk expands reads the W cells that `w_cell` reads
+    word by word, on a fresh system, below the class's least word.  A walk
+    that refuses a level refuses as the word reads of the first class of
+    that level that they cannot read."""
+    fresh = CoverSystem(cs.space, cs.name, tamper=dict(cs.tamper))
+    levels, classes = _class_levels(cs, depth), [[(), 1, cs.space.whole(), None]]
+    while (step := _outcome(next, levels, None)) is not None:
+        if isinstance(step, str):  # refused while expanding `classes`
+            reads = (_outcome(_w_cells, fresh, s) for s, _, v, _ in classes if v is not None)
+            assert next((r for r in reads if isinstance(r, str)), None) == step
+            return
+        expanded, classes = step
+        for (s, _, _, _), sel, _ in expanded:
+            assert sel == _w_cells(fresh, s), s
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_class_walk_reads_the_w_cells_of_its_least_words(data):
+    name = data.draw(st.sampled_from(["interval", "circle"]))
+    make, max_depth = SYSTEMS[name]
+    base = make()
+    word = tuple(
+        data.draw(st.integers(0, base.child_arity(i + 1) - 1))
+        for i in range(data.draw(st.integers(1, 3)))
+    )
+    _class_cells_match_word_reads(corrupt_system(base, word), max_depth)
+    cs, depth = data.draw(tampered_systems(data.draw(st.sampled_from(sorted(SYSTEMS)))))
+    _class_cells_match_word_reads(cs, depth)
 
 
 # --- translation classes ---

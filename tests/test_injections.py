@@ -356,6 +356,66 @@ def test_oracle_offset_conflict_rejected():
         classify_components(cycle)
 
 
+def _ref_check_cycle_offsets(members, oracle, n) -> None:
+    # Offsets of a declared cycle only need to be consistent up to rotation.
+    if not oracle:
+        return
+    position = {m: k for k, m in enumerate(members)}
+    anchor_member, anchor = min(oracle.items())
+    base = position[anchor_member]
+    for m, entry in oracle.items():
+        steps = (position[m] - base) % n
+        if (entry.offset - anchor.offset) % n != steps:
+            raise CertificationError(
+                f"cycle offsets inconsistent at {m}: "
+                f"declared {entry.offset}, expected {anchor.offset}+{steps} mod {n}"
+            )
+
+
+def _ref_propagate_offsets(members, oracle) -> list[int]:
+    position = {m: k for k, m in enumerate(members)}
+    anchor_member, anchor = min(oracle.items())
+    base = position[anchor_member]
+    offsets = [anchor.offset + (i - base) for i in range(len(members))]
+    for m, entry in oracle.items():
+        if offsets[position[m]] != entry.offset:
+            raise CertificationError(
+                f"path offsets inconsistent at {m}: declared {entry.offset}, "
+                f"walk gives {offsets[position[m]]}"
+            )
+    return offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_declared_offsets_match_the_cycle_and_path_references(data):
+    # the one offset check against the separate cycle and path checks it
+    # replaced: consistent declarations (any representative mod n on a
+    # cycle), then up to three of them shifted
+    members = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+    n, cycle = len(members), data.draw(st.booleans())
+    kind = ComponentType.CYCLE if cycle else ComponentType.BI_INFINITE_LINE
+    shift = data.draw(st.integers(-20, 20))
+    declared = data.draw(st.lists(st.sampled_from(members), min_size=1, unique=True))
+    oracle = {}
+    for m in declared:
+        offset = members.index(m) + shift
+        if cycle:
+            offset = offset % n + n * data.draw(st.integers(-1, 1))
+        oracle[m] = OracleEntry(m, kind, offset)
+    for m in data.draw(st.lists(st.sampled_from(declared), max_size=3, unique=True)):
+        oracle[m] = OracleEntry(m, kind, oracle[m].offset + data.draw(st.integers(-2 * n, 2 * n)))
+    got = _either(injections._declared_offsets, members, oracle, cycle)
+    if cycle:
+        want = _either(_ref_check_cycle_offsets, members, oracle, n)
+    else:
+        want = _either(_ref_propagate_offsets, members, oracle)
+    if isinstance(want, tuple):  # refused: the type and message
+        assert got == want
+    else:
+        assert not isinstance(got, tuple) and (cycle or list(got) == want)
+
+
 def test_long_declared_line_embeds():
     members = random.Random(8).sample(range(10**6), 20_000)
     offsets = range(-7000, 13_000)

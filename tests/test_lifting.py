@@ -451,6 +451,9 @@ def test_baire_lift_refuses_a_region_that_leaves_its_cell():
     message = r"^lift\[leaves-cell\]: no level-2 cell below \(\d+,\) holds the image of \(0, 0\)$"
     with _within_one_second(), pytest.raises(NoCell, match=message):
         bl.output((0, 0), 2)
+    # the walk that cannot place its image refuses, not a shorter resolution
+    with pytest.raises(NoCell, match=message):
+        bl.max_resolution((0, 0))
 
 
 def test_baire_identity_lift_is_identity():
@@ -565,8 +568,6 @@ def test_baire_walk_reads_the_minimal_prefixes_a_fresh_scan_finds(pair_name, w, 
     except InsufficientInput:
         # the walk runs out of input exactly where a fresh scan does
         assert _ref_minimal_prefix(bl, w, reached + 1) is None
-    except NoCell:
-        pass
     assert bl.max_resolution(w) == min(reached, len(w))
     cut = data.draw(st.integers(0, len(w)))
     assert bl.max_resolution(w[:cut]) <= bl.max_resolution(w) <= len(w)
