@@ -45,9 +45,14 @@ nominal seconds read from this checkout's benchmark clock
 (`perfbench/speedmeter.py`), which scales program time by the machine's
 measured speed so that runs made minutes apart on a shared host compare.
 One JSON line per row gives the row, the median nominal seconds over the
-runs, the verdict (PASS, FAIL, or the type and message of the error raised)
-and `render_sha256`, the SHA-256 of the rendered certificate (null when an
+runs with their minimum and maximum (`min_seconds`, `max_seconds`), the
+verdict (PASS, FAIL, or the type and message of the error raised) and
+`render_sha256`, the SHA-256 of the rendered certificate (null when an
 error was raised), so two checkouts can be shown to certify byte-identically.
+A single run cannot tell a 2x change on a row: one row's time has been
+seen to double between back-to-back runs of the same code on a shared
+host, so compare rows with `--repeats` of 3 or more, and read a change
+only where the two checkouts' min-max spans do not overlap.
 The exit code is 1 when any row's verdict is not PASS, a default row's
 `render_sha256` differs from the digest recorded in `PINNED`, or two default
 rows share a `render_sha256` (a pin that cannot tell two pipelines apart),
@@ -244,6 +249,7 @@ def time_row(row: str, repeats: int) -> dict:
     finally:
         meter.stop()
     return {"row": row, "seconds": round(statistics.median(times), 3),
+            "min_seconds": round(min(times), 3), "max_seconds": round(max(times), 3),
             "verdict": verdict, "render_sha256": sha}
 
 
@@ -251,7 +257,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rows", nargs="*", default=DEFAULT_ROWS)
     ap.add_argument("--src", default=str(ROOT / "src"))
-    ap.add_argument("--repeats", type=int, default=1)
+    ap.add_argument("--repeats", type=int, default=1,
+                    help="runs per row (one run cannot tell a 2x change on a row)")
     args = ap.parse_args(argv)
     # the program from --src; the matrices and pieces from this checkout's benchmark
     sys.path[:0] = [args.src, str(ROOT / "perfbench")]

@@ -108,12 +108,13 @@ class CoverSystem:
             slacks.append(min(slacks[-1] / 2, self.epsilon(len(slacks)) / 4))
         return slacks[k - 1]
 
-    def _children(self, s: Word, v: Cell) -> list[Cell]:
+    def _children(self, s: Word, v: Cell, below: Optional[dict] = None) -> list[Cell]:
         """The one child list: the W cells below word s, padded to
         child_arity(len(s) + 1), given its cell V_s = v already read, with
-        the tamper entries below s swapped in (`_rebase` only if tampered)."""
+        the tamper entries below s swapped in (`below` if carried, else `_rebase`)."""
         sel = self.space.select_children(v, len(s) + 1)
-        below = _rebase(self.tamper, s) if self.tamper else None
+        if below is None and self.tamper:
+            below = _rebase(self.tamper, s)
         return [below.get((j,), w) for j, w in enumerate(sel)] if below else sel
 
     def w_cell(self, s: Sequence[int]) -> Cell:
@@ -228,7 +229,7 @@ def _class_levels(cs: CoverSystem, depth: int) -> Iterator[tuple[list, list]]:
             s, mult, parent, below = c
             if parent is None:
                 continue
-            sel = cs._children(s, parent)  # s is least, so its _rebase is below
+            sel = cs._children(s, parent, below)
             kids = [space.intersect(parent, w) for w in sel]
             expanded.append((c, sel, kids))
             for j, v in enumerate(kids):

@@ -14,20 +14,23 @@ is injective on the whole layout.
 Decoding an index costs two integer square roots (one per Cantor level);
 stepping costs one `pair`.  A step only moves pos, so the successor of
 pair(component, pos) is pair(component, pos'), which decodes to
-(component, shape, pos') exactly, pairing being a bijection: a walk along a
-component decodes once.  The embedding check carries that decode along each
-component's members; `successors` carries it across a sequence of indices,
-and the l1 commutation certificate reads its edges through it.
+(component, shape, pos') exactly, pairing being a bijection.  Consecutive
+positions have codes in arithmetic runs (+1 on a ray or a cycle, -2 then +2
+on a line), each packed by one `pair_run`, so the embedding lays out each
+component, and its check rebuilds it from one decode, by runs.
+`successors` carries a decode across a sequence of indices, and the l1
+commutation certificate reads its edges through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import cycle, islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CertificationError, InvalidIndex, NotInjective
-from .pairing import pair, unpair
+from .pairing import pair, pair_run, unpair
 
 LINE_SHAPE = 0
 RAY_SHAPE = 1
@@ -59,36 +62,38 @@ def _component(shape: int, copy: int) -> int:
     return pair(shape, copy)
 
 
-def _codes(shape: int, positions: Sequence[int]) -> Iterable[int]:
-    """The position codes of `positions` on a component of `shape`: a line
-    position through zigzag, a cycle position mod the length shape - 1."""
+def _run(component: int, shape: int, start: int, n: int) -> list[int]:
+    """The layout indices of the n positions from `start` on pair(shape,
+    copy): a line's negative positions fall to code 1, the rest rise from 0;
+    a cycle's run starts at start mod its length and cycles if it wraps."""
     if shape == LINE_SHAPE:
-        return map(zigzag, positions)
+        if start >= 0:
+            return pair_run(component, zigzag(start), 2, n)
+        k = min(n, -start)
+        return pair_run(component, zigzag(start), -2, k) + pair_run(component, 0, 2, n - k)
     if shape == RAY_SHAPE:
-        low = min(positions, default=0)
-        if low < 0:
-            raise InvalidIndex(f"ray positions live in N, got {low}")
-        return positions
-    return [p % (shape - 1) for p in positions]
-
-
-def _encode(component: int, shape: int, position: int) -> int:
-    """The layout index of a position on pair(shape, copy)."""
-    return pair(component, *_codes(shape, (position,)))
+        if start < 0 < n:
+            raise InvalidIndex(f"ray positions live in N, got {start}")
+        return pair_run(component, start, 1, n)
+    length = shape - 1
+    q = start % length
+    if q + n <= length:
+        return pair_run(component, q, 1, n)
+    return list(islice(cycle(pair_run(component, 0, 1, length)), q, q + n))
 
 
 def encode_line(copy: int, position: int) -> int:
-    return _encode(_component(LINE_SHAPE, copy), LINE_SHAPE, position)
+    return _run(_component(LINE_SHAPE, copy), LINE_SHAPE, position, 1)[0]
 
 
 def encode_ray(copy: int, position: int) -> int:
-    return _encode(_component(RAY_SHAPE, copy), RAY_SHAPE, position)
+    return _run(_component(RAY_SHAPE, copy), RAY_SHAPE, position, 1)[0]
 
 
 def encode_cycle(length: int, copy: int, position: int) -> int:
     if length < 1:
         raise InvalidIndex(f"cycle length must be >= 1, got {length}")
-    return _encode(_component(length + 1, copy), length + 1, position)
+    return _run(_component(length + 1, copy), length + 1, position, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -185,24 +190,27 @@ class PartialInjection:
     component_oracle: dict[int, OracleEntry] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self._validate()
+
+    def _validate(self) -> None:
+        """Refuse the first entry that leaves N or repeats an image, then a
+        declared member outside N."""
         values = self.entries.values()
         if (
             min(self.entries, default=0) < 0
             or min(values, default=0) < 0
             or len(set(values)) != len(values)
         ):
-            self._refuse()
-
-    def _refuse(self) -> None:
-        """Raise for the first entry, in order, that leaves N or repeats an
-        image."""
-        seen: dict[int, int] = {}
-        for i, j in self.entries.items():
-            if i < 0 or j < 0:
-                raise InvalidIndex(f"entry {i} -> {j} leaves N")
-            if j in seen:
-                raise NotInjective(f"both {seen[j]} and {i} map to {j}")
-            seen[j] = i
+            seen: dict[int, int] = {}
+            for i, j in self.entries.items():
+                if i < 0 or j < 0:
+                    raise InvalidIndex(f"entry {i} -> {j} leaves N")
+                if j in seen:
+                    raise NotInjective(f"both {seen[j]} and {i} map to {j}")
+                seen[j] = i
+        low = min(self.component_oracle, default=0)
+        if low < 0:
+            raise InvalidIndex(f"declared member {low} leaves N")
 
     def inverse(self) -> dict[int, int]:
         return {j: i for i, j in self.entries.items()}
@@ -230,12 +238,15 @@ def classify_components(sigma: PartialInjection) -> list[Component]:
     of kind UNRESOLVED declares nothing, on any shape.  Components come in
     order of their smallest member: each walk starts at the least
     node not yet walked, the minimum of its own component.
+
+    Entries and declarations are validated again, as at construction, in
+    case they were replaced; only a path's back walk reads the inverse map.
     """
-    inv = sigma.inverse()
-    if len(inv) != len(sigma.entries):
-        sigma._refuse()  # entries replaced after validation repeat an image
+    sigma._validate()
     out: list[Component] = []
     left = sigma.nodes()
+    # every node has an entry, and no walk goes back, on cycles alone
+    inv = sigma.inverse() if len(left) != len(sigma.entries) else {}
     for start in sorted(left):
         if start in left:
             members, is_cycle = _walk_component(start, sigma.entries, inv)
@@ -271,7 +282,7 @@ def _type_component(members, is_cycle, sigma: PartialInjection) -> Component:
     oracle = {
         m: declared[m] for m in members
         if m in declared and declared[m].kind is not ComponentType.UNRESOLVED
-    }
+    } if declared else {}
     if is_cycle:
         n = len(members)
         for m, entry in oracle.items():
@@ -287,7 +298,7 @@ def _type_component(members, is_cycle, sigma: PartialInjection) -> Component:
         # Finite path of unknown type: smallest explored member sits at 0.
         anchor = min(members)
         base = members.index(anchor)
-        positions = tuple(i - base for i in range(len(members)))
+        positions = tuple(range(-base, len(members) - base))
         return Component(ComponentType.UNRESOLVED, tuple(members), positions)
     if len(kinds) > 1:
         raise CertificationError(f"oracle conflicts on one component: {kinds}")
@@ -337,12 +348,12 @@ class EmbeddingCertificate:
     relabel is injective; for every edge i -> sigma(i) with both ends
     relabeled, successor(relabel[i]) == relabel[sigma(i)] holds exactly.
     The check reads the edges along each component's path order (and the
-    closing edge of a cycle): it decodes the first member's index and steps
-    that decode along the walk, since a successor that matched relabel[j]
-    is relabel[j], so each component is decoded once.  Every walked edge
-    must be an entry of sigma, and the walks must read as many edges as
-    sigma has with both ends relabeled, so each of those is checked exactly
-    once.
+    closing edge of a cycle): it decodes the first member's index once, as
+    a successor that matched relabel[j] is relabel[j], and compares whole
+    lists: the walk's entries in sigma with its targets, and the run of
+    successors one position on with their relabels; only a failing walk is
+    read edge by edge, to name its first bad edge.  The walks must read as
+    many edges as sigma has with both ends relabeled, so each is read once.
     """
 
     relabel: dict[int, int]
@@ -370,9 +381,8 @@ def embed_injection(sigma: PartialInjection) -> EmbeddingCertificate:
             shape = LINE_SHAPE
         copy = copies.get(shape, 0)
         copies[shape] = copy + 1
-        component = _component(shape, copy)
-        codes = _codes(shape, comp.positions)
-        relabel.update(zip(comp.members, [pair(component, q) for q in codes]))
+        run = _run(_component(shape, copy), shape, comp.positions[0], len(comp.members))
+        relabel.update(zip(comp.members, run))
     return EmbeddingCertificate(
         relabel=relabel,
         components=components,
@@ -408,23 +418,25 @@ def _verify_embedding(
     checked = 0
     for comp in components:
         members, targets = comp.members, _targets(comp)
-        # a path's last member has no target, so it is never decoded
-        if targets:
-            component, shape, _, q = _split(relabel[members[0]])
-        for i, j in zip(members, targets):
-            q = _step(shape, q)
-            got = pair(component, q)
-            if entries.get(i) != j:
-                raise CertificationError(f"component walk steps {i} -> {j}, not an entry")
-            if got != relabel[j]:
-                raise CertificationError(
-                    f"conjugacy fails on edge {i} -> {j}: "
-                    f"successor({relabel[i]}) = {got} != {relabel[j]}"
-                )
-            checked += 1
+        n = len(targets)
+        if not n:  # a path's last member has no target, so it is never decoded
+            continue
+        component, shape, _, q = _split(relabel[members[0]])
+        run = _run(component, shape, (unzigzag(q) if shape == LINE_SHAPE else q) + 1, n)
+        walked = tuple(map(entries.get, members[:n]))
+        if walked != targets or run != list(map(relabel.get, targets)):
+            for i, j, got in zip(members, targets, run):
+                if entries.get(i) != j:
+                    raise CertificationError(f"component walk steps {i} -> {j}, not an entry")
+                if got != relabel[j]:
+                    raise CertificationError(
+                        f"conjugacy fails on edge {i} -> {j}: "
+                        f"successor({relabel[i]}) = {got} != {relabel[j]}"
+                    )
+        checked += n
     # distinct walked edges are entries with both ends relabeled, so the
     # counts agree exactly when the walks read every such entry
-    if checked != sum(1 for i, j in entries.items() if i in relabel and j in relabel):
+    if checked != sum(map(relabel.__contains__, map(entries.get, relabel))):
         walked = {i for comp in components for i, _ in zip(comp.members, _targets(comp))}
         i, j = next(
             (i, j) for i, j in entries.items()

@@ -6,12 +6,14 @@ import re
 from itertools import chain, islice, permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factorlift import injections
 from factorlift.errors import CertificationError, InvalidIndex, NotInjective
 from factorlift.injections import (
+    LINE_SHAPE,
+    RAY_SHAPE,
     Component,
     ComponentType,
     OracleEntry,
@@ -29,7 +31,7 @@ from factorlift.injections import (
     unzigzag,
     zigzag,
 )
-from factorlift.pairing import pair, unpair
+from factorlift.pairing import pair, pair_run, unpair
 
 
 # === pairing ===
@@ -49,11 +51,44 @@ def test_pair_roundtrip_bulk(a, b, n):
     assert pair(*unpair(n)) == n
 
 
+# small arguments, where a falling run reaches 0 and below, and huge ones
+RUN_ARGUMENTS = st.one_of(st.integers(-3, 30), st.integers(2 ** 64, 2 ** 66))
+
+
+@settings(max_examples=500, deadline=None)
+@given(RUN_ARGUMENTS, RUN_ARGUMENTS, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       st.integers(-1, 14))
+def test_pair_run_is_pair_along_a_progression(a, b, step, n):
+    # the same list, or the refusal pair gives at the first negative argument
+    want = _either(lambda: [pair(a, b + k * step) for k in range(n)])
+    assert _either(pair_run, a, b, step, n) == want
+
+
 def test_zigzag_is_a_bijection_on_window():
     codes = {zigzag(p) for p in range(-50, 51)}
     assert codes == set(range(101))
     for q in range(101):
         assert zigzag(unzigzag(q)) == q
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["line", "ray", "cycle"]), st.integers(0, 4), st.integers(1, 5),
+       st.integers(-12, 12), st.integers(0, 16))
+@example("line", 1, 1, -3, 7)  # crosses 0 upward
+@example("line", 0, 1, -4, 2)  # stays below 0
+@example("line", 2, 1, 0, 5)  # starts at 0
+@example("ray", 0, 1, -1, 0)  # an empty run from a refused start
+@example("ray", 3, 1, -2, 1)  # refused at its start
+@example("cycle", 1, 2, 5, 9)  # starts past its length, wraps more than once
+@example("cycle", 0, 1, -7, 3)  # the fixed point
+def test_a_run_reads_the_encoders_position_by_position(kind, copy, length, start, n):
+    shape, encode = {
+        "line": (LINE_SHAPE, lambda p: encode_line(copy, p)),
+        "ray": (RAY_SHAPE, lambda p: encode_ray(copy, p)),
+        "cycle": (length + 1, lambda p: encode_cycle(length, copy, p)),
+    }[kind]
+    want = _either(lambda: [encode(start + k) for k in range(n)])
+    assert _either(injections._run, pair(shape, copy), shape, start, n) == want
 
 
 # === successor on the layout, frozen oracle values ===
@@ -576,6 +611,43 @@ def test_embedding_check_refuses_a_broken_conjugacy(broken):
     assert injections._verify_embedding(*_controlled_embedding()) == 4
 
 
+def _large_embedding():
+    """A permutation of 0..49,999, the size the benchmark embeds, with its
+    relabel, its components and the index of its largest cycle among them."""
+    image = list(range(50_000))
+    random.Random(50_000).shuffle(image)
+    sigma = PartialInjection(dict(enumerate(image)))
+    cert = embed_injection(sigma)
+    k = max(range(len(cert.components)), key=lambda k: len(cert.components[k].members))
+    return sigma, dict(cert.relabel), list(cert.components), k
+
+
+def test_a_large_embedding_check_names_the_deep_witness_the_reference_names():
+    sigma, relabel, components, k = _large_embedding()
+    members = components[k].members
+    assert len(members) > 10_000
+    assert injections._verify_embedding(sigma, relabel, components) == 50_000
+    # two relabel values swapped deep inside the largest cycle
+    a, b = len(members) * 3 // 5, len(members) * 4 // 5
+    swapped = dict(relabel)
+    swapped[members[a]], swapped[members[b]] = relabel[members[b]], relabel[members[a]]
+    # one target deleted mid-walk, from the walk and from relabel
+    c = len(members) // 2
+    cut = {m: i for m, i in relabel.items() if m != members[c]}
+    shortened = list(components)
+    shortened[k] = dataclasses.replace(components[k], members=members[:c] + members[c + 1:])
+    for args, message in [
+        ((sigma, swapped, components),
+         f"conjugacy fails on edge {members[a - 1]} -> {members[a]}: "
+         f"successor({relabel[members[a - 1]]}) = {relabel[members[a]]} "
+         f"!= {relabel[members[b]]}"),
+        ((sigma, cut, shortened),
+         f"component walk steps {members[c - 1]} -> {members[c + 1]}, not an entry"),
+    ]:
+        got = _either(injections._verify_embedding, *args)
+        assert got == _either(_reference_verify, *args) == ("CertificationError", message)
+
+
 def test_embedding_is_deterministic():
     rng = random.Random(5)
     sigma = _random_partial_injection(rng, 80)
@@ -731,7 +803,7 @@ def test_classification_matches_the_reference_walk(sigma, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.integers(0, 12), st.integers(0, 12), max_size=10))
+@given(st.dictionaries(st.integers(-3, 12), st.integers(-3, 12), max_size=10))
 def test_classification_of_replaced_entries_refuses_as_validation_does(entries):
     validated = _either(PartialInjection, entries)
     got = _either(classify_components, _mutated(entries))
@@ -896,6 +968,13 @@ def _mutated(entries):
     return sigma
 
 
+def _redeclared(oracle):
+    """A valid injection whose declarations are then replaced."""
+    sigma = PartialInjection({0: 1})
+    sigma.component_oracle = dict(oracle)
+    return sigma
+
+
 @pytest.mark.parametrize(
     "call, exc, fragment",
     [
@@ -911,6 +990,16 @@ def _mutated(entries):
                      "copies live in N, got -1", id="cycle-negative-copy"),
         pytest.param(lambda: PartialInjection({-1: 0}), InvalidIndex,
                      "entry -1 -> 0 leaves N", id="negative-entry"),
+        pytest.param(
+            lambda: PartialInjection({0: 1}, {-5: OracleEntry(-5, ComponentType.FORWARD_RAY)}),
+            InvalidIndex, "declared member -5 leaves N", id="negative-declared-member",
+        ),
+        pytest.param(lambda: classify_components(_mutated({-1: 0, 0: 3})), InvalidIndex,
+                     "entry -1 -> 0 leaves N", id="mutated-entries-negative-member"),
+        pytest.param(
+            lambda: classify_components(_redeclared({-2: OracleEntry(-2, ComponentType.CYCLE)})),
+            InvalidIndex, "declared member -2 leaves N", id="redeclared-negative-member",
+        ),
         pytest.param(
             lambda: classify_components(PartialInjection(
                 {0: 1, 1: 0}, {0: OracleEntry(0, ComponentType.FORWARD_RAY)}
@@ -941,6 +1030,8 @@ def _mutated(entries):
         ),
         pytest.param(lambda: pair(-1, 0), ValueError,
                      "pair needs nonnegative arguments, got (-1, 0)", id="pair-negative"),
+        pytest.param(lambda: pair_run(2, 3, -2, 3), ValueError,
+                     "pair needs nonnegative arguments, got (2, -1)", id="pair-run-falls-below-0"),
         pytest.param(lambda: unpair(-1), ValueError,
                      "unpair needs a nonnegative argument, got -1", id="unpair-negative"),
     ],
