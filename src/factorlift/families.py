@@ -1,17 +1,17 @@
 """Lifting whole families of maps to one universal system.
 
-Escalating constructions.  A finite or parameterized family of self-maps
-of a compact space becomes a family of branch transducers (family_lift).
-Finitely many self-transducers of one stream space pack into a single
-coordinatewise map whose evaluation projections intertwine exactly
-(universal_on_functions).  Mixed families over different compact spaces
-chain both stages into one transducer over unbounded branching
-(common_extension_baire), with one composed factor pipeline per requested
-member.  For families of uniform contractions the function-space picture
-compresses to a finite tabulated model with an adjoined limit row
-(contractive_common_extension); controlled_powers_check separates the
-families where that compression is sound from those where sampling refutes
-it, rotations being the standard refutation.
+Escalating constructions.  A finite family of self-maps of a compact space
+becomes a family of branch transducers (family_lift, which refuses
+parameterized families).  Finitely many self-transducers of one stream
+space pack into a single coordinatewise map whose evaluation projections
+intertwine exactly (universal_on_functions).  Mixed families over
+different compact spaces chain both stages into one transducer over
+unbounded branching (common_extension_baire), with one composed factor
+pipeline per requested member.  For families of uniform contractions the
+function-space picture compresses to a finite tabulated model with an
+adjoined limit row (contractive_common_extension); controlled_powers_check
+separates the families where that compression is sound from those where
+sampling refutes it, rotations being the standard refutation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .geometry import least_dyadic_level
-from .lifting import LiftedSelfMap, StrongLift, lift_self_map, strong_extension_map
+from .lifting import LiftedSelfMap, lift_self_map
 from .pointmaps import (
     ParameterizedFamily,
     PointMap,
@@ -124,36 +124,23 @@ def rotation_map_family(cover: CoverSystem) -> MapFamily:
 
 @dataclass
 class LiftedFamily:
-    """The branch-transducer form of a map family, member by member for
-    finite families or as one parameter-fed lift otherwise."""
+    """The branch-transducer form of a finite map family, member by member."""
 
     source: MapFamily
-    members: tuple = ()
-    lift: Optional[StrongLift] = None
+    members: tuple
 
     def transducers(self) -> list:
         return [m.transducer for m in self.members]
 
-    def certificate(
-        self, resolution: int, samples: int, rng, exact_samples: int = 0
-    ) -> CertNode:
-        node = CertNode(f"family lift [{self.source.name}] to depth {resolution}")
-        if self.members:
-            for m in self.members:
-                node.add(m.certificate(resolution, samples, rng, exact_samples))
-        else:
-            node.add(self.lift.certificate(resolution, samples, rng))
-        return node
-
 
 def family_lift(fam: MapFamily) -> LiftedFamily:
-    """Rewrite every member over the family's cover system.  Each lifted
-    member projects back to the original map, which is exactly what the
-    per-member certificates re-check."""
-    if fam.finite:
-        lifted = tuple(lift_self_map(fam.cover, pm) for pm in fam.members)
-        return LiftedFamily(fam, members=lifted)
-    return LiftedFamily(fam, lift=strong_extension_map(fam.cover, fam.family))
+    """Rewrite every member of a finite family over the family's cover
+    system.  Each lifted member projects back to the original map, which is
+    exactly what its `LiftedSelfMap.certificate` re-checks.  A parameterized
+    family is refused: it has no member list to lift."""
+    if not fam.finite:
+        raise CertificationError(f"{fam.name}: pipeline pieces must be finite families")
+    return LiftedFamily(fam, tuple(lift_self_map(fam.cover, pm) for pm in fam.members))
 
 
 # === stage two: the universal map on function tuples ===
@@ -344,7 +331,8 @@ class CommonExtension:
             for fam, lf in zip(self.pieces, self.lifted)
         )
         node.note("pieces", shape)
-        out_len = max(mf.projection.modulus(resolution) for mf in self.member_factors())
+        factors = self.member_factors()
+        out_len = max(mf.projection.modulus(resolution) for mf in factors)
         in_len = self.machine.modulus(out_len)
         node.note(
             "packed sizes",
@@ -377,7 +365,7 @@ class CommonExtension:
         if last is not None:
             z, out = last
             comp = node.section("composed factor maps agree with staged extraction")
-            for mf in self.member_factors():
+            for mf in factors:
                 direct = extract_stream(extract_stream(z, mf.piece_index), mf.member_index)
                 comp.check(
                     f"piece {mf.piece_index} member {mf.member_index}: "
@@ -411,11 +399,6 @@ def common_extension_baire(pieces: Sequence[MapFamily]) -> CommonExtension:
     if not pieces:
         raise EmptyFamily("the common extension needs at least one piece")
     lifted = tuple(family_lift(p) for p in pieces)
-    for fam, lf in zip(pieces, lifted):
-        if not lf.members:
-            raise CertificationError(
-                f"{fam.name}: pipeline pieces must be finite families"
-            )
     universals = tuple(universal_on_functions(lf.transducers()) for lf in lifted)
     prod = product_lift([u.machine for u in universals], tail_space=BAIRE)
     return CommonExtension(pieces, lifted, universals, prod, prod.lift)

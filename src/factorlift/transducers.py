@@ -7,11 +7,11 @@ at least k output symbols.  These are the finite, checkable avatars of
 continuous maps between the corresponding infinite-product spaces.
 
 This module owns the packed layout: position pair(n, i) of a packed word
-holds symbol i of component n.  The slot walker `_slots` is the one place
-that lists a component's positions, one component at a time, and
-`stream_width` counts them in closed form.  The product step walks only the
-components whose map is not the identity: an identity component's symbols
-pass through where they stand.  Everything else reads components through
+holds symbol i of component n.  `_slots` is the one place that lists a
+component's positions, one `pair_run` over the symbols that `stream_width`
+counts in closed form.  The product step walks only the listed components:
+a component past the list is the identity, and its symbols pass through
+where they stand.  Everything else reads components through
 `extract_stream`, `pack_streams`, `stream_width` and the projections of a
 `ProductLift`, and asks a projection's modulus for packed sizes.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
 from math import isqrt
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     CertificationError,
@@ -31,7 +31,7 @@ from .errors import (
     InvalidBranch,
     SpaceMismatch,
 )
-from .pairing import pair
+from .pairing import pair, pair_run
 
 Word = tuple[int, ...]
 
@@ -54,6 +54,8 @@ class SymbolicSpace:
 
     def arities(self, length: int) -> list[Optional[int]]:
         """Alphabet sizes of levels 0 .. length - 1."""
+        if length < 0:
+            raise CertificationError(f"word length must be nonnegative, got {length}")
         return list(self.head[:length]) + [self.tail] * (length - len(self.head))
 
 
@@ -75,7 +77,7 @@ class InterleavedSpace:
         """Alphabet sizes of packed positions 0 .. length - 1."""
         out: list[Optional[int]] = [None] * length
         for n in count():
-            slots = list(_slots(n, length))
+            slots = _slots(n, length)
             if not slots:
                 return out
             for p, a in zip(slots, self.component(n).arities(len(slots))):
@@ -173,21 +175,8 @@ def compose_transducers(f: PrefixTransducer, g: PrefixTransducer) -> PrefixTrans
 # === built-ins ===
 
 
-def _identity_step(w: Word) -> Word:
-    return w
-
-
-def _identity_modulus(k: int) -> int:
-    return k
-
-
 def identity_transducer(space: Space) -> PrefixTransducer:
-    return PrefixTransducer(space, space, _identity_step, _identity_modulus, "id")
-
-
-def _is_identity(f: PrefixTransducer) -> bool:
-    """True only for the rules `identity_transducer` installs, whatever the name."""
-    return f.step_fn is _identity_step and f.modulus_fn is _identity_modulus
+    return PrefixTransducer(space, space, lambda w: w, lambda k: k, "id")
 
 
 def shift_transducer(space: Space) -> PrefixTransducer:
@@ -281,20 +270,18 @@ def block_transducer(
 # === interleaving ===
 
 
-def _slots(n: int, length: int) -> Iterator[int]:
+def _slots(n: int, length: int) -> list[int]:
     """Packed positions of component n below length, in order: symbol i sits
-    at pair(n, i), and pair(n, i + 1) - pair(n, i) = n + i + 2."""
-    p, step = pair(n, 0), n + 2
-    while p < length:
-        yield p
-        p += step
-        step += 1
+    at pair(n, i)."""
+    return pair_run(n, 0, 1, stream_width(n, length))
 
 
 def stream_width(n: int, length: int) -> int:
     """Number of symbols of component n a packed word of this length holds."""
     if n < 0:
         raise InvalidBranch(f"component index must be nonnegative, got {n}")
+    if length < 0:
+        raise CertificationError(f"packed length must be nonnegative, got {length}")
     # component n has one slot on each diagonal s >= n, at pair(n, s - n) =
     # (s^2 + 3s)/2 - n; the last diagonal below length is the largest s
     # with (2s + 3)^2 <= 8(length + n) + 5
@@ -345,11 +332,7 @@ def pack_streams(
 # === the product lift ===
 
 
-def _component(maps, tail, n: int) -> PrefixTransducer:
-    return maps[n] if n < len(maps) else tail
-
-
-def _product_step(component, w: Word) -> Word:
+def _product_step(maps, w: Word) -> Word:
     # The output ends at the first position a component leaves open.
     # First slots pair(n, 0) grow with n, so a component whose first
     # slot lies at or past the end found so far can neither add a
@@ -358,18 +341,18 @@ def _product_step(component, w: Word) -> Word:
     end = None
     n = 0
     while end is None or pair(n, 0) < end:
-        f = component(n)
-        if _is_identity(f):
-            open_at = pair(n, stream_width(n, len(w)))
-        else:
-            outs.append((n, f.step_fn(extract_stream(w, n))))
+        if n < len(maps):
+            outs.append((n, maps[n].step_fn(extract_stream(w, n))))
             open_at = pair(n, len(outs[-1][1]))
+        else:
+            open_at = pair(n, stream_width(n, len(w)))
         end = open_at if end is None else min(end, open_at)
         n += 1
-    # An identity component leaves open its first slot at or past len(w),
-    # so its slots below end all lie below len(w) and already hold its
-    # output: the packed word starts as w, zero-padded when end > len(w),
-    # and only the other components' slots are written.
+    # A component past the list is the identity: it leaves open its first
+    # slot at or past len(w), so its slots below end all lie below len(w)
+    # and already hold its output.  The packed word starts as w,
+    # zero-padded when end > len(w), and only the listed components' slots
+    # are written.
     out = list(w[:end]) + [0] * (end - len(w))
     for n, s in outs:
         for p, sym in zip(_slots(n, end), s):
@@ -382,22 +365,22 @@ def _is_product(f: PrefixTransducer) -> bool:
     return isinstance(f.modulus_fn, partial) and f.modulus_fn.func is _product_modulus
 
 
-def _product_modulus(component, k: int) -> int:
+def _product_modulus(maps, k: int) -> int:
     # Moduli need not be monotone, so every symbol's modulus is asked, but
     # a product modulus is nondecreasing in k (each term of the max below
     # grows with k), so a nested product is asked at its last slot alone.
-    # An identity component asks for no more than its own slots below k.
+    # A component past the list is the identity, which asks for no more
+    # than its own slots below k, so the walk ends with the list.
     need = k
     n = 0
-    while pair(n, 0) < k:
-        f = component(n)
-        if not _is_identity(f):
-            width = stream_width(n, k)
-            if _is_product(f):
-                m = f.modulus(width)
-            else:
-                m = max(f.modulus(i) for i in range(1, width + 1))
-            need = max(need, _packed_length(n, m))
+    while n < len(maps) and pair(n, 0) < k:
+        f = maps[n]
+        width = stream_width(n, k)
+        if _is_product(f):
+            m = f.modulus(width)
+        else:
+            m = max(f.modulus(i) for i in range(1, width + 1))
+        need = max(need, _packed_length(n, m))
         n += 1
     return need
 
@@ -405,10 +388,11 @@ def _product_modulus(component, k: int) -> int:
 @dataclass
 class ProductLift:
     """A self-transducer of the packed space acting componentwise, with its
-    projections.  Projection n intertwines the lift with component map n."""
+    projections.  Component n runs maps[n], and every component past the
+    list is the identity on the packed space's tail component.  Projection
+    n intertwines the lift with component map n."""
 
     maps: list[PrefixTransducer]
-    tail_map: PrefixTransducer
     packed_space: InterleavedSpace
     lift: PrefixTransducer = field(init=False)
 
@@ -416,19 +400,20 @@ class ProductLift:
         # The lift's rules hold the maps, not self: bound methods of self
         # would make self and its lift a reference cycle, which keeps every
         # lifted member and its memos alive until a full garbage collection.
-        component = partial(_component, self.maps, self.tail_map)
         self.lift = PrefixTransducer(
             self.packed_space,
             self.packed_space,
-            partial(_product_step, component),
-            partial(_product_modulus, component),
+            partial(_product_step, self.maps),
+            partial(_product_modulus, self.maps),
             "product-lift",
         )
 
     def component_map(self, n: int) -> PrefixTransducer:
         if n < 0:
             raise InvalidBranch(f"component index must be nonnegative, got {n}")
-        return _component(self.maps, self.tail_map, n)
+        if n < len(self.maps):
+            return self.maps[n]
+        return identity_transducer(self.packed_space.tail_component)
 
     def projection(self, n: int) -> PrefixTransducer:
         return PrefixTransducer(
@@ -466,4 +451,4 @@ def product_lift(
             raise EmptyFamily("a product of no maps needs a tail space")
         tail_space = maps[0].domain
     packed = InterleavedSpace(tuple(f.domain for f in maps), tail_space)
-    return ProductLift(list(maps), identity_transducer(tail_space), packed)
+    return ProductLift(list(maps), packed)

@@ -37,7 +37,7 @@ from factorlift.families import (
     universal_on_functions,
 )
 from factorlift.geometry import CantorSpace, IntervalSpace
-from factorlift.lifting import lift_self_map
+from factorlift.lifting import lift_self_map, strong_extension_map
 from factorlift.pairing import pair
 from factorlift.pointmaps import (
     PointMap,
@@ -115,22 +115,23 @@ def test_rotation_map_family_evaluates_parameter_words():
 def test_family_lift_certifies_every_finite_member():
     lf = family_lift(finite_map_family(interval_system(), contractions(), "c"))
     assert len(lf.transducers()) == 2
-    cert = lf.certificate(3, 4, random.Random(5), exact_samples=2)
+    rng = random.Random(5)
+    for member in lf.members:
+        cert = member.certificate(3, 4, rng, exact_samples=2)
+        assert cert.ok, cert.render()
+
+
+def test_rotation_family_certifies_through_its_strong_lift():
+    fam = rotation_map_family(circle_system())
+    cert = strong_extension_map(fam.cover, fam.family).certificate(2, 3, random.Random(6))
     assert cert.ok, cert.render()
 
 
-def test_family_lift_of_a_parameterized_family():
-    lf = family_lift(rotation_map_family(circle_system()))
-    assert not lf.members
-    cert = lf.certificate(2, 3, random.Random(6))
-    assert cert.ok, cert.render()
-
-
-def test_family_lift_of_a_weakened_family_names_the_wide_region():
+def test_weakened_rotation_family_lift_names_the_wide_region():
     cs = circle_system()
-    lf = family_lift(MapFamily(cs, family=weakened_family(rotation_family(cs), 8)))
+    lift = strong_extension_map(cs, weakened_family(rotation_family(cs), 8))
     with pytest.raises(NoCell, match=r"region at \(\(.*\)\) is wider than"):
-        lf.certificate(2, 3, random.Random(7))
+        lift.certificate(2, 3, random.Random(7))
 
 
 # --- stage two: the universal map on function tuples ---
@@ -818,6 +819,9 @@ def _blind_contraction():
             CertificationError, "blind carries no exact point rule",
             id="powers-member-without-point-rule",
         ),
+        pytest.param(lambda: family_lift(rotation_map_family(circle_system())),
+                     CertificationError, "rotations: pipeline pieces must be finite families",
+                     id="family-lift-of-rotations"),
         pytest.param(lambda: common_extension_baire([]), EmptyFamily,
                      "the common extension needs at least one piece", id="extension-no-pieces"),
         pytest.param(lambda: common_extension_baire(pipeline_pieces()).factor(-1, -1),

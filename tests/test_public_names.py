@@ -9,7 +9,10 @@ object, or itself) reaches nothing.  The names that only tests reach are a
 frozen list, so a new one is added on purpose.  For that list the tracer,
 `perfbench/tracing.py`, is left out: it wraps the names its dotted paths
 spell and calls none of them, so a name only it spells is reached only by
-tests.
+tests.  A method that shares its name with a method production reaches
+counts as reached too, since an attribute access does not say whose
+method it is: `LiftedFamily.certificate` did so until it was deleted, and
+`BaireLift.max_resolution` still does.
 
 Every option of a public function or method, a parameter with a default,
 is passed by some call in `src/`, `bench/` or `perfbench/`, by keyword or by

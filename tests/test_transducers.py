@@ -122,6 +122,22 @@ def test_slots_are_the_pairing_positions(n, length):
     assert stream_width(n, length) == len(want)
 
 
+def _ref_slots(n, length):
+    """Reference slot walk: start at pair(n, 0) and step by
+    pair(n, i + 1) - pair(n, i) = n + i + 2."""
+    p, step = pair(n, 0), n + 2
+    while p < length:
+        yield p
+        p += step
+        step += 1
+
+
+def test_slots_match_the_walk_over_every_short_length():
+    for n in range(41):
+        for length in range(5001):
+            assert _slots(n, length) == list(_ref_slots(n, length)), (n, length)
+
+
 @settings(max_examples=200, deadline=None)
 @given(space=SPACES, length=st.integers(0, 300))
 def test_arities_profile_matches_positionwise_rule(space, length):
@@ -510,9 +526,8 @@ def _bumpy(space):
 
 
 BASE_MAPS = [
+    # a listed identity is walked like any other map
     identity_transducer(CANTOR),
-    # acts or is named as the identity without carrying its rules, so the
-    # packed step must walk it
     replace(shift_transducer(CANTOR), name="id"),
     compose_transducers(identity_transducer(CANTOR), identity_transducer(CANTOR)),
     shift_transducer(CANTOR),
@@ -577,6 +592,19 @@ def test_lift_modulus_is_nondecreasing(lifted):
     # the law that lets a product ask a nested product at its last slot alone
     moduli = [lifted.lift.modulus(k) for k in range(121)]
     assert moduli == sorted(moduli)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_components_past_the_list_are_the_tail_identity(data):
+    lifted = data.draw(_lifts(SELF_MAPS))
+    n = len(lifted.maps) + data.draw(st.integers(0, 5))
+    f = lifted.component_map(n)
+    tail = lifted.packed_space.tail_component
+    assert f.domain == f.codomain == tail
+    w = data.draw(_packed_words(tail))
+    assert f.step(w) == w
+    assert [f.modulus(k) for k in range(60)] == list(range(60))
 
 
 def test_nested_product_of_a_bumpy_map_matches_the_positionwise_rule():
@@ -646,6 +674,13 @@ def test_module_leaves_the_packing_to_transducers(module):
                      "block lengths must be positive, got 1 and 0", id="block-empty-output"),
         pytest.param(lambda: pack_streams([], length=-3), CertificationError,
                      "packed length must be nonnegative, got -3", id="pack-negative-length"),
+        pytest.param(lambda: SymbolicSpace((3, 4), 2).arities(-1), CertificationError,
+                     "word length must be nonnegative, got -1", id="arities-negative-length"),
+        pytest.param(lambda: InterleavedSpace((CANTOR,), BAIRE).arities(-1), CertificationError,
+                     "packed length must be nonnegative, got -1",
+                     id="interleaved-arities-negative-length"),
+        pytest.param(lambda: stream_width(0, -1), CertificationError,
+                     "packed length must be nonnegative, got -1", id="width-negative-length"),
         pytest.param(lambda: Stream((1, 2, 3), (0,)).prefix(-1), CertificationError,
                      "prefix length must be nonnegative, got -1", id="stream-negative-prefix"),
     ],
