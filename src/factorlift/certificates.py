@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import CertificationError
+
 PASS = "PASS"
 FAIL = "FAIL"
 INFO = "INFO"
@@ -92,3 +94,10 @@ def summary_line(node: CertNode) -> str:
     p, f = node.counts()
     verdict = PASS if node.ok else FAIL
     return f"{verdict}: {p} checks passed, {f} failed ({node.title})"
+
+
+def refuse_negative(owner: str, name: str, value: int) -> None:
+    """Refuse a negative count by name: a certificate over a negative count
+    would render a vacuous verdict."""
+    if value < 0:
+        raise CertificationError(f"{owner}: {name} {value} is negative")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from .certificates import CertNode
+from .certificates import CertNode, refuse_negative
 from .covers import CoverSystem, _class_levels
 from .errors import (
     CertificationError,
@@ -167,6 +167,8 @@ def _sample_diagrams(machine, in_len, out_len, resolution, samples, rng, coords)
     so z goes straight to `step_fn`.  Zero tails move no compared value: the
     packed step is componentwise (the transducer tests' positionwise-walk law).
     """
+    refuse_negative(machine.name, "resolution", resolution)
+    refuse_negative(machine.name, "samples", samples)
 
     def draw(coords, length):
         if coords and not coords[0][0]:

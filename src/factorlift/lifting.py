@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import count, islice, pairwise
 from typing import Iterator, Optional, Sequence
 
-from .certificates import CertNode
+from .certificates import CertNode, refuse_negative
 from .covers import CoverSystem, interval_system, locate_ball
 from .errors import CertificationError, InsufficientInput, NoCell, SpaceMismatch
 from .geometry import BaireStreamSpace
@@ -69,7 +69,7 @@ class StrongLift:
         """Prefix lengths (parameter, branch) consumed at resolution k;
         running maxima keep them monotone in k, and resolution 0 reads
         nothing."""
-        if k < 0:
+        if k < 0:  # not refuse_negative: each prefix asks once per resolution
             raise CertificationError(f"{self.name}: resolution {k} is negative")
         while len(self._moduli) < k:
             kk = len(self._moduli) + 1
@@ -79,20 +79,8 @@ class StrongLift:
             self._moduli.append((l, m))
         return self._moduli[k - 1] if k else (0, 0)
 
-    def max_resolution(self, q_len: int, s_len: int) -> int:
-        """Deepest resolution the given prefix lengths support, capped at
-        one output symbol per branch symbol."""
-        k = 0
-        while k < s_len:
-            l, m = self.moduli(k + 1)
-            if l > q_len or m > s_len:
-                break
-            k += 1
-        return k
-
     def prefix(self, q: Sequence[int], s: Sequence[int], k: int) -> Word:
-        if k < 0:
-            raise CertificationError(f"{self.name}: resolution {k} is negative")
+        refuse_negative(self.name, "resolution", k)
         q, s = tuple(q), tuple(s)
         t: Word = ()
         for kk in range(1, k + 1):
@@ -131,6 +119,7 @@ class StrongLift:
         """Sampled soundness: at every resolution up to the target, the
         family's region sits inside the located cell with the full slack
         to spare, and regions shrink under prefix extension."""
+        refuse_negative(self.name, "samples", samples)
         cert = CertNode(f"{self.name}: factor identity to depth {resolution}")
         space = self.cs.space
         l_top, m_top = self.moduli(resolution)
@@ -220,6 +209,7 @@ class LiftedSelfMap:
         rng,
         exact_samples: int = 0,
     ) -> CertNode:
+        refuse_negative(self.lift.name, "exact_samples", exact_samples)
         cert = self.lift.certificate(resolution, samples, rng)
         cert.title = (
             f"lift[{self.point_map.name}]: projection intertwines the map "
@@ -254,11 +244,13 @@ def lift_self_map(cs: CoverSystem, point_map: PointMap) -> LiftedSelfMap:
     lift = strong_extension_map(cs, family_from_map(cs, point_map))
     branch_space = cs.branch_space()
 
-    def step(w: Word) -> Word:
-        return lift.prefix((), w, lift.max_resolution(0, len(w)))
-
     def modulus(k: int) -> int:
         return max(k, lift.moduli(k)[1])
+
+    def step(w: Word) -> Word:
+        # modulus(k) symbols fix k output symbols; the moduli are running
+        # maxima and modulus(k) >= k, so the search ends by k = len(w) + 1
+        return lift.prefix((), w, next(k for k in count() if modulus(k + 1) > len(w)))
 
     machine = PrefixTransducer(
         branch_space, branch_space, step, modulus, name=f"lift[{point_map.name}]"
@@ -379,8 +371,7 @@ class BaireLift:
 
     def output(self, w: Sequence[int], k: int) -> Word:
         """The length-k presentation branch naming the image point."""
-        if k < 0:
-            raise CertificationError(f"{self.name}: resolution {k} is negative")
+        refuse_negative(self.name, "resolution", k)
         t: Word = ()
         for _, t in islice(self._walk(w), k):
             pass
@@ -403,6 +394,8 @@ class BaireLift:
         the target resolution; past 4,096 symbols the walk's
         `InsufficientInput` is re-raised, so a map that never narrows fails
         typed instead of reading without end."""
+        refuse_negative(self.name, "resolution", resolution)
+        refuse_negative(self.name, "samples", samples)
         cert = CertNode(
             f"{self.name}: projection matches {self.point_map.name} "
             f"to depth {resolution}"

@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .certificates import CertNode
+from .certificates import CertNode, refuse_negative
 from .errors import (
     CertificationError,
     NormBoundViolated,
@@ -298,6 +298,7 @@ def dense_orbit_enumeration(
     images falling outside the point list (orbit frontier) are omitted and
     recorded.  (1/rho)T is applied once per point.
     """
+    refuse_negative("dense_orbit_enumeration", "base_count", base_count)
     matrix = model.matrix(matrix)
     rho = Fraction(rho)
     if rho <= 0:

@@ -2,9 +2,9 @@
 
 A symbolic space is a countable product of discrete alphabets (size >= 2 per
 level, or unbounded).  A prefix transducer is a monotone, productive map on
-finite words with an explicit modulus: inputs of length modulus(k) determine
-at least k output symbols.  These are the finite, checkable avatars of
-continuous maps between the corresponding infinite-product spaces.
+finite words with an explicit modulus (`PrefixTransducer` states its
+contract).  These are the finite, checkable avatars of continuous maps
+between the corresponding infinite-product spaces.
 
 This module owns the packed layout: position pair(n, i) of a packed word
 holds symbol i of component n.  `_slots` is the one place that lists a
@@ -124,6 +124,10 @@ class Stream:
 
 @dataclass
 class PrefixTransducer:
+    """The modulus contract: an input of modulus(k) symbols fixes the first
+    k output symbols, whether or not the moduli grow with k, so a composite
+    asks each part once, for the symbols it needs of that part."""
+
     domain: Space
     codomain: Space
     step_fn: Callable[[Word], Word]
@@ -298,7 +302,8 @@ def extract_stream(packed: Sequence[int], n: int) -> Word:
     """Contiguous determined prefix of component n inside a packed word."""
     if n < 0:
         raise InvalidBranch(f"component index must be nonnegative, got {n}")
-    return tuple(packed[p] for p in _slots(n, len(packed)))
+    # built as a list: faster than a generator or map(packed.__getitem__)
+    return tuple([packed[p] for p in _slots(n, len(packed))])
 
 
 def pack_streams(
@@ -360,28 +365,17 @@ def _product_step(maps, w: Word) -> Word:
     return tuple(out)
 
 
-def _is_product(f: PrefixTransducer) -> bool:
-    """True only for the modulus rule `ProductLift` installs."""
-    return isinstance(f.modulus_fn, partial) and f.modulus_fn.func is _product_modulus
-
-
 def _product_modulus(maps, k: int) -> int:
-    # Moduli need not be monotone, so every symbol's modulus is asked, but
-    # a product modulus is nondecreasing in k (each term of the max below
-    # grows with k), so a nested product is asked at its last slot alone.
+    # An input of f.modulus(w) symbols fixes f's first w output symbols, so
+    # each listed component with a slot below k is asked once, for its
+    # stream_width(n, k) symbols, as `compose_transducers` asks each part.
     # A component past the list is the identity, which asks for no more
     # than its own slots below k, so the walk ends with the list.
     need = k
-    n = 0
-    while n < len(maps) and pair(n, 0) < k:
-        f = maps[n]
-        width = stream_width(n, k)
-        if _is_product(f):
-            m = f.modulus(width)
-        else:
-            m = max(f.modulus(i) for i in range(1, width + 1))
-        need = max(need, _packed_length(n, m))
-        n += 1
+    for n, f in enumerate(maps):
+        if pair(n, 0) >= k:
+            break
+        need = max(need, _packed_length(n, f.modulus(stream_width(n, k))))
     return need
 
 

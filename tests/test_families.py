@@ -829,6 +829,34 @@ def _blind_contraction():
         pytest.param(lambda: common_extension_baire(pipeline_pieces()).factor(1, -1),
                      CertificationError, "piece 1 has no member -1",
                      id="factor-negative-member"),
+        pytest.param(
+            lambda: common_extension_baire(pipeline_pieces()).certificate(
+                3, -3, random.Random(1)
+            ),
+            CertificationError, "product-lift: samples -3 is negative",
+            id="extension-negative-samples",
+        ),
+        pytest.param(
+            lambda: common_extension_baire(pipeline_pieces()).certificate(
+                -1, 3, random.Random(1)
+            ),
+            CertificationError, "product-lift: resolution -1 is negative",
+            id="extension-negative-resolution",
+        ),
+        pytest.param(
+            lambda: universal_on_functions(
+                [odometer_transducer(), shift_transducer(CANTOR)]
+            ).certificate(-1, 2, random.Random(1)),
+            CertificationError, "product-lift: resolution -1 is negative",
+            id="universal-negative-resolution",
+        ),
+        pytest.param(
+            lambda: universal_on_functions(
+                [odometer_transducer(), shift_transducer(CANTOR)]
+            ).certificate(3, -2, random.Random(1)),
+            CertificationError, "product-lift: samples -2 is negative",
+            id="universal-negative-samples",
+        ),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):

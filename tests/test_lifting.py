@@ -174,6 +174,25 @@ def test_lifted_transducer_is_monotone_and_productive():
         assert evaluate_transducer(lifted.transducer, w, 5) == full
 
 
+@pytest.mark.parametrize(
+    "system, point_map",
+    [
+        (interval_system(), tent_map()),
+        (interval_system(), squaring_map()),
+        (circle_system(), rotation_map(F(2, 7))),
+        (cantor_system(), stream_map(odometer_transducer())),
+    ],
+    ids=["tent", "squaring", "rotation", "odometer"],
+)
+def test_lifted_step_writes_the_deepest_resolution_its_modulus_affords(system, point_map):
+    machine = lift_self_map(system, point_map).transducer
+    rng = random.Random(36)
+    for length in range(41):
+        w = rand_branch(system, length, rng)
+        deepest = max(k for k in range(length + 1) if machine.modulus(k) <= length)
+        assert len(machine.step(w)) == deepest
+
+
 # --- interval and circle lifts ---
 
 
@@ -886,6 +905,41 @@ def test_baire_lift_certificate_names_comparable_prefixes():
             SpaceMismatch,
             "cc maps into a product space but the presentation covers a product space",
             id="baire-target-another-product",
+        ),
+        pytest.param(
+            lambda: lift_self_map(interval_system(), tent_map()).lift.certificate(
+                3, -2, random.Random(1)
+            ),
+            CertificationError, "lift[tent]: samples -2 is negative",
+            id="strong-lift-negative-samples",
+        ),
+        pytest.param(
+            lambda: lift_self_map(interval_system(), tent_map()).certificate(
+                3, -2, random.Random(1)
+            ),
+            CertificationError, "lift[tent]: samples -2 is negative",
+            id="lifted-map-negative-samples",
+        ),
+        pytest.param(
+            lambda: lift_self_map(interval_system(), tent_map()).certificate(
+                3, 2, random.Random(1), exact_samples=-5
+            ),
+            CertificationError, "lift[tent]: exact_samples -5 is negative",
+            id="lifted-map-negative-exact-samples",
+        ),
+        pytest.param(
+            lambda: baire_extension_map(CylinderPresentation(), baire_identity_map()).certificate(
+                -1, 2, random.Random(1)
+            ),
+            CertificationError, "lift[id]: resolution -1 is negative",
+            id="baire-certificate-negative-resolution",
+        ),
+        pytest.param(
+            lambda: baire_extension_map(CylinderPresentation(), baire_identity_map()).certificate(
+                2, -1, random.Random(1)
+            ),
+            CertificationError, "lift[id]: samples -1 is negative",
+            id="baire-certificate-negative-samples",
         ),
         pytest.param(lambda: CylinderPresentation().slack(-3), CertificationError,
                      "resolution starts at 1", id="cylinder-slack-below-resolution-1"),

@@ -664,6 +664,13 @@ def _value_past_the_points():
                      id="enumeration-matrix-smaller-than-the-model"),
         pytest.param(lambda: BanachModel(0), CertificationError,
                      "dimension must be at least 1, got 0", id="model-of-dimension-0"),
+        pytest.param(
+            lambda: dense_orbit_enumeration(
+                BanachModel(1), ((F(1, 2),),), F(1, 2), base_count=-3
+            ),
+            CertificationError, "dense_orbit_enumeration: base_count -3 is negative",
+            id="enumeration-negative-base-count",
+        ),
     ],
 )
 def test_refusals_are_typed(call, exc, fragment):

@@ -11,8 +11,7 @@ frozen list, so a new one is added on purpose.  For that list the tracer,
 spell and calls none of them, so a name only it spells is reached only by
 tests.  A method that shares its name with a method production reaches
 counts as reached too, since an attribute access does not say whose
-method it is: `LiftedFamily.certificate` did so until it was deleted, and
-`BaireLift.max_resolution` still does.
+method it is: `LiftedFamily.certificate` did so until it was deleted.
 
 Every option of a public function or method, a parameter with a default,
 is passed by some call in `src/`, `bench/` or `perfbench/`, by keyword or by
@@ -131,6 +130,8 @@ TEST_ONLY = {
     "summary_line",
     # the Baire lift's value on one branch, which the walk laws read
     "output",
+    # the Baire lift's deepest resolution, which the walk laws read
+    "max_resolution",
 }
 
 

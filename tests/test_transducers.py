@@ -555,8 +555,8 @@ SELF_MAPS = st.recursive(
 
 
 @st.composite
-def _packed_words(draw, space, max_size=60):
-    arities = space.arities(draw(st.integers(0, max_size)))
+def _packed_words(draw, space, max_size=60, length=None):
+    arities = space.arities(draw(st.integers(0, max_size)) if length is None else length)
     return tuple(draw(st.integers(0, (a if a is not None else 6) - 1)) for a in arities)
 
 
@@ -569,7 +569,8 @@ def test_packed_step_matches_positionwise_walk(data):
 
 
 def _positionwise_modulus(lifted, k):
-    """Reference lift modulus: every output position unpaired on its own."""
+    """Upper-bound lift modulus: every output position unpaired on its own
+    and its component asked for that symbol alone."""
     need = k
     for p in range(k):
         n, i = unpair(p)
@@ -578,18 +579,87 @@ def _positionwise_modulus(lifted, k):
     return need
 
 
+def _per_component_modulus(lifted, k):
+    """Exact lift modulus: the positions below k counted per component, and
+    each component asked once for its count."""
+    counts = {}
+    for p in range(k):
+        n, _ = unpair(p)
+        counts[n] = counts.get(n, 0) + 1
+    need = k
+    for n, width in counts.items():
+        m = lifted.component_map(n).modulus(width)
+        need = max(need, pair(n, m - 1) + 1 if m else 0)
+    return need
+
+
+# every modulus here is nondecreasing, nested products included
+MONOTONE_MAPS = st.recursive(
+    st.sampled_from([f for f in BASE_MAPS if f.name != "bumpy"]),
+    lambda maps: _lifts(maps).map(lambda pl: pl.lift),
+    max_leaves=6,
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_lift_modulus_matches_positionwise_rule(data):
-    lifted = data.draw(_lifts(SELF_MAPS))
+    # with nondecreasing component moduli, the last symbol a component
+    # writes below k asks for the most input, so both rules agree
+    lifted = data.draw(_lifts(MONOTONE_MAPS))
     k = data.draw(st.integers(0, 80))
     assert lifted.lift.modulus(k) == _positionwise_modulus(lifted, k)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lift_modulus_is_at_most_the_positionwise_rule(data):
+    lifted = data.draw(_lifts(SELF_MAPS))
+    k = data.draw(st.integers(0, 80))
+    assert lifted.lift.modulus(k) <= _positionwise_modulus(lifted, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lift_modulus_matches_per_component_rule(data):
+    lifted = data.draw(_lifts(SELF_MAPS))
+    k = data.draw(st.integers(0, 80))
+    assert lifted.lift.modulus(k) == _per_component_modulus(lifted, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_word_of_modulus_length_determines_k_symbols(data):
+    f = data.draw(SELF_MAPS)
+    k = data.draw(st.integers(0, 40))
+    w = data.draw(_packed_words(f.domain, length=f.modulus(k)))
+    assert len(evaluate_transducer(f, w, k)) >= k
+
+
+def _counting(f, calls, n):
+    """f with a modulus that counts its calls in calls[n]."""
+
+    def modulus(k):
+        calls[n] += 1
+        return f.modulus(k)
+
+    return replace(f, modulus_fn=modulus)
+
+
 @settings(max_examples=100, deadline=None)
-@given(_lifts(SELF_MAPS))
+@given(maps=st.lists(SELF_MAPS, min_size=1, max_size=4), k=st.integers(0, 80))
+def test_lift_modulus_asks_each_listed_component_once(maps, k):
+    calls = [0] * len(maps)
+    lifted = product_lift([_counting(f, calls, n) for n, f in enumerate(maps)])
+    lifted.lift.modulus(k)
+    assert calls == [int(pair(n, 0) < k) for n in range(len(maps))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lifts(MONOTONE_MAPS))
 def test_lift_modulus_is_nondecreasing(lifted):
-    # the law that lets a product ask a nested product at its last slot alone
+    # a product of nondecreasing moduli is nondecreasing: each component's
+    # width and its packed length grow with k
     moduli = [lifted.lift.modulus(k) for k in range(121)]
     assert moduli == sorted(moduli)
 
@@ -607,14 +677,22 @@ def test_components_past_the_list_are_the_tail_identity(data):
     assert [f.modulus(k) for k in range(60)] == list(range(60))
 
 
-def test_nested_product_of_a_bumpy_map_matches_the_positionwise_rule():
-    # the inner product's own component is not monotone, so the inner
-    # product still asks each of its slots while the outer asks one
+def test_nested_product_of_a_bumpy_map_matches_the_per_component_rule():
+    # the inner product's own component is not monotone, so both products
+    # ask less than the positionwise rule at some k, and stay sound there
     inner = product_lift([_bumpy(CANTOR)])
     outer = product_lift([inner.lift, shift_transducer(inner.packed_space)])
+    rng = random.Random(36)
     for lifted in (inner, outer):
+        below = 0
         for k in range(121):
-            assert lifted.lift.modulus(k) == _positionwise_modulus(lifted, k)
+            need = lifted.lift.modulus(k)
+            assert need == _per_component_modulus(lifted, k)
+            assert need <= _positionwise_modulus(lifted, k)
+            below += need < _positionwise_modulus(lifted, k)
+            w = tuple(rng.randrange(2) for _ in range(need))
+            assert len(evaluate_transducer(lifted.lift, w, k)) >= k
+        assert below
 
 
 def test_packed_step_reads_tail_components_past_the_input():
